@@ -32,56 +32,56 @@ namespace {
 class CoarseLockSut : public Sut {
  public:
   explicit CoarseLockSut(std::unique_ptr<Sut> inner)
-      : inner_(std::move(inner)) {}
+      : Sut(inner->kind(), Facade::kForward), inner_(std::move(inner)) {}
 
-  std::string name() const override { return inner_->name(); }
+  uint64_t SizeBytes() const override {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    return inner_->SizeBytes();
+  }
 
-  Status Load(const snb::Dataset& data) override {
+ protected:
+  Status DoLoad(const snb::Dataset& data) override {
     std::unique_lock<std::shared_mutex> lock(mu_);
     return inner_->Load(data);
   }
-  Result<QueryResult> PointLookup(int64_t person_id) override {
+  Result<QueryResult> DoPointLookup(int64_t person_id) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return inner_->PointLookup(person_id);
   }
-  Result<QueryResult> OneHop(int64_t person_id) override {
+  Result<QueryResult> DoOneHop(int64_t person_id) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return inner_->OneHop(person_id);
   }
-  Result<QueryResult> TwoHop(int64_t person_id) override {
+  Result<QueryResult> DoTwoHop(int64_t person_id) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return inner_->TwoHop(person_id);
   }
-  Result<int> ShortestPathLen(int64_t from_person,
-                              int64_t to_person) override {
+  Result<int> DoShortestPathLen(int64_t from_person,
+                                int64_t to_person) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return inner_->ShortestPathLen(from_person, to_person);
   }
-  Result<QueryResult> RecentPosts(int64_t person_id,
-                                  int64_t limit) override {
+  Result<QueryResult> DoRecentPosts(int64_t person_id,
+                                    int64_t limit) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return inner_->RecentPosts(person_id, limit);
   }
-  Result<QueryResult> FriendsWithName(
+  Result<QueryResult> DoFriendsWithName(
       int64_t person_id, const std::string& first_name) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return inner_->FriendsWithName(person_id, first_name);
   }
-  Result<QueryResult> RepliesOfPost(int64_t post_id) override {
+  Result<QueryResult> DoRepliesOfPost(int64_t post_id) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return inner_->RepliesOfPost(post_id);
   }
-  Result<QueryResult> TopPosters(int64_t limit) override {
+  Result<QueryResult> DoTopPosters(int64_t limit) override {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return inner_->TopPosters(limit);
   }
-  Status Apply(const snb::UpdateOp& op) override {
+  Status DoApply(const snb::UpdateOp& op, bool* /*knows_changed*/) override {
     std::unique_lock<std::shared_mutex> lock(mu_);
     return inner_->Apply(op);
-  }
-  uint64_t SizeBytes() const override {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return inner_->SizeBytes();
   }
 
  private:

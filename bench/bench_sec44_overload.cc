@@ -22,10 +22,12 @@ namespace {
 class ComplexMixSut : public Sut {
  public:
   explicit ComplexMixSut(std::unique_ptr<Sut> inner)
-      : inner_(std::move(inner)) {}
+      : Sut(inner->kind(), Facade::kForward), inner_(std::move(inner)) {}
 
-  std::string name() const override { return inner_->name(); }
-  Status Load(const snb::Dataset& data) override {
+  uint64_t SizeBytes() const override { return inner_->SizeBytes(); }
+
+ protected:
+  Status DoLoad(const snb::Dataset& data) override {
     pair_pool_.clear();
     for (const auto& k : data.knows) {
       pair_pool_.push_back({k.person1, k.person2});
@@ -33,13 +35,13 @@ class ComplexMixSut : public Sut {
     }
     return inner_->Load(data);
   }
-  Result<QueryResult> PointLookup(int64_t id) override {
+  Result<QueryResult> DoPointLookup(int64_t id) override {
     return inner_->PointLookup(id);
   }
-  Result<QueryResult> OneHop(int64_t id) override {
+  Result<QueryResult> DoOneHop(int64_t id) override {
     return inner_->OneHop(id);
   }
-  Result<QueryResult> TwoHop(int64_t id) override {
+  Result<QueryResult> DoTwoHop(int64_t id) override {
     // Half the complex slots become shortest paths between far-apart
     // endpoints (id pairs drawn from the knows pool, shifted).
     if (!pair_pool_.empty() && (++flip_ & 1)) {
@@ -52,26 +54,25 @@ class ComplexMixSut : public Sut {
     }
     return inner_->TwoHop(id);
   }
-  Result<int> ShortestPathLen(int64_t a, int64_t b) override {
+  Result<int> DoShortestPathLen(int64_t a, int64_t b) override {
     return inner_->ShortestPathLen(a, b);
   }
-  Result<QueryResult> RecentPosts(int64_t id, int64_t limit) override {
+  Result<QueryResult> DoRecentPosts(int64_t id, int64_t limit) override {
     return inner_->RecentPosts(id, limit);
   }
-  Result<QueryResult> FriendsWithName(int64_t id,
-                                      const std::string& name) override {
-    return inner_->FriendsWithName(id, name);
+  Result<QueryResult> DoFriendsWithName(
+      int64_t id, const std::string& first_name) override {
+    return inner_->FriendsWithName(id, first_name);
   }
-  Result<QueryResult> RepliesOfPost(int64_t post_id) override {
+  Result<QueryResult> DoRepliesOfPost(int64_t post_id) override {
     return inner_->RepliesOfPost(post_id);
   }
-  Result<QueryResult> TopPosters(int64_t limit) override {
+  Result<QueryResult> DoTopPosters(int64_t limit) override {
     return inner_->TopPosters(limit);
   }
-  Status Apply(const snb::UpdateOp& op) override {
+  Status DoApply(const snb::UpdateOp& op, bool* /*knows_changed*/) override {
     return inner_->Apply(op);
   }
-  uint64_t SizeBytes() const override { return inner_->SizeBytes(); }
 
  private:
   std::unique_ptr<Sut> inner_;

@@ -428,9 +428,13 @@ Status MatrixEngine::Apply(const snb::UpdateOp& op, bool* knows_changed) {
   const uint64_t wp = concurrency::EpochManager::kWriterPin;
   using K = snb::UpdateOp::Kind;
   switch (op.kind) {
-    case K::kAddPerson:
+    case K::kAddPerson: {
+      // A new person is a new row and column of the knows matrix.
+      const size_t rows = person_id_.size();
       InternPerson(mgr, op.person);
+      if (knows_changed != nullptr) *knows_changed = person_id_.size() > rows;
       return Status::OK();
+    }
     case K::kAddFriendship: {
       int32_t a = PersonOrd(op.knows.person1, wp);
       int32_t b = PersonOrd(op.knows.person2, wp);

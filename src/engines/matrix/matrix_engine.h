@@ -81,8 +81,9 @@ class MatrixEngine {
   QueryResult TopPosters(int64_t limit) const;
 
   /// Applies one update-stream op. `knows_changed` (may be null) reports
-  /// whether the adjacency matrix actually mutated — false for duplicate
-  /// friendship inserts the boolean matrix collapses — so the caller fires
+  /// whether the adjacency matrix actually mutated — a new person adds a
+  /// row; false for duplicate persons, duplicate friendship inserts the
+  /// boolean matrix collapses, and non-knows ops — so the caller fires
   /// landmark invalidation hooks only for real mutations.
   Status Apply(const snb::UpdateOp& op, bool* knows_changed = nullptr);
 

@@ -80,6 +80,8 @@ SutProbe::SutProbe(std::string_view sut_id) {
   MetricsRegistry& reg = MetricsRegistry::Default();
   reads_ = reg.GetCounter(base + ".reads");
   writes_ = reg.GetCounter(base + ".writes");
+  read_errors_ = reg.GetCounter(base + ".read_errors");
+  write_errors_ = reg.GetCounter(base + ".write_errors");
   read_micros_ = reg.GetHistogram(base + ".read_micros");
   write_micros_ = reg.GetHistogram(base + ".write_micros");
 }

@@ -131,22 +131,45 @@ class ScopedTimer {
   uint64_t start_ = 0;
 };
 
-/// Per-SUT read/write probe: one counter + latency histogram pair per
-/// direction, named "sut.<id>.{reads,writes}[. _micros]" in the default
-/// registry. SUT implementations hold one and wrap their query/update
-/// bodies in Read()/Write() scopes.
+/// Per-SUT read/write probe, named "sut.<id>.{reads,read_micros,
+/// read_errors}" and "sut.<id>.{writes,write_micros,write_errors}" in the
+/// default registry. The Sut facade holds one and brackets every read and
+/// write with Start() and EndRead()/EndWrite(). Only ok results count as
+/// reads/writes and add latency; a failure counts only as an error, so a
+/// fast rejection never passes for a fast success.
 class SutProbe {
  public:
   explicit SutProbe(std::string_view sut_id);
 
-  Histogram* read_micros() const { return read_micros_; }
-  Histogram* write_micros() const { return write_micros_; }
-  Counter* reads() const { return reads_; }
-  Counter* writes() const { return writes_; }
+  /// Start stamp for one operation; no clock read when obs is compiled out.
+  static uint64_t Start() {
+    if constexpr (kEnabled) return NowMicros();
+    return 0;
+  }
+  void EndRead(uint64_t start, bool ok) const {
+    End(start, ok, read_micros_, reads_, read_errors_);
+  }
+  void EndWrite(uint64_t start, bool ok) const {
+    End(start, ok, write_micros_, writes_, write_errors_);
+  }
 
  private:
+  static void End(uint64_t start, bool ok, Histogram* micros, Counter* done,
+                  Counter* errors) {
+    if constexpr (kEnabled) {
+      if (!ok) {
+        errors->Increment();
+        return;
+      }
+      micros->Add(NowMicros() - start);
+      done->Increment();
+    }
+  }
+
   Counter* reads_;
   Counter* writes_;
+  Counter* read_errors_;
+  Counter* write_errors_;
   Histogram* read_micros_;
   Histogram* write_micros_;
 };

@@ -2,8 +2,6 @@
 
 #include <unordered_map>
 
-#include "concurrency/epoch.h"
-
 namespace graphbench {
 
 namespace {
@@ -183,16 +181,12 @@ Status LoadSnbIntoNativeGraph(const snb::Dataset& data, NativeGraph* graph) {
 }
 
 CypherSut::CypherSut(NativeGraphOptions options)
-    : graph_(options), engine_(&graph_) {}
+    : Sut(SutKind::kNeo4jCypher), graph_(options), engine_(&graph_) {}
 
-Status CypherSut::Load(const snb::Dataset& data) {
-  concurrency::WriteBatch batch;
+Status CypherSut::DoLoad(const snb::Dataset& data) {
+  if (plan_cache_enabled()) engine_.EnablePlanCache();
   GB_RETURN_IF_ERROR(LoadSnbIntoNativeGraph(data, &graph_));
-  if (engine_.plan_cache_enabled()) {
-    GB_RETURN_IF_ERROR(PrepareStatements());
-  }
-  if (landmarks_ != nullptr) SeedLandmarkIndex(data, landmarks_.get());
-  return Status::OK();
+  return plan_cache_enabled() ? PrepareStatements() : Status::OK();
 }
 
 Status CypherSut::PrepareStatements() {
@@ -226,9 +220,7 @@ std::string CypherSut::StatementText(std::string_view kind) const {
   return std::string();
 }
 
-Result<QueryResult> CypherSut::PointLookup(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> CypherSut::DoPointLookup(int64_t person_id) {
   if (prepared_.point_lookup.valid()) {
     return engine_.Execute(prepared_.point_lookup,
                            {{"id", Value(person_id)}});
@@ -236,34 +228,22 @@ Result<QueryResult> CypherSut::PointLookup(int64_t person_id) {
   return engine_.Execute(kPointLookupCypher, {{"id", Value(person_id)}});
 }
 
-Result<QueryResult> CypherSut::OneHop(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> CypherSut::DoOneHop(int64_t person_id) {
   if (prepared_.one_hop.valid()) {
     return engine_.Execute(prepared_.one_hop, {{"id", Value(person_id)}});
   }
   return engine_.Execute(kOneHopCypher, {{"id", Value(person_id)}});
 }
 
-Result<QueryResult> CypherSut::TwoHop(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> CypherSut::DoTwoHop(int64_t person_id) {
   if (prepared_.two_hop.valid()) {
     return engine_.Execute(prepared_.two_hop, {{"id", Value(person_id)}});
   }
   return engine_.Execute(kTwoHopCypher, {{"id", Value(person_id)}});
 }
 
-Result<int> CypherSut::ShortestPathLen(int64_t from_person,
-                                       int64_t to_person) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
-  if (landmarks_ != nullptr) {
-    if (std::optional<int> len =
-            landmarks_->ShortestPathLen(from_person, to_person)) {
-      return *len;
-    }
-  }
+Result<int> CypherSut::DoShortestPathLen(int64_t from_person,
+                                         int64_t to_person) {
   CypherEngine::Params params = {{"a", Value(from_person)},
                                  {"b", Value(to_person)}};
   Result<QueryResult> result =
@@ -275,10 +255,8 @@ Result<int> CypherSut::ShortestPathLen(int64_t from_person,
   return int(r.rows[0][0].as_int());
 }
 
-Result<QueryResult> CypherSut::RecentPosts(int64_t person_id,
-                                           int64_t limit) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> CypherSut::DoRecentPosts(int64_t person_id,
+                                             int64_t limit) {
   if (prepared_.recent_posts.valid()) {
     return engine_.Execute(
         prepared_.recent_posts,
@@ -289,9 +267,8 @@ Result<QueryResult> CypherSut::RecentPosts(int64_t person_id,
       {{"id", Value(person_id)}});
 }
 
-Result<QueryResult> CypherSut::FriendsWithName(
+Result<QueryResult> CypherSut::DoFriendsWithName(
     int64_t person_id, const std::string& first_name) {
-  concurrency::EpochGuard guard;
   if (prepared_.friends_with_name.valid()) {
     return engine_.Execute(
         prepared_.friends_with_name,
@@ -302,8 +279,7 @@ Result<QueryResult> CypherSut::FriendsWithName(
       {{"id", Value(person_id)}, {"name", Value(first_name)}});
 }
 
-Result<QueryResult> CypherSut::RepliesOfPost(int64_t post_id) {
-  concurrency::EpochGuard guard;
+Result<QueryResult> CypherSut::DoRepliesOfPost(int64_t post_id) {
   if (prepared_.replies_of_post.valid()) {
     return engine_.Execute(prepared_.replies_of_post,
                            {{"id", Value(post_id)}});
@@ -311,8 +287,7 @@ Result<QueryResult> CypherSut::RepliesOfPost(int64_t post_id) {
   return engine_.Execute(kRepliesOfPostCypher, {{"id", Value(post_id)}});
 }
 
-Result<QueryResult> CypherSut::TopPosters(int64_t limit) {
-  concurrency::EpochGuard guard;
+Result<QueryResult> CypherSut::DoTopPosters(int64_t limit) {
   if (prepared_.top_posters.valid()) {
     return engine_.Execute(prepared_.top_posters,
                            {{"limit", Value(limit)}});
@@ -321,45 +296,34 @@ Result<QueryResult> CypherSut::TopPosters(int64_t limit) {
                          {});
 }
 
-Status CypherSut::Apply(const snb::UpdateOp& op) {
-  concurrency::WriteBatch batch;
-  obs::ScopedTimer timer(probe_.write_micros(), probe_.writes());
+Status CypherSut::DoApply(const snb::UpdateOp& op, bool* /*knows_changed*/) {
   using K = snb::UpdateOp::Kind;
   switch (op.kind) {
     case K::kAddPerson: {
       const auto& p = op.person;
-      Status st =
-          engine_
-              .Execute("CREATE (p:Person {id: $id, firstName: $fn, "
-                       "lastName: $ln, gender: $g, birthday: $b, "
-                       "creationDate: $cd, browserUsed: $br, "
-                       "locationIP: $ip})",
-                       {{"id", Value(p.id)},
-                        {"fn", Value(p.first_name)},
-                        {"ln", Value(p.last_name)},
-                        {"g", Value(p.gender)},
-                        {"b", Value(p.birthday)},
-                        {"cd", Value(p.creation_date)},
-                        {"br", Value(p.browser)},
-                        {"ip", Value(p.location_ip)}})
-              .status();
-      if (st.ok() && landmarks_ != nullptr) landmarks_->OnPersonAdded(p.id);
-      return st;
+      return engine_
+          .Execute("CREATE (p:Person {id: $id, firstName: $fn, "
+                   "lastName: $ln, gender: $g, birthday: $b, "
+                   "creationDate: $cd, browserUsed: $br, "
+                   "locationIP: $ip})",
+                   {{"id", Value(p.id)},
+                    {"fn", Value(p.first_name)},
+                    {"ln", Value(p.last_name)},
+                    {"g", Value(p.gender)},
+                    {"b", Value(p.birthday)},
+                    {"cd", Value(p.creation_date)},
+                    {"br", Value(p.browser)},
+                    {"ip", Value(p.location_ip)}})
+          .status();
     }
-    case K::kAddFriendship: {
-      Status st =
-          engine_
-              .Execute("MATCH (a:Person {id: $a}), (b:Person {id: $b}) "
-                       "CREATE (a)-[:knows {creationDate: $cd}]->(b)",
-                       {{"a", Value(op.knows.person1)},
-                        {"b", Value(op.knows.person2)},
-                        {"cd", Value(op.knows.creation_date)}})
-              .status();
-      if (st.ok() && landmarks_ != nullptr) {
-        landmarks_->OnEdgeAdded(op.knows.person1, op.knows.person2);
-      }
-      return st;
-    }
+    case K::kAddFriendship:
+      return engine_
+          .Execute("MATCH (a:Person {id: $a}), (b:Person {id: $b}) "
+                   "CREATE (a)-[:knows {creationDate: $cd}]->(b)",
+                   {{"a", Value(op.knows.person1)},
+                    {"b", Value(op.knows.person2)},
+                    {"cd", Value(op.knows.creation_date)}})
+          .status();
     case K::kRemoveFriendship: {
       // Cypher has no DELETE in this engine; unfriending goes through the
       // store's structure API, the same records MATCH/CREATE touch.
@@ -369,11 +333,7 @@ Status CypherSut::Apply(const snb::UpdateOp& op) {
       GB_ASSIGN_OR_RETURN(
           VertexId b,
           graph_.FindVertex("Person", "id", Value(op.knows.person2)));
-      GB_RETURN_IF_ERROR(graph_.RemoveEdge("knows", a, b));
-      if (landmarks_ != nullptr) {
-        landmarks_->OnEdgeRemoved(op.knows.person1, op.knows.person2);
-      }
-      return Status::OK();
+      return graph_.RemoveEdge("knows", a, b);
     }
     case K::kAddForum:
       GB_RETURN_IF_ERROR(

@@ -1,12 +1,10 @@
 #ifndef GRAPHBENCH_SUT_CYPHER_SUT_H_
 #define GRAPHBENCH_SUT_CYPHER_SUT_H_
 
-#include <memory>
 #include <string>
 
 #include "engines/native/cypher_engine.h"
 #include "engines/native/native_graph.h"
-#include "obs/metrics.h"
 #include "snb/schema.h"
 #include "sut/sut.h"
 
@@ -20,44 +18,30 @@ class CypherSut : public Sut {
  public:
   explicit CypherSut(NativeGraphOptions options = {});
 
-  std::string name() const override { return "Neo4j (Cypher)"; }
-  Status Load(const snb::Dataset& data) override;
-  Result<QueryResult> PointLookup(int64_t person_id) override;
-  Result<QueryResult> OneHop(int64_t person_id) override;
-  Result<QueryResult> TwoHop(int64_t person_id) override;
-  Result<int> ShortestPathLen(int64_t from_person,
-                              int64_t to_person) override;
-  Result<QueryResult> RecentPosts(int64_t person_id,
-                                  int64_t limit) override;
-  Result<QueryResult> FriendsWithName(int64_t person_id,
-                                      const std::string& first_name) override;
-  Result<QueryResult> RepliesOfPost(int64_t post_id) override;
-  Result<QueryResult> TopPosters(int64_t limit) override;
-  Status Apply(const snb::UpdateOp& op) override;
   uint64_t SizeBytes() const override {
     return graph_.ApproximateSizeBytes();
-  }
-
-  void EnablePlanCache() override { engine_.EnablePlanCache(); }
-  bool plan_cache_enabled() const override {
-    return engine_.plan_cache_enabled();
   }
   lang::PlanCacheStats plan_cache_stats() const override {
     return engine_.plan_cache_stats();
   }
   std::string StatementText(std::string_view kind) const override;
 
-  void EnableLandmarks(const LandmarkOptions& options = {}) override {
-    if (landmarks_ == nullptr) {
-      landmarks_ = std::make_unique<LandmarkIndex>(options);
-    }
-  }
-  bool landmarks_enabled() const override { return landmarks_ != nullptr; }
-  LandmarkStats landmark_stats() const override {
-    return landmarks_ == nullptr ? LandmarkStats{} : landmarks_->stats();
-  }
-
   NativeGraph* graph() { return &graph_; }
+
+ protected:
+  Status DoLoad(const snb::Dataset& data) override;
+  Result<QueryResult> DoPointLookup(int64_t person_id) override;
+  Result<QueryResult> DoOneHop(int64_t person_id) override;
+  Result<QueryResult> DoTwoHop(int64_t person_id) override;
+  Result<int> DoShortestPathLen(int64_t from_person,
+                                int64_t to_person) override;
+  Result<QueryResult> DoRecentPosts(int64_t person_id,
+                                    int64_t limit) override;
+  Result<QueryResult> DoFriendsWithName(
+      int64_t person_id, const std::string& first_name) override;
+  Result<QueryResult> DoRepliesOfPost(int64_t post_id) override;
+  Result<QueryResult> DoTopPosters(int64_t limit) override;
+  Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override;
 
  private:
   /// Prepares the fixed read statement set (LIMIT $limit where
@@ -68,8 +52,6 @@ class CypherSut : public Sut {
 
   NativeGraph graph_;
   CypherEngine engine_;
-  obs::SutProbe probe_{"neo4j"};
-  std::unique_ptr<LandmarkIndex> landmarks_;
 
   /// Populated by PrepareStatements; per-call methods bind only.
   struct PreparedSet {

@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "concurrency/epoch.h"
 #include "engines/native/native_graph.h"
 #include "engines/titan/titan_graph.h"
 #include "obs/profiler.h"
@@ -15,27 +14,14 @@
 
 namespace graphbench {
 
-namespace {
-
-// Maps a display name like "Titan-C (Gremlin)" to the short metric id
-// ("titan-c") so probe counters line up with SutKindId() everywhere else.
-std::string ProbeIdForName(const std::string& name) {
-  Result<SutKind> kind = ParseSutKind(name);
-  return kind.ok() ? SutKindId(*kind) : "gremlin";
-}
-
-}  // namespace
-
-GremlinSut::GremlinSut(std::string name,
-                       std::unique_ptr<GremlinGraph> graph,
+GremlinSut::GremlinSut(SutKind kind, std::unique_ptr<GremlinGraph> graph,
                        GremlinServerOptions server_options,
                        std::shared_ptr<void> extra)
-    : name_(std::move(name)),
+    : Sut(kind, Facade::kNoApplyBatch),
       extra_(std::move(extra)),
       graph_(std::move(graph)),
       options_(server_options),
-      server_(std::make_unique<GremlinServer>(graph_.get(), options_)),
-      probe_(ProbeIdForName(name_)) {}
+      server_(std::make_unique<GremlinServer>(graph_.get(), options_)) {}
 
 Status GremlinSut::LoadVertices(const snb::Dataset& data, size_t shard,
                                 size_t num_shards) {
@@ -240,185 +226,144 @@ Status GremlinSut::LoadEdges(const snb::Dataset& data, size_t shard,
   return Status::OK();
 }
 
-Status GremlinSut::Load(const snb::Dataset& data) {
-  concurrency::WriteBatch batch;
-  GB_RETURN_IF_ERROR(LoadVertices(data, 0, 1));
-  GB_RETURN_IF_ERROR(LoadEdges(data, 0, 1));
-  if (landmarks_ != nullptr) SeedLandmarkIndex(data, landmarks_.get());
-  return Status::OK();
+Status GremlinSut::DoLoad(const snb::Dataset& data) {
+  if (plan_cache_enabled()) {
+    options_.plan_cache_capacity = lang::kDefaultPlanCacheCapacity;
+    server_ = std::make_unique<GremlinServer>(graph_.get(), options_);
+  }
+  std::vector<Status> statuses(loaders_);
+  auto run_phase = [&](bool vertices) -> Status {
+    std::vector<std::thread> threads;
+    for (size_t s = 1; s < loaders_; ++s) {
+      threads.emplace_back([&, s] {
+        statuses[s] = vertices ? LoadVertices(data, s, loaders_)
+                               : LoadEdges(data, s, loaders_);
+      });
+    }
+    statuses[0] = vertices ? LoadVertices(data, 0, loaders_)
+                           : LoadEdges(data, 0, loaders_);
+    for (auto& t : threads) t.join();
+    for (const Status& s : statuses) GB_RETURN_IF_ERROR(s);
+    return Status::OK();
+  };
+  GB_RETURN_IF_ERROR(run_phase(true));
+  return run_phase(false);
 }
 
 Status GremlinSut::LoadConcurrent(const snb::Dataset& data, size_t loaders) {
   if (loaders <= 1) return Load(data);
-  std::vector<Status> statuses(loaders);
-  auto run_phase = [&](bool vertices) {
-    std::vector<std::thread> threads;
-    for (size_t s = 0; s < loaders; ++s) {
-      threads.emplace_back([&, s] {
-        statuses[s] = vertices ? LoadVertices(data, s, loaders)
-                               : LoadEdges(data, s, loaders);
-      });
-    }
-    for (auto& t : threads) t.join();
-  };
-  run_phase(true);
-  for (const Status& s : statuses) GB_RETURN_IF_ERROR(s);
-  run_phase(false);
-  for (const Status& s : statuses) GB_RETURN_IF_ERROR(s);
-  if (landmarks_ != nullptr) SeedLandmarkIndex(data, landmarks_.get());
-  return Status::OK();
+  loaders_ = loaders;
+  Status st = LoadUnbatched(data);
+  loaders_ = 1;
+  return st;
 }
 
-QueryResult GremlinSut::Reshape(std::vector<Value> flat, size_t width,
-                                std::vector<std::string> columns) {
-  QueryResult out;
-  out.columns = std::move(columns);
-  for (size_t i = 0; i + width <= flat.size(); i += width) {
-    Row row;
-    row.reserve(width);
-    for (size_t c = 0; c < width; ++c) row.push_back(std::move(flat[i + c]));
-    out.rows.push_back(std::move(row));
-  }
-  return out;
-}
-
-Result<QueryResult> GremlinSut::PointLookup(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+template <typename Build>
+Result<QueryResult> GremlinSut::Query(std::vector<std::string> columns,
+                                      Build&& build) {
   // buildTraversal / materializeResult are client-side work the server's
   // step profiler cannot see. Both run strictly outside Submit, so they
   // never race with the worker recording into the same profile.
   obs::OpTimer build_op("buildTraversal");
   Traversal t;
-  t.V().HasIndexed("Person", "id", Value(person_id))
-      .ValueMap({"firstName", "lastName", "gender", "birthday",
-                 "browserUsed", "locationIP"});
+  build(t);
   build_op.Stop();
   GB_ASSIGN_OR_RETURN(std::vector<Value> flat, server_->Submit(t));
   obs::OpTimer mat_op("materializeResult");
-  QueryResult out = Reshape(std::move(flat), 6,
-                            {"firstName", "lastName", "gender", "birthday",
-                             "browserUsed", "locationIP"});
-  mat_op.AddRows(out.rows.size());
-  return out;
-}
-
-Result<QueryResult> GremlinSut::OneHop(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
-  obs::OpTimer build_op("buildTraversal");
-  Traversal t;
-  t.V().HasIndexed("Person", "id", Value(person_id))
-      .Both("knows")
-      .ValueMap({"id", "firstName", "lastName"});
-  build_op.Stop();
-  GB_ASSIGN_OR_RETURN(std::vector<Value> flat, server_->Submit(t));
-  obs::OpTimer mat_op("materializeResult");
-  QueryResult out =
-      Reshape(std::move(flat), 3, {"id", "firstName", "lastName"});
-  mat_op.AddRows(out.rows.size());
-  return out;
-}
-
-Result<QueryResult> GremlinSut::TwoHop(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
-  obs::OpTimer build_op("buildTraversal");
-  Traversal t;
-  t.V().HasIndexed("Person", "id", Value(person_id))
-      .As("p")
-      .Both("knows")
-      .Both("knows")
-      .WhereNeq("p")
-      .Dedup()
-      .Values("id");
-  build_op.Stop();
-  GB_ASSIGN_OR_RETURN(std::vector<Value> flat, server_->Submit(t));
-  obs::OpTimer mat_op("materializeResult");
-  QueryResult out = Reshape(std::move(flat), 1, {"id"});
-  mat_op.AddRows(out.rows.size());
-  return out;
-}
-
-Result<int> GremlinSut::ShortestPathLen(int64_t from_person,
-                                        int64_t to_person) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
-  if (landmarks_ != nullptr) {
-    if (std::optional<int> len =
-            landmarks_->ShortestPathLen(from_person, to_person)) {
-      return *len;
-    }
+  const size_t width = columns.size();
+  QueryResult out;
+  out.columns = std::move(columns);
+  for (size_t i = 0; i + width <= flat.size(); i += width) {
+    out.rows.emplace_back(std::make_move_iterator(flat.begin() + i),
+                          std::make_move_iterator(flat.begin() + i + width));
   }
-  obs::OpTimer build_op("buildTraversal");
-  Traversal t;
-  t.V().HasIndexed("Person", "id", Value(from_person))
-      .ShortestPath("knows", "id", Value(to_person));
-  build_op.Stop();
-  GB_ASSIGN_OR_RETURN(std::vector<Value> flat, server_->Submit(t));
-  if (flat.empty()) return Status::NotFound("start person");
-  return int(flat[0].as_int());
-}
-
-Result<QueryResult> GremlinSut::RecentPosts(int64_t person_id,
-                                            int64_t limit) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
-  obs::OpTimer build_op("buildTraversal");
-  Traversal t;
-  t.V().HasIndexed("Person", "id", Value(person_id))
-      .In("postHasCreator")
-      .OrderBy("creationDate", /*desc=*/true)
-      .Limit(limit)
-      .ValueMap({"id", "content", "creationDate"});
-  build_op.Stop();
-  GB_ASSIGN_OR_RETURN(std::vector<Value> flat, server_->Submit(t));
-  obs::OpTimer mat_op("materializeResult");
-  QueryResult out =
-      Reshape(std::move(flat), 3, {"id", "content", "creationDate"});
   mat_op.AddRows(out.rows.size());
   return out;
 }
 
-Result<QueryResult> GremlinSut::FriendsWithName(
+Result<QueryResult> GremlinSut::DoPointLookup(int64_t person_id) {
+  auto build = [&](Traversal& t) {
+    t.V().HasIndexed("Person", "id", Value(person_id))
+        .ValueMap({"firstName", "lastName", "gender", "birthday",
+                   "browserUsed", "locationIP"});
+  };
+  return Query({"firstName", "lastName", "gender", "birthday", "browserUsed",
+                "locationIP"},
+               build);
+}
+
+Result<QueryResult> GremlinSut::DoOneHop(int64_t person_id) {
+  return Query({"id", "firstName", "lastName"}, [&](Traversal& t) {
+    t.V().HasIndexed("Person", "id", Value(person_id))
+        .Both("knows")
+        .ValueMap({"id", "firstName", "lastName"});
+  });
+}
+
+Result<QueryResult> GremlinSut::DoTwoHop(int64_t person_id) {
+  return Query({"id"}, [&](Traversal& t) {
+    t.V().HasIndexed("Person", "id", Value(person_id))
+        .As("p")
+        .Both("knows")
+        .Both("knows")
+        .WhereNeq("p")
+        .Dedup()
+        .Values("id");
+  });
+}
+
+Result<int> GremlinSut::DoShortestPathLen(int64_t from_person,
+                                          int64_t to_person) {
+  auto build = [&](Traversal& t) {
+    t.V().HasIndexed("Person", "id", Value(from_person))
+        .ShortestPath("knows", "id", Value(to_person));
+  };
+  GB_ASSIGN_OR_RETURN(QueryResult r, Query({"len"}, build));
+  if (r.rows.empty()) return Status::NotFound("start person");
+  return int(r.rows[0][0].as_int());
+}
+
+Result<QueryResult> GremlinSut::DoRecentPosts(int64_t person_id,
+                                              int64_t limit) {
+  return Query({"id", "content", "creationDate"}, [&](Traversal& t) {
+    t.V().HasIndexed("Person", "id", Value(person_id))
+        .In("postHasCreator")
+        .OrderBy("creationDate", /*desc=*/true)
+        .Limit(limit)
+        .ValueMap({"id", "content", "creationDate"});
+  });
+}
+
+Result<QueryResult> GremlinSut::DoFriendsWithName(
     int64_t person_id, const std::string& first_name) {
-  concurrency::EpochGuard guard;
-  Traversal t;
-  t.V().HasIndexed("Person", "id", Value(person_id))
-      .Both("knows")
-      .Has("firstName", Value(first_name))
-      .OrderBy("id", /*desc=*/false)
-      .ValueMap({"id", "lastName"});
-  GB_ASSIGN_OR_RETURN(std::vector<Value> flat, server_->Submit(t));
-  return Reshape(std::move(flat), 2, {"id", "lastName"});
+  return Query({"id", "lastName"}, [&](Traversal& t) {
+    t.V().HasIndexed("Person", "id", Value(person_id))
+        .Both("knows")
+        .Has("firstName", Value(first_name))
+        .OrderBy("id", /*desc=*/false)
+        .ValueMap({"id", "lastName"});
+  });
 }
 
-Result<QueryResult> GremlinSut::RepliesOfPost(int64_t post_id) {
-  concurrency::EpochGuard guard;
-  Traversal t;
-  t.V().HasIndexed("Post", "id", Value(post_id))
-      .In("replyOfPost")
-      .OrderBy("creationDate", /*desc=*/true)
-      .ValueMap({"id", "content", "creatorId"});
-  GB_ASSIGN_OR_RETURN(std::vector<Value> flat, server_->Submit(t));
-  return Reshape(std::move(flat), 3, {"id", "content", "creatorId"});
+Result<QueryResult> GremlinSut::DoRepliesOfPost(int64_t post_id) {
+  return Query({"id", "content", "creatorId"}, [&](Traversal& t) {
+    t.V().HasIndexed("Post", "id", Value(post_id))
+        .In("replyOfPost")
+        .OrderBy("creationDate", /*desc=*/true)
+        .ValueMap({"id", "content", "creatorId"});
+  });
 }
 
-Result<QueryResult> GremlinSut::TopPosters(int64_t limit) {
-  concurrency::EpochGuard guard;
-  Traversal t;
-  t.V("Post").Out("postHasCreator").GroupCount("id", limit);
-  GB_ASSIGN_OR_RETURN(std::vector<Value> flat, server_->Submit(t));
-  return Reshape(std::move(flat), 2, {"personId", "posts"});
+Result<QueryResult> GremlinSut::DoTopPosters(int64_t limit) {
+  return Query({"personId", "posts"}, [&](Traversal& t) {
+    t.V("Post").Out("postHasCreator").GroupCount("id", limit);
+  });
 }
 
-Status GremlinSut::Apply(const snb::UpdateOp& op) {
-  // No outer WriteBatch here: Submit hands each traversal to a Gremlin
-  // Server worker thread, and a batch pinned to *this* thread would hide
-  // the worker's own (already committed) mutations from the follow-up
-  // traversals of multi-step updates. Each worker-side engine mutation
-  // opens and commits its own batch instead.
-  obs::ScopedTimer timer(probe_.write_micros(), probe_.writes());
+Status GremlinSut::DoApply(const snb::UpdateOp& op,
+                           bool* /*knows_changed*/) {
+  // Runs with no outer batch (Facade::kNoApplyBatch): each traversal
+  // commits on its server worker before the next one is submitted.
   using K = snb::UpdateOp::Kind;
   auto submit = [this](const Traversal& t) {
     return server_->Submit(t).status();
@@ -436,30 +381,20 @@ Status GremlinSut::Apply(const snb::UpdateOp& op) {
                         {"browserUsed", Value(p.browser)},
                         {"locationIP", Value(p.location_ip)},
                         {"cityId", Value(p.city_id)}});
-      GB_RETURN_IF_ERROR(submit(t));
-      if (landmarks_ != nullptr) landmarks_->OnPersonAdded(p.id);
-      return Status::OK();
+      return submit(t);
     }
     case K::kAddFriendship: {
       Traversal t;
       t.V().HasIndexed("Person", "id", Value(op.knows.person1))
           .AddEdgeTo("knows", "Person", "id", Value(op.knows.person2),
                      {{"creationDate", Value(op.knows.creation_date)}});
-      GB_RETURN_IF_ERROR(submit(t));
-      if (landmarks_ != nullptr) {
-        landmarks_->OnEdgeAdded(op.knows.person1, op.knows.person2);
-      }
-      return Status::OK();
+      return submit(t);
     }
     case K::kRemoveFriendship: {
       Traversal t;
       t.V().HasIndexed("Person", "id", Value(op.knows.person1))
           .DropEdgeTo("knows", "Person", "id", Value(op.knows.person2));
-      GB_RETURN_IF_ERROR(submit(t));
-      if (landmarks_ != nullptr) {
-        landmarks_->OnEdgeRemoved(op.knows.person1, op.knows.person2);
-      }
-      return Status::OK();
+      return submit(t);
     }
     case K::kAddForum: {
       const auto& f = op.forum;
@@ -553,13 +488,13 @@ constexpr const char* kIndexedLabels[] = {
     "Person", "Forum", "Post", "Comment", "Tag", "Place", "Organisation"};
 
 std::unique_ptr<GremlinSut> MakeTitanSut(std::unique_ptr<KvStore> backend,
-                                         const std::string& name,
+                                         SutKind kind,
                                          GremlinServerOptions server_options) {
   auto titan = std::make_unique<TitanGraph>(std::move(backend));
   for (const char* label : kIndexedLabels) {
     titan->RegisterUniqueIndex(label, "id");
   }
-  return std::make_unique<GremlinSut>(name, std::move(titan),
+  return std::make_unique<GremlinSut>(kind, std::move(titan),
                                       server_options);
 }
 
@@ -572,20 +507,20 @@ std::unique_ptr<GremlinSut> MakeNeo4jGremlinSut(
     native->CreateUniqueIndex(label, "id");
   }
   auto provider = std::make_unique<NativeProvider>(native.get());
-  return std::make_unique<GremlinSut>("Neo4j (Gremlin)",
+  return std::make_unique<GremlinSut>(SutKind::kNeo4jGremlin,
                                       std::move(provider), server_options,
                                       native);
 }
 
 std::unique_ptr<GremlinSut> MakeTitanCSut(
     GremlinServerOptions server_options) {
-  return MakeTitanSut(std::make_unique<LsmKv>(), "Titan-C (Gremlin)",
+  return MakeTitanSut(std::make_unique<LsmKv>(), SutKind::kTitanC,
                       server_options);
 }
 
 std::unique_ptr<GremlinSut> MakeTitanBSut(
     GremlinServerOptions server_options) {
-  return MakeTitanSut(std::make_unique<BTreeKv>(), "Titan-B (Gremlin)",
+  return MakeTitanSut(std::make_unique<BTreeKv>(), SutKind::kTitanB,
                       server_options);
 }
 
@@ -599,7 +534,7 @@ Result<std::unique_ptr<GremlinSut>> MakeTitanBSut(
                          storage::DbPath(durability, "titanb"),
                          storage::WalPath(durability, "titanb"),
                          storage::ToPagerOptions(durability)));
-  return MakeTitanSut(std::move(backend), "Titan-B (Gremlin)",
+  return MakeTitanSut(std::move(backend), SutKind::kTitanB,
                       server_options);
 }
 
@@ -657,7 +592,7 @@ std::unique_ptr<GremlinSut> MakeSqlgSut(
     sqlg->RegisterEdgeLabel(e.label, e.table, "srcId", "dstId", e.src_label,
                             e.dst_label);
   }
-  return std::make_unique<GremlinSut>("Sqlg (Gremlin)", std::move(sqlg),
+  return std::make_unique<GremlinSut>(SutKind::kSqlg, std::move(sqlg),
                                       server_options, db);
 }
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "engines/relational/database.h"
-#include "obs/metrics.h"
 #include "snb/schema.h"
 #include "storage/durability.h"
 #include "sut/sut.h"
@@ -21,58 +20,22 @@ namespace graphbench {
 /// loading utilities of Appendix A).
 class GremlinSut : public Sut {
  public:
-  /// `graph` is the provider; `extra` optionally owns provider
-  /// dependencies (e.g. the Database under a SqlgProvider).
-  GremlinSut(std::string name, std::unique_ptr<GremlinGraph> graph,
+  /// `kind` is one of the four TinkerPop configurations; `graph` is the
+  /// provider; `extra` optionally owns provider dependencies (e.g. the
+  /// Database under a SqlgProvider).
+  GremlinSut(SutKind kind, std::unique_ptr<GremlinGraph> graph,
              GremlinServerOptions server_options = {},
              std::shared_ptr<void> extra = nullptr);
-
-  std::string name() const override { return name_; }
-  Status Load(const snb::Dataset& data) override;
 
   /// Appendix A: load with `loaders` concurrent threads (vertices first,
   /// then edges, each phase split across threads).
   Status LoadConcurrent(const snb::Dataset& data, size_t loaders);
 
-  Result<QueryResult> PointLookup(int64_t person_id) override;
-  Result<QueryResult> OneHop(int64_t person_id) override;
-  Result<QueryResult> TwoHop(int64_t person_id) override;
-  Result<int> ShortestPathLen(int64_t from_person,
-                              int64_t to_person) override;
-  Result<QueryResult> RecentPosts(int64_t person_id,
-                                  int64_t limit) override;
-  Result<QueryResult> FriendsWithName(int64_t person_id,
-                                      const std::string& first_name) override;
-  Result<QueryResult> RepliesOfPost(int64_t post_id) override;
-  Result<QueryResult> TopPosters(int64_t limit) override;
-  Status Apply(const snb::UpdateOp& op) override;
   uint64_t SizeBytes() const override {
     return graph_->ApproximateSizeBytes();
   }
-
-  /// Turns on the Gremlin Server's bytecode→traversal cache by recreating
-  /// the server with a non-zero cache capacity. Call before Load (the
-  /// factory form MakeSut(kind, SutOptions) does); recreating the server
-  /// drops any in-flight requests, so never call it mid-workload.
-  void EnablePlanCache() override {
-    options_.plan_cache_capacity = lang::kDefaultPlanCacheCapacity;
-    server_ = std::make_unique<GremlinServer>(graph_.get(), options_);
-  }
-  bool plan_cache_enabled() const override {
-    return server_->plan_cache_enabled();
-  }
   lang::PlanCacheStats plan_cache_stats() const override {
     return server_->plan_cache_stats();
-  }
-
-  void EnableLandmarks(const LandmarkOptions& options = {}) override {
-    if (landmarks_ == nullptr) {
-      landmarks_ = std::make_unique<LandmarkIndex>(options);
-    }
-  }
-  bool landmarks_enabled() const override { return landmarks_ != nullptr; }
-  LandmarkStats landmark_stats() const override {
-    return landmarks_ == nullptr ? LandmarkStats{} : landmarks_->stats();
   }
 
   GremlinGraph* graph() { return graph_.get(); }
@@ -85,20 +48,38 @@ class GremlinSut : public Sut {
   Status LoadEdges(const snb::Dataset& data, size_t shard,
                    size_t num_shards);
 
+ protected:
+  /// With the plan cache enabled, first recreates the Gremlin Server with
+  /// a bytecode→traversal cache (nothing is in flight before Load).
+  Status DoLoad(const snb::Dataset& data) override;
+  Result<QueryResult> DoPointLookup(int64_t person_id) override;
+  Result<QueryResult> DoOneHop(int64_t person_id) override;
+  Result<QueryResult> DoTwoHop(int64_t person_id) override;
+  Result<int> DoShortestPathLen(int64_t from_person,
+                                int64_t to_person) override;
+  Result<QueryResult> DoRecentPosts(int64_t person_id,
+                                    int64_t limit) override;
+  Result<QueryResult> DoFriendsWithName(
+      int64_t person_id, const std::string& first_name) override;
+  Result<QueryResult> DoRepliesOfPost(int64_t post_id) override;
+  Result<QueryResult> DoTopPosters(int64_t limit) override;
+  Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override;
+
  private:
-  // Reshapes a flat valueMap stream into rows of `width` columns.
-  static QueryResult Reshape(std::vector<Value> flat, size_t width,
-                             std::vector<std::string> columns);
+  /// One read round trip: `build` fills a traversal, the server runs it,
+  /// and the flat result stream is reshaped into rows of
+  /// `columns.size()` values.
+  template <typename Build>
+  Result<QueryResult> Query(std::vector<std::string> columns, Build&& build);
   Result<GVertex> FindOne(std::string_view label, int64_t id);
 
-  std::string name_;
   std::shared_ptr<void> extra_;
   std::unique_ptr<GremlinGraph> graph_;
-  // Kept so EnablePlanCache can rebuild the server with the same sizing.
+  // Kept so DoLoad can rebuild the server with the same sizing.
   GremlinServerOptions options_;
   std::unique_ptr<GremlinServer> server_;
-  obs::SutProbe probe_;
-  std::unique_ptr<LandmarkIndex> landmarks_;
+  // Loader threads for the next DoLoad; only LoadConcurrent sets it.
+  size_t loaders_ = 1;
 };
 
 /// Factory helpers for the four TinkerPop configurations. The server

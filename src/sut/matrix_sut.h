@@ -1,11 +1,9 @@
 #ifndef GRAPHBENCH_SUT_MATRIX_SUT_H_
 #define GRAPHBENCH_SUT_MATRIX_SUT_H_
 
-#include <memory>
 #include <string>
 
 #include "engines/matrix/matrix_engine.h"
-#include "obs/metrics.h"
 #include "snb/schema.h"
 #include "sut/sut.h"
 
@@ -16,50 +14,58 @@ namespace graphbench {
 /// RedisGraph design point the paper's taxonomy omits. There is no query
 /// language in front of the engine: each benchmark query maps directly to
 /// a matrix or column-table operation, which is what makes this column the
-/// raw-speed bar for the k-hop reads (ROADMAP: "Ninth SUT").
+/// raw-speed bar for the k-hop reads (ROADMAP: "Ninth SUT"). With no
+/// statement text to prepare, the plan-cache flag changes nothing here.
 class MatrixSut : public Sut {
  public:
-  explicit MatrixSut(MatrixEngineOptions options = {});
+  explicit MatrixSut(MatrixEngineOptions options = {})
+      : Sut(SutKind::kMatrix), engine_(options) {}
 
-  std::string name() const override { return "Matrix (GraphBLAS)"; }
-  Status Load(const snb::Dataset& data) override;
-  Result<QueryResult> PointLookup(int64_t person_id) override;
-  Result<QueryResult> OneHop(int64_t person_id) override;
-  Result<QueryResult> TwoHop(int64_t person_id) override;
-  Result<int> ShortestPathLen(int64_t from_person,
-                              int64_t to_person) override;
-  Result<QueryResult> RecentPosts(int64_t person_id,
-                                  int64_t limit) override;
-  Result<QueryResult> FriendsWithName(int64_t person_id,
-                                      const std::string& first_name) override;
-  Result<QueryResult> RepliesOfPost(int64_t post_id) override;
-  Result<QueryResult> TopPosters(int64_t limit) override;
-  Status Apply(const snb::UpdateOp& op) override;
   uint64_t SizeBytes() const override { return engine_.SizeBytes(); }
-
-  /// The engine has no statement texts to parse, so the plan cache is a
-  /// recorded no-op: the flag round-trips (the equivalence harness asserts
-  /// enable-state across every SUT) but no cache exists to hit or miss.
-  void EnablePlanCache() override { plan_cache_ = true; }
-  bool plan_cache_enabled() const override { return plan_cache_; }
-
-  void EnableLandmarks(const LandmarkOptions& options = {}) override {
-    if (landmarks_ == nullptr) {
-      landmarks_ = std::make_unique<LandmarkIndex>(options);
-    }
-  }
-  bool landmarks_enabled() const override { return landmarks_ != nullptr; }
-  LandmarkStats landmark_stats() const override {
-    return landmarks_ == nullptr ? LandmarkStats{} : landmarks_->stats();
-  }
 
   MatrixStats matrix_stats() const { return engine_.stats(); }
 
+ protected:
+  Status DoLoad(const snb::Dataset& data) override {
+    return engine_.Load(data);
+  }
+  Result<QueryResult> DoPointLookup(int64_t person_id) override {
+    return engine_.PointLookup(person_id);
+  }
+  Result<QueryResult> DoOneHop(int64_t person_id) override {
+    return engine_.OneHop(person_id);
+  }
+  Result<QueryResult> DoTwoHop(int64_t person_id) override {
+    return engine_.TwoHop(person_id);
+  }
+  Result<int> DoShortestPathLen(int64_t from_person,
+                                int64_t to_person) override {
+    return engine_.ShortestPathLen(from_person, to_person);
+  }
+  Result<QueryResult> DoRecentPosts(int64_t person_id,
+                                    int64_t limit) override {
+    return engine_.RecentPosts(person_id, limit);
+  }
+  Result<QueryResult> DoFriendsWithName(
+      int64_t person_id, const std::string& first_name) override {
+    return engine_.FriendsWithName(person_id, first_name);
+  }
+  Result<QueryResult> DoRepliesOfPost(int64_t post_id) override {
+    return engine_.RepliesOfPost(post_id);
+  }
+  Result<QueryResult> DoTopPosters(int64_t limit) override {
+    return engine_.TopPosters(limit);
+  }
+  /// The landmark mirror is dup-tolerant but the boolean matrix collapses
+  /// duplicate friendships, so the engine reports whether the matrix
+  /// actually mutated — otherwise a duplicated insert followed by one
+  /// remove would leave a phantom parallel edge in the mirror.
+  Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override {
+    return engine_.Apply(op, knows_changed);
+  }
+
  private:
   MatrixEngine engine_;
-  obs::SutProbe probe_{"matrix"};
-  bool plan_cache_ = false;
-  std::unique_ptr<LandmarkIndex> landmarks_;
 };
 
 }  // namespace graphbench

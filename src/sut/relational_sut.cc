@@ -1,7 +1,5 @@
 #include "sut/relational_sut.h"
 
-#include "concurrency/epoch.h"
-
 namespace graphbench {
 
 namespace {
@@ -66,16 +64,11 @@ constexpr char kInsertLikeCommentSql[] =
 
 }  // namespace
 
-RelationalSut::RelationalSut(StorageMode mode)
-    : mode_(mode),
-      db_(mode),
-      probe_(mode == StorageMode::kRow ? "postgres" : "virtuoso") {}
-
 RelationalSut::RelationalSut(StorageMode mode,
                              const storage::DurabilityOptions& durability)
-    : mode_(mode),
-      db_(mode, durability),
-      probe_(mode == StorageMode::kRow ? "postgres" : "virtuoso") {}
+    : Sut(mode == StorageMode::kRow ? SutKind::kPostgresSql
+                                    : SutKind::kVirtuosoSql),
+      db_(mode, durability) {}
 
 Status RelationalSut::CreateSnbSchema(Database* db) {
   using T = Value::Type;
@@ -164,8 +157,8 @@ Status RelationalSut::CreateSnbSchema(Database* db) {
   return Status::OK();
 }
 
-Status RelationalSut::Load(const snb::Dataset& data) {
-  concurrency::WriteBatch batch;
+Status RelationalSut::DoLoad(const snb::Dataset& data) {
+  if (plan_cache_enabled()) db_.EnablePlanCache();
   GB_RETURN_IF_ERROR(CreateSnbSchema(&db_));
   // Bulk load through the storage API (the vendor bulk loader path).
   for (const auto& p : data.persons) {
@@ -261,11 +254,7 @@ Status RelationalSut::Load(const snb::Dataset& data) {
                                   Value(w.year)})
             .status());
   }
-  if (db_.plan_cache_enabled()) {
-    GB_RETURN_IF_ERROR(PrepareStatements());
-  }
-  if (landmarks_ != nullptr) SeedLandmarkIndex(data, landmarks_.get());
-  return Status::OK();
+  return plan_cache_enabled() ? PrepareStatements() : Status::OK();
 }
 
 Status RelationalSut::PrepareStatements() {
@@ -308,27 +297,21 @@ std::string RelationalSut::StatementText(std::string_view kind) const {
   return std::string();
 }
 
-Result<QueryResult> RelationalSut::PointLookup(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> RelationalSut::DoPointLookup(int64_t person_id) {
   if (prepared_.point_lookup.valid()) {
     return db_.Execute(prepared_.point_lookup, {Value(person_id)});
   }
   return db_.Execute(kPointLookupSql, {Value(person_id)});
 }
 
-Result<QueryResult> RelationalSut::OneHop(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> RelationalSut::DoOneHop(int64_t person_id) {
   if (prepared_.one_hop.valid()) {
     return db_.Execute(prepared_.one_hop, {Value(person_id)});
   }
   return db_.Execute(kOneHopSql, {Value(person_id)});
 }
 
-Result<QueryResult> RelationalSut::TwoHop(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> RelationalSut::DoTwoHop(int64_t person_id) {
   if (prepared_.two_hop.valid()) {
     return db_.Execute(prepared_.two_hop,
                        {Value(person_id), Value(person_id)});
@@ -336,16 +319,8 @@ Result<QueryResult> RelationalSut::TwoHop(int64_t person_id) {
   return db_.Execute(kTwoHopSql, {Value(person_id), Value(person_id)});
 }
 
-Result<int> RelationalSut::ShortestPathLen(int64_t from_person,
-                                           int64_t to_person) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
-  if (landmarks_ != nullptr) {
-    if (std::optional<int> len =
-            landmarks_->ShortestPathLen(from_person, to_person)) {
-      return *len;
-    }
-  }
+Result<int> RelationalSut::DoShortestPathLen(int64_t from_person,
+                                             int64_t to_person) {
   Result<QueryResult> result =
       prepared_.shortest_path.valid()
           ? db_.Execute(prepared_.shortest_path,
@@ -357,10 +332,8 @@ Result<int> RelationalSut::ShortestPathLen(int64_t from_person,
   return int(r.rows[0][0].as_int());
 }
 
-Result<QueryResult> RelationalSut::RecentPosts(int64_t person_id,
-                                               int64_t limit) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> RelationalSut::DoRecentPosts(int64_t person_id,
+                                                 int64_t limit) {
   if (prepared_.recent_posts.valid()) {
     // LIMIT ? binds as the second parameter: one plan, any limit.
     return db_.Execute(prepared_.recent_posts,
@@ -370,9 +343,8 @@ Result<QueryResult> RelationalSut::RecentPosts(int64_t person_id,
                      {Value(person_id)});
 }
 
-Result<QueryResult> RelationalSut::FriendsWithName(
+Result<QueryResult> RelationalSut::DoFriendsWithName(
     int64_t person_id, const std::string& first_name) {
-  concurrency::EpochGuard guard;
   if (prepared_.friends_with_name.valid()) {
     return db_.Execute(prepared_.friends_with_name,
                        {Value(person_id), Value(first_name)});
@@ -381,25 +353,22 @@ Result<QueryResult> RelationalSut::FriendsWithName(
                      {Value(person_id), Value(first_name)});
 }
 
-Result<QueryResult> RelationalSut::RepliesOfPost(int64_t post_id) {
-  concurrency::EpochGuard guard;
+Result<QueryResult> RelationalSut::DoRepliesOfPost(int64_t post_id) {
   if (prepared_.replies_of_post.valid()) {
     return db_.Execute(prepared_.replies_of_post, {Value(post_id)});
   }
   return db_.Execute(kRepliesOfPostSql, {Value(post_id)});
 }
 
-Result<QueryResult> RelationalSut::TopPosters(int64_t limit) {
-  concurrency::EpochGuard guard;
+Result<QueryResult> RelationalSut::DoTopPosters(int64_t limit) {
   if (prepared_.top_posters.valid()) {
     return db_.Execute(prepared_.top_posters, {Value(limit)});
   }
   return db_.Execute(kTopPostersSqlPrefix + std::to_string(limit));
 }
 
-Status RelationalSut::Apply(const snb::UpdateOp& op) {
-  concurrency::WriteBatch batch;
-  obs::ScopedTimer timer(probe_.write_micros(), probe_.writes());
+Status RelationalSut::DoApply(const snb::UpdateOp& op,
+                              bool* /*knows_changed*/) {
   using K = snb::UpdateOp::Kind;
   // One statement text per update kind; the prepared set covers them all,
   // so the writer binds only when the plan cache is on.
@@ -412,26 +381,18 @@ Status RelationalSut::Apply(const snb::UpdateOp& op) {
   switch (op.kind) {
     case K::kAddPerson: {
       const auto& p = op.person;
-      GB_RETURN_IF_ERROR(run(
-          prepared_.insert_person, kInsertPersonSql,
-          {Value(p.id), Value(p.first_name), Value(p.last_name),
-           Value(p.gender), Value(p.birthday), Value(p.creation_date),
-           Value(p.browser), Value(p.location_ip), Value(p.city_id)}));
-      if (landmarks_ != nullptr) landmarks_->OnPersonAdded(p.id);
-      return Status::OK();
+      return run(prepared_.insert_person, kInsertPersonSql,
+                 {Value(p.id), Value(p.first_name), Value(p.last_name),
+                  Value(p.gender), Value(p.birthday), Value(p.creation_date),
+                  Value(p.browser), Value(p.location_ip), Value(p.city_id)});
     }
     case K::kAddFriendship: {
       const auto& k = op.knows;
       GB_RETURN_IF_ERROR(run(prepared_.insert_knows, kInsertKnowsSql,
                              {Value(k.person1), Value(k.person2),
                               Value(k.creation_date)}));
-      GB_RETURN_IF_ERROR(run(prepared_.insert_knows, kInsertKnowsSql,
-                             {Value(k.person2), Value(k.person1),
-                              Value(k.creation_date)}));
-      if (landmarks_ != nullptr) {
-        landmarks_->OnEdgeAdded(k.person1, k.person2);
-      }
-      return Status::OK();
+      return run(prepared_.insert_knows, kInsertKnowsSql,
+                 {Value(k.person2), Value(k.person1), Value(k.creation_date)});
     }
     case K::kRemoveFriendship: {
       // Both stored directions go away (§4.4's doubled knows relation).
@@ -444,9 +405,6 @@ Status RelationalSut::Apply(const snb::UpdateOp& op) {
           db_.Execute(kDeleteKnowsSql, {Value(k.person2), Value(k.person1)}));
       if (forward.affected == 0 && backward.affected == 0) {
         return Status::NotFound("knows edge");
-      }
-      if (landmarks_ != nullptr) {
-        landmarks_->OnEdgeRemoved(k.person1, k.person2);
       }
       return Status::OK();
     }

@@ -1,11 +1,9 @@
 #ifndef GRAPHBENCH_SUT_RELATIONAL_SUT_H_
 #define GRAPHBENCH_SUT_RELATIONAL_SUT_H_
 
-#include <memory>
 #include <string>
 
 #include "engines/relational/database.h"
-#include "obs/metrics.h"
 #include "snb/schema.h"
 #include "sut/sut.h"
 
@@ -17,49 +15,16 @@ namespace graphbench {
 /// the LDBC SQL reference implementation (§4.4).
 class RelationalSut : public Sut {
  public:
-  explicit RelationalSut(StorageMode mode);
-  /// Durable variant (--durable): tables persist through the pager/WAL
-  /// substrate. Identical to RelationalSut(mode) when
-  /// `durability.enabled` is false.
-  RelationalSut(StorageMode mode,
-                const storage::DurabilityOptions& durability);
+  /// With `durability.enabled` (--durable), tables persist through the
+  /// pager/WAL substrate.
+  explicit RelationalSut(StorageMode mode,
+                         const storage::DurabilityOptions& durability = {});
 
-  std::string name() const override {
-    return mode_ == StorageMode::kRow ? "Postgres (SQL)" : "Virtuoso (SQL)";
-  }
-  Status Load(const snb::Dataset& data) override;
-  Result<QueryResult> PointLookup(int64_t person_id) override;
-  Result<QueryResult> OneHop(int64_t person_id) override;
-  Result<QueryResult> TwoHop(int64_t person_id) override;
-  Result<int> ShortestPathLen(int64_t from_person,
-                              int64_t to_person) override;
-  Result<QueryResult> RecentPosts(int64_t person_id,
-                                  int64_t limit) override;
-  Result<QueryResult> FriendsWithName(int64_t person_id,
-                                      const std::string& first_name) override;
-  Result<QueryResult> RepliesOfPost(int64_t post_id) override;
-  Result<QueryResult> TopPosters(int64_t limit) override;
-  Status Apply(const snb::UpdateOp& op) override;
   uint64_t SizeBytes() const override { return db_.TotalSizeBytes(); }
-
-  void EnablePlanCache() override { db_.EnablePlanCache(); }
-  bool plan_cache_enabled() const override {
-    return db_.plan_cache_enabled();
-  }
   lang::PlanCacheStats plan_cache_stats() const override {
     return db_.plan_cache_stats();
   }
   std::string StatementText(std::string_view kind) const override;
-
-  void EnableLandmarks(const LandmarkOptions& options = {}) override {
-    if (landmarks_ == nullptr) {
-      landmarks_ = std::make_unique<LandmarkIndex>(options);
-    }
-  }
-  bool landmarks_enabled() const override { return landmarks_ != nullptr; }
-  LandmarkStats landmark_stats() const override {
-    return landmarks_ == nullptr ? LandmarkStats{} : landmarks_->stats();
-  }
 
   Database* database() { return &db_; }
 
@@ -67,16 +32,28 @@ class RelationalSut : public Sut {
   /// database; shared with the Sqlg SUT, which runs on the same schema.
   static Status CreateSnbSchema(Database* db);
 
+ protected:
+  Status DoLoad(const snb::Dataset& data) override;
+  Result<QueryResult> DoPointLookup(int64_t person_id) override;
+  Result<QueryResult> DoOneHop(int64_t person_id) override;
+  Result<QueryResult> DoTwoHop(int64_t person_id) override;
+  Result<int> DoShortestPathLen(int64_t from_person,
+                                int64_t to_person) override;
+  Result<QueryResult> DoRecentPosts(int64_t person_id,
+                                    int64_t limit) override;
+  Result<QueryResult> DoFriendsWithName(
+      int64_t person_id, const std::string& first_name) override;
+  Result<QueryResult> DoRepliesOfPost(int64_t post_id) override;
+  Result<QueryResult> DoTopPosters(int64_t limit) override;
+  Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override;
+
  private:
   /// Prepares the fixed workload statement set (reads with LIMIT ? where
   /// applicable, plus the eight update INSERTs); called at the end of
   /// Load when the plan cache is enabled.
   Status PrepareStatements();
 
-  StorageMode mode_;
   Database db_;
-  obs::SutProbe probe_;
-  std::unique_ptr<LandmarkIndex> landmarks_;
 
   /// Populated by PrepareStatements; per-call methods bind only.
   struct PreparedSet {

@@ -1,6 +1,5 @@
 #include "sut/sparql_sut.h"
 
-#include "concurrency/epoch.h"
 #include "util/string_util.h"
 
 namespace graphbench {
@@ -162,8 +161,8 @@ Status SparqlSut::AddLikeTriples(const snb::Like& l) {
                            target);
 }
 
-Status SparqlSut::Load(const snb::Dataset& data) {
-  concurrency::WriteBatch batch;
+Status SparqlSut::DoLoad(const snb::Dataset& data) {
+  if (plan_cache_enabled()) engine_.EnablePlanCache();
   for (const auto& pl : data.places) {
     Term s = Term::Iri(PlaceIri(pl.id));
     GB_RETURN_IF_ERROR(
@@ -208,11 +207,7 @@ Status SparqlSut::Load(const snb::Dataset& data) {
                                          "snb:workAt",
                                          Term::Iri(OrgIri(w.organisation))));
   }
-  if (engine_.plan_cache_enabled()) {
-    GB_RETURN_IF_ERROR(PrepareStatements());
-  }
-  if (landmarks_ != nullptr) SeedLandmarkIndex(data, landmarks_.get());
-  return Status::OK();
+  return plan_cache_enabled() ? PrepareStatements() : Status::OK();
 }
 
 Status SparqlSut::PrepareStatements() {
@@ -241,9 +236,7 @@ std::string SparqlSut::StatementText(std::string_view kind) const {
   return std::string();
 }
 
-Result<QueryResult> SparqlSut::PointLookup(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> SparqlSut::DoPointLookup(int64_t person_id) {
   if (prepared_.point_lookup.valid()) {
     return engine_.Execute(prepared_.point_lookup,
                            {{"person_id", Value(person_id)}});
@@ -256,9 +249,7 @@ Result<QueryResult> SparqlSut::PointLookup(int64_t person_id) {
       (long long)person_id));
 }
 
-Result<QueryResult> SparqlSut::OneHop(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> SparqlSut::DoOneHop(int64_t person_id) {
   if (prepared_.one_hop.valid()) {
     return engine_.Execute(prepared_.one_hop,
                            {{"person_id", Value(person_id)}});
@@ -270,9 +261,7 @@ Result<QueryResult> SparqlSut::OneHop(int64_t person_id) {
       (long long)person_id));
 }
 
-Result<QueryResult> SparqlSut::TwoHop(int64_t person_id) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> SparqlSut::DoTwoHop(int64_t person_id) {
   if (prepared_.two_hop.valid()) {
     return engine_.Execute(prepared_.two_hop,
                            {{"person_id", Value(person_id)}});
@@ -284,16 +273,8 @@ Result<QueryResult> SparqlSut::TwoHop(int64_t person_id) {
       (long long)person_id));
 }
 
-Result<int> SparqlSut::ShortestPathLen(int64_t from_person,
-                                       int64_t to_person) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
-  if (landmarks_ != nullptr) {
-    if (std::optional<int> len =
-            landmarks_->ShortestPathLen(from_person, to_person)) {
-      return *len;
-    }
-  }
+Result<int> SparqlSut::DoShortestPathLen(int64_t from_person,
+                                         int64_t to_person) {
   Result<QueryResult> result =
       prepared_.shortest_path.valid()
           ? engine_.Execute(prepared_.shortest_path,
@@ -309,10 +290,8 @@ Result<int> SparqlSut::ShortestPathLen(int64_t from_person,
   return int(r.rows[0][0].as_int());
 }
 
-Result<QueryResult> SparqlSut::RecentPosts(int64_t person_id,
-                                           int64_t limit) {
-  concurrency::EpochGuard guard;
-  obs::ScopedTimer timer(probe_.read_micros(), probe_.reads());
+Result<QueryResult> SparqlSut::DoRecentPosts(int64_t person_id,
+                                             int64_t limit) {
   if (prepared_.recent_posts.valid()) {
     return engine_.Execute(
         prepared_.recent_posts,
@@ -327,9 +306,8 @@ Result<QueryResult> SparqlSut::RecentPosts(int64_t person_id,
       (long long)person_id, (long long)limit));
 }
 
-Result<QueryResult> SparqlSut::FriendsWithName(
+Result<QueryResult> SparqlSut::DoFriendsWithName(
     int64_t person_id, const std::string& first_name) {
-  concurrency::EpochGuard guard;
   if (prepared_.friends_with_name.valid()) {
     return engine_.Execute(prepared_.friends_with_name,
                            {{"person_id", Value(person_id)},
@@ -342,8 +320,7 @@ Result<QueryResult> SparqlSut::FriendsWithName(
       (long long)person_id, first_name.c_str()));
 }
 
-Result<QueryResult> SparqlSut::RepliesOfPost(int64_t post_id) {
-  concurrency::EpochGuard guard;
+Result<QueryResult> SparqlSut::DoRepliesOfPost(int64_t post_id) {
   if (prepared_.replies_of_post.valid()) {
     return engine_.Execute(prepared_.replies_of_post,
                            {{"post_id", Value(post_id)}});
@@ -356,8 +333,7 @@ Result<QueryResult> SparqlSut::RepliesOfPost(int64_t post_id) {
       (long long)post_id));
 }
 
-Result<QueryResult> SparqlSut::TopPosters(int64_t limit) {
-  concurrency::EpochGuard guard;
+Result<QueryResult> SparqlSut::DoTopPosters(int64_t limit) {
   if (prepared_.top_posters.valid()) {
     return engine_.Execute(prepared_.top_posters,
                            {{"limit", Value(limit)}});
@@ -369,30 +345,15 @@ Result<QueryResult> SparqlSut::TopPosters(int64_t limit) {
       (long long)limit));
 }
 
-Status SparqlSut::Apply(const snb::UpdateOp& op) {
-  concurrency::WriteBatch batch;
-  obs::ScopedTimer timer(probe_.write_micros(), probe_.writes());
+Status SparqlSut::DoApply(const snb::UpdateOp& op, bool* /*knows_changed*/) {
   using K = snb::UpdateOp::Kind;
   switch (op.kind) {
-    case K::kAddPerson: {
-      GB_RETURN_IF_ERROR(AddPersonTriples(op.person));
-      if (landmarks_ != nullptr) landmarks_->OnPersonAdded(op.person.id);
-      return Status::OK();
-    }
-    case K::kAddFriendship: {
-      GB_RETURN_IF_ERROR(AddKnowsTriples(op.knows));
-      if (landmarks_ != nullptr) {
-        landmarks_->OnEdgeAdded(op.knows.person1, op.knows.person2);
-      }
-      return Status::OK();
-    }
-    case K::kRemoveFriendship: {
-      GB_RETURN_IF_ERROR(RemoveKnowsTriples(op.knows));
-      if (landmarks_ != nullptr) {
-        landmarks_->OnEdgeRemoved(op.knows.person1, op.knows.person2);
-      }
-      return Status::OK();
-    }
+    case K::kAddPerson:
+      return AddPersonTriples(op.person);
+    case K::kAddFriendship:
+      return AddKnowsTriples(op.knows);
+    case K::kRemoveFriendship:
+      return RemoveKnowsTriples(op.knows);
     case K::kAddForum:
       return AddForumTriples(op.forum);
     case K::kAddForumMember:

@@ -1,11 +1,9 @@
 #ifndef GRAPHBENCH_SUT_SPARQL_SUT_H_
 #define GRAPHBENCH_SUT_SPARQL_SUT_H_
 
-#include <memory>
 #include <string>
 
 #include "engines/rdf/rdf_engine.h"
-#include "obs/metrics.h"
 #include "snb/schema.h"
 #include "sut/sut.h"
 
@@ -21,46 +19,33 @@ namespace graphbench {
 /// per-call methods bind only (DESIGN.md §8).
 class SparqlSut : public Sut {
  public:
-  explicit SparqlSut(int num_indexes = 4) : engine_(num_indexes) {}
+  explicit SparqlSut(int num_indexes = 4)
+      : Sut(SutKind::kVirtuosoSparql), engine_(num_indexes) {}
 
-  std::string name() const override { return "Virtuoso (SPARQL)"; }
-  Status Load(const snb::Dataset& data) override;
-  Result<QueryResult> PointLookup(int64_t person_id) override;
-  Result<QueryResult> OneHop(int64_t person_id) override;
-  Result<QueryResult> TwoHop(int64_t person_id) override;
-  Result<int> ShortestPathLen(int64_t from_person,
-                              int64_t to_person) override;
-  Result<QueryResult> RecentPosts(int64_t person_id,
-                                  int64_t limit) override;
-  Result<QueryResult> FriendsWithName(int64_t person_id,
-                                      const std::string& first_name) override;
-  Result<QueryResult> RepliesOfPost(int64_t post_id) override;
-  Result<QueryResult> TopPosters(int64_t limit) override;
-  Status Apply(const snb::UpdateOp& op) override;
   uint64_t SizeBytes() const override {
     return engine_.ApproximateSizeBytes();
-  }
-
-  void EnablePlanCache() override { engine_.EnablePlanCache(); }
-  bool plan_cache_enabled() const override {
-    return engine_.plan_cache_enabled();
   }
   lang::PlanCacheStats plan_cache_stats() const override {
     return engine_.plan_cache_stats();
   }
   std::string StatementText(std::string_view kind) const override;
 
-  void EnableLandmarks(const LandmarkOptions& options = {}) override {
-    if (landmarks_ == nullptr) {
-      landmarks_ = std::make_unique<LandmarkIndex>(options);
-    }
-  }
-  bool landmarks_enabled() const override { return landmarks_ != nullptr; }
-  LandmarkStats landmark_stats() const override {
-    return landmarks_ == nullptr ? LandmarkStats{} : landmarks_->stats();
-  }
-
   RdfEngine* engine() { return &engine_; }
+
+ protected:
+  Status DoLoad(const snb::Dataset& data) override;
+  Result<QueryResult> DoPointLookup(int64_t person_id) override;
+  Result<QueryResult> DoOneHop(int64_t person_id) override;
+  Result<QueryResult> DoTwoHop(int64_t person_id) override;
+  Result<int> DoShortestPathLen(int64_t from_person,
+                                int64_t to_person) override;
+  Result<QueryResult> DoRecentPosts(int64_t person_id,
+                                    int64_t limit) override;
+  Result<QueryResult> DoFriendsWithName(
+      int64_t person_id, const std::string& first_name) override;
+  Result<QueryResult> DoRepliesOfPost(int64_t post_id) override;
+  Result<QueryResult> DoTopPosters(int64_t limit) override;
+  Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override;
 
  private:
   /// Prepares the fixed read statement set ($name parameters in literal
@@ -80,8 +65,6 @@ class SparqlSut : public Sut {
   Status RemoveKnowsTriples(const snb::Knows& k);
 
   RdfEngine engine_;
-  obs::SutProbe probe_{"sparql"};
-  std::unique_ptr<LandmarkIndex> landmarks_;
 
   /// Populated by PrepareStatements; per-call methods bind only.
   struct PreparedSet {

@@ -1,7 +1,9 @@
 #include "sut/sut.h"
 
 #include <cstdio>
+#include <optional>
 
+#include "concurrency/epoch.h"
 #include "sut/cypher_sut.h"
 #include "sut/gremlin_sut.h"
 #include "sut/matrix_sut.h"
@@ -10,6 +12,115 @@
 #include "util/string_util.h"
 
 namespace graphbench {
+
+Sut::Sut(SutKind kind, Facade facade)
+    : kind_(kind), facade_(facade), probe_(SutKindId(kind)) {}
+
+void Sut::EnableLandmarks(const LandmarkOptions& options) {
+  if (landmarks_ == nullptr) {
+    landmarks_ = std::make_unique<LandmarkIndex>(options);
+  }
+}
+
+LandmarkStats Sut::landmark_stats() const {
+  return landmarks_ == nullptr ? LandmarkStats{} : landmarks_->stats();
+}
+
+Status Sut::Load(const snb::Dataset& data) {
+  if (facade_ == Facade::kForward) return LoadUnbatched(data);
+  concurrency::WriteBatch batch;
+  return LoadUnbatched(data);
+}
+
+Status Sut::LoadUnbatched(const snb::Dataset& data) {
+  GB_RETURN_IF_ERROR(DoLoad(data));
+  if (landmarks_ != nullptr) {
+    // Every configuration seeds the same structure from the snapshot.
+    for (const snb::Person& p : data.persons) landmarks_->AddPerson(p.id);
+    for (const snb::Knows& k : data.knows) {
+      landmarks_->AddEdge(k.person1, k.person2);
+    }
+    landmarks_->Build();
+  }
+  return Status::OK();
+}
+
+template <typename Body>
+auto Sut::Read(Body&& body) -> decltype(body()) {
+  if (facade_ == Facade::kForward) return body();
+  concurrency::EpochGuard guard;
+  const uint64_t start = obs::SutProbe::Start();
+  decltype(body()) result = body();
+  probe_.EndRead(start, result.ok());
+  return result;
+}
+
+Result<QueryResult> Sut::PointLookup(int64_t person_id) {
+  return Read([&] { return DoPointLookup(person_id); });
+}
+
+Result<QueryResult> Sut::OneHop(int64_t person_id) {
+  return Read([&] { return DoOneHop(person_id); });
+}
+
+Result<QueryResult> Sut::TwoHop(int64_t person_id) {
+  return Read([&] { return DoTwoHop(person_id); });
+}
+
+Result<int> Sut::ShortestPathLen(int64_t from_person, int64_t to_person) {
+  return Read([&]() -> Result<int> {
+    if (landmarks_ != nullptr) {
+      if (std::optional<int> len =
+              landmarks_->ShortestPathLen(from_person, to_person)) {
+        return *len;
+      }
+    }
+    return DoShortestPathLen(from_person, to_person);
+  });
+}
+
+Result<QueryResult> Sut::RecentPosts(int64_t person_id, int64_t limit) {
+  return Read([&] { return DoRecentPosts(person_id, limit); });
+}
+
+Result<QueryResult> Sut::FriendsWithName(int64_t person_id,
+                                         const std::string& first_name) {
+  return Read([&] { return DoFriendsWithName(person_id, first_name); });
+}
+
+Result<QueryResult> Sut::RepliesOfPost(int64_t post_id) {
+  return Read([&] { return DoRepliesOfPost(post_id); });
+}
+
+Result<QueryResult> Sut::TopPosters(int64_t limit) {
+  return Read([&] { return DoTopPosters(limit); });
+}
+
+Status Sut::Apply(const snb::UpdateOp& op) {
+  std::optional<concurrency::WriteBatch> batch;
+  if (facade_ == Facade::kFull) batch.emplace();
+  const uint64_t start = obs::SutProbe::Start();
+  bool knows_changed = true;
+  Status st = DoApply(op, &knows_changed);
+  if (st.ok() && knows_changed && landmarks_ != nullptr) {
+    using K = snb::UpdateOp::Kind;
+    switch (op.kind) {
+      case K::kAddPerson:
+        landmarks_->OnPersonAdded(op.person.id);
+        break;
+      case K::kAddFriendship:
+        landmarks_->OnEdgeAdded(op.knows.person1, op.knows.person2);
+        break;
+      case K::kRemoveFriendship:
+        landmarks_->OnEdgeRemoved(op.knows.person1, op.knows.person2);
+        break;
+      default:
+        break;
+    }
+  }
+  if (facade_ != Facade::kForward) probe_.EndWrite(start, st.ok());
+  return st;
+}
 
 std::unique_ptr<Sut> MakeSut(SutKind kind) {
   switch (kind) {
@@ -75,12 +186,6 @@ std::unique_ptr<Sut> MakeSut(SutKind kind, const SutOptions& options) {
   if (options.plan_cache) sut->EnablePlanCache();
   if (options.landmarks) sut->EnableLandmarks(options.landmark_options);
   return sut;
-}
-
-void SeedLandmarkIndex(const snb::Dataset& data, LandmarkIndex* index) {
-  for (const snb::Person& p : data.persons) index->AddPerson(p.id);
-  for (const snb::Knows& k : data.knows) index->AddEdge(k.person1, k.person2);
-  index->Build();
 }
 
 std::vector<SutKind> AllSutKinds() {

@@ -10,6 +10,7 @@
 #include "engines/relational/query_result.h"
 #include "graph/landmarks.h"
 #include "lang/plan_cache.h"
+#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "snb/schema.h"
 #include "storage/durability.h"
@@ -17,10 +18,39 @@
 
 namespace graphbench {
 
+/// Factory identifiers: the paper's eight configurations plus the matrix
+/// engine (the linear-algebra design point the paper omits, DESIGN.md
+/// §10).
+enum class SutKind {
+  kNeo4jCypher,
+  kNeo4jGremlin,
+  kTitanC,
+  kTitanB,
+  kSqlg,
+  kPostgresSql,
+  kVirtuosoSql,
+  kVirtuosoSparql,
+  kMatrix,
+};
+
+/// Column label, e.g. "Postgres (SQL)" or "Titan-C (Gremlin)".
+const char* SutKindName(SutKind kind);
+
+/// Stable lowercase identifier ("postgres", "neo4j", "titan-c", ...);
+/// used for flags, metric names, and report keys.
+const char* SutKindId(SutKind kind);
+
 /// A system under test: one column of the paper's result tables. Every
 /// SUT loads the same SNB snapshot, answers the four §4.2 read queries and
 /// the §4.3 short reads, and applies the eight SNB update types — each
 /// through its own query language and engine stack.
+///
+/// The public methods are one facade for every column (template method):
+/// each does the shared work once around a SUT-specific protected `Do*`
+/// body. Reads pin an epoch and are probed as `sut.<id>.*`;
+/// ShortestPathLen first tries the landmark index; Load and Apply open a
+/// WriteBatch and keep the landmark index in step. A new SUT implements
+/// only the `Do*` bodies and SizeBytes.
 class Sut {
  public:
   virtual ~Sut() = default;
@@ -38,42 +68,41 @@ class Sut {
     return std::forward<Fn>(fn)();
   }
 
+  SutKind kind() const { return kind_; }
   /// Column label, e.g. "Postgres (SQL)" or "Titan-C (Gremlin)".
-  virtual std::string name() const = 0;
+  std::string name() const { return SutKindName(kind_); }
 
   /// Bulk-loads the static snapshot (vendor-specific loading mechanism).
-  virtual Status Load(const snb::Dataset& data) = 0;
+  Status Load(const snb::Dataset& data);
 
   // --- §4.2 read-only queries -----------------------------------------
   /// Person profile by id (point lookup).
-  virtual Result<QueryResult> PointLookup(int64_t person_id) = 0;
+  Result<QueryResult> PointLookup(int64_t person_id);
   /// Friends with names (1-hop).
-  virtual Result<QueryResult> OneHop(int64_t person_id) = 0;
+  Result<QueryResult> OneHop(int64_t person_id);
   /// Distinct friends-of-friends excluding self (2-hop).
-  virtual Result<QueryResult> TwoHop(int64_t person_id) = 0;
+  Result<QueryResult> TwoHop(int64_t person_id);
   /// Unweighted shortest-path length over knows; -1 if unreachable.
-  virtual Result<int> ShortestPathLen(int64_t from_person,
-                                      int64_t to_person) = 0;
+  Result<int> ShortestPathLen(int64_t from_person, int64_t to_person);
 
   // --- §4.3 short reads -------------------------------------------------
   /// Most recent posts of a person (id, content, creationDate).
-  virtual Result<QueryResult> RecentPosts(int64_t person_id,
-                                          int64_t limit) = 0;
+  Result<QueryResult> RecentPosts(int64_t person_id, int64_t limit);
 
   // --- Additional LDBC-style interactive reads ---------------------------
   /// IC1-lite: friends of a person with the given first name
   /// (id, lastName).
-  virtual Result<QueryResult> FriendsWithName(
-      int64_t person_id, const std::string& first_name) = 0;
+  Result<QueryResult> FriendsWithName(int64_t person_id,
+                                      const std::string& first_name);
   /// IS7-lite: direct comment replies to a post
   /// (comment id, content, creator person id).
-  virtual Result<QueryResult> RepliesOfPost(int64_t post_id) = 0;
+  Result<QueryResult> RepliesOfPost(int64_t post_id);
   /// Aggregation read: the `limit` most prolific post creators
   /// (person id, post count), count descending then id ascending.
-  virtual Result<QueryResult> TopPosters(int64_t limit) = 0;
+  Result<QueryResult> TopPosters(int64_t limit);
 
   // --- Updates (U1-U8), applied by the single writer --------------------
-  virtual Status Apply(const snb::UpdateOp& op) = 0;
+  Status Apply(const snb::UpdateOp& op);
 
   /// Resident database size (Table 1's per-system column).
   virtual uint64_t SizeBytes() const = 0;
@@ -81,10 +110,10 @@ class Sut {
   // --- Statement lifecycle (Prepare/Bind/Execute, DESIGN.md §8) ---------
   /// Opts the SUT into the prepared-statement path: call before Load, and
   /// the fixed workload statement set is prepared once at Load time with
-  /// per-call methods binding parameters only. Default: no-op — every
+  /// per-call methods binding parameters only. Off by default — every
   /// query parses per call, the paper's methodology.
-  virtual void EnablePlanCache() {}
-  virtual bool plan_cache_enabled() const { return false; }
+  void EnablePlanCache() { plan_cache_ = true; }
+  bool plan_cache_enabled() const { return plan_cache_; }
   /// Aggregated plan-cache traffic for this SUT's engine cache(s); zeros
   /// when the cache is disabled.
   virtual lang::PlanCacheStats plan_cache_stats() const { return {}; }
@@ -101,29 +130,71 @@ class Sut {
   /// ShortestPathLen answers through landmark-derived bounds that prune
   /// (often eliminate) the per-call BFS, with invalidation hooks on the
   /// knows write path keeping answers exact. `options` tunes hub count,
-  /// selection policy, and repair budgets. Default: off — every path
+  /// selection policy, and repair budgets. Off by default — every path
   /// query re-runs its engine's BFS, the paper's methodology.
-  virtual void EnableLandmarks(const LandmarkOptions& options = {}) {
-    (void)options;
-  }
-  virtual bool landmarks_enabled() const { return false; }
+  void EnableLandmarks(const LandmarkOptions& options = {});
+  bool landmarks_enabled() const { return landmarks_ != nullptr; }
   /// Aggregated landmark-index traffic; zeros when disabled.
-  virtual LandmarkStats landmark_stats() const { return {}; }
-};
+  LandmarkStats landmark_stats() const;
 
-/// Factory identifiers: the paper's eight configurations plus the matrix
-/// engine (the linear-algebra design point the paper omits, DESIGN.md
-/// §10).
-enum class SutKind {
-  kNeo4jCypher,
-  kNeo4jGremlin,
-  kTitanC,
-  kTitanB,
-  kSqlg,
-  kPostgresSql,
-  kVirtuosoSql,
-  kVirtuosoSparql,
-  kMatrix,
+ protected:
+  /// What the facade wraps around the `Do*` bodies besides the landmark
+  /// index, which it always keeps.
+  enum class Facade {
+    /// Reads pin an epoch; reads and Apply are probed; Load and Apply
+    /// open a WriteBatch.
+    kFull,
+    /// As kFull, except Apply opens no WriteBatch. The Gremlin SUTs
+    /// submit every traversal to a Gremlin Server worker thread, and a
+    /// batch is pinned to the thread that opened it: one held here would
+    /// keep the epoch from advancing, hiding each worker's committed
+    /// mutation from the follow-up traversals of a multi-step update.
+    /// Each worker-side mutation batches itself instead (DESIGN.md §11).
+    kNoApplyBatch,
+    /// Nothing: a decorator whose `Do*` bodies call another SUT's public
+    /// methods, which already pin, batch and probe once. Passing through
+    /// keeps the probe from counting twice and never opens a batch
+    /// around a Gremlin SUT.
+    kForward,
+  };
+
+  explicit Sut(SutKind kind, Facade facade = Facade::kFull);
+
+  /// Load without the outer WriteBatch, for load paths that mutate from
+  /// several threads (GremlinSut::LoadConcurrent): a batch held open on
+  /// the calling thread keeps the epoch from advancing, so loader threads
+  /// could not read each other's vertices.
+  Status LoadUnbatched(const snb::Dataset& data);
+
+  /// Loads the snapshot; `plan_cache_enabled()` says whether to turn on
+  /// the engine's plan cache and prepare the workload statements.
+  virtual Status DoLoad(const snb::Dataset& data) = 0;
+  virtual Result<QueryResult> DoPointLookup(int64_t person_id) = 0;
+  virtual Result<QueryResult> DoOneHop(int64_t person_id) = 0;
+  virtual Result<QueryResult> DoTwoHop(int64_t person_id) = 0;
+  virtual Result<int> DoShortestPathLen(int64_t from_person,
+                                        int64_t to_person) = 0;
+  virtual Result<QueryResult> DoRecentPosts(int64_t person_id,
+                                            int64_t limit) = 0;
+  virtual Result<QueryResult> DoFriendsWithName(
+      int64_t person_id, const std::string& first_name) = 0;
+  virtual Result<QueryResult> DoRepliesOfPost(int64_t post_id) = 0;
+  virtual Result<QueryResult> DoTopPosters(int64_t limit) = 0;
+  /// Applies one update. `*knows_changed` arrives true; a SUT that can
+  /// tell an update left the knows graph unchanged (Matrix: a duplicate
+  /// friendship its boolean matrix collapses) clears it, and the landmark
+  /// hooks then skip the op.
+  virtual Status DoApply(const snb::UpdateOp& op, bool* knows_changed) = 0;
+
+ private:
+  template <typename Body>
+  auto Read(Body&& body) -> decltype(body());
+
+  const SutKind kind_;
+  const Facade facade_;
+  obs::SutProbe probe_;
+  bool plan_cache_ = false;
+  std::unique_ptr<LandmarkIndex> landmarks_;
 };
 
 /// Everything a factory call can toggle on a fresh SUT before Load. One
@@ -159,17 +230,6 @@ Result<std::unique_ptr<Sut>> MakeSut(std::string_view name);
 /// All nine configurations in column order (the paper's eight, then the
 /// matrix extension).
 std::vector<SutKind> AllSutKinds();
-
-/// Seeds a landmark index from the SNB snapshot (persons + knows) and
-/// builds it. Shared by every SUT's Load when landmarks are enabled, so
-/// all eight configurations accelerate the same structure the same way.
-void SeedLandmarkIndex(const snb::Dataset& data, LandmarkIndex* index);
-
-const char* SutKindName(SutKind kind);
-
-/// Stable lowercase identifier ("postgres", "neo4j", "titan-c", ...);
-/// used for flags, metric names, and report keys.
-const char* SutKindId(SutKind kind);
 
 /// Parses a configuration name: the SutKindId spellings plus the common
 /// aliases "neo4j-cypher", "virtuoso-sql", "titan", and the full column
