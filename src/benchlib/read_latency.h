@@ -18,10 +18,9 @@ struct ReadLatencyOptions {
   /// the measured latency the instrumented operators account for — and
   /// embeds them under "profiles" in each system's report entry.
   bool profile = false;
-  /// When true (the --plan_cache flag), every SUT runs with its prepared
-  /// statement set and engine plan cache enabled (DESIGN.md §8); each
-  /// system's report entry then embeds a "plan_cache" section with the
-  /// cache traffic. Off by default — parse-per-call is the paper's
+  /// When true (the --plan_cache flag), every SUT runs with its engine
+  /// plan cache enabled (DESIGN.md §8); each system's report entry then
+  /// embeds a "plan_cache" section with the cache traffic. Off by default — parse-per-call is the paper's
   /// methodology.
   bool plan_cache = false;
   /// When true (the --landmarks flag), every SUT answers shortest-path

@@ -122,7 +122,6 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
         Stopwatch op_clock;
         Status s = sut_->Apply(*op);
         uint64_t us = op_clock.ElapsedMicros();
-        metrics.write_latency_micros.Add(us);
         if (pace > 0) {
           // Schedule-aware latency (the LDBC driver's definition):
           // completion relative to the op's scheduled slot, not its actual
@@ -133,12 +132,14 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
               end_us > due_us ? end_us - due_us : 0);
         }
         if (s.ok()) {
+          metrics.write_latency_micros.Add(us);
           ++writes;
           obs_writes->Increment();
           watermark = std::max(watermark, op->scheduled_date);
           std::lock_guard<std::mutex> lock(timeline_mu);
           ++metrics.write_timeline[bucket_of(run_clock.ElapsedMicros())];
         } else {
+          metrics.write_error_latency_micros.Add(us);
           ++write_errors;
           obs_write_errors->Increment();
         }
@@ -207,13 +208,14 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
             profile.Clear();
           }
         }
-        metrics.read_latency_micros.Add(us);
         if (s.ok()) {
+          metrics.read_latency_micros.Add(us);
           ++reads;
           obs_reads->Increment();
           std::lock_guard<std::mutex> lock(timeline_mu);
           ++metrics.read_timeline[bucket_of(run_clock.ElapsedMicros())];
         } else {
+          metrics.read_error_latency_micros.Add(us);
           ++read_errors;
           obs_read_errors->Increment();
         }

@@ -69,8 +69,13 @@ struct DriverMetrics {
   double reads_per_second = 0;
   double writes_per_second = 0;
 
+  /// Service latency of successful ops only, so fast failures (e.g. a
+  /// ~3 us Gremlin Busy rejection) never pose as fast successes.
   Histogram read_latency_micros;
   Histogram write_latency_micros;
+  /// Service latency of failed ops (read_errors / write_errors).
+  Histogram read_error_latency_micros;
+  Histogram write_error_latency_micros;
   /// Paced mode only: write latency measured from each op's *scheduled*
   /// slot rather than its actual start (LDBC-style schedule-aware
   /// latency). Includes the time an op queued behind schedule, so a SUT

@@ -71,44 +71,6 @@ void CypherEngine::EnablePlanCache(size_t capacity) {
       std::make_unique<lang::PlanCache<cypher::Query>>("cypher", capacity);
 }
 
-Result<CypherEngine::PreparedStatement> CypherEngine::Prepare(
-    std::string_view query) {
-  PreparedStatement prepared;
-  prepared.text_ = std::string(query);
-  if (plan_cache_ != nullptr) {
-    if (auto cached = plan_cache_->Lookup(query)) {
-      prepared.query_ = std::move(cached);
-      return prepared;
-    }
-  }
-  obs::OpTimer parse_op("Parse");
-  GB_ASSIGN_OR_RETURN(cypher::Query q, cypher::Parse(query));
-  parse_op.Stop();
-  auto shared = std::make_shared<const cypher::Query>(std::move(q));
-  if (plan_cache_ != nullptr) plan_cache_->Insert(query, shared);
-  prepared.query_ = std::move(shared);
-  return prepared;
-}
-
-Result<QueryResult> CypherEngine::Execute(const PreparedStatement& prepared,
-                                          const Params& params) {
-  if (!prepared.valid()) {
-    return Status::InvalidArgument("prepared statement is empty");
-  }
-  obs::OpTimer root_op("ProduceResults");
-  if (plan_cache_ != nullptr) {
-    // Extended-protocol model: every execution of a named statement goes
-    // through the server's statement cache. A handle whose entry was
-    // evicted re-seeds it — never a re-parse, the handle keeps the plan
-    // alive.
-    if (auto cached = plan_cache_->Lookup(prepared.text_)) {
-      return ExecuteParsed(*cached, params);
-    }
-    plan_cache_->Insert(prepared.text_, prepared.query_);
-  }
-  return ExecuteParsed(*prepared.query_, params);
-}
-
 Result<QueryResult> CypherEngine::Execute(std::string_view query,
                                           const Params& params) {
   // Root operator (Neo4j PROFILE's ProduceResults): cumulative spans the

@@ -17,10 +17,9 @@ namespace graphbench {
 
 /// Declarative query front-end over the native graph store: the
 /// Neo4j-with-Cypher configuration. Queries are parsed and planned per
-/// execution (as a server does) by default; Prepare splits that lifecycle
-/// so a statement is parsed once and executed repeatedly with per-call
-/// $parameters (Neo4j's query-cache analog, opted into per instance via
-/// EnablePlanCache).
+/// execution (as a server does) by default; EnablePlanCache keeps parsed
+/// queries keyed by statement text so a repeated statement binds its
+/// per-call $parameters only (Neo4j's query-cache analog).
 ///
 /// Planning: each MATCH chain is solved left-to-right; the first node of a
 /// chain must be resolvable — by an inline property equality (index lookup
@@ -32,32 +31,12 @@ class CypherEngine {
 
   explicit CypherEngine(NativeGraph* graph) : graph_(graph) {}
 
-  /// An immutable parsed query; share freely across threads and execute
-  /// with per-call parameters.
-  class PreparedStatement {
-   public:
-    PreparedStatement() = default;
-    const std::string& text() const { return text_; }
-    const cypher::Query& query() const { return *query_; }
-    bool valid() const { return query_ != nullptr; }
-
-   private:
-    friend class CypherEngine;
-    std::string text_;
-    std::shared_ptr<const cypher::Query> query_;
-  };
-
-  /// Parses `query` into an immutable statement (consulting the plan
-  /// cache when enabled).
-  Result<PreparedStatement> Prepare(std::string_view query);
-
-  /// Binds `params` and runs a prepared statement — no parsing.
-  Result<QueryResult> Execute(const PreparedStatement& prepared,
-                              const Params& params);
-
-  /// Parses and executes one statement with named $parameters. Parses per
-  /// call — the paper-faithful default — unless the plan cache is enabled.
-  Result<QueryResult> Execute(std::string_view query, const Params& params);
+  /// Parses and executes one statement with named $parameters (LIMIT
+  /// $limit included). Parses per call — the paper-faithful default —
+  /// unless the plan cache is enabled, in which case the parsed query is
+  /// looked up by statement text and only the parameters bind.
+  Result<QueryResult> Execute(std::string_view query,
+                              const Params& params = {});
 
   /// Opts this instance into caching parsed queries keyed by statement
   /// text. Call before concurrent use. Off by default.
@@ -74,8 +53,8 @@ class CypherEngine {
   struct Binding;  // var name -> VertexId slots; defined in the .cc
 
   Result<Value> EvalConst(const cypher::Expr& e, const Params& params) const;
-  // Runs an already-parsed query: the shared tail of both Execute
-  // overloads.
+  // Runs an already-parsed query: the shared tail of the cached and
+  // parse-per-call paths of Execute.
   Result<QueryResult> ExecuteParsed(const cypher::Query& q,
                                     const Params& params);
 

@@ -45,63 +45,26 @@ void RdfEngine::EnablePlanCache(size_t capacity) {
       std::make_unique<lang::PlanCache<sparql::Query>>("sparql", capacity);
 }
 
-Result<RdfEngine::PreparedStatement> RdfEngine::Prepare(
-    std::string_view sparql_text) {
-  PreparedStatement prepared;
-  prepared.text_ = std::string(sparql_text);
-  if (plan_cache_ != nullptr) {
-    if (auto cached = plan_cache_->Lookup(sparql_text)) {
-      prepared.query_ = std::move(cached);
-      return prepared;
-    }
-  }
-  obs::OpTimer parse_op("parse");
-  GB_ASSIGN_OR_RETURN(sparql::Query q, sparql::Parse(sparql_text));
-  parse_op.Stop();
-  auto shared = std::make_shared<const sparql::Query>(std::move(q));
-  if (plan_cache_ != nullptr) plan_cache_->Insert(sparql_text, shared);
-  prepared.query_ = std::move(shared);
-  return prepared;
-}
-
-Result<QueryResult> RdfEngine::Execute(const PreparedStatement& prepared,
+Result<QueryResult> RdfEngine::Execute(std::string_view sparql_text,
                                        const Params& params) {
-  if (!prepared.valid()) {
-    return Status::InvalidArgument("prepared statement is empty");
-  }
-  obs::OpTimer root_op("execute");
-  if (plan_cache_ != nullptr) {
-    // Extended-protocol model: every execution of a named statement goes
-    // through the server's statement cache. A handle whose entry was
-    // evicted re-seeds it — never a re-parse, the handle keeps the plan
-    // alive.
-    if (auto cached = plan_cache_->Lookup(prepared.text_)) {
-      return ExecuteParsed(*cached, params);
-    }
-    plan_cache_->Insert(prepared.text_, prepared.query_);
-  }
-  return ExecuteParsed(*prepared.query_, params);
-}
-
-Result<QueryResult> RdfEngine::Execute(std::string_view sparql_text) {
   // Root phase: cumulative spans the whole query; self is whatever the
   // specific phases below do not account for.
   obs::OpTimer root_op("execute");
   if (plan_cache_ != nullptr) {
     if (auto cached = plan_cache_->Lookup(sparql_text)) {
-      return ExecuteParsed(*cached, Params{});
+      return ExecuteParsed(*cached, params);
     }
     obs::OpTimer cached_parse_op("parse");
     GB_ASSIGN_OR_RETURN(sparql::Query parsed, sparql::Parse(sparql_text));
     cached_parse_op.Stop();
     auto shared = std::make_shared<const sparql::Query>(std::move(parsed));
     plan_cache_->Insert(sparql_text, shared);
-    return ExecuteParsed(*shared, Params{});
+    return ExecuteParsed(*shared, params);
   }
   obs::OpTimer parse_op("parse");
   GB_ASSIGN_OR_RETURN(sparql::Query q, sparql::Parse(sparql_text));
   parse_op.Stop();
-  return ExecuteParsed(q, Params{});
+  return ExecuteParsed(q, params);
 }
 
 Result<QueryResult> RdfEngine::ExecuteParsed(const sparql::Query& q,

@@ -29,33 +29,13 @@ class RdfEngine {
   /// literals (ids, names — the constants the SNB workload varies).
   using Params = std::map<std::string, Value>;
 
-  /// An immutable parsed query; share freely across threads and execute
-  /// with per-call parameters.
-  class PreparedStatement {
-   public:
-    PreparedStatement() = default;
-    const std::string& text() const { return text_; }
-    const sparql::Query& query() const { return *query_; }
-    bool valid() const { return query_ != nullptr; }
-
-   private:
-    friend class RdfEngine;
-    std::string text_;
-    std::shared_ptr<const sparql::Query> query_;
-  };
-
-  /// Parses `sparql` into an immutable statement with $name placeholders
-  /// (consulting the plan cache when enabled).
-  Result<PreparedStatement> Prepare(std::string_view sparql);
-
-  /// Binds `params` and runs a prepared statement — no parsing.
-  Result<QueryResult> Execute(const PreparedStatement& prepared,
-                              const Params& params);
-
-  /// Parses and executes one SPARQL query. Constants are inlined in the
-  /// query text, as SPARQL clients do; parses per call — the
-  /// paper-faithful default — unless the plan cache is enabled.
-  Result<QueryResult> Execute(std::string_view sparql);
+  /// Parses and executes one SPARQL query. Constants may be inlined in the
+  /// text or written as $name parameters bound from `params` (LIMIT $limit
+  /// included). Parses per call — the paper-faithful default — unless the
+  /// plan cache is enabled, in which case the parsed query is looked up by
+  /// statement text and only the parameters bind.
+  Result<QueryResult> Execute(std::string_view sparql,
+                              const Params& params = {});
 
   /// Opts this instance into caching parsed queries keyed by statement
   /// text. Call before concurrent use. Off by default.

@@ -378,44 +378,6 @@ void Database::EnablePlanCache(size_t capacity) {
       std::make_unique<lang::PlanCache<sql::Statement>>("sql", capacity);
 }
 
-Result<Database::PreparedStatement> Database::Prepare(
-    std::string_view sql_text) {
-  PreparedStatement prepared;
-  prepared.text_ = std::string(sql_text);
-  if (plan_cache_ != nullptr) {
-    if (auto cached = plan_cache_->Lookup(sql_text)) {
-      prepared.stmt_ = std::move(cached);
-      return prepared;
-    }
-  }
-  obs::OpTimer parse_op("parse");
-  GB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql_text));
-  parse_op.Stop();
-  auto shared = std::make_shared<const sql::Statement>(std::move(stmt));
-  if (plan_cache_ != nullptr) plan_cache_->Insert(sql_text, shared);
-  prepared.stmt_ = std::move(shared);
-  return prepared;
-}
-
-Result<QueryResult> Database::Execute(const PreparedStatement& prepared,
-                                      const std::vector<Value>& params) {
-  if (!prepared.valid()) {
-    return Status::InvalidArgument("prepared statement is empty");
-  }
-  obs::OpTimer root_op("execute");
-  if (plan_cache_ != nullptr) {
-    // Extended-protocol model: every execution of a named statement goes
-    // through the server's statement cache. A handle whose entry was
-    // evicted re-seeds it — never a re-parse, the handle keeps the plan
-    // alive.
-    if (auto cached = plan_cache_->Lookup(prepared.text_)) {
-      return ExecuteStatement(*cached, params);
-    }
-    plan_cache_->Insert(prepared.text_, prepared.stmt_);
-  }
-  return ExecuteStatement(*prepared.stmt_, params);
-}
-
 Result<QueryResult> Database::Execute(std::string_view sql_text,
                                       const std::vector<Value>& params) {
   // Root phase: cumulative spans the whole statement; self is the

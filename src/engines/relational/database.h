@@ -55,35 +55,10 @@ class Database {
   Status RegisterEdgeTable(std::string_view table, std::string_view src_col,
                            std::string_view dst_col);
 
-  /// An immutable parsed statement with `?` placeholders, obtained from
-  /// Prepare and executed repeatedly with per-call parameters. Safe to
-  /// share across threads (the plan is read-only after Prepare).
-  class PreparedStatement {
-   public:
-    PreparedStatement() = default;
-    const std::string& text() const { return text_; }
-    const sql::Statement& statement() const { return *stmt_; }
-    bool valid() const { return stmt_ != nullptr; }
-
-   private:
-    friend class Database;
-    std::string text_;
-    std::shared_ptr<const sql::Statement> stmt_;
-  };
-
-  /// Parses `sql` into an immutable statement (consulting the plan cache
-  /// when enabled). Execution later binds parameters only.
-  Result<PreparedStatement> Prepare(std::string_view sql);
-
-  /// Binds `params` and runs a prepared statement — no parsing or
-  /// re-planning.
-  Result<QueryResult> Execute(const PreparedStatement& prepared,
-                              const std::vector<Value>& params = {});
-
-  /// Parses and executes one statement. Parameters bind `?` positionally.
-  /// Parses per call — the paper-faithful default — unless the plan cache
-  /// is enabled, in which case the parsed plan is reused by statement
-  /// text.
+  /// Parses and executes one statement. Parameters bind `?` positionally
+  /// (LIMIT ? included). Parses per call — the paper-faithful default —
+  /// unless the plan cache is enabled, in which case the parsed plan is
+  /// looked up by statement text and only the parameters bind.
   Result<QueryResult> Execute(std::string_view sql,
                               const std::vector<Value>& params = {});
 
@@ -152,8 +127,8 @@ class Database {
     mutable obs::TimedSharedMutex adj_mu{"relational.lock_wait_us"};
   };
 
-  // Dispatches a parsed statement: the shared tail of both the string
-  // and prepared Execute overloads.
+  // Dispatches a parsed statement: the shared tail of the cached and
+  // parse-per-call paths of Execute.
   Result<QueryResult> ExecuteStatement(const sql::Statement& stmt,
                                        const std::vector<Value>& params);
   Result<QueryResult> ExecuteInsert(const sql::InsertStmt& stmt,

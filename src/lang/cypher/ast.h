@@ -82,8 +82,8 @@ struct Query {
   std::vector<OrderItem> order_by;
   int64_t limit = -1;
   /// LIMIT $name — the named parameter supplying the limit at bind time;
-  /// empty when the limit is a literal (or absent). Lets prepared
-  /// statements share one plan across differing limits.
+  /// empty when the limit is a literal (or absent). Lets one cached
+  /// plan serve every limit value.
   std::string limit_param;
 
   // CREATE clause: standalone node patterns and/or relationship chains

@@ -69,7 +69,7 @@ class PlanCacheCounters {
   obs::Counter* evictions_counter_;
 };
 
-/// Bounded, thread-safe LRU of immutable prepared plans keyed by statement
+/// Bounded, thread-safe LRU of immutable parsed plans keyed by statement
 /// text. Each engine instance owns one; `engine` labels the shared obs
 /// counters ("sql", "cypher", "sparql", "gremlin"). Values are
 /// shared_ptr<const PlanT> so a cached plan stays alive while an executor

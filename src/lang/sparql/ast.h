@@ -60,8 +60,8 @@ struct Query {
   std::vector<std::pair<std::string, bool>> order_by;  // (var, desc)
   int64_t limit = -1;
   /// LIMIT $name — the named parameter supplying the limit at bind time;
-  /// empty when the limit is a literal (or absent). Lets prepared
-  /// statements share one plan across differing limits.
+  /// empty when the limit is a literal (or absent). Lets one cached
+  /// plan serve every limit value.
   std::string limit_param;
 };
 

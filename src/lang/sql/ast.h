@@ -88,8 +88,8 @@ struct SelectStmt {
   std::vector<OrderItem> order_by;
   int64_t limit = -1;  // -1: no limit
   /// LIMIT ? — positional parameter index supplying the limit at bind
-  /// time; -1 when the limit is a literal (or absent). Lets prepared
-  /// statements share one plan across differing limits.
+  /// time; -1 when the limit is a literal (or absent). Lets one cached
+  /// plan serve every limit value.
   int limit_param = -1;
 };
 

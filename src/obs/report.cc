@@ -116,6 +116,10 @@ Json DriverMetricsJson(const DriverMetrics& metrics) {
   out.Set("writes_per_second", Json::Number(metrics.writes_per_second));
   out.Set("read_latency", HistogramJson(metrics.read_latency_micros));
   out.Set("write_latency", HistogramJson(metrics.write_latency_micros));
+  out.Set("read_error_latency",
+          HistogramJson(metrics.read_error_latency_micros));
+  out.Set("write_error_latency",
+          HistogramJson(metrics.write_error_latency_micros));
   out.Set("write_schedule_latency",
           HistogramJson(metrics.write_schedule_latency_micros));
   out.Set("timeline_bucket_millis",

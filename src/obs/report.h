@@ -81,9 +81,10 @@ Json HistogramJson(const Histogram& h);
 Json HistogramJson(const MetricsSnapshot::HistogramStats& stats);
 
 /// DriverMetrics -> one "systems" entry body: op counts, rates, latency
-/// summaries (service and, in paced mode, schedule-aware write latency),
-/// the Figure 3 read/write timelines with their bucket width, and any
-/// captured slow queries.
+/// summaries (service latency of ok ops, "read_error_latency"/
+/// "write_error_latency" of failed ops and, in paced mode, schedule-aware
+/// write latency), the Figure 3 read/write timelines with their bucket
+/// width, and any captured slow queries.
 Json DriverMetricsJson(const DriverMetrics& metrics);
 
 /// QueryProfile -> {"total_self_micros", "ops": [{"op", "invocations",

@@ -13,9 +13,9 @@ constexpr const char* kVertexLabels[] = {"Person",       "Forum",
                                          "Tag",          "Place",
                                          "Organisation"};
 
-// The fixed read statement set. Limit-bearing statements end in "LIMIT "
-// so the legacy path can concatenate the literal while the prepared path
-// appends "$limit" and binds.
+// The fixed read statement set: one text per statement, constants (LIMIT
+// included) bound as $parameters, so the engine's plan cache holds one
+// plan per statement.
 constexpr char kPointLookupCypher[] =
     "MATCH (p:Person {id: $id}) RETURN p.firstName, p.lastName, "
     "p.gender, p.birthday, p.browserUsed, p.locationIP";
@@ -28,10 +28,10 @@ constexpr char kTwoHopCypher[] =
 constexpr char kShortestPathCypher[] =
     "MATCH (a:Person {id: $a}), (b:Person {id: $b}) "
     "RETURN length(shortestPath((a)-[:knows*]-(b))) AS len";
-constexpr char kRecentPostsCypherPrefix[] =
+constexpr char kRecentPostsCypher[] =
     "MATCH (p:Person {id: $id})<-[:postHasCreator]-(post) "
     "RETURN post.id, post.content, post.creationDate "
-    "ORDER BY post.creationDate DESC LIMIT ";
+    "ORDER BY post.creationDate DESC LIMIT $limit";
 constexpr char kFriendsWithNameCypher[] =
     "MATCH (p:Person {id: $id})-[:knows]-(f) WHERE f.firstName = $name "
     "RETURN f.id, f.lastName ORDER BY f.id";
@@ -40,10 +40,10 @@ constexpr char kRepliesOfPostCypher[] =
     "-[:commentHasCreator]->(cr) "
     "RETURN c.id, c.content, cr.id "
     "ORDER BY c.creationDate DESC";
-constexpr char kTopPostersCypherPrefix[] =
+constexpr char kTopPostersCypher[] =
     "MATCH (post:Post)-[:postHasCreator]->(p) "
     "RETURN p.id, count(*) AS n "
-    "ORDER BY count(*) DESC, p.id LIMIT ";
+    "ORDER BY count(*) DESC, p.id LIMIT $limit";
 
 }  // namespace
 
@@ -185,115 +185,58 @@ CypherSut::CypherSut(NativeGraphOptions options)
 
 Status CypherSut::DoLoad(const snb::Dataset& data) {
   if (plan_cache_enabled()) engine_.EnablePlanCache();
-  GB_RETURN_IF_ERROR(LoadSnbIntoNativeGraph(data, &graph_));
-  return plan_cache_enabled() ? PrepareStatements() : Status::OK();
-}
-
-Status CypherSut::PrepareStatements() {
-  auto prep = [this](CypherEngine::PreparedStatement* out,
-                     const std::string& text) -> Status {
-    GB_ASSIGN_OR_RETURN(*out, engine_.Prepare(text));
-    return Status::OK();
-  };
-  GB_RETURN_IF_ERROR(prep(&prepared_.point_lookup, kPointLookupCypher));
-  GB_RETURN_IF_ERROR(prep(&prepared_.one_hop, kOneHopCypher));
-  GB_RETURN_IF_ERROR(prep(&prepared_.two_hop, kTwoHopCypher));
-  GB_RETURN_IF_ERROR(prep(&prepared_.shortest_path, kShortestPathCypher));
-  GB_RETURN_IF_ERROR(
-      prep(&prepared_.recent_posts,
-           std::string(kRecentPostsCypherPrefix) + "$limit"));
-  GB_RETURN_IF_ERROR(
-      prep(&prepared_.friends_with_name, kFriendsWithNameCypher));
-  GB_RETURN_IF_ERROR(prep(&prepared_.replies_of_post, kRepliesOfPostCypher));
-  GB_RETURN_IF_ERROR(prep(&prepared_.top_posters,
-                          std::string(kTopPostersCypherPrefix) + "$limit"));
-  return Status::OK();
+  return LoadSnbIntoNativeGraph(data, &graph_);
 }
 
 std::string CypherSut::StatementText(std::string_view kind) const {
   if (kind == "point_lookup") return kPointLookupCypher;
   if (kind == "one_hop") return kOneHopCypher;
   if (kind == "two_hop") return kTwoHopCypher;
-  if (kind == "recent_posts") {
-    return std::string(kRecentPostsCypherPrefix) + "$limit";
-  }
+  if (kind == "recent_posts") return kRecentPostsCypher;
   return std::string();
 }
 
 Result<QueryResult> CypherSut::DoPointLookup(int64_t person_id) {
-  if (prepared_.point_lookup.valid()) {
-    return engine_.Execute(prepared_.point_lookup,
-                           {{"id", Value(person_id)}});
-  }
   return engine_.Execute(kPointLookupCypher, {{"id", Value(person_id)}});
 }
 
 Result<QueryResult> CypherSut::DoOneHop(int64_t person_id) {
-  if (prepared_.one_hop.valid()) {
-    return engine_.Execute(prepared_.one_hop, {{"id", Value(person_id)}});
-  }
   return engine_.Execute(kOneHopCypher, {{"id", Value(person_id)}});
 }
 
 Result<QueryResult> CypherSut::DoTwoHop(int64_t person_id) {
-  if (prepared_.two_hop.valid()) {
-    return engine_.Execute(prepared_.two_hop, {{"id", Value(person_id)}});
-  }
   return engine_.Execute(kTwoHopCypher, {{"id", Value(person_id)}});
 }
 
 Result<int> CypherSut::DoShortestPathLen(int64_t from_person,
                                          int64_t to_person) {
-  CypherEngine::Params params = {{"a", Value(from_person)},
-                                 {"b", Value(to_person)}};
-  Result<QueryResult> result =
-      prepared_.shortest_path.valid()
-          ? engine_.Execute(prepared_.shortest_path, params)
-          : engine_.Execute(kShortestPathCypher, params);
-  GB_ASSIGN_OR_RETURN(QueryResult r, std::move(result));
+  GB_ASSIGN_OR_RETURN(
+      QueryResult r,
+      engine_.Execute(kShortestPathCypher,
+                      {{"a", Value(from_person)}, {"b", Value(to_person)}}));
   if (r.rows.empty()) return Status::Internal("no shortest path row");
   return int(r.rows[0][0].as_int());
 }
 
 Result<QueryResult> CypherSut::DoRecentPosts(int64_t person_id,
                                              int64_t limit) {
-  if (prepared_.recent_posts.valid()) {
-    return engine_.Execute(
-        prepared_.recent_posts,
-        {{"id", Value(person_id)}, {"limit", Value(limit)}});
-  }
-  return engine_.Execute(
-      kRecentPostsCypherPrefix + std::to_string(limit),
-      {{"id", Value(person_id)}});
+  return engine_.Execute(kRecentPostsCypher,
+                         {{"id", Value(person_id)}, {"limit", Value(limit)}});
 }
 
 Result<QueryResult> CypherSut::DoFriendsWithName(
     int64_t person_id, const std::string& first_name) {
-  if (prepared_.friends_with_name.valid()) {
-    return engine_.Execute(
-        prepared_.friends_with_name,
-        {{"id", Value(person_id)}, {"name", Value(first_name)}});
-  }
   return engine_.Execute(
       kFriendsWithNameCypher,
       {{"id", Value(person_id)}, {"name", Value(first_name)}});
 }
 
 Result<QueryResult> CypherSut::DoRepliesOfPost(int64_t post_id) {
-  if (prepared_.replies_of_post.valid()) {
-    return engine_.Execute(prepared_.replies_of_post,
-                           {{"id", Value(post_id)}});
-  }
   return engine_.Execute(kRepliesOfPostCypher, {{"id", Value(post_id)}});
 }
 
 Result<QueryResult> CypherSut::DoTopPosters(int64_t limit) {
-  if (prepared_.top_posters.valid()) {
-    return engine_.Execute(prepared_.top_posters,
-                           {{"limit", Value(limit)}});
-  }
-  return engine_.Execute(kTopPostersCypherPrefix + std::to_string(limit),
-                         {});
+  return engine_.Execute(kTopPostersCypher, {{"limit", Value(limit)}});
 }
 
 Status CypherSut::DoApply(const snb::UpdateOp& op, bool* /*knows_changed*/) {

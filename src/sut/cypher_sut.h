@@ -27,6 +27,7 @@ class CypherSut : public Sut {
   std::string StatementText(std::string_view kind) const override;
 
   NativeGraph* graph() { return &graph_; }
+  CypherEngine* engine() { return &engine_; }
 
  protected:
   Status DoLoad(const snb::Dataset& data) override;
@@ -44,22 +45,8 @@ class CypherSut : public Sut {
   Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override;
 
  private:
-  /// Prepares the fixed read statement set (LIMIT $limit where
-  /// applicable); called at the end of Load when the plan cache is
-  /// enabled. Updates ride the engine's text-keyed cache directly —
-  /// their statement texts are compile-time constants.
-  Status PrepareStatements();
-
   NativeGraph graph_;
   CypherEngine engine_;
-
-  /// Populated by PrepareStatements; per-call methods bind only.
-  struct PreparedSet {
-    CypherEngine::PreparedStatement point_lookup, one_hop, two_hop,
-        shortest_path, recent_posts, friends_with_name, replies_of_post,
-        top_posters;
-  };
-  PreparedSet prepared_;
 };
 
 /// Loads the SNB snapshot into any PropertyGraph-shaped store via a bulk

@@ -4,9 +4,9 @@ namespace graphbench {
 
 namespace {
 
-// The fixed workload statement set. The prepared path parses each text
-// once at Load; the default path re-sends the same texts per call (limit
-// values concatenated, as the paper's clients do).
+// The fixed workload statement set: one text per statement, constants
+// (LIMIT included) bound as `?` parameters, so the engine's plan cache
+// holds one plan per statement.
 constexpr char kPointLookupSql[] =
     "SELECT firstName, lastName, gender, birthday, browserUsed, "
     "locationIP FROM person WHERE id = ?";
@@ -20,9 +20,9 @@ constexpr char kTwoHopSql[] =
     "WHERE k1.person1Id = ? AND p.id <> ?";
 constexpr char kShortestPathSql[] =
     "SELECT SHORTEST_PATH(?, ?) USING knows(person1Id, person2Id)";
-constexpr char kRecentPostsSqlPrefix[] =
+constexpr char kRecentPostsSql[] =
     "SELECT p.id, p.content, p.creationDate FROM post p "
-    "WHERE p.creatorId = ? ORDER BY p.creationDate DESC LIMIT ";
+    "WHERE p.creatorId = ? ORDER BY p.creationDate DESC LIMIT ?";
 constexpr char kFriendsWithNameSql[] =
     "SELECT p.id, p.lastName FROM knows k "
     "JOIN person p ON k.person2Id = p.id "
@@ -30,9 +30,9 @@ constexpr char kFriendsWithNameSql[] =
 constexpr char kRepliesOfPostSql[] =
     "SELECT c.id, c.content, c.creatorId FROM comment c "
     "WHERE c.replyOfPost = ? ORDER BY c.creationDate DESC";
-constexpr char kTopPostersSqlPrefix[] =
+constexpr char kTopPostersSql[] =
     "SELECT p.creatorId, COUNT(*) AS n FROM post p "
-    "GROUP BY p.creatorId ORDER BY n DESC, creatorId LIMIT ";
+    "GROUP BY p.creatorId ORDER BY n DESC, creatorId LIMIT ?";
 
 constexpr char kInsertPersonSql[] =
     "INSERT INTO person (id, firstName, lastName, gender, "
@@ -254,36 +254,6 @@ Status RelationalSut::DoLoad(const snb::Dataset& data) {
                                   Value(w.year)})
             .status());
   }
-  return plan_cache_enabled() ? PrepareStatements() : Status::OK();
-}
-
-Status RelationalSut::PrepareStatements() {
-  auto prep = [this](const std::string& text,
-                     Database::PreparedStatement* out) -> Status {
-    GB_ASSIGN_OR_RETURN(*out, db_.Prepare(text));
-    return Status::OK();
-  };
-  GB_RETURN_IF_ERROR(prep(kPointLookupSql, &prepared_.point_lookup));
-  GB_RETURN_IF_ERROR(prep(kOneHopSql, &prepared_.one_hop));
-  GB_RETURN_IF_ERROR(prep(kTwoHopSql, &prepared_.two_hop));
-  GB_RETURN_IF_ERROR(prep(kShortestPathSql, &prepared_.shortest_path));
-  GB_RETURN_IF_ERROR(prep(std::string(kRecentPostsSqlPrefix) + "?",
-                          &prepared_.recent_posts));
-  GB_RETURN_IF_ERROR(
-      prep(kFriendsWithNameSql, &prepared_.friends_with_name));
-  GB_RETURN_IF_ERROR(prep(kRepliesOfPostSql, &prepared_.replies_of_post));
-  GB_RETURN_IF_ERROR(prep(std::string(kTopPostersSqlPrefix) + "?",
-                          &prepared_.top_posters));
-  GB_RETURN_IF_ERROR(prep(kInsertPersonSql, &prepared_.insert_person));
-  GB_RETURN_IF_ERROR(prep(kInsertKnowsSql, &prepared_.insert_knows));
-  GB_RETURN_IF_ERROR(prep(kInsertForumSql, &prepared_.insert_forum));
-  GB_RETURN_IF_ERROR(
-      prep(kInsertForumMemberSql, &prepared_.insert_forum_member));
-  GB_RETURN_IF_ERROR(prep(kInsertPostSql, &prepared_.insert_post));
-  GB_RETURN_IF_ERROR(prep(kInsertCommentSql, &prepared_.insert_comment));
-  GB_RETURN_IF_ERROR(prep(kInsertLikePostSql, &prepared_.insert_like_post));
-  GB_RETURN_IF_ERROR(
-      prep(kInsertLikeCommentSql, &prepared_.insert_like_comment));
   return Status::OK();
 }
 
@@ -291,107 +261,71 @@ std::string RelationalSut::StatementText(std::string_view kind) const {
   if (kind == "point_lookup") return kPointLookupSql;
   if (kind == "one_hop") return kOneHopSql;
   if (kind == "two_hop") return kTwoHopSql;
-  if (kind == "recent_posts") {
-    return std::string(kRecentPostsSqlPrefix) + "?";
-  }
+  if (kind == "recent_posts") return kRecentPostsSql;
   return std::string();
 }
 
 Result<QueryResult> RelationalSut::DoPointLookup(int64_t person_id) {
-  if (prepared_.point_lookup.valid()) {
-    return db_.Execute(prepared_.point_lookup, {Value(person_id)});
-  }
   return db_.Execute(kPointLookupSql, {Value(person_id)});
 }
 
 Result<QueryResult> RelationalSut::DoOneHop(int64_t person_id) {
-  if (prepared_.one_hop.valid()) {
-    return db_.Execute(prepared_.one_hop, {Value(person_id)});
-  }
   return db_.Execute(kOneHopSql, {Value(person_id)});
 }
 
 Result<QueryResult> RelationalSut::DoTwoHop(int64_t person_id) {
-  if (prepared_.two_hop.valid()) {
-    return db_.Execute(prepared_.two_hop,
-                       {Value(person_id), Value(person_id)});
-  }
   return db_.Execute(kTwoHopSql, {Value(person_id), Value(person_id)});
 }
 
 Result<int> RelationalSut::DoShortestPathLen(int64_t from_person,
                                              int64_t to_person) {
-  Result<QueryResult> result =
-      prepared_.shortest_path.valid()
-          ? db_.Execute(prepared_.shortest_path,
-                        {Value(from_person), Value(to_person)})
-          : db_.Execute(kShortestPathSql,
-                        {Value(from_person), Value(to_person)});
-  GB_ASSIGN_OR_RETURN(QueryResult r, std::move(result));
+  GB_ASSIGN_OR_RETURN(
+      QueryResult r,
+      db_.Execute(kShortestPathSql, {Value(from_person), Value(to_person)}));
   if (r.rows.empty()) return Status::Internal("no shortest path row");
   return int(r.rows[0][0].as_int());
 }
 
 Result<QueryResult> RelationalSut::DoRecentPosts(int64_t person_id,
                                                  int64_t limit) {
-  if (prepared_.recent_posts.valid()) {
-    // LIMIT ? binds as the second parameter: one plan, any limit.
-    return db_.Execute(prepared_.recent_posts,
-                       {Value(person_id), Value(limit)});
-  }
-  return db_.Execute(kRecentPostsSqlPrefix + std::to_string(limit),
-                     {Value(person_id)});
+  return db_.Execute(kRecentPostsSql, {Value(person_id), Value(limit)});
 }
 
 Result<QueryResult> RelationalSut::DoFriendsWithName(
     int64_t person_id, const std::string& first_name) {
-  if (prepared_.friends_with_name.valid()) {
-    return db_.Execute(prepared_.friends_with_name,
-                       {Value(person_id), Value(first_name)});
-  }
   return db_.Execute(kFriendsWithNameSql,
                      {Value(person_id), Value(first_name)});
 }
 
 Result<QueryResult> RelationalSut::DoRepliesOfPost(int64_t post_id) {
-  if (prepared_.replies_of_post.valid()) {
-    return db_.Execute(prepared_.replies_of_post, {Value(post_id)});
-  }
   return db_.Execute(kRepliesOfPostSql, {Value(post_id)});
 }
 
 Result<QueryResult> RelationalSut::DoTopPosters(int64_t limit) {
-  if (prepared_.top_posters.valid()) {
-    return db_.Execute(prepared_.top_posters, {Value(limit)});
-  }
-  return db_.Execute(kTopPostersSqlPrefix + std::to_string(limit));
+  return db_.Execute(kTopPostersSql, {Value(limit)});
 }
 
 Status RelationalSut::DoApply(const snb::UpdateOp& op,
                               bool* /*knows_changed*/) {
   using K = snb::UpdateOp::Kind;
-  // One statement text per update kind; the prepared set covers them all,
-  // so the writer binds only when the plan cache is on.
-  auto run = [this](const Database::PreparedStatement& prepared,
-                    const char* text,
+  auto run = [this](const char* text,
                     const std::vector<Value>& params) -> Status {
-    if (prepared.valid()) return db_.Execute(prepared, params).status();
     return db_.Execute(text, params).status();
   };
   switch (op.kind) {
     case K::kAddPerson: {
       const auto& p = op.person;
-      return run(prepared_.insert_person, kInsertPersonSql,
+      return run(kInsertPersonSql,
                  {Value(p.id), Value(p.first_name), Value(p.last_name),
                   Value(p.gender), Value(p.birthday), Value(p.creation_date),
                   Value(p.browser), Value(p.location_ip), Value(p.city_id)});
     }
     case K::kAddFriendship: {
       const auto& k = op.knows;
-      GB_RETURN_IF_ERROR(run(prepared_.insert_knows, kInsertKnowsSql,
+      GB_RETURN_IF_ERROR(run(kInsertKnowsSql,
                              {Value(k.person1), Value(k.person2),
                               Value(k.creation_date)}));
-      return run(prepared_.insert_knows, kInsertKnowsSql,
+      return run(kInsertKnowsSql,
                  {Value(k.person2), Value(k.person1), Value(k.creation_date)});
     }
     case K::kRemoveFriendship: {
@@ -410,34 +344,34 @@ Status RelationalSut::DoApply(const snb::UpdateOp& op,
     }
     case K::kAddForum: {
       const auto& f = op.forum;
-      return run(prepared_.insert_forum, kInsertForumSql,
+      return run(kInsertForumSql,
                  {Value(f.id), Value(f.title), Value(f.creation_date),
                   Value(f.moderator)});
     }
     case K::kAddForumMember: {
       const auto& m = op.member;
-      return run(prepared_.insert_forum_member, kInsertForumMemberSql,
+      return run(kInsertForumMemberSql,
                  {Value(m.forum), Value(m.person), Value(m.join_date)});
     }
     case K::kAddPost: {
       const auto& p = op.post;
-      return run(prepared_.insert_post, kInsertPostSql,
+      return run(kInsertPostSql,
                  {Value(p.id), Value(p.content), Value(p.creation_date),
                   Value(p.creator), Value(p.forum), Value(p.browser)});
     }
     case K::kAddComment: {
       const auto& c = op.comment;
-      return run(prepared_.insert_comment, kInsertCommentSql,
+      return run(kInsertCommentSql,
                  {Value(c.id), Value(c.content), Value(c.creation_date),
                   Value(c.creator), Value(c.reply_of_post),
                   Value(c.reply_of_comment)});
     }
     case K::kAddLikePost:
-      return run(prepared_.insert_like_post, kInsertLikePostSql,
+      return run(kInsertLikePostSql,
                  {Value(op.like.person), Value(op.like.post),
                   Value(op.like.creation_date)});
     case K::kAddLikeComment:
-      return run(prepared_.insert_like_comment, kInsertLikeCommentSql,
+      return run(kInsertLikeCommentSql,
                  {Value(op.like.person), Value(op.like.comment),
                   Value(op.like.creation_date)});
   }

@@ -10,7 +10,8 @@
 namespace graphbench {
 
 /// SQL-over-RDBMS SUT: Postgres (row storage) or Virtuoso (columnar).
-/// Queries are SQL strings parsed and planned per execution; the knows
+/// Each statement is one constant SQL text with `?` parameters, parsed
+/// and planned per execution unless the plan cache is on; the knows
 /// relation is stored in both directions, the fix the paper contributed to
 /// the LDBC SQL reference implementation (§4.4).
 class RelationalSut : public Sut {
@@ -48,23 +49,7 @@ class RelationalSut : public Sut {
   Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override;
 
  private:
-  /// Prepares the fixed workload statement set (reads with LIMIT ? where
-  /// applicable, plus the eight update INSERTs); called at the end of
-  /// Load when the plan cache is enabled.
-  Status PrepareStatements();
-
   Database db_;
-
-  /// Populated by PrepareStatements; per-call methods bind only.
-  struct PreparedSet {
-    Database::PreparedStatement point_lookup, one_hop, two_hop,
-        shortest_path, recent_posts, friends_with_name, replies_of_post,
-        top_posters;
-    Database::PreparedStatement insert_person, insert_knows, insert_forum,
-        insert_forum_member, insert_post, insert_comment, insert_like_post,
-        insert_like_comment;
-  };
-  PreparedSet prepared_;
 };
 
 }  // namespace graphbench

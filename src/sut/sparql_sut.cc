@@ -1,7 +1,5 @@
 #include "sut/sparql_sut.h"
 
-#include "util/string_util.h"
-
 namespace graphbench {
 
 namespace {
@@ -16,9 +14,10 @@ std::string TagIri(int64_t id) { return "tag:" + std::to_string(id); }
 std::string PlaceIri(int64_t id) { return "place:" + std::to_string(id); }
 std::string OrgIri(int64_t id) { return "org:" + std::to_string(id); }
 
-// Parameterized forms of the workload reads for the prepared path:
-// constants become $name parameters in literal positions (the legacy
-// path keeps inlining them via StringPrintf, the paper's methodology).
+// The fixed read statement set: one text per statement, constants bound
+// as $name parameters in literal positions (LIMIT included), so the
+// engine's plan cache holds one plan per statement and a bound first
+// name needs no quoting.
 constexpr char kPointLookupSparql[] =
     "SELECT ?fn ?ln ?g ?b ?br ?ip WHERE { "
     "?p snb:id $person_id ; rdf:type snb:Person ; snb:firstName ?fn ; "
@@ -207,24 +206,6 @@ Status SparqlSut::DoLoad(const snb::Dataset& data) {
                                          "snb:workAt",
                                          Term::Iri(OrgIri(w.organisation))));
   }
-  return plan_cache_enabled() ? PrepareStatements() : Status::OK();
-}
-
-Status SparqlSut::PrepareStatements() {
-  auto prep = [this](RdfEngine::PreparedStatement* out,
-                     const char* text) -> Status {
-    GB_ASSIGN_OR_RETURN(*out, engine_.Prepare(text));
-    return Status::OK();
-  };
-  GB_RETURN_IF_ERROR(prep(&prepared_.point_lookup, kPointLookupSparql));
-  GB_RETURN_IF_ERROR(prep(&prepared_.one_hop, kOneHopSparql));
-  GB_RETURN_IF_ERROR(prep(&prepared_.two_hop, kTwoHopSparql));
-  GB_RETURN_IF_ERROR(prep(&prepared_.shortest_path, kShortestPathSparql));
-  GB_RETURN_IF_ERROR(prep(&prepared_.recent_posts, kRecentPostsSparql));
-  GB_RETURN_IF_ERROR(
-      prep(&prepared_.friends_with_name, kFriendsWithNameSparql));
-  GB_RETURN_IF_ERROR(prep(&prepared_.replies_of_post, kRepliesOfPostSparql));
-  GB_RETURN_IF_ERROR(prep(&prepared_.top_posters, kTopPostersSparql));
   return Status::OK();
 }
 
@@ -237,112 +218,48 @@ std::string SparqlSut::StatementText(std::string_view kind) const {
 }
 
 Result<QueryResult> SparqlSut::DoPointLookup(int64_t person_id) {
-  if (prepared_.point_lookup.valid()) {
-    return engine_.Execute(prepared_.point_lookup,
-                           {{"person_id", Value(person_id)}});
-  }
-  return engine_.Execute(StringPrintf(
-      "SELECT ?fn ?ln ?g ?b ?br ?ip WHERE { "
-      "?p snb:id %lld ; rdf:type snb:Person ; snb:firstName ?fn ; "
-      "snb:lastName ?ln ; snb:gender ?g ; snb:birthday ?b ; "
-      "snb:browserUsed ?br ; snb:locationIP ?ip }",
-      (long long)person_id));
+  return engine_.Execute(kPointLookupSparql,
+                         {{"person_id", Value(person_id)}});
 }
 
 Result<QueryResult> SparqlSut::DoOneHop(int64_t person_id) {
-  if (prepared_.one_hop.valid()) {
-    return engine_.Execute(prepared_.one_hop,
-                           {{"person_id", Value(person_id)}});
-  }
-  return engine_.Execute(StringPrintf(
-      "SELECT ?fid ?fn ?ln WHERE { "
-      "?p snb:id %lld ; rdf:type snb:Person . ?p snb:knows ?f . "
-      "?f snb:id ?fid ; snb:firstName ?fn ; snb:lastName ?ln }",
-      (long long)person_id));
+  return engine_.Execute(kOneHopSparql, {{"person_id", Value(person_id)}});
 }
 
 Result<QueryResult> SparqlSut::DoTwoHop(int64_t person_id) {
-  if (prepared_.two_hop.valid()) {
-    return engine_.Execute(prepared_.two_hop,
-                           {{"person_id", Value(person_id)}});
-  }
-  return engine_.Execute(StringPrintf(
-      "SELECT DISTINCT ?ffid WHERE { "
-      "?p snb:id %lld ; rdf:type snb:Person . ?p snb:knows ?f . "
-      "?f snb:knows ?ff . FILTER(?ff != ?p) . ?ff snb:id ?ffid }",
-      (long long)person_id));
+  return engine_.Execute(kTwoHopSparql, {{"person_id", Value(person_id)}});
 }
 
 Result<int> SparqlSut::DoShortestPathLen(int64_t from_person,
                                          int64_t to_person) {
-  Result<QueryResult> result =
-      prepared_.shortest_path.valid()
-          ? engine_.Execute(prepared_.shortest_path,
-                            {{"from_id", Value(from_person)},
-                             {"to_id", Value(to_person)}})
-          : engine_.Execute(StringPrintf(
-                "SELECT (shortestPath(?a, ?b, snb:knows) AS ?len) WHERE { "
-                "?a snb:id %lld ; rdf:type snb:Person . "
-                "?b snb:id %lld ; rdf:type snb:Person }",
-                (long long)from_person, (long long)to_person));
-  GB_ASSIGN_OR_RETURN(QueryResult r, std::move(result));
+  GB_ASSIGN_OR_RETURN(QueryResult r,
+                      engine_.Execute(kShortestPathSparql,
+                                      {{"from_id", Value(from_person)},
+                                       {"to_id", Value(to_person)}}));
   if (r.rows.empty()) return Status::Internal("no shortest path row");
   return int(r.rows[0][0].as_int());
 }
 
 Result<QueryResult> SparqlSut::DoRecentPosts(int64_t person_id,
                                              int64_t limit) {
-  if (prepared_.recent_posts.valid()) {
-    return engine_.Execute(
-        prepared_.recent_posts,
-        {{"person_id", Value(person_id)}, {"limit", Value(limit)}});
-  }
-  return engine_.Execute(StringPrintf(
-      "SELECT ?pid ?content ?date WHERE { "
-      "?p snb:id %lld ; rdf:type snb:Person . "
-      "?post snb:hasCreator ?p ; rdf:type snb:Post ; snb:id ?pid ; "
-      "snb:content ?content ; snb:creationDate ?date } "
-      "ORDER BY DESC(?date) LIMIT %lld",
-      (long long)person_id, (long long)limit));
+  return engine_.Execute(
+      kRecentPostsSparql,
+      {{"person_id", Value(person_id)}, {"limit", Value(limit)}});
 }
 
 Result<QueryResult> SparqlSut::DoFriendsWithName(
     int64_t person_id, const std::string& first_name) {
-  if (prepared_.friends_with_name.valid()) {
-    return engine_.Execute(prepared_.friends_with_name,
-                           {{"person_id", Value(person_id)},
-                            {"first_name", Value(first_name)}});
-  }
-  return engine_.Execute(StringPrintf(
-      "SELECT ?fid ?ln WHERE { ?p snb:id %lld ; rdf:type snb:Person . "
-      "?p snb:knows ?f . ?f snb:firstName '%s' ; snb:id ?fid ; "
-      "snb:lastName ?ln } ORDER BY ?fid",
-      (long long)person_id, first_name.c_str()));
+  return engine_.Execute(kFriendsWithNameSparql,
+                         {{"person_id", Value(person_id)},
+                          {"first_name", Value(first_name)}});
 }
 
 Result<QueryResult> SparqlSut::DoRepliesOfPost(int64_t post_id) {
-  if (prepared_.replies_of_post.valid()) {
-    return engine_.Execute(prepared_.replies_of_post,
-                           {{"post_id", Value(post_id)}});
-  }
-  return engine_.Execute(StringPrintf(
-      "SELECT ?cid ?content ?crid WHERE { "
-      "?post snb:id %lld ; rdf:type snb:Post . ?c snb:replyOf ?post . "
-      "?c snb:id ?cid ; snb:content ?content ; snb:creationDate ?date . "
-      "?c snb:hasCreator ?cr . ?cr snb:id ?crid } ORDER BY DESC(?date)",
-      (long long)post_id));
+  return engine_.Execute(kRepliesOfPostSparql, {{"post_id", Value(post_id)}});
 }
 
 Result<QueryResult> SparqlSut::DoTopPosters(int64_t limit) {
-  if (prepared_.top_posters.valid()) {
-    return engine_.Execute(prepared_.top_posters,
-                           {{"limit", Value(limit)}});
-  }
-  return engine_.Execute(StringPrintf(
-      "SELECT ?pid (COUNT(?post) AS ?n) WHERE { "
-      "?post rdf:type snb:Post . ?post snb:hasCreator ?cr . "
-      "?cr snb:id ?pid } GROUP BY ?pid ORDER BY DESC(?n) ?pid LIMIT %lld",
-      (long long)limit));
+  return engine_.Execute(kTopPostersSparql, {{"limit", Value(limit)}});
 }
 
 Status SparqlSut::DoApply(const snb::UpdateOp& op, bool* /*knows_changed*/) {

@@ -13,10 +13,10 @@ namespace graphbench {
 /// triples (edge properties are dropped — plain RDF has no edge
 /// attributes without reification; none of the benchmark queries read
 /// them). The knows relation is asserted in both directions, matching the
-/// bi-directional-edge fix (§4.4). By default queries are SPARQL strings
-/// with constants inlined, translated per execution; with the plan cache
-/// enabled the workload set is prepared once with $name parameters and
-/// per-call methods bind only (DESIGN.md §8).
+/// bi-directional-edge fix (§4.4). Each read is one constant SPARQL text
+/// with $name parameters in literal positions (LIMIT $limit included),
+/// translated per execution by default; with the plan cache enabled the
+/// engine looks the parsed query up by text and binds only (DESIGN.md §8).
 class SparqlSut : public Sut {
  public:
   explicit SparqlSut(int num_indexes = 4)
@@ -48,12 +48,6 @@ class SparqlSut : public Sut {
   Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override;
 
  private:
-  /// Prepares the fixed read statement set ($name parameters in literal
-  /// positions, LIMIT $limit); called at the end of Load when the plan
-  /// cache is enabled. Updates go through the triple API — nothing to
-  /// prepare.
-  Status PrepareStatements();
-
   // Triple helpers for the SNB mapping.
   Status AddPersonTriples(const snb::Person& p);
   Status AddKnowsTriples(const snb::Knows& k);
@@ -65,14 +59,6 @@ class SparqlSut : public Sut {
   Status RemoveKnowsTriples(const snb::Knows& k);
 
   RdfEngine engine_;
-
-  /// Populated by PrepareStatements; per-call methods bind only.
-  struct PreparedSet {
-    RdfEngine::PreparedStatement point_lookup, one_hop, two_hop,
-        shortest_path, recent_posts, friends_with_name, replies_of_post,
-        top_posters;
-  };
-  PreparedSet prepared_;
 };
 
 }  // namespace graphbench

@@ -107,11 +107,11 @@ class Sut {
   /// Resident database size (Table 1's per-system column).
   virtual uint64_t SizeBytes() const = 0;
 
-  // --- Statement lifecycle (Prepare/Bind/Execute, DESIGN.md §8) ---------
-  /// Opts the SUT into the prepared-statement path: call before Load, and
-  /// the fixed workload statement set is prepared once at Load time with
-  /// per-call methods binding parameters only. Off by default — every
-  /// query parses per call, the paper's methodology.
+  // --- Statement lifecycle (plan cache, DESIGN.md §8) -------------------
+  /// Opts the SUT into its engine's plan cache: call before Load, and each
+  /// statement's one text is parsed on its first call, later calls binding
+  /// parameters only. Off by default — every query parses per call, the
+  /// paper's methodology.
   void EnablePlanCache() { plan_cache_ = true; }
   bool plan_cache_enabled() const { return plan_cache_; }
   /// Aggregated plan-cache traffic for this SUT's engine cache(s); zeros
@@ -167,7 +167,7 @@ class Sut {
   Status LoadUnbatched(const snb::Dataset& data);
 
   /// Loads the snapshot; `plan_cache_enabled()` says whether to turn on
-  /// the engine's plan cache and prepare the workload statements.
+  /// the engine's plan cache.
   virtual Status DoLoad(const snb::Dataset& data) = 0;
   virtual Result<QueryResult> DoPointLookup(int64_t person_id) = 0;
   virtual Result<QueryResult> DoOneHop(int64_t person_id) = 0;
@@ -201,7 +201,7 @@ class Sut {
 /// struct instead of a growing ladder of bool parameters: call sites name
 /// what they set, and new knobs don't multiply overloads.
 struct SutOptions {
-  /// Prepared-statement/plan-cache path (the --plan_cache flag).
+  /// Engine plan caches keyed by statement text (the --plan_cache flag).
   bool plan_cache = false;
   /// Shared landmark shortest-path index (the --landmarks flag).
   bool landmarks = false;

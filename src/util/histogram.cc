@@ -27,32 +27,25 @@ Histogram& Histogram::operator=(Histogram&& other) noexcept {
   return *this;
 }
 
-// Buckets: 64 linear buckets of width 1 up to 64us, then each group of 16
-// buckets doubles the width. Gives <7% relative error at high latencies.
+// Bucket layout: values below 2^kLinearBits map to themselves. Above,
+// the doubling [2^e, 2^(e+1)) splits into 2^kSubBits buckets of width
+// 2^(e-kSubBits), so a bucket's width is at most 1/16 of its lower bound.
 size_t Histogram::BucketFor(uint64_t v) {
-  if (v < 64) return size_t(v);
-  size_t b = 64;
-  uint64_t base = 64, width = 4;
-  while (b + 16 < kNumBuckets) {
-    if (v < base + width * 16) return b + size_t((v - base) / width);
-    base += width * 16;
-    width *= 2;
-    b += 16;
-  }
-  return kNumBuckets - 1;
+  constexpr uint64_t kLinear = uint64_t(1) << kLinearBits;
+  if (v < kLinear) return size_t(v);
+  const int e = 63 - __builtin_clzll(v);
+  if (e >= kMaxBits) return kNumBuckets - 1;
+  const uint64_t sub = (v >> (e - kSubBits)) - (uint64_t(1) << kSubBits);
+  return size_t(kLinear + (uint64_t(e - kLinearBits) << kSubBits) + sub);
 }
 
-uint64_t Histogram::BucketUpper(size_t target) {
-  if (target < 64) return target + 1;
-  size_t b = 64;
-  uint64_t base = 64, width = 4;
-  while (b + 16 < kNumBuckets) {
-    if (target < b + 16) return base + width * (target - b + 1);
-    base += width * 16;
-    width *= 2;
-    b += 16;
-  }
-  return base;
+uint64_t Histogram::BucketUpper(size_t b) {
+  constexpr size_t kLinear = size_t(1) << kLinearBits;
+  if (b < kLinear) return b + 1;
+  if (b >= kNumBuckets - 1) return ~uint64_t(0);
+  const int e = kLinearBits + int((b - kLinear) >> kSubBits);
+  const uint64_t sub = (b - kLinear) & ((size_t(1) << kSubBits) - 1);
+  return (uint64_t(1) << e) + ((sub + 1) << (e - kSubBits));
 }
 
 void Histogram::Add(uint64_t micros) {
@@ -97,8 +90,7 @@ double Histogram::Percentile(double p) const {
   for (size_t b = 0; b < kNumBuckets; ++b) {
     seen += buckets_[b];
     if (seen >= threshold) {
-      uint64_t upper = BucketUpper(b);
-      return std::min<double>(double(upper), double(max_));
+      return double(std::min(BucketUpper(b) - 1, max_));
     }
   }
   return double(max_);

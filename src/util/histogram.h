@@ -8,8 +8,11 @@
 
 namespace graphbench {
 
-/// Log-bucketed latency histogram (RocksDB-style). Records values in
-/// microseconds; reports count/mean/percentiles. Add() is thread-safe.
+/// Log-bucketed latency histogram (HdrHistogram-style). Records values in
+/// microseconds; reports count/mean/percentiles. Values below 64 us are
+/// exact; above, each doubling splits into 16 buckets out to 2^36 us
+/// (~19 hours), so a percentile is within 1/16 of the true sample.
+/// Add() is thread-safe.
 class Histogram {
  public:
   Histogram();
@@ -28,16 +31,23 @@ class Histogram {
   uint64_t min() const { return count_ == 0 ? 0 : min_; }
   uint64_t max() const { return max_; }
 
-  /// p in (0, 100]; interpolates within the containing bucket.
+  /// p in (0, 100]: the nearest-rank sample's bucket, reported as the
+  /// largest value that bucket holds, clamped to max().
   double Percentile(double p) const;
 
   /// One-line summary: "cnt=... mean=...us p50=... p95=... p99=... max=...".
   std::string ToString() const;
 
  private:
-  static constexpr size_t kNumBuckets = 256;
-  // Bucket upper bounds grow ~exponentially; index via BucketFor().
+  static constexpr int kLinearBits = 6;  // values < 64 get one bucket each
+  static constexpr int kSubBits = 4;     // 16 buckets per doubling
+  static constexpr int kMaxBits = 36;    // log buckets cover [64, 2^36)
+  // Linear range, the log range, and one overflow bucket.
+  static constexpr size_t kNumBuckets =
+      (size_t(1) << kLinearBits) +
+      (size_t(kMaxBits - kLinearBits) << kSubBits) + 1;
   static size_t BucketFor(uint64_t v);
+  // Exclusive upper bound of bucket `b`.
   static uint64_t BucketUpper(size_t b);
 
   mutable std::mutex mu_;

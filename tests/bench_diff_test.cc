@@ -93,6 +93,27 @@ TEST(BenchDiffTest, ComparesHistogramLatencyFieldsOnly) {
   EXPECT_TRUE(saw_p99);
 }
 
+TEST(BenchDiffTest, SkipsKeysOnlyTheAfterReportHas) {
+  // A newer report may add metrics (e.g. read_error_latency) that a
+  // checked-in baseline lacks; those are not compared, not regressions.
+  Json before_systems = Json::Array();
+  before_systems.Append(SystemEntry("neo4j", 10.0, 5000));
+  Json after_entry = SystemEntry("neo4j", 10.0, 5000);
+  Json errors = Json::Object();
+  errors.Set("p99_us", Json::Number(1e9));
+  after_entry.Set("read_error_latency", std::move(errors));
+  Json after_systems = Json::Array();
+  after_systems.Append(std::move(after_entry));
+
+  auto diff = DiffReports(Report("t2", std::move(before_systems)),
+                          Report("t2", std::move(after_systems)), 15.0);
+  ASSERT_TRUE(diff.ok());
+  EXPECT_FALSE(diff->HasRegression());
+  for (const auto& d : diff->deltas) {
+    EXPECT_EQ(d.metric.find("read_error_latency"), std::string::npos);
+  }
+}
+
 Json ThroughputEntry(const char* name, double reads_per_second,
                      double writes_per_second) {
   Json entry = Json::Object();

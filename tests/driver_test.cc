@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "snb/datagen.h"
 #include "snb/update_codec.h"
 #include "sut/sut.h"
@@ -170,6 +172,65 @@ TEST(DriverTest, RunsMixAgainstRelationalSut) {
   uint64_t timeline_total = 0;
   for (uint64_t n : metrics->read_timeline) timeline_total += n;
   EXPECT_EQ(timeline_total, metrics->reads_completed);
+}
+
+/// Every other read fails with a fast Busy rejection; writes succeed.
+class HalfFailingReadsSut : public Sut {
+ public:
+  HalfFailingReadsSut() : Sut(SutKind::kMatrix) {}
+  uint64_t SizeBytes() const override { return 0; }
+
+ protected:
+  Status DoLoad(const snb::Dataset&) override { return Status::OK(); }
+  Result<QueryResult> DoPointLookup(int64_t) override { return Answer(); }
+  Result<QueryResult> DoOneHop(int64_t) override { return Answer(); }
+  Result<QueryResult> DoTwoHop(int64_t) override { return Answer(); }
+  Result<int> DoShortestPathLen(int64_t, int64_t) override { return 0; }
+  Result<QueryResult> DoRecentPosts(int64_t, int64_t) override {
+    return Answer();
+  }
+  Result<QueryResult> DoFriendsWithName(int64_t,
+                                        const std::string&) override {
+    return Answer();
+  }
+  Result<QueryResult> DoRepliesOfPost(int64_t) override { return Answer(); }
+  Result<QueryResult> DoTopPosters(int64_t) override { return Answer(); }
+  Status DoApply(const snb::UpdateOp&, bool*) override { return Status::OK(); }
+
+ private:
+  Result<QueryResult> Answer() {
+    if (calls_.fetch_add(1) % 2 == 0) return Status::Busy("fake rejection");
+    return QueryResult{};
+  }
+  std::atomic<uint64_t> calls_{0};
+};
+
+TEST(DriverTest, LatencyHistogramsCountSuccessesOnly) {
+  snb::Dataset data = snb::Generate(SmallOptions());
+  HalfFailingReadsSut sut;
+  ASSERT_TRUE(sut.Load(data).ok());
+
+  mq::Broker broker;
+  ASSERT_TRUE(
+      InteractiveDriver::ProduceUpdates(&broker, "updates", data).ok());
+
+  DriverOptions options;
+  options.num_readers = 2;
+  options.run_millis = 100;
+  InteractiveDriver driver(&sut, &broker, options);
+  snb::ParamPools params(data, 5);
+  auto metrics = driver.Run("updates", &params);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+
+  EXPECT_GT(metrics->reads_completed, 0u);
+  EXPECT_GT(metrics->read_errors, 0u);
+  EXPECT_EQ(metrics->read_latency_micros.count(), metrics->reads_completed);
+  EXPECT_EQ(metrics->read_error_latency_micros.count(),
+            metrics->read_errors);
+  EXPECT_EQ(metrics->write_errors, 0u);
+  EXPECT_EQ(metrics->write_latency_micros.count(),
+            metrics->writes_completed);
+  EXPECT_EQ(metrics->write_error_latency_micros.count(), 0u);
 }
 
 TEST(DriverTest, PacedReplayHoldsThePresetRate) {

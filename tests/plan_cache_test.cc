@@ -1,8 +1,9 @@
-// Tests for the text-keyed LRU plan cache and the Prepare/Bind/Execute
+// Tests for the text-keyed LRU plan cache and the Execute(text, params)
 // lifecycle it backs: eviction order, hit/miss accounting, plan lifetime
-// across eviction, and — per engine — equivalence between the prepared
-// path and the parse-per-call path, plus concurrent Prepare/Execute from
-// reader threads (exercised under the sanitizer CI configuration).
+// across eviction, and — per engine — row-for-row equivalence between a
+// cache-on and a cache-off engine, parse errors that never enter the
+// cache, plus concurrent Execute from reader threads under eviction churn
+// (exercised under the sanitizer CI configuration).
 
 #include "lang/plan_cache.h"
 
@@ -141,9 +142,9 @@ TEST(PlanCacheTest, ConcurrentLookupInsertChurn) {
 }
 
 // ---------------------------------------------------------------------
-// Engine-level lifecycle: the prepared path must return exactly what the
-// parse-per-call path returns, and the string path must start hitting the
-// cache once it is enabled.
+// Engine-level lifecycle: a cache-on engine must return exactly what a
+// cache-off engine returns, a text that fails to parse must never enter
+// the cache, and Execute must start hitting the cache once it is enabled.
 
 std::multiset<int64_t> IntColumn(const QueryResult& r, size_t col) {
   std::multiset<int64_t> out;
@@ -151,67 +152,79 @@ std::multiset<int64_t> IntColumn(const QueryResult& r, size_t col) {
   return out;
 }
 
-class SqlPrepareTest : public ::testing::Test {
+void ExpectSameRows(const QueryResult& a, const QueryResult& b) {
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (size_t r = 0; r < a.rows.size(); ++r) {
+    EXPECT_TRUE(RowEq()(a.rows[r], b.rows[r])) << "row " << r;
+  }
+}
+
+class SqlPlanCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_ = std::make_unique<Database>(StorageMode::kRow);
-    ASSERT_TRUE(db_->CreateTable(TableSchema(
+    db_ = MakePopulated(/*plan_cache=*/false);
+    cached_db_ = MakePopulated(/*plan_cache=*/true);
+  }
+
+  static std::unique_ptr<Database> MakePopulated(bool plan_cache) {
+    auto db = std::make_unique<Database>(StorageMode::kRow);
+    if (plan_cache) db->EnablePlanCache(8);
+    EXPECT_TRUE(db->CreateTable(TableSchema(
                        "person", {{"id", Value::Type::kInt},
                                   {"firstName", Value::Type::kString},
                                   {"lastName", Value::Type::kString}}))
                     .ok());
-    ASSERT_TRUE(db_->CreateTable(TableSchema(
+    EXPECT_TRUE(db->CreateTable(TableSchema(
                        "knows", {{"person1Id", Value::Type::kInt},
                                  {"person2Id", Value::Type::kInt}}))
                     .ok());
-    ASSERT_TRUE(db_->CreateIndex("person", "id", true).ok());
-    ASSERT_TRUE(db_->CreateIndex("knows", "person1Id", false).ok());
+    EXPECT_TRUE(db->CreateIndex("person", "id", true).ok());
+    EXPECT_TRUE(db->CreateIndex("knows", "person1Id", false).ok());
     const char* names[][2] = {{"Ada", "L"}, {"Bob", "M"}, {"Cy", "N"},
                               {"Dee", "O"}, {"Eve", "P"}};
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(db_->Execute("INSERT INTO person (id, firstName, lastName)"
-                               " VALUES (?, ?, ?)",
-                               {Value(i + 1), Value(names[i][0]),
-                                Value(names[i][1])})
+      EXPECT_TRUE(db->Execute("INSERT INTO person (id, firstName, lastName)"
+                              " VALUES (?, ?, ?)",
+                              {Value(i + 1), Value(names[i][0]),
+                               Value(names[i][1])})
                       .ok());
     }
     for (auto [a, b] : std::vector<std::pair<int, int>>{
              {1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 3}}) {
-      ASSERT_TRUE(db_->Execute("INSERT INTO knows (person1Id, person2Id)"
-                               " VALUES (?, ?)",
-                               {Value(a), Value(b)})
+      EXPECT_TRUE(db->Execute("INSERT INTO knows (person1Id, person2Id)"
+                              " VALUES (?, ?)",
+                              {Value(a), Value(b)})
                       .ok());
     }
+    return db;
   }
 
-  std::unique_ptr<Database> db_;
+  std::unique_ptr<Database> db_;         // parse per call
+  std::unique_ptr<Database> cached_db_;  // same rows, plan cache on
 };
 
-TEST_F(SqlPrepareTest, PreparedMatchesStringExecution) {
-  const char* kLookup =
-      "SELECT firstName, lastName FROM person WHERE id = ?";
-  const char* kOneHop = "SELECT person2Id FROM knows WHERE person1Id = ?";
-  auto lookup = db_->Prepare(kLookup);
-  ASSERT_TRUE(lookup.ok()) << lookup.status().ToString();
-  auto one_hop = db_->Prepare(kOneHop);
-  ASSERT_TRUE(one_hop.ok()) << one_hop.status().ToString();
+TEST_F(SqlPlanCacheTest, CacheOnMatchesCacheOffRowForRow) {
+  const std::vector<std::string> texts = {
+      "SELECT firstName, lastName FROM person WHERE id = ?",
+      "SELECT person2Id FROM knows WHERE person1Id = ? ORDER BY person2Id",
+      "SELECT id FROM person WHERE id <> ? ORDER BY id LIMIT ?",
+  };
   for (int id = 1; id <= 5; ++id) {
-    auto prepared = db_->Execute(*lookup, {Value(id)});
-    auto parsed = db_->Execute(kLookup, {Value(id)});
-    ASSERT_TRUE(prepared.ok() && parsed.ok());
-    ASSERT_EQ(prepared->rows.size(), parsed->rows.size());
-    for (size_t r = 0; r < prepared->rows.size(); ++r) {
-      EXPECT_EQ(prepared->rows[r][0].as_string(),
-                parsed->rows[r][0].as_string());
+    for (const std::string& text : texts) {
+      std::vector<Value> params = {Value(id)};
+      if (text.find("LIMIT ?") != std::string::npos) params.push_back(Value(2));
+      auto parsed = db_->Execute(text, params);
+      auto cached = cached_db_->Execute(text, params);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+      SCOPED_TRACE(text + " id " + std::to_string(id));
+      ExpectSameRows(*cached, *parsed);
     }
-    auto hop_prepared = db_->Execute(*one_hop, {Value(id)});
-    auto hop_parsed = db_->Execute(kOneHop, {Value(id)});
-    ASSERT_TRUE(hop_prepared.ok() && hop_parsed.ok());
-    EXPECT_EQ(IntColumn(*hop_prepared, 0), IntColumn(*hop_parsed, 0));
   }
+  EXPECT_GT(cached_db_->plan_cache_stats().hits, 0u);
 }
 
-TEST_F(SqlPrepareTest, StringExecuteRidesTheCacheOnceEnabled) {
+TEST_F(SqlPlanCacheTest, StringExecuteRidesTheCacheOnceEnabled) {
   db_->EnablePlanCache(8);
   const char* kLookup = "SELECT firstName FROM person WHERE id = ?";
   ASSERT_TRUE(db_->Execute(kLookup, {Value(1)}).ok());  // parses + caches
@@ -221,17 +234,21 @@ TEST_F(SqlPrepareTest, StringExecuteRidesTheCacheOnceEnabled) {
   EXPECT_GE(stats.hits, 1u);
 }
 
-TEST_F(SqlPrepareTest, PrepareErrorsSurfaceNotCrash) {
-  auto bad = db_->Prepare("SELECT FROM WHERE");
-  EXPECT_FALSE(bad.ok());
-  Database::PreparedStatement unprepared;
-  EXPECT_FALSE(unprepared.valid());
+TEST_F(SqlPlanCacheTest, ParseErrorIsReturnedAndNeverCached) {
+  lang::PlanCacheStats before = cached_db_->plan_cache_stats();
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_FALSE(cached_db_->Execute("SELECT FROM WHERE").ok());
+  }
+  lang::PlanCacheStats after = cached_db_->plan_cache_stats();
+  EXPECT_EQ(after.size, before.size);
+  EXPECT_EQ(after.misses, before.misses + 2);  // re-parsed, never a hit
+  EXPECT_EQ(after.hits, before.hits);
 }
 
-TEST_F(SqlPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
-  // Capacity below the statement-shape count keeps the cache evicting
-  // while reader threads execute both prepared and string statements —
-  // the exact sharing pattern the driver's reader pool produces.
+TEST_F(SqlPlanCacheTest, ConcurrentExecuteUnderEvictionChurn) {
+  // Capacity below the statement-text count keeps the cache evicting
+  // while reader threads execute the texts — the exact sharing pattern
+  // the driver's reader pool produces. An evicted text re-parses.
   db_->EnablePlanCache(2);
   const std::vector<std::string> texts = {
       "SELECT firstName FROM person WHERE id = ?",
@@ -239,8 +256,6 @@ TEST_F(SqlPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
       "SELECT person2Id FROM knows WHERE person1Id = ?",
       "SELECT id FROM person WHERE id = ?",
   };
-  auto shared = db_->Prepare(texts[0]);
-  ASSERT_TRUE(shared.ok());
   constexpr int kThreads = 4;
   constexpr int kIters = 200;
   std::vector<std::thread> threads;
@@ -248,15 +263,9 @@ TEST_F(SqlPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         int id = (t + i) % 5 + 1;
-        auto r1 = db_->Execute(*shared, {Value(id)});
-        EXPECT_TRUE(r1.ok());
+        EXPECT_TRUE(db_->Execute(texts[0], {Value(id)}).ok());
         const std::string& text = texts[(t + i) % texts.size()];
-        auto r2 = db_->Execute(text, {Value(id)});
-        EXPECT_TRUE(r2.ok());
-        auto p = db_->Prepare(text);
-        EXPECT_TRUE(p.ok());
-        auto r3 = db_->Execute(*p, {Value(id)});
-        EXPECT_TRUE(r3.ok());
+        EXPECT_TRUE(db_->Execute(text, {Value(id)}).ok());
       }
     });
   }
@@ -264,9 +273,10 @@ TEST_F(SqlPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
   lang::PlanCacheStats stats = db_->plan_cache_stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, uint64_t(kThreads) * kIters * 2);
 }
 
-class CypherPrepareTest : public ::testing::Test {
+class CypherPlanCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(graph_.CreateUniqueIndex("Person", "id").ok());
@@ -291,21 +301,31 @@ class CypherPrepareTest : public ::testing::Test {
   CypherEngine engine_{&graph_};
 };
 
-TEST_F(CypherPrepareTest, PreparedMatchesStringExecution) {
-  const char* kOneHop =
-      "MATCH (p:Person {id: $id})-[:KNOWS]-(f) RETURN f.id";
-  auto prepared = engine_.Prepare(kOneHop);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+TEST_F(CypherPlanCacheTest, CacheOnMatchesCacheOffRowForRow) {
+  // A second engine over the same store, with the cache on.
+  CypherEngine cached(&graph_);
+  cached.EnablePlanCache(8);
+  const std::vector<std::string> texts = {
+      "MATCH (p:Person {id: $id})-[:KNOWS]-(f) RETURN f.id",
+      "MATCH (p:Person {id: $id}) RETURN p.firstName",
+      "MATCH (p:Person {id: $id})-[:KNOWS]-(f) RETURN f.id, f.firstName "
+      "ORDER BY f.id LIMIT $limit",
+  };
   for (int id = 1; id <= 5; ++id) {
-    CypherEngine::Params params = {{"id", Value(id)}};
-    auto bound = engine_.Execute(*prepared, params);
-    auto parsed = engine_.Execute(kOneHop, params);
-    ASSERT_TRUE(bound.ok() && parsed.ok());
-    EXPECT_EQ(IntColumn(*bound, 0), IntColumn(*parsed, 0)) << "id " << id;
+    CypherEngine::Params params = {{"id", Value(id)}, {"limit", Value(1)}};
+    for (const std::string& text : texts) {
+      auto parsed = engine_.Execute(text, params);
+      auto bound = cached.Execute(text, params);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      SCOPED_TRACE(text + " id " + std::to_string(id));
+      ExpectSameRows(*bound, *parsed);
+    }
   }
+  EXPECT_GT(cached.plan_cache_stats().hits, 0u);
 }
 
-TEST_F(CypherPrepareTest, StringExecuteRidesTheCacheOnceEnabled) {
+TEST_F(CypherPlanCacheTest, StringExecuteRidesTheCacheOnceEnabled) {
   engine_.EnablePlanCache(8);
   const char* kLookup = "MATCH (p:Person {id: $id}) RETURN p.firstName";
   ASSERT_TRUE(engine_.Execute(kLookup, {{"id", Value(1)}}).ok());
@@ -315,7 +335,18 @@ TEST_F(CypherPrepareTest, StringExecuteRidesTheCacheOnceEnabled) {
   EXPECT_GE(stats.hits, 1u);
 }
 
-TEST_F(CypherPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
+TEST_F(CypherPlanCacheTest, ParseErrorIsReturnedAndNeverCached) {
+  engine_.EnablePlanCache(8);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_FALSE(engine_.Execute("MATCH (p RETURN p.id").ok());
+  }
+  lang::PlanCacheStats stats = engine_.plan_cache_stats();
+  EXPECT_EQ(stats.size, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 0u);
+}
+
+TEST_F(CypherPlanCacheTest, ConcurrentExecuteUnderEvictionChurn) {
   engine_.EnablePlanCache(2);
   const std::vector<std::string> texts = {
       "MATCH (p:Person {id: $id}) RETURN p.firstName",
@@ -323,8 +354,6 @@ TEST_F(CypherPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
       "MATCH (p:Person {id: $id})-[:KNOWS]-(f) RETURN f.id",
       "MATCH (p:Person {id: $id})-[:KNOWS]-(f) RETURN f.firstName",
   };
-  auto shared = engine_.Prepare(texts[2]);
-  ASSERT_TRUE(shared.ok());
   constexpr int kThreads = 4;
   constexpr int kIters = 200;
   std::vector<std::thread> threads;
@@ -332,12 +361,9 @@ TEST_F(CypherPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         CypherEngine::Params params = {{"id", Value((t + i) % 5 + 1)}};
-        EXPECT_TRUE(engine_.Execute(*shared, params).ok());
+        EXPECT_TRUE(engine_.Execute(texts[2], params).ok());
         const std::string& text = texts[(t + i) % texts.size()];
         EXPECT_TRUE(engine_.Execute(text, params).ok());
-        auto p = engine_.Prepare(text);
-        EXPECT_TRUE(p.ok());
-        EXPECT_TRUE(engine_.Execute(*p, params).ok());
       }
     });
   }
@@ -345,9 +371,10 @@ TEST_F(CypherPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
   lang::PlanCacheStats stats = engine_.plan_cache_stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, uint64_t(kThreads) * kIters * 2);
 }
 
-class SparqlPrepareTest : public ::testing::Test {
+class SparqlPlanCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const char* names[] = {"Ada", "Bob", "Cy", "Dee", "Eve"};
@@ -379,15 +406,14 @@ class SparqlPrepareTest : public ::testing::Test {
   RdfEngine engine_;
 };
 
-TEST_F(SparqlPrepareTest, PreparedWithNamedParamsMatchesInlinedConstants) {
-  // The prepared form carries a $person_id placeholder where the
-  // parse-per-call form inlines the constant, as SPARQL clients do.
-  auto prepared = engine_.Prepare(
+TEST_F(SparqlPlanCacheTest, NamedParamsMatchInlinedConstants) {
+  // The parameterized text carries a $person_id placeholder where the
+  // pasted-in text inlines the constant; both resolve to the same terms.
+  const char* kParameterized =
       "SELECT ?fid WHERE { ?p snb:id $person_id . ?p snb:knows ?f . "
-      "?f snb:id ?fid }");
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      "?f snb:id ?fid }";
   for (int id = 1; id <= 5; ++id) {
-    auto bound = engine_.Execute(*prepared, {{"person_id", Value(id)}});
+    auto bound = engine_.Execute(kParameterized, {{"person_id", Value(id)}});
     auto parsed = engine_.Execute(
         "SELECT ?fid WHERE { ?p snb:id " + std::to_string(id) +
         " . ?p snb:knows ?f . ?f snb:id ?fid }");
@@ -397,7 +423,7 @@ TEST_F(SparqlPrepareTest, PreparedWithNamedParamsMatchesInlinedConstants) {
   }
 }
 
-TEST_F(SparqlPrepareTest, StringExecuteRidesTheCacheOnceEnabled) {
+TEST_F(SparqlPlanCacheTest, StringExecuteRidesTheCacheOnceEnabled) {
   engine_.EnablePlanCache(8);
   const char* kLookup =
       "SELECT ?fn WHERE { ?p snb:id 3 . ?p snb:firstName ?fn }";
@@ -408,7 +434,18 @@ TEST_F(SparqlPrepareTest, StringExecuteRidesTheCacheOnceEnabled) {
   EXPECT_GE(stats.hits, 1u);
 }
 
-TEST_F(SparqlPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
+TEST_F(SparqlPlanCacheTest, ParseErrorIsReturnedAndNeverCached) {
+  engine_.EnablePlanCache(8);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_FALSE(engine_.Execute("SELECT WHERE { ?a ?b ?c }").ok());
+  }
+  lang::PlanCacheStats stats = engine_.plan_cache_stats();
+  EXPECT_EQ(stats.size, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 0u);
+}
+
+TEST_F(SparqlPlanCacheTest, ConcurrentExecuteUnderEvictionChurn) {
   engine_.EnablePlanCache(2);
   const std::vector<std::string> texts = {
       "SELECT ?fn WHERE { ?p snb:id $person_id . ?p snb:firstName ?fn }",
@@ -416,8 +453,6 @@ TEST_F(SparqlPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
       "?f snb:id ?fid }",
       "SELECT ?p WHERE { ?p snb:id $person_id }",
   };
-  auto shared = engine_.Prepare(texts[0]);
-  ASSERT_TRUE(shared.ok());
   constexpr int kThreads = 4;
   constexpr int kIters = 200;
   std::vector<std::thread> threads;
@@ -425,11 +460,9 @@ TEST_F(SparqlPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         RdfEngine::Params params = {{"person_id", Value((t + i) % 5 + 1)}};
-        EXPECT_TRUE(engine_.Execute(*shared, params).ok());
+        EXPECT_TRUE(engine_.Execute(texts[0], params).ok());
         const std::string& text = texts[(t + i) % texts.size()];
-        auto p = engine_.Prepare(text);
-        EXPECT_TRUE(p.ok());
-        EXPECT_TRUE(engine_.Execute(*p, params).ok());
+        EXPECT_TRUE(engine_.Execute(text, params).ok());
       }
     });
   }
@@ -437,6 +470,7 @@ TEST_F(SparqlPrepareTest, ConcurrentPrepareExecuteUnderEvictionChurn) {
   lang::PlanCacheStats stats = engine_.plan_cache_stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, uint64_t(kThreads) * kIters * 2);
 }
 
 }  // namespace

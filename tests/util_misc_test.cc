@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <random>
+#include <vector>
 
 #include "util/histogram.h"
 #include "util/string_util.h"
@@ -39,6 +43,43 @@ TEST(HistogramTest, LargeValuesLandInTailBuckets) {
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.max(), 5'000'000u);
   EXPECT_GT(h.Percentile(50), 0.0);
+}
+
+TEST(HistogramTest, PercentilesMatchSortedOracleOutToMinutes) {
+  // Log-uniform samples from 1 us to 10 minutes: far past the old
+  // 131,072 us ceiling where every tail percentile used to clip.
+  constexpr double kMaxMicros = 600e6;
+  std::mt19937_64 rng(42);
+  std::uniform_real_distribution<double> log_us(0.0, std::log(kMaxMicros));
+  Histogram h;
+  std::vector<uint64_t> samples;
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t v = uint64_t(std::exp(log_us(rng)));
+    samples.push_back(v);
+    h.Add(v);
+  }
+  h.Add(uint64_t(kMaxMicros));
+  samples.push_back(uint64_t(kMaxMicros));
+  std::sort(samples.begin(), samples.end());
+  for (double p : {50.0, 95.0, 99.0, 100.0}) {
+    // Nearest rank, rounded the way Percentile() rounds.
+    size_t rank = std::max<size_t>(
+        1, size_t(double(samples.size()) * p / 100.0 + 0.5));
+    double truth = double(samples[rank - 1]);
+    double got = h.Percentile(p);
+    EXPECT_LE(std::abs(got - truth), truth / 16.0)
+        << "p" << p << " got " << got << " truth " << truth;
+    EXPECT_LE(got, double(h.max())) << "p" << p;
+  }
+  EXPECT_EQ(h.Percentile(100), kMaxMicros);
+}
+
+TEST(HistogramTest, SmallValuesAreExact) {
+  Histogram h;
+  for (uint64_t v : {1, 2, 3, 63}) h.Add(v);
+  EXPECT_EQ(h.Percentile(25), 1.0);
+  EXPECT_EQ(h.Percentile(50), 2.0);
+  EXPECT_EQ(h.Percentile(100), 63.0);
 }
 
 TEST(StringUtilTest, SplitJoinTrim) {
