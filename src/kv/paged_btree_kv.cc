@@ -12,14 +12,9 @@ using storage::GetU32;
 using storage::GetU64;
 using storage::kPageDataSize;
 using storage::PageRef;
-using storage::PutU16;
-using storage::PutU32;
-using storage::PutU64;
-using storage::ReadBytes;
-using storage::ReadU16;
-using storage::ReadU32;
-using storage::ReadU64;
-using storage::ReadU8;
+using storage::StoreU16;
+using storage::StoreU32;
+using storage::StoreU64;
 
 namespace {
 
@@ -33,121 +28,207 @@ constexpr uint64_t kMetaPage = 1;
 // ApproximateSizeBytes is comparable across the backends.
 constexpr uint64_t kEntryOverhead = 32;
 
-}  // namespace
+// A node is one slotted page (the pager's client data area):
+//   [0]  u8  type: kLeafNode or kInteriorNode
+//   [1]  u8  reserved
+//   [2]  u16 slot count
+//   [4]  u16 record-area start: records fill [start, kPageDataSize)
+//   [6]  u16 reserved
+//   [8]  u64 next leaf (leaf) / leftmost child (interior)
+//   [16] u16 slots[count]: record offsets, in key order
+// Records are packed from the page end backward, each
+//   [flags u8][klen u16][vlen u32][key][value].
+// A leaf record's value is the inline value, or [first page u64][length
+// u64] of an overflow chain; an interior record's is its child page id
+// (u64). A Put that fits appends one record and inserts (or repoints) one
+// slot; a tombstone flips the flag byte. Bytes of replaced records, and
+// the values of tombstoned ones, are reclaimed when the node is next
+// compacted or split.
+constexpr size_t kNodeHeader = 16;
+constexpr size_t kSlotBytes = 2;
+constexpr size_t kRecordHeader = 7;
+constexpr size_t kOverflowRef = 16;
+// A full node is compacted in place when that leaves at least a quarter
+// page free for later Puts; otherwise it splits (which compacts both
+// halves). The slack keeps a nearly full node from compacting on every
+// Put.
+constexpr size_t kCompactLimit = kPageDataSize - kPageDataSize / 4;
 
-struct PagedBTreeKv::NodeView {
-  struct Entry {
-    std::string key;
-    std::string value;  // inline leaf value
-    uint64_t child = 0;  // interior child page
-    uint64_t ov_page = 0;
-    uint64_t ov_len = 0;
-    bool tombstone = false;
-    bool overflow = false;
-  };
+struct Record {
+  uint8_t flags = 0;
+  std::string_view key;
+  std::string_view value;
 
-  uint8_t type = kLeafNode;
-  uint64_t next_leaf = 0;
-  uint64_t leftmost_child = 0;
-  std::vector<Entry> entries;
+  bool tombstone() const { return flags & kFlagTombstone; }
+  bool overflow() const { return flags & kFlagOverflow; }
+  size_t size() const { return kRecordHeader + key.size() + value.size(); }
+  // An interior record's child page id; page 0, which no node is, when
+  // the record is corrupt.
+  uint64_t child() const {
+    return value.size() == 8 ? GetU64(value.data()) : 0;
+  }
+  // The stored value's length, overflow chains included.
+  uint64_t value_length() const {
+    return overflow() && value.size() == kOverflowRef
+               ? GetU64(value.data() + 8)
+               : value.size();
+  }
+};
 
-  size_t SerializedSize() const {
-    size_t size = 12;
-    for (const Entry& e : entries) {
-      if (type == kLeafNode) {
-        size += 1 + 2 + e.key.size();
-        size += e.overflow ? 16 : 4 + e.value.size();
-      } else {
-        size += 2 + e.key.size() + 8;
-      }
-    }
-    return size;
+// Read-only view of a node page. Check() the header before anything else.
+// The record accessors clamp every offset and length to the page, so even
+// a corrupt slot never reads outside it.
+class Node {
+ public:
+  explicit Node(const char* page) : p_(page) {}
+
+  uint8_t type() const { return uint8_t(p_[0]); }
+  bool leaf() const { return type() == kLeafNode; }
+  size_t count() const { return GetU16(p_ + 2); }
+  size_t records_start() const { return GetU16(p_ + 4); }
+  uint64_t link() const { return GetU64(p_ + 8); }
+  size_t slot(size_t i) const {
+    return GetU16(p_ + kNodeHeader + kSlotBytes * i);
+  }
+  size_t free_bytes() const {
+    return records_start() - kNodeHeader - kSlotBytes * count();
   }
 
-  void Serialize(char* out) const {
-    std::string buf;
-    buf.reserve(SerializedSize());
-    buf.push_back(char(type));
-    buf.push_back(0);
-    PutU16(&buf, uint16_t(entries.size()));
-    PutU64(&buf, type == kLeafNode ? next_leaf : leftmost_child);
-    for (const Entry& e : entries) {
-      if (type == kLeafNode) {
-        uint8_t flags = (e.tombstone ? kFlagTombstone : 0) |
-                        (e.overflow ? kFlagOverflow : 0);
-        buf.push_back(char(flags));
-        PutU16(&buf, uint16_t(e.key.size()));
-        buf.append(e.key);
-        if (e.overflow) {
-          PutU64(&buf, e.ov_page);
-          PutU64(&buf, e.ov_len);
-        } else {
-          PutU32(&buf, uint32_t(e.value.size()));
-          buf.append(e.value);
-        }
-      } else {
-        PutU16(&buf, uint16_t(e.key.size()));
-        buf.append(e.key);
-        PutU64(&buf, e.child);
-      }
-    }
-    std::memcpy(out, buf.data(), buf.size());
-    // Zero the slack so unchanged tails never show up in commit deltas.
-    if (buf.size() < kPageDataSize) {
-      std::memset(out + buf.size(), 0, kPageDataSize - buf.size());
-    }
+  // Slot i's record offset, clamped so its header lies inside the page.
+  size_t record_offset(size_t i) const {
+    return std::min(slot(i), kPageDataSize - kRecordHeader);
   }
 
-  Status Deserialize(const char* data) {
-    std::string_view cursor(data, kPageDataSize);
-    uint8_t pad;
-    uint16_t nkeys;
-    uint64_t link;
-    if (!ReadU8(&cursor, &type) || !ReadU8(&cursor, &pad) ||
-        !ReadU16(&cursor, &nkeys) || !ReadU64(&cursor, &link) ||
-        (type != kLeafNode && type != kInteriorNode)) {
+  Record At(size_t i) const {
+    const char* r = p_ + record_offset(i);
+    size_t room = size_t(p_ + kPageDataSize - r) - kRecordHeader;
+    size_t klen = std::min<size_t>(GetU16(r + 1), room);
+    size_t vlen = std::min<size_t>(GetU32(r + 3), room - klen);
+    Record rec;
+    rec.flags = uint8_t(r[0]);
+    rec.key = std::string_view(r + kRecordHeader, klen);
+    rec.value = std::string_view(r + kRecordHeader + klen, vlen);
+    return rec;
+  }
+  std::string_view Key(size_t i) const {
+    const char* r = p_ + record_offset(i);
+    size_t room = size_t(p_ + kPageDataSize - r) - kRecordHeader;
+    return std::string_view(r + kRecordHeader,
+                            std::min<size_t>(GetU16(r + 1), room));
+  }
+
+  // First slot whose key is >= `key` (count() when none is).
+  size_t LowerBound(std::string_view key) const {
+    size_t lo = 0, hi = count();
+    while (lo < hi) {
+      size_t mid = (lo + hi) / 2;
+      if (Key(mid) < key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+  // Separators <= `key`: the child an interior descent takes. Child 0
+  // holds keys < Key(0); child i+1 holds keys >= Key(i).
+  size_t UpperBound(std::string_view key) const {
+    size_t lo = 0, hi = count();
+    while (lo < hi) {
+      size_t mid = (lo + hi) / 2;
+      if (key < Key(mid)) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  }
+  uint64_t Child(size_t idx) const {
+    return idx == 0 ? link() : At(idx - 1).child();
+  }
+
+  Status Check() const {
+    if ((type() != kLeafNode && type() != kInteriorNode) ||
+        records_start() > kPageDataSize ||
+        kNodeHeader + kSlotBytes * count() > records_start()) {
       return Status::Corruption("paged_btree: bad node header");
-    }
-    next_leaf = type == kLeafNode ? link : 0;
-    leftmost_child = type == kInteriorNode ? link : 0;
-    entries.clear();
-    entries.reserve(nkeys);
-    for (uint16_t i = 0; i < nkeys; ++i) {
-      Entry e;
-      uint16_t klen;
-      std::string_view bytes;
-      if (type == kLeafNode) {
-        uint8_t flags;
-        if (!ReadU8(&cursor, &flags) || !ReadU16(&cursor, &klen) ||
-            !ReadBytes(&cursor, klen, &bytes)) {
-          return Status::Corruption("paged_btree: bad leaf entry");
-        }
-        e.key.assign(bytes);
-        e.tombstone = flags & kFlagTombstone;
-        e.overflow = flags & kFlagOverflow;
-        if (e.overflow) {
-          if (!ReadU64(&cursor, &e.ov_page) || !ReadU64(&cursor, &e.ov_len)) {
-            return Status::Corruption("paged_btree: bad overflow ref");
-          }
-        } else {
-          uint32_t vlen;
-          if (!ReadU32(&cursor, &vlen) || !ReadBytes(&cursor, vlen, &bytes)) {
-            return Status::Corruption("paged_btree: bad leaf value");
-          }
-          e.value.assign(bytes);
-        }
-      } else {
-        if (!ReadU16(&cursor, &klen) || !ReadBytes(&cursor, klen, &bytes) ||
-            !ReadU64(&cursor, &e.child)) {
-          return Status::Corruption("paged_btree: bad interior entry");
-        }
-        e.key.assign(bytes);
-      }
-      entries.push_back(std::move(e));
     }
     return Status::OK();
   }
+
+ private:
+  const char* p_;
 };
+
+void WriteRecord(char* at, const Record& rec) {
+  at[0] = char(rec.flags);
+  StoreU16(at + 1, uint16_t(rec.key.size()));
+  StoreU32(at + 3, uint32_t(rec.value.size()));
+  // std::copy, not memcpy: a tombstone's value is an empty view whose
+  // data() may be null.
+  char* out = std::copy(rec.key.begin(), rec.key.end(), at + kRecordHeader);
+  std::copy(rec.value.begin(), rec.value.end(), out);
+}
+
+// Appends `rec` to the record area (the caller checked it fits) and
+// returns its offset.
+uint16_t AppendRecord(char* page, const Record& rec) {
+  size_t off = Node(page).records_start() - rec.size();
+  WriteRecord(page + off, rec);
+  StoreU16(page + 4, uint16_t(off));
+  return uint16_t(off);
+}
+
+void InsertSlot(char* page, size_t pos, uint16_t off) {
+  size_t count = Node(page).count();
+  char* slots = page + kNodeHeader;
+  std::memmove(slots + kSlotBytes * (pos + 1), slots + kSlotBytes * pos,
+               kSlotBytes * (count - pos));
+  StoreU16(slots + kSlotBytes * pos, off);
+  StoreU16(page + 2, uint16_t(count + 1));
+}
+
+// Writes entries [begin, end) as the whole node. Entries must not point
+// into `page`.
+void BuildNode(char* page, uint8_t type, uint64_t link,
+               const std::vector<Record>& entries, size_t begin,
+               size_t end) {
+  page[0] = char(type);
+  page[1] = 0;
+  StoreU16(page + 2, 0);
+  StoreU16(page + 4, uint16_t(kPageDataSize));
+  StoreU16(page + 6, 0);
+  StoreU64(page + 8, link);
+  for (size_t i = begin; i < end; ++i) {
+    InsertSlot(page, i - begin, AppendRecord(page, entries[i]));
+  }
+}
+
+// Bytes entry `e` takes in a node: its record and its slot.
+size_t Footprint(const Record& e) { return kSlotBytes + e.size(); }
+
+// Where a node of `entries` splits: the index that best balances the two
+// halves. A leaf keeps [0, mid) and moves [mid, n) right; an interior node
+// keeps [0, mid), pushes entry mid up and moves (mid, n) right.
+size_t SplitPoint(const std::vector<Record>& entries, bool leaf) {
+  size_t total = 0;
+  for (const Record& e : entries) total += Footprint(e);
+  size_t n = entries.size();
+  size_t best = 1, best_cost = SIZE_MAX, left = 0;
+  for (size_t mid = 1; mid + (leaf ? 0 : 1) < n; ++mid) {
+    left += Footprint(entries[mid - 1]);
+    size_t right = total - left - (leaf ? 0 : Footprint(entries[mid]));
+    size_t cost = std::max(left, right);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = mid;
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 struct PagedBTreeKv::DescentStep {
   uint64_t page_id = 0;
@@ -191,9 +272,7 @@ Status PagedBTreeKv::InitFresh() {
   count_ = 0;
   bytes_ = 0;
   root_or->MarkDirty();
-  NodeView root;
-  root.type = kLeafNode;
-  root.Serialize(root_or->data());
+  BuildNode(root_or->data(), kLeafNode, /*link=*/0, {}, 0, 0);
   Status s = WriteMetaLocked();
   if (!s.ok()) {
     pager_->AbortOp();
@@ -218,107 +297,134 @@ Status PagedBTreeKv::WriteMetaLocked() {
   GB_ASSIGN_OR_RETURN(PageRef meta, pager_->Fetch(kMetaPage));
   meta.MarkDirty();
   char* p = meta.data();
-  storage::StoreU64(p, kMetaMagic);
-  storage::StoreU64(p + 8, root_page_);
-  storage::StoreU64(p + 16, first_leaf_);
-  storage::StoreU64(p + 24, count_);
-  storage::StoreU64(p + 32, bytes_);
+  StoreU64(p, kMetaMagic);
+  StoreU64(p + 8, root_page_);
+  StoreU64(p + 16, first_leaf_);
+  StoreU64(p + 24, count_);
+  StoreU64(p + 32, bytes_);
   return Status::OK();
 }
 
-Status PagedBTreeKv::ReadNode(uint64_t page_id, NodeView* node) const {
+Result<PageRef> PagedBTreeKv::FetchNode(uint64_t page_id) const {
   GB_ASSIGN_OR_RETURN(PageRef ref, pager_->Fetch(page_id));
-  return node->Deserialize(ref.data());
+  GB_RETURN_IF_ERROR(Node(ref.data()).Check());
+  return ref;
 }
 
-Status PagedBTreeKv::WriteNode(uint64_t page_id, const NodeView& node) {
-  GB_ASSIGN_OR_RETURN(PageRef ref, pager_->Fetch(page_id));
-  ref.MarkDirty();
-  node.Serialize(ref.data());
-  return Status::OK();
-}
-
-Status PagedBTreeKv::DescendToLeaf(std::string_view key,
-                                   std::vector<DescentStep>* path) const {
-  path->clear();
+Result<PageRef> PagedBTreeKv::Descend(std::string_view key,
+                                      std::vector<DescentStep>* path) const {
   uint64_t page_id = root_page_;
   for (;;) {
-    NodeView node;
-    GB_RETURN_IF_ERROR(ReadNode(page_id, &node));
-    DescentStep step;
-    step.page_id = page_id;
-    if (node.type == kLeafNode) {
-      path->push_back(step);
-      return Status::OK();
-    }
-    // Child 0 holds keys < entries[0].key; child i+1 holds keys >=
-    // entries[i].key.
-    size_t idx = 0;
-    while (idx < node.entries.size() && key >= node.entries[idx].key) ++idx;
-    step.child_index = idx;
-    path->push_back(step);
-    page_id = idx == 0 ? node.leftmost_child : node.entries[idx - 1].child;
+    GB_ASSIGN_OR_RETURN(PageRef ref, FetchNode(page_id));
+    Node node(ref.data());
+    if (node.leaf()) return ref;
+    size_t idx = node.UpperBound(key);
+    if (path != nullptr) path->push_back({page_id, idx});
+    page_id = node.Child(idx);
   }
 }
 
-/// Splits over-full nodes bottom-up along `path`. `nodes` holds the
-/// deserialized node for each path step; nodes->back() (the leaf) must
-/// already contain the upsert.
-Status PagedBTreeKv::SplitPathLocked(std::vector<DescentStep>* path,
-                                     std::vector<NodeView>* nodes) {
-  for (size_t level = path->size(); level-- > 0;) {
-    NodeView& node = (*nodes)[level];
-    if (node.SerializedSize() <= kPageDataSize) {
-      GB_RETURN_IF_ERROR(WriteNode((*path)[level].page_id, node));
+Status PagedBTreeKv::ReadValue(const char* leaf_page, size_t slot,
+                               std::string* value) const {
+  Record rec = Node(leaf_page).At(slot);
+  if (rec.overflow()) {
+    if (rec.value.size() != kOverflowRef) {
+      return Status::Corruption("paged_btree: bad overflow reference");
+    }
+    GB_ASSIGN_OR_RETURN(*value, storage::ReadOverflowChain(
+                                    pager_.get(), GetU64(rec.value.data()),
+                                    rec.value_length()));
+    return Status::OK();
+  }
+  value->assign(rec.value);
+  return Status::OK();
+}
+
+/// Puts the record (flags, key, value) at slot `pos` of `page`, replacing
+/// that slot's record when `replace`. In place when it fits; otherwise the
+/// node is compacted or split, and a split inserts its separator into the
+/// parent the same way, up to a new root. `page` is the leaf at depth
+/// path_.size(), marked dirty.
+Status PagedBTreeKv::PlaceRecordLocked(PageRef page, size_t pos, bool replace,
+                                       uint8_t flags, std::string_view key,
+                                       std::string_view value) {
+  Record rec{flags, key, value};
+  size_t level = path_.size();
+  std::string separator;
+  char child_ref[8];
+  for (;;) {
+    char* p = page.data();
+    Node node(p);
+    if (replace) {
+      Record old = node.At(pos);
+      if (old.size() == rec.size()) {
+        WriteRecord(p + node.record_offset(pos), rec);
+        return Status::OK();
+      }
+      if (node.free_bytes() >= rec.size()) {
+        StoreU16(p + kNodeHeader + kSlotBytes * pos, AppendRecord(p, rec));
+        return Status::OK();
+      }
+    } else if (node.free_bytes() >= kSlotBytes + rec.size()) {
+      InsertSlot(p, pos, AppendRecord(p, rec));
       return Status::OK();
     }
-    size_t mid = node.entries.size() / 2;
-    NodeView right;
-    right.type = node.type;
-    std::string separator;
-    if (node.type == kLeafNode) {
-      right.entries.assign(node.entries.begin() + ptrdiff_t(mid),
-                           node.entries.end());
-      node.entries.resize(mid);
-      separator = right.entries.front().key;
-      right.next_leaf = node.next_leaf;
+
+    // Full: materialize the node from a copy, tombstones without values.
+    std::string copy(p, kPageDataSize);
+    Node full(copy.data());
+    std::vector<Record> entries(full.count());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      entries[i] = full.At(i);
+      if (entries[i].tombstone()) entries[i].value = {};
+    }
+    if (replace) {
+      entries[pos] = rec;
+    } else {
+      entries.insert(entries.begin() + ptrdiff_t(pos), rec);
+    }
+    size_t bytes = kNodeHeader;
+    for (const Record& e : entries) bytes += Footprint(e);
+    bool leaf = full.leaf();
+    if (bytes <= kCompactLimit) {
+      BuildNode(p, full.type(), full.link(), entries, 0, entries.size());
+      return Status::OK();
+    }
+
+    size_t mid = SplitPoint(entries, leaf);
+    GB_ASSIGN_OR_RETURN(PageRef right, pager_->Allocate());
+    right.MarkDirty();
+    uint64_t right_id = right.page_id();
+    std::string up(entries[mid].key);
+    if (leaf) {
+      BuildNode(right.data(), kLeafNode, full.link(), entries, mid,
+                entries.size());
+      BuildNode(p, kLeafNode, right_id, entries, 0, mid);
     } else {
       // The middle key moves up; its child becomes the right node's
       // leftmost.
-      separator = node.entries[mid].key;
-      right.leftmost_child = node.entries[mid].child;
-      right.entries.assign(node.entries.begin() + ptrdiff_t(mid) + 1,
-                           node.entries.end());
-      node.entries.resize(mid);
+      BuildNode(right.data(), kInteriorNode, entries[mid].child(), entries,
+                mid + 1, entries.size());
+      BuildNode(p, kInteriorNode, full.link(), entries, 0, mid);
     }
-    GB_ASSIGN_OR_RETURN(PageRef right_ref, pager_->Allocate());
-    uint64_t right_id = right_ref.page_id();
-    right_ref.MarkDirty();
-    right.Serialize(right_ref.data());
-    if (node.type == kLeafNode) node.next_leaf = right_id;
-    GB_RETURN_IF_ERROR(WriteNode((*path)[level].page_id, node));
+    separator = std::move(up);
+    StoreU64(child_ref, right_id);
+    rec = {0, separator, std::string_view(child_ref, sizeof(child_ref))};
 
-    NodeView::Entry up;
-    up.key = std::move(separator);
-    up.child = right_id;
     if (level == 0) {
       // Root split: the tree grows a level.
-      NodeView new_root;
-      new_root.type = kInteriorNode;
-      new_root.leftmost_child = (*path)[level].page_id;
-      new_root.entries.push_back(std::move(up));
-      GB_ASSIGN_OR_RETURN(PageRef root_ref, pager_->Allocate());
-      root_ref.MarkDirty();
-      new_root.Serialize(root_ref.data());
-      root_page_ = root_ref.page_id();
+      GB_ASSIGN_OR_RETURN(PageRef root, pager_->Allocate());
+      root.MarkDirty();
+      BuildNode(root.data(), kInteriorNode, page.page_id(), {rec}, 0, 1);
+      root_page_ = root.page_id();
       return Status::OK();
     }
-    NodeView& parent = (*nodes)[level - 1];
-    size_t at = (*path)[level - 1].child_index;
-    parent.entries.insert(parent.entries.begin() + ptrdiff_t(at),
-                          std::move(up));
+    --level;
+    GB_ASSIGN_OR_RETURN(page, FetchNode(path_[level].page_id));
+    page.MarkDirty();
+    pos = path_[level].child_index;
+    replace = false;
   }
-  return Status::OK();
 }
 
 Status PagedBTreeKv::MutateLeaf(std::string_view key, std::string_view value,
@@ -326,62 +432,50 @@ Status PagedBTreeKv::MutateLeaf(std::string_view key, std::string_view value,
   if (key.size() > kMaxKeyBytes) {
     return Status::InvalidArgument("paged_btree: key too large");
   }
-  std::vector<DescentStep> path;
-  GB_RETURN_IF_ERROR(DescendToLeaf(key, &path));
-  std::vector<NodeView> nodes(path.size());
-  for (size_t i = 0; i < path.size(); ++i) {
-    GB_RETURN_IF_ERROR(ReadNode(path[i].page_id, &nodes[i]));
-  }
-  NodeView& leaf = nodes.back();
-  auto it = std::lower_bound(
-      leaf.entries.begin(), leaf.entries.end(), key,
-      [](const NodeView::Entry& e, std::string_view k) { return e.key < k; });
-  bool found = it != leaf.entries.end() && it->key == key;
+  path_.clear();
+  GB_ASSIGN_OR_RETURN(PageRef leaf, Descend(key, &path_));
+  Node node(leaf.data());
+  size_t pos = node.LowerBound(key);
+  bool found = pos < node.count() && node.Key(pos) == key;
+  Record old;
+  if (found) old = node.At(pos);
 
   if (is_delete) {
-    if (!found || it->tombstone) {
+    if (!found || old.tombstone()) {
       return Status::NotFound("key not in btree");
     }
     bytes_ -= std::min<uint64_t>(
-        bytes_, key.size() + (it->overflow ? it->ov_len : it->value.size()) +
-                    kEntryOverhead);
+        bytes_, key.size() + old.value_length() + kEntryOverhead);
     --count_;
     // Lazy tombstone: the slot stays (and keeps leaves ordered) but reads
     // skip it. A dropped overflow chain is leaked — no free list
     // (DESIGN.md §12).
-    it->tombstone = true;
-    it->overflow = false;
-    it->ov_page = it->ov_len = 0;
-    it->value.clear();
-  } else {
-    NodeView::Entry entry;
-    entry.key.assign(key);
-    if (value.size() > kMaxInlineValue) {
-      GB_ASSIGN_OR_RETURN(uint64_t first, storage::WriteOverflowChain(
-                                              pager_.get(), value));
-      entry.overflow = true;
-      entry.ov_page = first;
-      entry.ov_len = value.size();
-    } else {
-      entry.value.assign(value);
-    }
-    if (found) {
-      if (!it->tombstone) {
-        bytes_ -= std::min<uint64_t>(
-            bytes_, key.size() +
-                        (it->overflow ? it->ov_len : it->value.size()) +
-                        kEntryOverhead);
-        --count_;
-      }
-      *it = std::move(entry);
-    } else {
-      leaf.entries.insert(it, std::move(entry));
-    }
-    bytes_ += key.size() + value.size() + kEntryOverhead;
-    ++count_;
+    leaf.MarkDirty();
+    leaf.data()[node.record_offset(pos)] |= char(kFlagTombstone);
+    return WriteMetaLocked();
   }
 
-  GB_RETURN_IF_ERROR(SplitPathLocked(&path, &nodes));
+  uint8_t flags = 0;
+  std::string_view stored = value;
+  char ref[kOverflowRef];
+  if (value.size() > kMaxInlineValue) {
+    GB_ASSIGN_OR_RETURN(uint64_t first, storage::WriteOverflowChain(
+                                            pager_.get(), value));
+    StoreU64(ref, first);
+    StoreU64(ref + 8, value.size());
+    flags = kFlagOverflow;
+    stored = std::string_view(ref, kOverflowRef);
+  }
+  if (found && !old.tombstone()) {
+    bytes_ -= std::min<uint64_t>(
+        bytes_, key.size() + old.value_length() + kEntryOverhead);
+    --count_;
+  }
+  bytes_ += key.size() + value.size() + kEntryOverhead;
+  ++count_;
+  leaf.MarkDirty();
+  GB_RETURN_IF_ERROR(
+      PlaceRecordLocked(std::move(leaf), pos, found, flags, key, stored));
   return WriteMetaLocked();
 }
 
@@ -413,56 +507,37 @@ Status PagedBTreeKv::Delete(std::string_view key) {
 
 Status PagedBTreeKv::Get(std::string_view key, std::string* value) const {
   std::shared_lock<obs::TimedSharedMutex> lock(latch_);
-  std::vector<DescentStep> path;
-  GB_RETURN_IF_ERROR(DescendToLeaf(key, &path));
-  NodeView leaf;
-  GB_RETURN_IF_ERROR(ReadNode(path.back().page_id, &leaf));
-  auto it = std::lower_bound(
-      leaf.entries.begin(), leaf.entries.end(), key,
-      [](const NodeView::Entry& e, std::string_view k) { return e.key < k; });
-  if (it == leaf.entries.end() || it->key != key || it->tombstone) {
+  GB_ASSIGN_OR_RETURN(PageRef leaf, Descend(key, nullptr));
+  Node node(leaf.data());
+  size_t pos = node.LowerBound(key);
+  if (pos == node.count() || node.Key(pos) != key ||
+      node.At(pos).tombstone()) {
     return Status::NotFound("key not in btree");
   }
-  if (it->overflow) {
-    GB_ASSIGN_OR_RETURN(*value, storage::ReadOverflowChain(
-                                    pager_.get(), it->ov_page, it->ov_len));
-    return Status::OK();
-  }
-  value->assign(it->value);
-  return Status::OK();
+  return ReadValue(leaf.data(), pos, value);
 }
 
 Status PagedBTreeKv::ScanPrefix(
     std::string_view prefix,
     std::vector<std::pair<std::string, std::string>>* out) const {
   std::shared_lock<obs::TimedSharedMutex> lock(latch_);
-  std::vector<DescentStep> path;
-  GB_RETURN_IF_ERROR(DescendToLeaf(prefix, &path));
-  uint64_t page_id = path.back().page_id;
-  while (page_id != 0) {
-    NodeView leaf;
-    GB_RETURN_IF_ERROR(ReadNode(page_id, &leaf));
-    for (const NodeView::Entry& e : leaf.entries) {
-      if (e.key.size() < prefix.size()) {
-        if (e.key < prefix) continue;
-        return Status::OK();
-      }
-      int cmp = e.key.compare(0, prefix.size(), prefix);
-      if (cmp < 0) continue;
-      if (cmp > 0) return Status::OK();
-      if (e.tombstone) continue;
+  GB_ASSIGN_OR_RETURN(PageRef leaf, Descend(prefix, nullptr));
+  // Keys with the prefix are contiguous from its lower bound on.
+  size_t i = Node(leaf.data()).LowerBound(prefix);
+  for (;;) {
+    Node node(leaf.data());
+    for (; i < node.count(); ++i) {
+      Record rec = node.At(i);
+      if (rec.key.substr(0, prefix.size()) != prefix) return Status::OK();
+      if (rec.tombstone()) continue;
       std::string value;
-      if (e.overflow) {
-        GB_ASSIGN_OR_RETURN(value, storage::ReadOverflowChain(
-                                       pager_.get(), e.ov_page, e.ov_len));
-      } else {
-        value = e.value;
-      }
-      out->emplace_back(e.key, std::move(value));
+      GB_RETURN_IF_ERROR(ReadValue(leaf.data(), i, &value));
+      out->emplace_back(std::string(rec.key), std::move(value));
     }
-    page_id = leaf.next_leaf;
+    if (node.link() == 0) return Status::OK();
+    GB_ASSIGN_OR_RETURN(leaf, FetchNode(node.link()));
+    i = 0;
   }
-  return Status::OK();
 }
 
 uint64_t PagedBTreeKv::Count() const {
@@ -507,22 +582,17 @@ std::unique_ptr<KvIterator> PagedBTreeKv::NewIterator() const {
     std::shared_lock<obs::TimedSharedMutex> lock(latch_);
     uint64_t page_id = first_leaf_;
     while (page_id != 0) {
-      NodeView leaf;
-      if (!ReadNode(page_id, &leaf).ok()) break;
-      for (const NodeView::Entry& e : leaf.entries) {
-        if (e.tombstone) continue;
+      auto leaf = FetchNode(page_id);
+      if (!leaf.ok()) break;
+      Node node(leaf->data());
+      for (size_t i = 0; i < node.count(); ++i) {
+        Record rec = node.At(i);
+        if (rec.tombstone()) continue;
         std::string value;
-        if (e.overflow) {
-          auto v = storage::ReadOverflowChain(pager_.get(), e.ov_page,
-                                              e.ov_len);
-          if (!v.ok()) continue;
-          value = std::move(*v);
-        } else {
-          value = e.value;
-        }
-        entries.emplace_back(e.key, std::move(value));
+        if (!ReadValue(leaf->data(), i, &value).ok()) continue;
+        entries.emplace_back(std::string(rec.key), std::move(value));
       }
-      page_id = leaf.next_leaf;
+      page_id = node.link();
     }
   }
   return std::make_unique<Iter>(std::move(entries));

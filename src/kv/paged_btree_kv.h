@@ -14,13 +14,18 @@ namespace graphbench {
 /// Durable B+-tree key-value store over the buffer-pool pager: the
 /// `--durable` backend for Titan-B (DESIGN.md §12).
 ///
-/// Nodes are whole pages. Each Put/Delete runs as one pager op —
-/// BeginOp, mutate the leaf plus any split path, CommitOp — so every
-/// structural update is a single atomic WAL record: a crash replays all
-/// of a split or none of it. Deletes are lazy tombstones (mirroring the
-/// in-memory BTreeKv): the key stays in the leaf flagged dead and is
-/// filtered by reads; tombstoned slots are reused by later Puts of the
-/// same key. Values larger than kMaxInlineValue go to overflow chains.
+/// Nodes are slotted pages: a sorted slot array growing forward and
+/// records packed from the page end backward. Reads and the descent
+/// binary-search the slots in place; a Put that fits appends one record
+/// and inserts one slot, so the pager logs a delta about the size of the
+/// record. Only a full node is rebuilt: compacted in place, or split.
+/// Each Put/Delete runs as one pager op — BeginOp, mutate the leaf plus
+/// any split path, CommitOp — so every structural update is a single
+/// atomic WAL record: a crash replays all of a split or none of it.
+/// Deletes are lazy tombstones (mirroring the in-memory BTreeKv): the
+/// record's flag byte marks it dead and reads filter it; tombstoned slots
+/// are reused by later Puts of the same key. Values larger than
+/// kMaxInlineValue go to overflow chains.
 ///
 /// Latching mirrors BTreeKv's coarse tree latch (writers exclusive,
 /// readers shared) under "paged_btree.lock_wait_us", so the paged
@@ -62,7 +67,6 @@ class PagedBTreeKv : public KvStore {
   storage::Pager* pager() { return pager_.get(); }
 
  private:
-  struct NodeView;
   struct DescentStep;
   class Iter;
 
@@ -71,12 +75,18 @@ class PagedBTreeKv : public KvStore {
   Status InitFresh();
   Status LoadMeta();
   Status WriteMetaLocked();
-  Status DescendToLeaf(std::string_view key,
-                       std::vector<DescentStep>* path) const;
-  Status WriteNode(uint64_t page_id, const NodeView& node);
-  Status ReadNode(uint64_t page_id, NodeView* node) const;
-  Status SplitPathLocked(std::vector<DescentStep>* path,
-                         std::vector<NodeView>* nodes);
+  /// Fetches a node page pinned, after checking its header.
+  Result<storage::PageRef> FetchNode(uint64_t page_id) const;
+  /// Descends from the root to the leaf that holds (or would hold) `key`,
+  /// binary-searching each node in place, and returns the leaf pinned.
+  /// Appends the interior steps to `path` when it is given.
+  Result<storage::PageRef> Descend(std::string_view key,
+                                   std::vector<DescentStep>* path) const;
+  Status ReadValue(const char* leaf_page, size_t slot,
+                   std::string* value) const;
+  Status PlaceRecordLocked(storage::PageRef page, size_t pos, bool replace,
+                           uint8_t flags, std::string_view key,
+                           std::string_view value);
   Status MutateLeaf(std::string_view key, std::string_view value,
                     bool is_delete);
 
@@ -88,6 +98,8 @@ class PagedBTreeKv : public KvStore {
   uint64_t first_leaf_ = 0;
   uint64_t count_ = 0;
   uint64_t bytes_ = 0;
+  // The current mutation's interior path, root first (writer-only).
+  std::vector<DescentStep> path_;
 };
 
 }  // namespace graphbench

@@ -12,23 +12,55 @@
 namespace graphbench {
 namespace storage {
 
-uint32_t Crc32(std::string_view data, uint32_t init) {
-  // CRC-32C (Castagnoli), table generated on first use.
-  static const uint32_t* kTable = [] {
-    static uint32_t table[256];
+namespace {
+
+// Slice-by-8 tables for CRC-32C (Castagnoli, reflected): t[0] is the
+// classic bytewise table, and t[k][b] is b's CRC advanced through k more
+// zero bytes, so eight lookups consume eight input bytes.
+struct CrcTables {
+  uint32_t t[8][256];
+  CrcTables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0x82f63b78u ^ (c >> 1) : c >> 1;
       }
-      table[i] = c;
+      t[0][i] = c;
     }
-    return table;
-  }();
-  uint32_t crc = init ^ 0xffffffffu;
-  for (unsigned char b : std::string_view(data)) {
-    crc = kTable[(crc ^ b) & 0xff] ^ (crc >> 8);
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+      }
+    }
   }
+};
+
+const CrcTables& Tables() {
+  static const CrcTables tables;
+  return tables;
+}
+
+// Little-endian 32-bit load, independent of the host byte order.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return uint32_t(p[0]) | uint32_t(p[1]) << 8 | uint32_t(p[2]) << 16 |
+         uint32_t(p[3]) << 24;
+}
+
+}  // namespace
+
+uint32_t Crc32(std::string_view data, uint32_t init) {
+  const auto& t = Tables().t;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
+  uint32_t crc = init ^ 0xffffffffu;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = LoadLe32(p) ^ crc;
+    uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
 
@@ -158,15 +190,18 @@ void ApplyWrite(std::string* image, uint64_t offset, std::string_view data) {
 
 }  // namespace
 
+void MemFileSystem::FileState::ApplyPending(std::string* image,
+                                            const PendingWrite& w) {
+  if (w.data.empty()) {
+    image->resize(w.offset, '\0');  // pending truncate
+  } else {
+    ApplyWrite(image, w.offset, w.data);
+  }
+}
+
 std::string MemFileSystem::FileState::Materialize() const {
   std::string image = durable;
-  for (const PendingWrite& w : pending) {
-    if (w.data.empty()) {
-      image.resize(w.offset, '\0');  // pending truncate
-    } else {
-      ApplyWrite(&image, w.offset, w.data);
-    }
-  }
+  for (const PendingWrite& w : pending) ApplyPending(&image, w);
   return image;
 }
 
@@ -193,10 +228,34 @@ class MemFile : public File {
 
 Status MemFile::ReadAt(uint64_t offset, size_t n, std::string* out) const {
   std::lock_guard<std::mutex> lock(*mu_);
-  std::string image = state()->Materialize();
+  const FileState* s = state();
   out->clear();
-  if (offset >= image.size()) return Status::OK();
-  *out = image.substr(offset, n);
+  if (offset >= s->logical_size) return Status::OK();
+  uint64_t end = std::min<uint64_t>(offset + n, s->logical_size);
+  // Builds only [offset, end): the durable slice, then every pending write
+  // and truncate in issue order, clipped to the range. Bytes past the size
+  // at any step stay zero, which is what a later hole-extending write
+  // leaves there in the flat image.
+  out->assign(size_t(end - offset), '\0');
+  if (offset < s->durable.size()) {
+    size_t have = size_t(std::min<uint64_t>(end, s->durable.size()) - offset);
+    std::memcpy(out->data(), s->durable.data() + offset, have);
+  }
+  for (const MemFileSystem::PendingWrite& w : s->pending) {
+    if (w.data.empty()) {  // truncate: everything at or past it reads zero
+      if (w.offset < end) {
+        uint64_t from = std::max(w.offset, offset);
+        std::memset(out->data() + (from - offset), 0, size_t(end - from));
+      }
+      continue;
+    }
+    uint64_t from = std::max(w.offset, offset);
+    uint64_t to = std::min<uint64_t>(w.offset + w.data.size(), end);
+    if (from < to) {
+      std::memcpy(out->data() + (from - offset),
+                  w.data.data() + (from - w.offset), size_t(to - from));
+    }
+  }
   return Status::OK();
 }
 
@@ -221,7 +280,9 @@ Status MemFile::Append(std::string_view data) {
 Status MemFile::Sync() {
   std::lock_guard<std::mutex> lock(*mu_);
   FileState* s = state();
-  s->durable = s->Materialize();
+  for (const MemFileSystem::PendingWrite& w : s->pending) {
+    FileState::ApplyPending(&s->durable, w);
+  }
   s->pending.clear();
   return Status::OK();
 }
@@ -292,6 +353,12 @@ void MemFileSystem::Crash(Rng* rng) {
     state->pending.clear();
     state->logical_size = state->durable.size();
   }
+}
+
+std::string MemFileSystem::Materialize(const std::string& path) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = files_.find(path);
+  return it == files_.end() ? std::string() : it->second->Materialize();
 }
 
 uint64_t MemFileSystem::PendingBytes() const {

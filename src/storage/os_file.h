@@ -16,8 +16,9 @@
 namespace graphbench {
 namespace storage {
 
-/// CRC-32 (Castagnoli polynomial, software table). `init` chains/ seeds the
-/// computation so callers can fold a per-generation salt into checksums.
+/// CRC-32C (Castagnoli polynomial, software slice-by-8). `init` chains/
+/// seeds the computation so callers can fold a per-generation salt into
+/// checksums.
 uint32_t Crc32(std::string_view data, uint32_t init = 0);
 
 /// The disk sector size fault injection tears writes at: a crash may
@@ -113,6 +114,11 @@ class MemFileSystem : public FileSystem {
   /// Total unsynced write bytes across all files (observable for tests).
   uint64_t PendingBytes() const;
 
+  /// The logical contents of `path` (durable image plus every pending
+  /// write, applied in issue order), rebuilt in full: the reference
+  /// the range-building MemFile reads are tested against.
+  std::string Materialize(const std::string& path) const;
+
  private:
   friend class MemFile;
   struct PendingWrite {
@@ -125,6 +131,8 @@ class MemFileSystem : public FileSystem {
     uint64_t logical_size = 0;          // durable + pending view
     // Renders durable+pending into a flat contents string.
     std::string Materialize() const;
+    // Applies one pending write, or truncate (empty data), to `image`.
+    static void ApplyPending(std::string* image, const PendingWrite& w);
   };
 
   mutable std::mutex mu_;

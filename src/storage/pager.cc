@@ -25,6 +25,11 @@ constexpr uint8_t kOpRecord = 1;
 // Sub-record tags inside an op record's body.
 constexpr uint8_t kSubImage = 1;  // [page_id u64][kPageDataSize bytes]
 constexpr uint8_t kSubDelta = 2;  // [page_id u64][off u16][len u16][bytes]
+// Bytes a sub-record spends before its payload. Changed runs separated by
+// fewer unchanged bytes than this are logged as one delta: the gap costs
+// less than a second header.
+constexpr size_t kSubDeltaHeader = 1 + 8 + 2 + 2;
+constexpr size_t kSubImageBytes = 1 + 8 + kPageDataSize;
 
 struct HeaderSlot {
   uint64_t generation = 0;
@@ -64,6 +69,44 @@ bool AllZero(std::string_view buf) {
     if (c != 0) return false;
   }
   return true;
+}
+
+inline uint64_t LoadWord(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+// Appends one kSubDelta per maximal run where `now` differs from `was`
+// (runs closer than a sub-record header merged), skipping equal bytes a
+// word at a time. Returns false when the page is unchanged.
+bool AppendDeltas(uint64_t page_id, const char* now, const char* was,
+                  std::string* body) {
+  static_assert(kPageDataSize % 8 == 0, "word-wise diff needs whole words");
+  bool changed = false;
+  size_t i = 0;
+  for (;;) {
+    while (i < kPageDataSize && LoadWord(now + i) == LoadWord(was + i)) {
+      i += 8;
+    }
+    if (i == kPageDataSize) return changed;
+    while (now[i] == was[i]) ++i;  // the word differs, so this stops in it
+    size_t start = i;
+    size_t end = i + 1;  // one past the last changed byte of the run
+    for (size_t j = end; j < kPageDataSize && j - end < kSubDeltaHeader;
+         ++j) {
+      if (now[j] != was[j]) end = j + 1;
+    }
+    body->push_back(char(kSubDelta));
+    PutU64(body, page_id);
+    PutU16(body, uint16_t(start));
+    PutU16(body, uint16_t(end - start));
+    body->append(now + start, end - start);
+    changed = true;
+    // The run ended because the kSubDeltaHeader bytes after it are equal:
+    // resume at the word holding the first byte past them.
+    i = std::min(kPageDataSize, (end + kSubDeltaHeader) & ~size_t(7));
+  }
 }
 
 }  // namespace
@@ -185,8 +228,11 @@ Status Pager::RecoverLocked(const std::string& wal_path) {
           return Status::Corruption("pager: truncated page delta");
         }
         // LSN-gated so redo is idempotent against pages that were
-        // flushed (and stamped) before the crash.
-        if (record.lsn > frame->page_lsn) {
+        // flushed (and stamped) before the crash. The gate admits the
+        // record's own LSN: one record may carry several deltas for a
+        // page, and the first one stamps it. Reapplying a record to a
+        // page flushed right after it rewrites the same bytes.
+        if (record.lsn >= frame->page_lsn) {
           std::memcpy(frame->data + kPageHeaderBytes + off, bytes.data(),
                       len);
           frame->page_lsn = record.lsn;
@@ -351,9 +397,13 @@ void Pager::BeginOp() {
 void Pager::MarkDirtyFrame(void* frame_ptr) {
   Frame* frame = static_cast<Frame*>(frame_ptr);
   if (!in_op_ || frame->touched_in_op) return;
-  frame->pre_image.assign(frame->data + kPageHeaderBytes, kPageDataSize);
+  frame->pre_image_slot = op_frames_.size();
+  size_t need = (frame->pre_image_slot + 1) * kPageDataSize;
+  if (pre_images_.size() < need) pre_images_.resize(need);
+  std::memcpy(pre_images_.data() + frame->pre_image_slot * kPageDataSize,
+              frame->data + kPageHeaderBytes, kPageDataSize);
   frame->touched_in_op = true;
-  op_frames_[frame->page_id] = frame;
+  op_frames_.push_back(frame);
   // Op pin: the frame must survive (unevicted) until Commit/AbortOp even
   // if the caller drops its PageRef early.
   std::lock_guard<std::mutex> lock(mu_);
@@ -366,47 +416,36 @@ Status Pager::CommitOp() {
     return Status::Internal(
         "pager: degraded after failed checkpoint; commits refused");
   }
-  std::string body;
-  std::vector<Frame*> changed;
-  std::vector<Frame*> imaged;
-  for (auto& [page_id, frame] : op_frames_) {
+  // Id order keeps the record's bytes independent of touch order.
+  std::sort(op_frames_.begin(), op_frames_.end(),
+            [](const Frame* a, const Frame* b) {
+              return a->page_id < b->page_id;
+            });
+  std::string& body = commit_body_;
+  body.clear();
+  op_changed_.clear();
+  for (Frame* frame : op_frames_) {
     const char* now = frame->data + kPageHeaderBytes;
-    const std::string& was = frame->pre_image;
-    if (std::memcmp(now, was.data(), kPageDataSize) == 0) {
-      continue;  // touched but unchanged: nothing to log
+    size_t mark = body.size();
+    if (frame->image_logged) {
+      if (!AppendDeltas(frame->page_id, now, PreImage(frame), &body)) {
+        continue;  // touched but unchanged: nothing to log
+      }
+      if (body.size() - mark <= kSubImageBytes) {
+        op_changed_.push_back(frame);
+        continue;
+      }
+      body.resize(mark);  // the runs cost more than the page: log it whole
+    } else if (std::memcmp(now, PreImage(frame), kPageDataSize) == 0) {
+      continue;
     }
-    if (!frame->image_logged) {
-      // First touch this WAL generation: log the full image so a flush
-      // torn mid-page is repairable on replay.
-      body.push_back(char(kSubImage));
-      PutU64(&body, page_id);
-      body.append(now, kPageDataSize);
-      imaged.push_back(frame);
-    } else {
-      size_t first = 0;
-      while (first < kPageDataSize && now[first] == was[first]) ++first;
-      size_t last = kPageDataSize;
-      while (last > first && now[last - 1] == was[last - 1]) --last;
-      body.push_back(char(kSubDelta));
-      PutU64(&body, page_id);
-      PutU16(&body, uint16_t(first));
-      PutU16(&body, uint16_t(last - first));
-      body.append(now + first, last - first);
-    }
-    changed.push_back(frame);
+    // First touch this WAL generation (or a rewrite bigger than the page):
+    // log the full image so a flush torn mid-page is repairable on replay.
+    body.push_back(char(kSubImage));
+    PutU64(&body, frame->page_id);
+    body.append(now, kPageDataSize);
+    op_changed_.push_back(frame);
   }
-
-  auto cleanup = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [page_id, frame] : op_frames_) {
-      frame->touched_in_op = false;
-      frame->pre_image.clear();
-      frame->pre_image.shrink_to_fit();
-      UnpinLocked(frame);
-    }
-    op_frames_.clear();
-    in_op_ = false;
-  };
 
   if (body.empty()) {
     // Nothing new to log, but the durability contract still applies: the
@@ -417,7 +456,10 @@ Status Pager::CommitOp() {
     // stays fsync-free.
     Status sync_status =
         options_.fsync_on_commit ? wal_->Sync() : Status::OK();
-    cleanup();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      EndOpLocked(/*restore=*/false);
+    }
     op_mu_.unlock();
     ops_->Increment();
     return sync_status;
@@ -435,11 +477,11 @@ Status Pager::CommitOp() {
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (Frame* frame : changed) {
+    for (Frame* frame : op_changed_) {
       frame->page_lsn = *lsn;
       frame->dirty = true;
+      frame->image_logged = true;  // logged now, or already this generation
     }
-    for (Frame* frame : imaged) frame->image_logged = true;
   }
   Status sync_status = Status::OK();
   if (options_.fsync_on_commit) {
@@ -448,7 +490,10 @@ Status Pager::CommitOp() {
     // the op failed.
     sync_status = wal_->Sync();
   }
-  cleanup();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    EndOpLocked(/*restore=*/false);
+  }
   // Counted (and the checkpoint decision made) while op_mu_ is still
   // held: concurrent committers would otherwise race on the counter.
   bool checkpoint_due =
@@ -462,18 +507,24 @@ Status Pager::CommitOp() {
   return Status::OK();
 }
 
-void Pager::AbortOp() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [page_id, frame] : op_frames_) {
-    std::memcpy(frame->data + kPageHeaderBytes, frame->pre_image.data(),
-                kPageDataSize);
+void Pager::EndOpLocked(bool restore) {
+  for (Frame* frame : op_frames_) {
+    if (restore) {
+      std::memcpy(frame->data + kPageHeaderBytes, PreImage(frame),
+                  kPageDataSize);
+    }
     frame->touched_in_op = false;
-    frame->pre_image.clear();
-    frame->pre_image.shrink_to_fit();
     UnpinLocked(frame);
   }
   op_frames_.clear();
   in_op_ = false;
+}
+
+void Pager::AbortOp() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    EndOpLocked(/*restore=*/true);
+  }
   op_mu_.unlock();
 }
 

@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "storage/os_file.h"
@@ -75,17 +75,17 @@ class PageRef {
 /// §12).
 ///
 /// Mutations happen in ops: BeginOp, fetch + MarkDirty + mutate pages,
-/// CommitOp. Commit emits ONE WAL record containing a physiological
-/// sub-record per touched page — the full page image on the first touch
-/// after a checkpoint (the full-page-write that makes torn db-file pages
-/// recoverable), a byte-range delta afterwards — so a torn WAL tail
-/// drops whole ops, never half of one.
+/// CommitOp. Commit emits ONE WAL record with the op's changes to every
+/// touched page — the full page image on the first touch after a
+/// checkpoint (the full-page-write that makes torn db-file pages
+/// recoverable), afterwards one byte-range delta per changed run of the
+/// page — so a torn WAL tail drops whole ops, never half of one.
 ///
 /// Checkpoint flushes all dirty pages, fsyncs the db file, publishes a
 /// new header generation, and resets the WAL under the generation's
 /// salt. Recovery picks the newer valid header copy, replays the WAL's
-/// valid prefix (LSN-gated, so redo is idempotent), and truncates the
-/// torn tail.
+/// valid prefix (LSN-gated per record, so redo is idempotent), and
+/// truncates the torn tail.
 class Pager {
  public:
   static Result<std::unique_ptr<Pager>> Open(FileSystem* fs,
@@ -141,7 +141,9 @@ class Pager {
     bool image_logged = false;
     int pins = 0;
     bool touched_in_op = false;
-    std::string pre_image;  // data-area snapshot at first MarkDirty
+    /// This op's pre-image: data-area snapshot at first MarkDirty, slot
+    /// `pre_image_slot` of the pager's pooled pre-image buffer.
+    size_t pre_image_slot = 0;
     std::list<uint64_t>::iterator lru_pos;
     bool in_lru = false;
     char data[kPageSize];
@@ -152,6 +154,12 @@ class Pager {
 
   static uint64_t SaltForGeneration(uint64_t generation);
   static void SealPage(Frame* frame, std::string* out);
+  const char* PreImage(const Frame* frame) const {
+    return pre_images_.data() + frame->pre_image_slot * kPageDataSize;
+  }
+  /// Ends the op: unpins its pages, first restoring their pre-images when
+  /// `restore`. Called with mu_ held (and op_mu_, released after).
+  void EndOpLocked(bool restore);
 
   Status RecoverLocked(const std::string& wal_path);
   Result<Frame*> FetchLocked(uint64_t page_id, bool for_recovery);
@@ -181,7 +189,13 @@ class Pager {
   uint64_t recovery_micros_ = 0;
 
   std::mutex op_mu_;  // held from BeginOp to Commit/AbortOp
-  std::map<uint64_t, Frame*> op_frames_;  // touched pages, id-ordered
+  std::vector<Frame*> op_frames_;  // touched pages; id-sorted at commit
+  /// Pre-images of the current op's pages, kPageDataSize bytes per touched
+  /// page. One buffer reused across ops: it grows to the largest op seen
+  /// and never shrinks, so MarkDirty allocates nothing in steady state.
+  std::vector<char> pre_images_;
+  std::vector<Frame*> op_changed_;  // the pages CommitOp's record changes
+  std::string commit_body_;  // the op record under construction, reused
   bool in_op_ = false;
   /// Set when a checkpoint failed at or after the new-generation header
   /// write (publish ambiguous or WAL reset failed): later appends could

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -85,6 +86,16 @@ struct TrialConfig {
   // schedule uses values wider than a sector so torn frames persist
   // meaningful prefixes.
   int value_max = 40;
+  // When > 0, every put's value length is uniform in [value_min,
+  // value_max] instead (and no 5000-byte value is drawn).
+  int value_min = 0;
+  // Keys are drawn from `key_space` distinct keys, or, with
+  // `ascending_keys`, each put takes the next key in order and each delete
+  // an earlier one.
+  int key_space = 40;
+  bool ascending_keys = false;
+  // Appended to every key, so wide keys split interior nodes too.
+  int key_padding = 0;
   // Fault schedule (<= 0 disarms each) and which file it targets
   // (".wal" or ".db").
   int64_t fail_after_fsyncs = -1;
@@ -100,7 +111,8 @@ void RunTrial(const TrialConfig& config) {
                " fail_after_fsyncs=" +
                std::to_string(config.fail_after_fsyncs) + " short_write_at=" +
                std::to_string(config.short_write_at) + " filter=" +
-               config.fault_filter);
+               config.fault_filter + " ascending=" +
+               std::to_string(config.ascending_keys));
   Rng rng(config.seed * 2654435761u + 13);
 
   MemFileSystem base;
@@ -128,16 +140,39 @@ void RunTrial(const TrialConfig& config) {
     auto opened = PagedBTreeKv::Open(fs, "kv.db", "kv.wal", pager_options);
     if (!opened.ok()) return;  // fault fired during create: nothing acked
     auto& kv = *opened;
+    uint64_t next_key = 0;  // ascending_keys: the next put's key
 
     for (int i = 0; i < config.ops; ++i) {
       Op op;
-      op.key = "key" + std::to_string(rng.Uniform(40));
+      uint64_t key = config.ascending_keys
+                         ? next_key
+                         : rng.Uniform(uint64_t(config.key_space));
       uint64_t kind = rng.Uniform(10);
+      if (config.ascending_keys) {
+        if (kind < 7) {
+          ++next_key;
+        } else {
+          key = rng.Uniform(next_key + 1);
+        }
+        char padded[16];
+        std::snprintf(padded, sizeof(padded), "key%06llu",
+                      static_cast<unsigned long long>(key));
+        op.key = padded;
+      } else {
+        op.key = "key" + std::to_string(key);
+      }
+      op.key.append(size_t(config.key_padding), '.');
       if (kind < 7) {
         // Mostly puts; occasionally a multi-page overflow value.
-        size_t len = rng.Uniform(20) == 0
-                         ? 5000
-                         : rng.Uniform(uint64_t(config.value_max)) + 1;
+        size_t len;
+        if (config.value_min > 0) {
+          len = size_t(config.value_min) +
+                rng.Uniform(uint64_t(config.value_max - config.value_min) + 1);
+        } else {
+          len = rng.Uniform(20) == 0
+                    ? 5000
+                    : rng.Uniform(uint64_t(config.value_max)) + 1;
+        }
         op.value = std::string(len, char('a' + rng.Uniform(26)));
       }
       // The WAL append offset advances exactly when an op's record
@@ -290,6 +325,32 @@ TEST(CrashRecoveryPropertyTest, SurvivesWalShortWrites) {
       config.value_max = 1200;
       config.short_write_at = write_at;  // write #1 is the header
       config.fault_filter = ".wal";
+      RunTrial(config);
+    }
+  }
+}
+
+// Split-heavy streams: values straddling kMaxInlineValue (512 B) fill a
+// leaf in a handful of puts, so slotted-page splits, root growth,
+// compaction of overwritten records, overflow chains and evictions from
+// the 8-page pool all land mid-flight when the machine dies; 240-byte
+// keys make interior nodes split and the tree grow past two levels.
+// Ascending keys always split the rightmost leaf; random keys split
+// anywhere and overwrite, which compacts.
+TEST(CrashRecoveryPropertyTest, SplitHeavyStreamsRecover) {
+  int trials = FullDepth() ? 60 : 8;
+  for (bool ascending : {true, false}) {
+    for (int t = 0; t < trials; ++t) {
+      TrialConfig config;
+      config.seed = uint64_t(5000 + t) * 7 + (ascending ? 1 : 0);
+      config.fsync_on_commit = t % 2 == 0;
+      config.checkpoint_every = t % 2 == 0 ? 0 : 41;
+      config.ops = 300;
+      config.value_min = 448;
+      config.value_max = 576;
+      config.key_space = 120;
+      config.ascending_keys = ascending;
+      config.key_padding = 240;
       RunTrial(config);
     }
   }

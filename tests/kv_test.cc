@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "kv/btree_kv.h"
 #include "kv/key_codec.h"
@@ -225,6 +228,81 @@ TEST(PagedBTreeKvTest, LargeValuesRoundTripThroughOverflowChains) {
   ASSERT_TRUE((*kv)->Put("big", "tiny").ok());
   ASSERT_TRUE((*kv)->Get("big", &got).ok());
   EXPECT_EQ(got, "tiny");
+}
+
+// A Put that fits its leaf logs about one record, not the shifted tail of
+// a page: the log bytes per op are a deterministic count, so the bound
+// holds on any machine.
+TEST(PagedBTreeKvTest, WalBytesPerOpStayRecordSized) {
+  storage::MemFileSystem fs;
+  storage::PagerOptions opts;
+  opts.cache_pages = 1024;
+  auto kv = PagedBTreeKv::Open(&fs, "kv.db", "kv.wal", opts);
+  ASSERT_TRUE(kv.ok()) << kv.status().ToString();
+  storage::Wal* wal = (*kv)->pager()->wal();
+
+  constexpr int kPuts = 20000;
+  constexpr int kDeletes = 2000;
+  std::vector<int> order(kPuts);
+  for (int i = 0; i < kPuts; ++i) order[size_t(i)] = i;
+  Rng rng(31);
+  rng.Shuffle(&order);
+  const std::string value(100, 'v');
+  char key[16];
+  uint64_t before = wal->log_bytes();
+  for (int i : order) {
+    std::snprintf(key, sizeof(key), "key%08d", i);
+    ASSERT_TRUE((*kv)->Put(key, value).ok());
+  }
+  double put_bytes = double(wal->log_bytes() - before) / kPuts;
+
+  before = wal->log_bytes();
+  for (int d = 0; d < kDeletes; ++d) {
+    std::snprintf(key, sizeof(key), "key%08d", order[size_t(d)]);
+    ASSERT_TRUE((*kv)->Delete(key).ok());
+  }
+  double delete_bytes = double(wal->log_bytes() - before) / kDeletes;
+
+  EXPECT_EQ((*kv)->Count(), uint64_t(kPuts - kDeletes));
+  EXPECT_LE(put_bytes, 1024.0);
+  EXPECT_LE(delete_bytes, 128.0);
+  std::printf("log bytes per Put %.1f, per tombstone Delete %.1f\n",
+              put_bytes, delete_bytes);
+}
+
+// Mirror of the BTreeKv test on a pool small enough that evictions run
+// while readers search pages in place.
+TEST(PagedBTreeKvTest, ConcurrentReadersWithWriterStayConsistent) {
+  storage::MemFileSystem fs;
+  storage::PagerOptions opts;
+  opts.cache_pages = 8;
+  auto opened = PagedBTreeKv::Open(&fs, "kv.db", "kv.wal", opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  PagedBTreeKv& kv = **opened;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(kv.Put("stable" + std::to_string(i), "v").ok());
+  }
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    int i = 1000;
+    while (!stop) kv.Put("new" + std::to_string(i++), std::string(60, 'w'));
+  });
+  std::thread scanner([&] {
+    for (int r = 0; r < 50; ++r) {
+      std::vector<std::pair<std::string, std::string>> rows;
+      EXPECT_TRUE(kv.ScanPrefix("stable", &rows).ok());
+      EXPECT_EQ(rows.size(), 1000u);
+    }
+  });
+  for (int r = 0; r < 2000; ++r) {
+    std::string v;
+    ASSERT_TRUE(kv.Get("stable" + std::to_string(r % 1000), &v).ok());
+    EXPECT_EQ(v, "v");
+  }
+  scanner.join();
+  stop = true;
+  writer.join();
+  EXPECT_GT(kv.pager()->page_count(), opts.cache_pages);
 }
 
 TEST(BTreeKvTest, ReportsTransactionalIsolation) {
