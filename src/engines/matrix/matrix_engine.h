@@ -10,7 +10,7 @@
 #include "concurrency/epoch.h"
 #include "concurrency/versioned.h"
 #include "engines/matrix/delta_csr.h"
-#include "engines/relational/query_result.h"
+#include "engines/query_ops.h"
 #include "snb/schema.h"
 #include "util/result.h"
 

@@ -1,10 +1,9 @@
 #include "engines/native/cypher_engine.h"
 
-#include <algorithm>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "graph/shortest_path.h"
 #include "lang/cypher/parser.h"
 #include "obs/profiler.h"
 
@@ -14,36 +13,6 @@ using cypher::BinOp;
 using cypher::Expr;
 
 namespace {
-
-bool CompareSatisfies(BinOp op, int cmp) {
-  switch (op) {
-    case BinOp::kEq: return cmp == 0;
-    case BinOp::kNe: return cmp != 0;
-    case BinOp::kLt: return cmp < 0;
-    case BinOp::kLe: return cmp <= 0;
-    case BinOp::kGt: return cmp > 0;
-    case BinOp::kGe: return cmp >= 0;
-    case BinOp::kAnd: return false;
-  }
-  return false;
-}
-
-// Variable slot registry shared by the executor below.
-class Slots {
- public:
-  int GetOrAdd(const std::string& var) {
-    auto [it, inserted] = map_.emplace(var, int(map_.size()));
-    return it->second;
-  }
-  int Find(const std::string& var) const {
-    auto it = map_.find(var);
-    return it == map_.end() ? -1 : it->second;
-  }
-  size_t size() const { return map_.size(); }
-
- private:
-  std::unordered_map<std::string, int> map_;
-};
 
 using BindingRow = std::vector<VertexId>;
 
@@ -98,19 +67,19 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
                                                 const Params& params) {
   // LIMIT binds like any other parameter so one cached plan serves every
   // limit value.
-  int64_t limit_bound = q.limit;
-  if (!q.limit_param.empty()) {
-    auto it = params.find(q.limit_param);
-    if (it == params.end()) {
-      return Status::InvalidArgument("missing parameter $" + q.limit_param);
-    }
-    if (!it->second.is_int()) {
-      return Status::InvalidArgument("LIMIT parameter must be an integer");
-    }
-    limit_bound = it->second.as_int();
-  }
+  auto limit_param = params.find(q.limit_param);
+  GB_ASSIGN_OR_RETURN(
+      int64_t limit,
+      query_ops::BindLimit(
+          q.limit, !q.limit_param.empty(),
+          limit_param == params.end() ? nullptr : &limit_param->second));
 
-  Slots slots;
+  // Variable name -> binding slot.
+  std::unordered_map<std::string, int> slots;
+  auto find_slot = [&slots](const std::string& var) {
+    auto it = slots.find(var);
+    return it == slots.end() ? -1 : it->second;
+  };
   std::vector<BindingRow> rows;
   rows.emplace_back();
 
@@ -126,7 +95,7 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
       case Expr::Kind::kParam:
         return EvalConst(e, params);
       case Expr::Kind::kProp: {
-        int slot = slots.Find(e.var);
+        int slot = find_slot(e.var);
         if (slot < 0 || b[size_t(slot)] == kInvalidVertexId) {
           return Status::InvalidArgument("unbound variable " + e.var);
         }
@@ -140,12 +109,12 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
         }
         GB_ASSIGN_OR_RETURN(Value l, eval(*e.lhs, b));
         GB_ASSIGN_OR_RETURN(Value r, eval(*e.rhs, b));
-        return Value(CompareSatisfies(e.op, l.Compare(r)));
+        return Value(query_ops::Satisfies(e.op, l.Compare(r)));
       }
       case Expr::Kind::kPathLength: {
         obs::OpTimer op("ShortestPath");
-        int from = slots.Find(e.path_from);
-        int to = slots.Find(e.path_to);
+        int from = find_slot(e.path_from);
+        int to = find_slot(e.path_to);
         if (from < 0 || to < 0) {
           return Status::InvalidArgument("shortestPath over unbound vars");
         }
@@ -166,7 +135,9 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
     // Solve the chain left-to-right against every current binding.
     for (size_t ni = 0; ni < chain.nodes.size(); ++ni) {
       const cypher::NodePattern& node = chain.nodes[ni];
-      int slot = node.var.empty() ? -1 : slots.GetOrAdd(node.var);
+      int slot = node.var.empty()
+                     ? -1
+                     : slots.emplace(node.var, int(slots.size())).first->second;
       ensure_width();
 
       const char* op_name =
@@ -176,6 +147,15 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
                                                       : "VarLengthExpand");
       obs::OpTimer op(op_name);
 
+      // Every inline property constraint of `node` holds on `v`.
+      auto props_match = [&](VertexId v) -> Result<bool> {
+        for (const auto& [key, expr] : node.props) {
+          GB_ASSIGN_OR_RETURN(Value want, EvalConst(*expr, params));
+          GB_ASSIGN_OR_RETURN(Value got, graph_->VertexProperty(v, key));
+          if (got != want) return false;
+        }
+        return true;
+      };
       std::vector<BindingRow> next;
       for (const BindingRow& b : rows) {
         if (ni == 0) {
@@ -197,16 +177,7 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
           for (VertexId v : candidates) {
             // Verify every inline constraint (the lookup used only the
             // first one).
-            bool props_ok = true;
-            for (const auto& [key, expr] : node.props) {
-              GB_ASSIGN_OR_RETURN(Value want, EvalConst(*expr, params));
-              GB_ASSIGN_OR_RETURN(Value got,
-                                  graph_->VertexProperty(v, key));
-              if (got != want) {
-                props_ok = false;
-                break;
-              }
-            }
+            GB_ASSIGN_OR_RETURN(bool props_ok, props_match(v));
             if (!props_ok) continue;
             BindingRow nb = b;
             if (slot >= 0) nb[size_t(slot)] = v;
@@ -217,7 +188,7 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
         // Expansion step: from nodes[ni-1] across rels[ni-1].
         const cypher::NodePattern& prev = chain.nodes[ni - 1];
         const cypher::RelPattern& rel = chain.rels[ni - 1];
-        int prev_slot = slots.Find(prev.var);
+        int prev_slot = find_slot(prev.var);
         if (prev_slot < 0 || b[size_t(prev_slot)] == kInvalidVertexId) {
           return Status::NotSupported(
               "chain must expand from a bound node");
@@ -231,26 +202,22 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
           // Variable-length expansion -[:T*min..max]-: BFS collecting the
           // distinct vertices first reached at depth in [min, max]
           // (distinct-vertex semantics; full Cypher enumerates edge-unique
-          // paths).
-          std::unordered_set<VertexId> visited{b[size_t(prev_slot)]};
-          std::vector<VertexId> frontier{b[size_t(prev_slot)]};
-          for (int depth = 1;
-               depth <= rel.max_hops && !frontier.empty(); ++depth) {
-            std::vector<VertexId> next_frontier;
-            for (VertexId v : frontier) {
-              GB_ASSIGN_OR_RETURN(
-                  std::vector<Neighbor> step,
-                  graph_->Neighbors(v, rel.type, rel.dir));
-              for (const Neighbor& n : step) {
-                if (!visited.insert(n.vertex).second) continue;
-                next_frontier.push_back(n.vertex);
-                if (depth >= rel.min_hops) {
-                  neighbors.push_back(Neighbor{n.vertex, n.edge});
-                }
-              }
-            }
-            frontier = std::move(next_frontier);
-          }
+          // paths). Only the vertices are used past this point.
+          auto expand = [&](VertexId v, auto&& emit) -> Status {
+            GB_ASSIGN_OR_RETURN(std::vector<Neighbor> step,
+                                graph_->Neighbors(v, rel.type, rel.dir));
+            for (const Neighbor& n : step) emit(n.vertex);
+            return Status::OK();
+          };
+          GB_RETURN_IF_ERROR(
+              Bfs(b[size_t(prev_slot)], rel.max_hops, expand,
+                  [&](VertexId v, int depth) {
+                    if (depth >= rel.min_hops) {
+                      neighbors.push_back(Neighbor{v, kInvalidEdgeId});
+                    }
+                    return true;
+                  })
+                  .status());
         }
         for (const Neighbor& n : neighbors) {
           // Label / inline property / prior-binding consistency checks.
@@ -263,16 +230,7 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
               b[size_t(slot)] != n.vertex) {
             continue;
           }
-          bool props_ok = true;
-          for (const auto& [key, expr] : node.props) {
-            GB_ASSIGN_OR_RETURN(Value want, EvalConst(*expr, params));
-            GB_ASSIGN_OR_RETURN(Value got,
-                                graph_->VertexProperty(n.vertex, key));
-            if (got != want) {
-              props_ok = false;
-              break;
-            }
-          }
+          GB_ASSIGN_OR_RETURN(bool props_ok, props_match(n.vertex));
           if (!props_ok) continue;
           BindingRow nb = b;
           if (slot >= 0) nb[size_t(slot)] = n.vertex;
@@ -320,7 +278,7 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
         auto resolve = [&](const std::string& var) -> Result<VertexId> {
           auto it = created.find(var);
           if (it != created.end()) return it->second;
-          int slot = slots.Find(var);
+          int slot = find_slot(var);
           if (slot < 0 || b[size_t(slot)] == kInvalidVertexId) {
             return Status::InvalidArgument("CREATE endpoint unbound: " +
                                            var);
@@ -346,129 +304,70 @@ Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
   // --- RETURN ---------------------------------------------------------
   for (const auto& item : q.ret) result.columns.push_back(item.name);
 
+  auto eval_row = [&](std::vector<const Expr*> exprs) -> query_ops::RowFn {
+    return [&, exprs = std::move(exprs)](size_t i, Row* out) -> Status {
+      for (const Expr* e : exprs) {
+        GB_ASSIGN_OR_RETURN(Value v, eval(*e, rows[i]));
+        out->push_back(std::move(v));
+      }
+      return Status::OK();
+    };
+  };
+
   // Cypher's implicit aggregation: count(*) groups by the non-aggregate
   // return items (RETURN f.id, count(*) counts per friend).
+  query_ops::AggregateSpec agg;
+  std::vector<const Expr*> keys;
   bool has_count = false;
   for (const auto& item : q.ret) {
-    has_count |= item.expr->kind == Expr::Kind::kCountStar;
+    if (item.expr->kind == Expr::Kind::kCountStar) {
+      has_count = true;
+      agg.items.push_back({query_ops::Agg::kCountStar});
+    } else {
+      agg.items.push_back({query_ops::Agg::kKey, keys.size()});
+      keys.push_back(item.expr.get());
+    }
   }
   if (has_count) {
-    obs::OpTimer agg_op("EagerAggregation");
-    std::unordered_map<Row, int64_t, RowHash, RowEq> counts;
-    std::vector<Row> group_order;
-    for (const BindingRow& b : rows) {
-      Row key;
-      for (const auto& item : q.ret) {
-        if (item.expr->kind == Expr::Kind::kCountStar) continue;
-        GB_ASSIGN_OR_RETURN(Value v, eval(*item.expr, b));
-        key.push_back(std::move(v));
-      }
-      auto [it, inserted] = counts.emplace(key, 0);
-      if (inserted) group_order.push_back(key);
-      ++it->second;
-    }
-    if (group_order.empty() && q.ret.size() == 1) {
-      // Bare RETURN count(*) over zero rows.
-      result.rows.push_back(Row{Value(int64_t{0})});
-      return result;
-    }
-    for (const Row& key : group_order) {
-      Row row;
-      size_t key_index = 0;
-      for (const auto& item : q.ret) {
-        if (item.expr->kind == Expr::Kind::kCountStar) {
-          row.push_back(Value(counts[key]));
-        } else {
-          row.push_back(key[key_index++]);
-        }
-      }
-      result.rows.push_back(std::move(row));
-    }
-    agg_op.AddRows(result.rows.size());
-    agg_op.Stop();
+    agg.grouped = !keys.empty();
+    agg.limit = limit;
     // ORDER BY over aggregated output: only aliases of return items.
-    if (!q.order_by.empty()) {
-      obs::OpTimer sort_op("Sort");
-      std::vector<std::pair<size_t, bool>> keys;
-      for (const auto& o : q.order_by) {
-        size_t column = q.ret.size();
-        if (o.expr->kind == Expr::Kind::kProp) {
-          for (size_t i = 0; i < q.ret.size(); ++i) {
-            const Expr& re = *q.ret[i].expr;
-            if (re.kind == Expr::Kind::kProp && re.var == o.expr->var &&
-                re.key == o.expr->key) {
-              column = i;
-              break;
-            }
-          }
-        } else if (o.expr->kind == Expr::Kind::kCountStar) {
-          for (size_t i = 0; i < q.ret.size(); ++i) {
-            if (q.ret[i].expr->kind == Expr::Kind::kCountStar) column = i;
-          }
+    for (const auto& o : q.order_by) {
+      const Expr& oe = *o.expr;
+      size_t column = 0;
+      for (; column < q.ret.size(); ++column) {
+        const Expr& re = *q.ret[column].expr;
+        if (re.kind == oe.kind &&
+            (re.kind == Expr::Kind::kCountStar ||
+             (re.kind == Expr::Kind::kProp && re.var == oe.var &&
+              re.key == oe.key))) {
+          break;
         }
-        if (column == q.ret.size()) {
-          return Status::NotSupported(
-              "aggregated ORDER BY must reference a RETURN item");
-        }
-        keys.emplace_back(column, o.desc);
       }
-      std::stable_sort(result.rows.begin(), result.rows.end(),
-                       [&keys](const Row& a, const Row& b) {
-                         for (auto [column, desc] : keys) {
-                           int c = a[column].Compare(b[column]);
-                           if (c != 0) return desc ? c > 0 : c < 0;
-                         }
-                         return false;
-                       });
+      if (column == q.ret.size()) {
+        return Status::NotSupported(
+            "aggregated ORDER BY must reference a RETURN item");
+      }
+      agg.order.push_back({column, o.desc});
     }
-    if (limit_bound >= 0 && result.rows.size() > size_t(limit_bound)) {
-      result.rows.resize(size_t(limit_bound));
-    }
+    GB_ASSIGN_OR_RETURN(result.rows,
+                        query_ops::Aggregate(rows.size(), agg,
+                                             eval_row(std::move(keys)),
+                                             nullptr));
     return result;
   }
 
-  struct Projected {
-    Row row;
-    Row sort_key;
-  };
-  std::vector<Projected> projected;
-  std::unordered_set<Row, RowHash, RowEq> seen;
-  obs::OpTimer project_op("Projection");
-  for (const BindingRow& b : rows) {
-    Row row;
-    for (const auto& item : q.ret) {
-      GB_ASSIGN_OR_RETURN(Value v, eval(*item.expr, b));
-      row.push_back(std::move(v));
-    }
-    if (q.distinct && !seen.insert(row).second) continue;
-    Row sort_key;
-    for (const auto& o : q.order_by) {
-      GB_ASSIGN_OR_RETURN(Value v, eval(*o.expr, b));
-      sort_key.push_back(std::move(v));
-    }
-    projected.push_back(Projected{std::move(row), std::move(sort_key)});
+  // No count(*): `keys` holds every return item.
+  query_ops::ProjectSpec spec{q.distinct, q.ret.size(), {}, limit};
+  std::vector<const Expr*> sort_keys;
+  for (const auto& o : q.order_by) {
+    sort_keys.push_back(o.expr.get());
+    spec.desc.push_back(o.desc);
   }
-  project_op.AddRows(projected.size());
-  project_op.Stop();
-  if (!q.order_by.empty()) {
-    obs::OpTimer sort_op("Sort");
-    std::stable_sort(projected.begin(), projected.end(),
-                     [&q](const Projected& a, const Projected& b) {
-                       for (size_t i = 0; i < q.order_by.size(); ++i) {
-                         int c = a.sort_key[i].Compare(b.sort_key[i]);
-                         if (c != 0) return q.order_by[i].desc ? c > 0
-                                                               : c < 0;
-                       }
-                       return false;
-                     });
-  }
-  size_t limit = limit_bound < 0
-                     ? projected.size()
-                     : std::min(size_t(limit_bound), projected.size());
-  result.rows.reserve(limit);
-  for (size_t i = 0; i < limit; ++i) {
-    result.rows.push_back(std::move(projected[i].row));
-  }
+  GB_ASSIGN_OR_RETURN(result.rows,
+                      query_ops::Project(rows.size(), spec,
+                                         eval_row(std::move(keys)),
+                                         eval_row(std::move(sort_keys))));
   return result;
 }
 

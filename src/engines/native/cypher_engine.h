@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "engines/native/native_graph.h"
-#include "engines/relational/query_result.h"
+#include "engines/query_ops.h"
 #include "lang/cypher/ast.h"
 #include "lang/plan_cache.h"
 #include "util/result.h"

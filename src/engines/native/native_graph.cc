@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <deque>
 #include <thread>
-#include <unordered_map>
+#include <type_traits>
 
+#include "graph/shortest_path.h"
 #include "graph/value_codec.h"
 #include "storage/heap_table.h"  // ValueFootprint
 #include "util/stopwatch.h"
@@ -18,6 +17,22 @@ using concurrency::EpochGuard;
 using concurrency::EpochManager;
 using concurrency::ReadPin;
 using concurrency::WriteBatch;
+
+// Appends one record, in the format the journal and the store file share:
+// the kind tag, then each field as a Value or a PropertyMap.
+template <typename... Fields>
+void AppendRecord(std::string* out, char kind, const Fields&... fields) {
+  out->push_back(kind);
+  auto encode = [out](const auto& field) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(field)>, PropertyMap>) {
+      valuecodec::EncodePropertyMap(out, field);
+    } else {
+      valuecodec::EncodeValue(out, Value(field));
+    }
+  };
+  (encode(fields), ...);
+}
+
 }  // namespace
 
 NativeGraph::NativeGraph(NativeGraphOptions options) : options_(options) {
@@ -27,16 +42,13 @@ NativeGraph::NativeGraph(NativeGraphOptions options) : options_(options) {
   auto journal = storage::Wal::Create(
       fs, storage::WalPath(options_.durability, "neo4j"), /*salt=*/1);
   if (!store.ok() || !journal.ok()) {
-    std::fprintf(stderr,
-                 "native-graph: durable store unavailable (%s); "
-                 "falling back to in-memory checkpoints\n",
-                 (!store.ok() ? store.status() : journal.status())
-                     .message().c_str());
+    durability_error_ = !store.ok() ? store.status() : journal.status();
     return;
   }
   store_file_ = std::move(store).value();
-  (void)store_file_->Truncate(0);  // each run starts a fresh store file
   journal_ = std::move(journal).value();
+  // Each run starts a fresh store file.
+  durability_error_ = store_file_->Truncate(0);
 }
 
 uint32_t NativeGraph::InternLabel(EpochManager& mgr, std::string_view label) {
@@ -77,40 +89,32 @@ void NativeGraph::SerializeRange(size_t from_vertex, size_t from_edge,
   for (size_t v = from_vertex; v < end_v; ++v) {
     const VertexRec* rec = vertices_.Read(v, pin);
     if (rec == nullptr) continue;
-    out->push_back('V');
-    valuecodec::EncodeValue(out, Value(int64_t(v)));
-    valuecodec::EncodeValue(out, Value(label_names_[rec->label]));
-    valuecodec::EncodePropertyMap(out, rec->props);
+    AppendRecord(out, 'V', int64_t(v),
+                 std::string_view(label_names_[rec->label]), rec->props);
   }
   for (size_t e = from_edge; e < end_e; ++e) {
     const EdgeRec* rec = edges_.Read(e, pin);
     if (rec == nullptr || rec->removed) continue;
-    out->push_back('E');
-    valuecodec::EncodeValue(out, Value(label_names_[rec->label]));
-    valuecodec::EncodeValue(out, Value(int64_t(rec->src)));
-    valuecodec::EncodeValue(out, Value(int64_t(rec->dst)));
-    valuecodec::EncodePropertyMap(out, rec->props);
+    AppendRecord(out, 'E', std::string_view(label_names_[rec->label]),
+                 int64_t(rec->src), int64_t(rec->dst), rec->props);
   }
 }
 
-void NativeGraph::JournalLocked(char kind, const std::string& body) {
-  if (journal_ == nullptr) return;
+template <typename... Fields>
+Status NativeGraph::JournalLocked(char kind, const Fields&... fields) {
+  if (!options_.durability.enabled) return Status::OK();
+  GB_RETURN_IF_ERROR(durability_error_);
   std::string record;
-  record.reserve(1 + body.size());
-  record.push_back(kind);
-  record.append(body);
-  // Journal errors degrade to in-memory behaviour rather than failing the
-  // write: the engines above have no durability contract to surface them.
-  if (journal_->Append(/*type=*/1, record).ok() &&
-      options_.durability.fsync_on_commit) {
-    (void)journal_->Sync();
-  }
+  AppendRecord(&record, kind, fields...);
+  GB_RETURN_IF_ERROR(journal_->Append(/*type=*/1, record).status());
+  return options_.durability.fsync_on_commit ? journal_->Sync()
+                                             : Status::OK();
 }
 
-void NativeGraph::MaybeCheckpointLocked() {
-  if (options_.checkpoint_interval_writes == 0) return;
-  if (++writes_since_checkpoint_ < options_.checkpoint_interval_writes) {
-    return;
+Status NativeGraph::MaybeCheckpointLocked() {
+  if (options_.checkpoint_interval_writes == 0 ||
+      ++writes_since_checkpoint_ < options_.checkpoint_interval_writes) {
+    return Status::OK();
   }
   // Flush the dirty records: serialize everything written since the last
   // checkpoint into the store's snapshot buffer. The writer stalls —
@@ -121,23 +125,17 @@ void NativeGraph::MaybeCheckpointLocked() {
   Stopwatch checkpoint_clock;
   SerializeRange(checkpointed_vertices_, checkpointed_edges_,
                  EpochManager::kWriterPin, &checkpoint_buffer_);
-  Counts c = WriterCounts();
-  checkpointed_vertices_ = c.vertices;
-  checkpointed_edges_ = c.edges;
+  Status st;
   if (store_file_ != nullptr) {
     // Durable mode: the stall is the genuine I/O — journal made durable,
-    // the newly serialized records appended to the store file and
-    // fsynced, journal reset — so the simulated fsync floor is skipped.
-    if (journal_ != nullptr) (void)journal_->Sync();
-    std::string_view fresh(checkpoint_buffer_);
-    fresh.remove_prefix(
-        std::min<size_t>(store_bytes_written_, fresh.size()));
-    if (store_file_->Append(fresh).ok() && store_file_->Sync().ok()) {
-      store_bytes_written_ = checkpoint_buffer_.size();
-      if (journal_ != nullptr) {
-        (void)journal_->ResetForCheckpoint(
-            checkpoints_.load(std::memory_order_relaxed) + 2);
-      }
+    // this checkpoint's records appended to the store file and fsynced,
+    // journal reset — so the simulated fsync floor is skipped.
+    st = journal_->Sync();
+    if (st.ok()) st = store_file_->Append(checkpoint_buffer_);
+    if (st.ok()) st = store_file_->Sync();
+    if (st.ok()) {
+      st = journal_->ResetForCheckpoint(
+          checkpoints_.load(std::memory_order_relaxed) + 2);
     }
   } else {
     uint64_t target =
@@ -149,8 +147,16 @@ void NativeGraph::MaybeCheckpointLocked() {
       std::this_thread::sleep_for(std::chrono::microseconds(target - spent));
     }
   }
+  checkpoint_buffer_.clear();
   writes_since_checkpoint_ = 0;
+  // A failed checkpoint keeps its marks, so the next one retries the same
+  // records; the journal, not reset, still holds them.
+  GB_RETURN_IF_ERROR(st);
+  Counts c = WriterCounts();
+  checkpointed_vertices_ = c.vertices;
+  checkpointed_edges_ = c.edges;
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 Status NativeGraph::SnapshotTo(std::string* out) const {
@@ -228,6 +234,9 @@ Result<VertexId> NativeGraph::AddVertex(std::string_view label,
         return Status::AlreadyExists("unique index violation on " + h.key);
       }
     }
+  }
+  GB_RETURN_IF_ERROR(JournalLocked('V', int64_t(v), label, props));
+  if (handles != nullptr) {
     for (const IndexHandle& h : *handles) {
       if (h.label != label_id) continue;
       const Value& value = props.Get(h.key);
@@ -244,14 +253,7 @@ Result<VertexId> NativeGraph::AddVertex(std::string_view label,
     ++c.vertices;
     c.bytes += added;
   });
-  if (journal_ != nullptr) {
-    std::string body;
-    valuecodec::EncodeValue(&body, Value(int64_t(v)));
-    valuecodec::EncodeValue(&body, Value(label));
-    valuecodec::EncodePropertyMap(&body, props);
-    JournalLocked('V', body);
-  }
-  MaybeCheckpointLocked();
+  GB_RETURN_IF_ERROR(MaybeCheckpointLocked());
   return v;
 }
 
@@ -263,6 +265,8 @@ Result<EdgeId> NativeGraph::AddEdge(std::string_view label, VertexId src,
   if (src >= vertices_.size() || dst >= vertices_.size()) {
     return Status::InvalidArgument("edge endpoint does not exist");
   }
+  GB_RETURN_IF_ERROR(
+      JournalLocked('E', label, int64_t(src), int64_t(dst), props));
   uint32_t label_id = InternLabel(mgr, label);
   EdgeId e = edges_.size();
   edges_.Append(mgr, EdgeRec{label_id, src, dst, props, false});
@@ -283,15 +287,7 @@ Result<EdgeId> NativeGraph::AddEdge(std::string_view label, VertexId src,
     ++c.edges;
     c.bytes += added;
   });
-  if (journal_ != nullptr) {
-    std::string body;
-    valuecodec::EncodeValue(&body, Value(label));
-    valuecodec::EncodeValue(&body, Value(int64_t(src)));
-    valuecodec::EncodeValue(&body, Value(int64_t(dst)));
-    valuecodec::EncodePropertyMap(&body, props);
-    JournalLocked('E', body);
-  }
-  MaybeCheckpointLocked();
+  GB_RETURN_IF_ERROR(MaybeCheckpointLocked());
   return e;
 }
 
@@ -331,17 +327,10 @@ Status NativeGraph::SetVertexProperty(VertexId v, std::string_view key,
   std::lock_guard<std::mutex> lock(write_mu_);
   EpochManager& mgr = EpochManager::Global();
   if (v >= vertices_.size()) return Status::NotFound("vertex");
+  GB_RETURN_IF_ERROR(JournalLocked('P', int64_t(v), key, value));
   vertices_.Publish(mgr, v,
                     [&](VertexRec& rec) { rec.props.Set(key, value); });
-  if (journal_ != nullptr) {
-    std::string body;
-    valuecodec::EncodeValue(&body, Value(int64_t(v)));
-    valuecodec::EncodeValue(&body, Value(key));
-    valuecodec::EncodeValue(&body, value);
-    JournalLocked('P', body);
-  }
-  MaybeCheckpointLocked();
-  return Status::OK();
+  return MaybeCheckpointLocked();
 }
 
 Result<std::vector<Neighbor>> NativeGraph::Neighbors(
@@ -467,32 +456,25 @@ Status NativeGraph::RemoveEdge(std::string_view label, VertexId src,
   // Locate one live edge between the endpoints in either orientation.
   const VertexRec* srec = vertices_.WriterLatest(src);
   if (srec == nullptr) return Status::NotFound("vertex");
-  EdgeId eid = 0;
-  bool found = false;
-  for (const AdjGroup& g : srec->adj) {
-    if (int(g.edge_label) != label_id) continue;
-    for (const Neighbor& n : g.out) {
-      if (n.vertex == dst) {
-        eid = n.edge;
-        found = true;
-        break;
+  auto find_edge = [&]() -> EdgeId {
+    for (const AdjGroup& g : srec->adj) {
+      if (int(g.edge_label) != label_id) continue;
+      for (const auto* side : {&g.out, &g.in}) {
+        for (const Neighbor& n : *side) {
+          if (n.vertex == dst) return n.edge;
+        }
       }
     }
-    if (found) break;
-    for (const Neighbor& n : g.in) {
-      if (n.vertex == dst) {
-        eid = n.edge;
-        found = true;
-        break;
-      }
-    }
-    if (found) break;
-  }
-  if (!found) return Status::NotFound("edge");
+    return kInvalidEdgeId;
+  };
+  const EdgeId eid = find_edge();
+  if (eid == kInvalidEdgeId) return Status::NotFound("edge");
   const EdgeRec* erec = edges_.WriterLatest(eid);
   const VertexId esrc = erec->src;
   const VertexId edst = erec->dst;
   const uint32_t elabel = erec->label;
+  GB_RETURN_IF_ERROR(
+      JournalLocked('R', label, int64_t(esrc), int64_t(edst)));
   auto unlink = [eid](std::vector<Neighbor>& list) {
     for (auto it = list.begin(); it != list.end(); ++it) {
       if (it->edge == eid) {
@@ -512,15 +494,7 @@ Status NativeGraph::RemoveEdge(std::string_view label, VertexId src,
     ++c.removed_edges;
     c.bytes -= 48 + 2 * sizeof(Neighbor);
   });
-  if (journal_ != nullptr) {
-    std::string body;
-    valuecodec::EncodeValue(&body, Value(label));
-    valuecodec::EncodeValue(&body, Value(int64_t(esrc)));
-    valuecodec::EncodeValue(&body, Value(int64_t(edst)));
-    JournalLocked('R', body);
-  }
-  MaybeCheckpointLocked();
-  return Status::OK();
+  return MaybeCheckpointLocked();
 }
 
 uint64_t NativeGraph::ApproximateSizeBytes() const {
@@ -541,50 +515,22 @@ Result<int> NativeGraph::ShortestPathLength(
   int wanted = LookupLabel(edge_label, pin);
   if (wanted < 0) return -1;
 
-  // Bidirectional BFS over undirected adjacency, alternating expansion of
-  // the smaller frontier. Runs directly on the in-record adjacency lists
-  // of the pinned epoch: the whole traversal sees one consistent graph.
-  std::unordered_map<VertexId, int> dist_a{{a, 0}}, dist_b{{b, 0}};
-  std::deque<VertexId> frontier_a{a}, frontier_b{b};
-
-  auto expand = [&](std::deque<VertexId>& frontier,
-                    std::unordered_map<VertexId, int>& dist,
-                    const std::unordered_map<VertexId, int>& other,
-                    int* meet) {
-    size_t level_size = frontier.size();
-    for (size_t i = 0; i < level_size; ++i) {
-      VertexId v = frontier.front();
-      frontier.pop_front();
-      int d = dist[v];
-      const VertexRec* rec = vertices_.Read(v, pin);
-      if (rec == nullptr) continue;
-      for (const AdjGroup& g : rec->adj) {
-        if (int(g.edge_label) != wanted) continue;
-        for (const auto* side : {&g.out, &g.in}) {
-          for (const Neighbor& n : *side) {
-            if (dist.count(n.vertex)) continue;
-            dist[n.vertex] = d + 1;
-            auto hit = other.find(n.vertex);
-            if (hit != other.end()) {
-              *meet = d + 1 + hit->second;
-              return true;
-            }
-            frontier.push_back(n.vertex);
-          }
+  // Bidirectional BFS over undirected adjacency, run directly on the
+  // in-record adjacency lists of the pinned epoch: the whole traversal sees
+  // one consistent graph.
+  return BidirectionalBfsDistance(a, b, [&](VertexId v, auto&& emit) {
+    const VertexRec* rec = vertices_.Read(v, pin);
+    if (rec == nullptr) return Status::OK();
+    for (const AdjGroup& g : rec->adj) {
+      if (int(g.edge_label) != wanted) continue;
+      for (const auto* side : {&g.out, &g.in}) {
+        for (const Neighbor& n : *side) {
+          if (!emit(n.vertex)) return Status::OK();
         }
       }
     }
-    return false;
-  };
-
-  int meet = -1;
-  while (!frontier_a.empty() && !frontier_b.empty()) {
-    bool found = frontier_a.size() <= frontier_b.size()
-                     ? expand(frontier_a, dist_a, dist_b, &meet)
-                     : expand(frontier_b, dist_b, dist_a, &meet);
-    if (found) return meet;
-  }
-  return -1;
+    return Status::OK();
+  });
 }
 
 }  // namespace graphbench

@@ -156,11 +156,16 @@ class NativeGraph : public PropertyGraph {
   int LookupLabel(std::string_view label, uint64_t pin) const;
   static AdjGroup& GroupFor(VertexRec& rec, uint32_t edge_label);
   Counts WriterCounts() const;
-  // Checkpoint bookkeeping; called with write_mu_ held.
-  void MaybeCheckpointLocked();
-  // Appends one journal record in durable mode (no-op otherwise); called
-  // with write_mu_ held at the end of each successful write.
-  void JournalLocked(char kind, const std::string& body);
+  // Checkpoint bookkeeping; called with write_mu_ held after a write
+  // publishes. A failed durable checkpoint is returned, while the write
+  // that triggered it stands in memory (commit-unknown).
+  Status MaybeCheckpointLocked();
+  // Durable mode: appends one journal record of `kind` and `fields`
+  // (fsynced under fsync_on_commit), or returns the kept open failure; a
+  // no-op otherwise. Called with write_mu_ held before a write publishes
+  // anything, so a failed append publishes nothing.
+  template <typename... Fields>
+  Status JournalLocked(char kind, const Fields&... fields);
 
   // Serializes records [from_vertex, from_edge) visible at `pin` into
   // `out`.
@@ -181,8 +186,8 @@ class NativeGraph : public PropertyGraph {
   std::deque<std::unique_ptr<ValueIndex>> index_storage_;
 
   // Incremental checkpoint state (writer-only, under write_mu_):
-  // everything before these marks has been serialized into
-  // checkpoint_buffer_.
+  // everything before these marks has been checkpointed. The buffer holds
+  // one checkpoint's records during its stall, then is cleared for reuse.
   size_t checkpointed_vertices_ = 0;
   size_t checkpointed_edges_ = 0;
   std::string checkpoint_buffer_;
@@ -191,10 +196,11 @@ class NativeGraph : public PropertyGraph {
 
   // Durable mode (writer-only, under write_mu_): the WAL journal and the
   // store file the checkpoint appends to. Null when durability is off or
-  // the files failed to open (degrades to the simulated checkpoint).
+  // the files failed to open; the open failure is kept in
+  // durability_error_ and returned by every later write.
   std::unique_ptr<storage::Wal> journal_;
   std::unique_ptr<storage::File> store_file_;
-  uint64_t store_bytes_written_ = 0;
+  Status durability_error_;
 };
 
 }  // namespace graphbench

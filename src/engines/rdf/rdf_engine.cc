@@ -1,10 +1,10 @@
 #include "engines/rdf/rdf_engine.h"
 
 #include <algorithm>
-#include <deque>
+#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "graph/shortest_path.h"
 #include "lang/sparql/parser.h"
 #include "obs/profiler.h"
 
@@ -71,17 +71,12 @@ Result<QueryResult> RdfEngine::ExecuteParsed(const sparql::Query& q,
                                              const Params& params) {
   // LIMIT binds like any other parameter so one cached plan serves every
   // limit value.
-  int64_t limit_bound = q.limit;
-  if (!q.limit_param.empty()) {
-    auto it = params.find(q.limit_param);
-    if (it == params.end()) {
-      return Status::InvalidArgument("missing parameter $" + q.limit_param);
-    }
-    if (!it->second.is_int()) {
-      return Status::InvalidArgument("LIMIT parameter must be an integer");
-    }
-    limit_bound = it->second.as_int();
-  }
+  auto limit_param = params.find(q.limit_param);
+  GB_ASSIGN_OR_RETURN(
+      int64_t limit,
+      query_ops::BindLimit(
+          q.limit, !q.limit_param.empty(),
+          limit_param == params.end() ? nullptr : &limit_param->second));
 
   // Assign variable slots.
   std::unordered_map<std::string, int> var_slots;
@@ -101,34 +96,29 @@ Result<QueryResult> RdfEngine::ExecuteParsed(const sparql::Query& q,
     ResolvedPattern rp{kWildcard, kWildcard, kWildcard};
     auto resolve = [&](const sparql::TermPattern& t, uint64_t* id,
                        int* var) -> Status {
+      std::optional<uint64_t> found;
       switch (t.kind) {
         case sparql::TermPattern::Kind::kVariable:
           *var = slot_of(t.text);
+          return Status::OK();
+        case sparql::TermPattern::Kind::kIri:
+          found = dict_.LookupIri(t.text);
           break;
-        case sparql::TermPattern::Kind::kIri: {
-          auto found = dict_.LookupIri(t.text);
-          if (!found) rp.impossible = true;
-          else *id = *found;
+        case sparql::TermPattern::Kind::kLiteral:
+          found = dict_.LookupLiteral(t.literal);
           break;
-        }
-        case sparql::TermPattern::Kind::kLiteral: {
-          auto found = dict_.LookupLiteral(t.literal);
-          if (!found) rp.impossible = true;
-          else *id = *found;
-          break;
-        }
         case sparql::TermPattern::Kind::kParam: {
           // Bind step: parameters resolve to literal terms per call.
           auto it = params.find(t.text);
           if (it == params.end()) {
             return Status::InvalidArgument("missing parameter $" + t.text);
           }
-          auto found = dict_.LookupLiteral(it->second);
-          if (!found) rp.impossible = true;
-          else *id = *found;
+          found = dict_.LookupLiteral(it->second);
           break;
         }
       }
+      if (found) *id = *found;
+      else rp.impossible = true;
       return Status::OK();
     };
     GB_RETURN_IF_ERROR(resolve(tp.s, &rp.s, &rp.s_var));
@@ -147,21 +137,11 @@ Result<QueryResult> RdfEngine::ExecuteParsed(const sparql::Query& q,
     result.columns.push_back(
         sel.is_path || sel.is_count ? sel.as_name : sel.var);
   }
-  if (impossible) {
-    // Some constant term is not in the dictionary: no solutions. A global
-    // aggregate still yields its zero row.
-    bool all_counts = !q.select.empty();
-    for (const auto& sel : q.select) all_counts &= sel.is_count;
-    if (all_counts && q.group_by.empty()) {
-      Row zeros(q.select.size(), Value(int64_t{0}));
-      result.rows.push_back(std::move(zeros));
-    }
-    return result;
-  }
 
   // Greedy BGP join: repeatedly run the most selective remaining pattern.
+  // A constant term missing from the dictionary means no solutions.
   std::vector<BindingRow> rows;
-  rows.emplace_back(var_slots.size(), kWildcard);
+  if (!impossible) rows.emplace_back(var_slots.size(), kWildcard);
   std::vector<bool> used(patterns.size(), false);
   std::vector<bool> bound(var_slots.size(), false);
 
@@ -173,7 +153,7 @@ Result<QueryResult> RdfEngine::ExecuteParsed(const sparql::Query& q,
     return score;
   };
 
-  for (size_t step = 0; step < patterns.size(); ++step) {
+  for (size_t step = 0; step < patterns.size() && !rows.empty(); ++step) {
     int best = -1, best_score = -1;
     for (size_t i = 0; i < patterns.size(); ++i) {
       if (used[i]) continue;
@@ -239,14 +219,27 @@ Result<QueryResult> RdfEngine::ExecuteParsed(const sparql::Query& q,
       }
       filter_op.AddRows(rows.size());
     }
-    if (rows.empty()) break;
   }
 
   // Project (decoding ids back to Values — the reverse-dictionary half of
   // the translation cost) plus ORDER BY keys.
-  auto decode = [this](uint64_t id) {
+  auto decode = [this](uint64_t id) -> Value {
     Term t = dict_.Decode(id);
-    return t.kind == Term::Kind::kIri ? Value(t.iri) : t.literal;
+    if (t.kind == Term::Kind::kIri) return Value(std::move(t.iri));
+    return std::move(t.literal);
+  };
+  auto decode_row = [&](std::vector<size_t> slots) -> query_ops::RowFn {
+    return [&, slots = std::move(slots)](size_t i, Row* out) -> Status {
+      for (size_t s : slots) out->push_back(decode(rows[i][s]));
+      return Status::OK();
+    };
+  };
+  auto slot = [&var_slots](const std::string& name) -> Result<size_t> {
+    auto it = var_slots.find(name);
+    if (it == var_slots.end()) {
+      return Status::InvalidArgument("unknown variable ?" + name);
+    }
+    return size_t(it->second);
   };
 
   // Aggregation path: any (COUNT(?v) AS ?n) projection groups the
@@ -254,196 +247,123 @@ Result<QueryResult> RdfEngine::ExecuteParsed(const sparql::Query& q,
   bool has_count = false;
   for (const auto& sel : q.select) has_count |= sel.is_count;
   if (has_count) {
-    obs::OpTimer agg_op("aggregate");
-    auto slot = [&var_slots](const std::string& name) -> Result<int> {
-      auto it = var_slots.find(name);
-      if (it == var_slots.end()) {
-        return Status::InvalidArgument("unknown variable ?" + name);
-      }
-      return it->second;
-    };
-    std::unordered_map<Row, int64_t, RowHash, RowEq> counts;
-    std::vector<Row> group_order;
-    for (const BindingRow& binding : rows) {
-      Row key;
-      for (const std::string& g : q.group_by) {
-        GB_ASSIGN_OR_RETURN(int s, slot(g));
-        key.push_back(decode(binding[size_t(s)]));
-      }
-      auto [it, inserted] = counts.emplace(key, 0);
-      if (inserted) group_order.push_back(key);
-      ++it->second;
+    query_ops::AggregateSpec spec;
+    spec.grouped = !q.group_by.empty();
+    spec.limit = limit;
+    std::vector<size_t> group_slots;
+    for (const std::string& g : q.group_by) {
+      GB_ASSIGN_OR_RETURN(size_t s, slot(g));
+      group_slots.push_back(s);
     }
-    if (group_order.empty() && q.group_by.empty()) {
-      group_order.push_back(Row{});
-      counts[Row{}] = 0;
-    }
-    for (const Row& key : group_order) {
-      Row row;
-      for (const auto& sel : q.select) {
-        if (sel.is_count) {
-          row.push_back(Value(counts[key]));
-          continue;
-        }
-        if (sel.is_path) {
-          return Status::NotSupported(
-              "shortestPath cannot mix with aggregates");
-        }
-        // Plain variable: must be one of the GROUP BY keys.
-        size_t key_index = q.group_by.size();
-        for (size_t g = 0; g < q.group_by.size(); ++g) {
-          if (q.group_by[g] == sel.var) {
-            key_index = g;
-            break;
-          }
-        }
-        if (key_index == q.group_by.size()) {
-          return Status::InvalidArgument(
-              "projected variable ?" + sel.var + " not in GROUP BY");
-        }
-        row.push_back(key[key_index]);
+    for (const auto& sel : q.select) {
+      if (sel.is_count) {
+        spec.items.push_back({query_ops::Agg::kCountStar});
+        continue;
       }
-      result.rows.push_back(std::move(row));
+      if (sel.is_path) {
+        return Status::NotSupported(
+            "shortestPath cannot mix with aggregates");
+      }
+      // Plain variable: must be one of the GROUP BY keys.
+      size_t key = size_t(
+          std::find(q.group_by.begin(), q.group_by.end(), sel.var) -
+          q.group_by.begin());
+      if (key == q.group_by.size()) {
+        return Status::InvalidArgument(
+            "projected variable ?" + sel.var + " not in GROUP BY");
+      }
+      spec.items.push_back({query_ops::Agg::kKey, key});
     }
-    agg_op.AddRows(result.rows.size());
-    agg_op.Stop();
     // ORDER BY over aggregated output references projected names.
-    if (!q.order_by.empty()) {
-      obs::OpTimer sort_op("sort");
-      std::vector<std::pair<size_t, bool>> keys;
-      for (const auto& [var, desc] : q.order_by) {
-        size_t column = q.select.size();
-        for (size_t i = 0; i < q.select.size(); ++i) {
-          const std::string& name =
-              q.select[i].is_count ? q.select[i].as_name : q.select[i].var;
-          if (name == var) {
-            column = i;
-            break;
-          }
-        }
-        if (column == q.select.size()) {
-          return Status::InvalidArgument("ORDER BY unknown projection ?" +
-                                         var);
-        }
-        keys.emplace_back(column, desc);
+    for (const auto& [var, desc] : q.order_by) {
+      size_t column = 0;
+      while (column < q.select.size() &&
+             (q.select[column].is_count ? q.select[column].as_name
+                                        : q.select[column].var) != var) {
+        ++column;
       }
-      std::stable_sort(result.rows.begin(), result.rows.end(),
-                       [&keys](const Row& a, const Row& b) {
-                         for (auto [column, desc] : keys) {
-                           int c = a[column].Compare(b[column]);
-                           if (c != 0) return desc ? c > 0 : c < 0;
-                         }
-                         return false;
-                       });
+      if (column == q.select.size()) {
+        return Status::InvalidArgument("ORDER BY unknown projection ?" +
+                                       var);
+      }
+      spec.order.push_back({column, desc});
     }
-    if (limit_bound >= 0 && result.rows.size() > size_t(limit_bound)) {
-      result.rows.resize(size_t(limit_bound));
-    }
+    GB_ASSIGN_OR_RETURN(result.rows,
+                        query_ops::Aggregate(rows.size(), spec,
+                                             decode_row(std::move(group_slots)),
+                                             nullptr));
     return result;
   }
 
-  struct Projected {
-    Row row;
-    Row sort_key;
+  // Each column decodes `slot`, or for shortestPath() runs the BFS from
+  // `slot` to `to_slot` over `pred` (-1 when the predicate is unknown).
+  struct Column {
+    size_t slot;
+    bool is_path = false;
+    size_t to_slot = 0;
+    std::optional<uint64_t> pred = std::nullopt;
   };
-  std::vector<Projected> projected;
-  std::unordered_set<Row, RowHash, RowEq> seen;
-  obs::OpTimer project_op("project");
-  for (const BindingRow& binding : rows) {
-    Row row;
-    for (const auto& sel : q.select) {
-      if (sel.is_path) {
-        auto from = var_slots.find(sel.from_var);
-        auto to = var_slots.find(sel.to_var);
-        auto pred = dict_.LookupIri(sel.pred_iri);
-        if (from == var_slots.end() || to == var_slots.end()) {
-          return Status::InvalidArgument("shortestPath over unbound vars");
-        }
-        if (!pred) {
-          row.push_back(Value(int64_t{-1}));
-          continue;
-        }
-        GB_ASSIGN_OR_RETURN(int len,
-                            ShortestPath(binding[size_t(from->second)],
-                                         binding[size_t(to->second)], *pred));
-        row.push_back(Value(int64_t{len}));
-      } else {
-        auto it = var_slots.find(sel.var);
-        if (it == var_slots.end()) {
-          return Status::InvalidArgument("projection of unknown variable ?" +
-                                         sel.var);
-        }
-        row.push_back(decode(binding[size_t(it->second)]));
-      }
+  std::vector<Column> columns;
+  for (const auto& sel : q.select) {
+    if (!sel.is_path) {
+      GB_ASSIGN_OR_RETURN(size_t s, slot(sel.var));
+      columns.push_back({s});
+      continue;
     }
-    if (q.distinct && !seen.insert(row).second) continue;
-    Row sort_key;
-    for (const auto& [var, desc] : q.order_by) {
-      auto it = var_slots.find(var);
-      if (it == var_slots.end()) {
-        return Status::InvalidArgument("ORDER BY unknown variable");
-      }
-      sort_key.push_back(decode(binding[size_t(it->second)]));
+    auto from = var_slots.find(sel.from_var);
+    auto to = var_slots.find(sel.to_var);
+    if (from == var_slots.end() || to == var_slots.end()) {
+      return Status::InvalidArgument("shortestPath over unbound vars");
     }
-    projected.push_back(Projected{std::move(row), std::move(sort_key)});
+    columns.push_back({size_t(from->second), true, size_t(to->second),
+                       dict_.LookupIri(sel.pred_iri)});
   }
-  project_op.AddRows(projected.size());
-  project_op.Stop();
-
-  if (!q.order_by.empty()) {
-    obs::OpTimer sort_op("sort");
-    std::stable_sort(projected.begin(), projected.end(),
-                     [&q](const Projected& a, const Projected& b) {
-                       for (size_t i = 0; i < q.order_by.size(); ++i) {
-                         int c = a.sort_key[i].Compare(b.sort_key[i]);
-                         if (c != 0) return q.order_by[i].second ? c > 0
-                                                                 : c < 0;
-                       }
-                       return false;
-                     });
+  query_ops::ProjectSpec spec{q.distinct, q.select.size(), {}, limit};
+  std::vector<size_t> sort_slots;
+  for (const auto& [var, desc] : q.order_by) {
+    GB_ASSIGN_OR_RETURN(size_t s, slot(var));
+    sort_slots.push_back(s);
+    spec.desc.push_back(desc);
   }
-  size_t limit = limit_bound < 0
-                     ? projected.size()
-                     : std::min(size_t(limit_bound), projected.size());
-  result.rows.reserve(limit);
-  for (size_t i = 0; i < limit; ++i) {
-    result.rows.push_back(std::move(projected[i].row));
-  }
+  GB_ASSIGN_OR_RETURN(
+      result.rows,
+      query_ops::Project(
+          rows.size(), spec,
+          [&](size_t i, Row* out) -> Status {
+            for (const Column& c : columns) {
+              if (!c.is_path) {
+                out->push_back(decode(rows[i][c.slot]));
+              } else if (!c.pred) {
+                out->emplace_back(int64_t{-1});
+              } else {
+                GB_ASSIGN_OR_RETURN(int len,
+                                    ShortestPath(rows[i][c.slot],
+                                                 rows[i][c.to_slot], *c.pred));
+                out->emplace_back(int64_t{len});
+              }
+            }
+            return Status::OK();
+          },
+          decode_row(std::move(sort_slots))));
   return result;
 }
 
 Result<int> RdfEngine::ShortestPath(uint64_t from_id, uint64_t to_id,
                                     uint64_t pred_id) const {
   obs::OpTimer op("shortest_path");
-  if (from_id == to_id) return 0;
   // BFS over the triple indexes, expanding both edge directions.
-  std::unordered_set<uint64_t> visited{from_id};
-  std::deque<uint64_t> frontier{from_id};
   std::vector<Triple> matches;
-  int depth = 0;
-  while (!frontier.empty()) {
-    ++depth;
-    size_t level = frontier.size();
-    for (size_t i = 0; i < level; ++i) {
-      uint64_t v = frontier.front();
-      frontier.pop_front();
-      for (bool forward : {true, false}) {
-        if (forward) {
-          store_.Match(v, pred_id, kWildcard, &matches);
-        } else {
-          store_.Match(kWildcard, pred_id, v, &matches);
-        }
-        for (const Triple& t : matches) {
-          uint64_t next = forward ? t.o : t.s;
-          if (visited.count(next)) continue;
-          if (next == to_id) return depth;
-          visited.insert(next);
-          frontier.push_back(next);
-        }
-      }
+  return BfsDistance(from_id, to_id, [&](uint64_t v, auto&& emit) {
+    store_.Match(v, pred_id, kWildcard, &matches);
+    for (const Triple& t : matches) {
+      if (!emit(t.o)) return Status::OK();
     }
-  }
-  return -1;
+    store_.Match(kWildcard, pred_id, v, &matches);
+    for (const Triple& t : matches) {
+      if (!emit(t.s)) return Status::OK();
+    }
+    return Status::OK();
+  });
 }
 
 }  // namespace graphbench

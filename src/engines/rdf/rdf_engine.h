@@ -7,9 +7,9 @@
 #include <string_view>
 #include <vector>
 
+#include "engines/query_ops.h"
 #include "engines/rdf/term_dictionary.h"
 #include "engines/rdf/triple_store.h"
-#include "engines/relational/query_result.h"
 #include "lang/plan_cache.h"
 #include "lang/sparql/ast.h"
 #include "util/result.h"

@@ -3,12 +3,11 @@
 #include "obs/lock_timer.h"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 
 #include "engines/relational/sql_executor.h"
+#include "graph/shortest_path.h"
 #include "lang/sql/parser.h"
 #include "obs/profiler.h"
 #include "storage/column_table.h"
@@ -177,17 +176,7 @@ Result<Value> EvalRowExpr(const sql::Expr& e, const TableSchema& schema,
       }
       GB_ASSIGN_OR_RETURN(Value r,
                           EvalRowExpr(*e.rhs, schema, row, params));
-      int c = l.Compare(r);
-      switch (e.op) {
-        case sql::BinOp::kEq: return Value(c == 0);
-        case sql::BinOp::kNe: return Value(c != 0);
-        case sql::BinOp::kLt: return Value(c < 0);
-        case sql::BinOp::kLe: return Value(c <= 0);
-        case sql::BinOp::kGt: return Value(c > 0);
-        case sql::BinOp::kGe: return Value(c >= 0);
-        case sql::BinOp::kAnd: break;  // handled above
-      }
-      return Status::Internal("unhandled op");
+      return Value(query_ops::Satisfies(e.op, l.Compare(r)));
     }
     default:
       return Status::NotSupported("expression not allowed in DML WHERE");
@@ -197,13 +186,8 @@ Result<Value> EvalRowExpr(const sql::Expr& e, const TableSchema& schema,
 }  // namespace
 
 Result<std::vector<RowId>> Database::MatchRows(
-    std::string_view table_name, const sql::Expr* where,
+    std::string_view table_name, Table* table, const sql::Expr* where,
     const std::vector<Value>& params) {
-  Table* table = GetTable(table_name);
-  if (table == nullptr) {
-    return Status::InvalidArgument("unknown table " +
-                                   std::string(table_name));
-  }
   // Leading indexed equality: WHERE col = const [AND ...].
   const sql::Expr* probe = where;
   while (probe != nullptr && probe->kind == sql::Expr::Kind::kBinary &&
@@ -256,10 +240,10 @@ void Database::UnindexRow(const std::string& table_name, Table* table,
   }
 }
 
-Status Database::IndexRow(const std::string& table_name, Table* table,
+Status Database::IndexRow(std::string_view table_name, Table* table,
                           RowId id, const Row& row) {
   std::shared_lock<obs::TimedSharedMutex> lock(catalog_mu_);
-  std::string prefix = table_name + ".";
+  std::string prefix = std::string(table_name) + ".";
   std::vector<HashIndex*> touched;
   std::vector<int> touched_cols;
   for (const auto& [key, index] : indexes_) {
@@ -278,42 +262,27 @@ Status Database::IndexRow(const std::string& table_name, Table* table,
   return Status::OK();
 }
 
-void Database::AdjacencyRemove(const std::string& table_name,
-                               const Row& row) {
+void Database::AdjacencyUpdate(std::string_view table_name,
+                               const Table& table, const Row& row,
+                               bool add) {
   if (mode_ != StorageMode::kColumnar) return;
   std::shared_lock<obs::TimedSharedMutex> lock(catalog_mu_);
-  auto it = edge_tables_.find(table_name);
+  auto it = edge_tables_.find(std::string(table_name));
   if (it == edge_tables_.end()) return;
   EdgeMeta* meta = it->second.get();
-  Table* table = GetTable(table_name);
-  int si = table->schema().ColumnIndex(meta->src_col);
-  int di = table->schema().ColumnIndex(meta->dst_col);
-  int64_t s = row[size_t(si)].as_int(), d = row[size_t(di)].as_int();
+  const TableSchema& schema = table.schema();
+  int64_t s = row[size_t(schema.ColumnIndex(meta->src_col))].as_int();
+  int64_t d = row[size_t(schema.ColumnIndex(meta->dst_col))].as_int();
   std::unique_lock<obs::TimedSharedMutex> adj(meta->adj_mu);
-  auto erase_one = [meta](int64_t from, int64_t to) {
-    auto list = meta->adjacency.find(from);
-    if (list == meta->adjacency.end()) return;
-    auto pos = std::find(list->second.begin(), list->second.end(), to);
-    if (pos != list->second.end()) list->second.erase(pos);
-  };
-  erase_one(s, d);
-  erase_one(d, s);
-}
-
-void Database::AdjacencyAdd(const std::string& table_name, const Row& row) {
-  if (mode_ != StorageMode::kColumnar) return;
-  std::shared_lock<obs::TimedSharedMutex> lock(catalog_mu_);
-  auto it = edge_tables_.find(table_name);
-  if (it == edge_tables_.end()) return;
-  EdgeMeta* meta = it->second.get();
-  Table* table = GetTable(table_name);
-  int si = table->schema().ColumnIndex(meta->src_col);
-  int di = table->schema().ColumnIndex(meta->dst_col);
-  std::unique_lock<obs::TimedSharedMutex> adj(meta->adj_mu);
-  meta->adjacency[row[size_t(si)].as_int()].push_back(
-      row[size_t(di)].as_int());
-  meta->adjacency[row[size_t(di)].as_int()].push_back(
-      row[size_t(si)].as_int());
+  for (auto [from, to] : {std::pair{s, d}, std::pair{d, s}}) {
+    std::vector<int64_t>& list = meta->adjacency[from];
+    if (add) {
+      list.push_back(to);
+      continue;
+    }
+    auto pos = std::find(list.begin(), list.end(), to);
+    if (pos != list.end()) list.erase(pos);
+  }
 }
 
 Result<QueryResult> Database::ExecuteUpdate(
@@ -323,7 +292,7 @@ Result<QueryResult> Database::ExecuteUpdate(
     return Status::InvalidArgument("unknown table " + stmt.table);
   }
   GB_ASSIGN_OR_RETURN(std::vector<RowId> ids,
-                      MatchRows(stmt.table, stmt.where.get(), params));
+                      MatchRows(stmt.table, table, stmt.where.get(), params));
   QueryResult result;
   for (RowId id : ids) {
     Row old_row;
@@ -346,8 +315,8 @@ Result<QueryResult> Database::ExecuteUpdate(
       return reindexed;
     }
     GB_RETURN_IF_ERROR(table->Update(id, new_row));
-    AdjacencyRemove(stmt.table, old_row);
-    AdjacencyAdd(stmt.table, new_row);
+    AdjacencyUpdate(stmt.table, *table, old_row, /*add=*/false);
+    AdjacencyUpdate(stmt.table, *table, new_row, /*add=*/true);
     ++result.affected;
   }
   return result;
@@ -360,14 +329,14 @@ Result<QueryResult> Database::ExecuteDelete(
     return Status::InvalidArgument("unknown table " + stmt.table);
   }
   GB_ASSIGN_OR_RETURN(std::vector<RowId> ids,
-                      MatchRows(stmt.table, stmt.where.get(), params));
+                      MatchRows(stmt.table, table, stmt.where.get(), params));
   QueryResult result;
   for (RowId id : ids) {
     Row row;
     GB_RETURN_IF_ERROR(table->Get(id, &row));
     UnindexRow(stmt.table, table, id, row);
     GB_RETURN_IF_ERROR(table->Delete(id));
-    AdjacencyRemove(stmt.table, row);
+    AdjacencyUpdate(stmt.table, *table, row, /*add=*/false);
     ++result.affected;
   }
   return result;
@@ -431,16 +400,12 @@ Result<QueryResult> Database::ExecuteInsert(const sql::InsertStmt& ins,
       return Status::InvalidArgument("unknown column " + ins.columns[i]);
     }
     const sql::Expr& e = *ins.values[i];
-    if (e.kind == sql::Expr::Kind::kLiteral) {
-      row[size_t(ci)] = e.literal;
-    } else if (e.kind == sql::Expr::Kind::kParam) {
-      if (e.param_index < 0 || size_t(e.param_index) >= params.size()) {
-        return Status::InvalidArgument("parameter index out of range");
-      }
-      row[size_t(ci)] = params[size_t(e.param_index)];
-    } else {
+    if (e.kind != sql::Expr::Kind::kLiteral &&
+        e.kind != sql::Expr::Kind::kParam) {
       return Status::NotSupported("INSERT values must be literals/params");
     }
+    GB_ASSIGN_OR_RETURN(row[size_t(ci)],
+                        EvalRowExpr(e, table->schema(), {}, params));
   }
   GB_RETURN_IF_ERROR(InsertRow(ins.table, row).status());
   QueryResult result;
@@ -456,46 +421,16 @@ Result<RowId> Database::InsertRow(std::string_view table_name,
                                    std::string(table_name));
   }
   GB_ASSIGN_OR_RETURN(RowId id, table->Insert(row));
-  std::string prefix = std::string(table_name) + ".";
-
   // Maintain indexes; a unique violation rolls the row back.
-  std::vector<HashIndex*> touched;
-  {
-    std::shared_lock<obs::TimedSharedMutex> lock(catalog_mu_);
-    for (const auto& [key, index] : indexes_) {
-      if (key.compare(0, prefix.size(), prefix) != 0) continue;
-      std::string column = key.substr(prefix.size());
-      int ci = table->schema().ColumnIndex(column);
-      Status s = index->Insert(row[size_t(ci)], id);
-      if (!s.ok()) {
-        for (HashIndex* undo : touched) {
-          int uci = table->schema().ColumnIndex(
-              undo->name().substr(prefix.size()));
-          undo->Remove(row[size_t(uci)], id);
-        }
-        table->Delete(id);
-        return s;
-      }
-      touched.push_back(index.get());
-    }
+  Status indexed = IndexRow(table_name, table, id, row);
+  if (!indexed.ok()) {
+    table->Delete(id);
+    return indexed;
   }
 
   // Maintain the columnar adjacency accelerator (Virtuoso's graph-aware
   // structures add write-path work; §4.3's row-vs-column write gap).
-  if (mode_ == StorageMode::kColumnar) {
-    std::shared_lock<obs::TimedSharedMutex> lock(catalog_mu_);
-    auto it = edge_tables_.find(std::string(table_name));
-    if (it != edge_tables_.end()) {
-      EdgeMeta* meta = it->second.get();
-      int si = table->schema().ColumnIndex(meta->src_col);
-      int di = table->schema().ColumnIndex(meta->dst_col);
-      std::unique_lock<obs::TimedSharedMutex> adj(meta->adj_mu);
-      meta->adjacency[row[size_t(si)].as_int()].push_back(
-          row[size_t(di)].as_int());
-      meta->adjacency[row[size_t(di)].as_int()].push_back(
-          row[size_t(si)].as_int());
-    }
-  }
+  AdjacencyUpdate(table_name, *table, row, /*add=*/true);
   return id;
 }
 
@@ -511,7 +446,22 @@ Result<int> Database::ShortestPath(std::string_view edge_table,
     if (it != edge_tables_.end()) {
       EdgeMeta* meta = it->second.get();
       lock.unlock();
-      return ShortestPathVectorized(meta, from, to);
+      // Bidirectional BFS over int64 adjacency vectors (Virtuoso's
+      // optimized transitivity path).
+      if (!from.is_int() || !to.is_int()) {
+        return Status::InvalidArgument("vertex ids must be integers");
+      }
+      std::shared_lock<obs::TimedSharedMutex> adj_lock(meta->adj_mu);
+      const auto& adj = meta->adjacency;
+      return BidirectionalBfsDistance(
+          from.as_int(), to.as_int(), [&adj](int64_t v, auto&& emit) {
+            auto found = adj.find(v);
+            if (found == adj.end()) return Status::OK();
+            for (int64_t next : found->second) {
+              if (!emit(next)) break;
+            }
+            return Status::OK();
+          });
     }
     lock.unlock();
   }
@@ -521,92 +471,22 @@ Result<int> Database::ShortestPath(std::string_view edge_table,
     return Status::InvalidArgument(
         "SHORTEST_PATH requires indexes on both edge columns");
   }
-  int si = table->schema().ColumnIndex(src_col);
-  int di = table->schema().ColumnIndex(dst_col);
-  return ShortestPathTupleAtATime(table, src_idx, dst_idx, si, di, from, to);
-}
-
-Result<int> Database::ShortestPathTupleAtATime(
-    Table* table, HashIndex* src_idx, HashIndex* dst_idx, int src_col,
-    int dst_col, const Value& from, const Value& to) const {
+  const size_t si = size_t(table->schema().ColumnIndex(src_col));
+  const size_t di = size_t(table->schema().ColumnIndex(dst_col));
   // Single-sided BFS, one index probe + full-tuple fetch per edge — the
   // iterated self-join a row engine without transitivity support runs.
-  if (from == to) return 0;
-  std::unordered_set<Value, ValueHash> visited{from};
-  std::deque<Value> frontier{from};
-  int depth = 0;
-  while (!frontier.empty()) {
-    ++depth;
-    size_t level = frontier.size();
-    for (size_t i = 0; i < level; ++i) {
-      Value v = frontier.front();
-      frontier.pop_front();
-      for (auto [index, col] : {std::pair{src_idx, dst_col},
-                                std::pair{dst_idx, src_col}}) {
-        for (RowId id : index->Lookup(v)) {
-          Row row;  // tuple-at-a-time: materialize the whole edge row
-          GB_RETURN_IF_ERROR(table->Get(id, &row));
-          const Value& next = row[size_t(col)];
-          if (visited.count(next)) continue;
-          if (next == to) return depth;
-          visited.insert(next);
-          frontier.push_back(next);
+  return BfsDistance<Value, ValueHash>(
+      from, to, [&](const Value& v, auto&& emit) -> Status {
+        for (auto [index, col] : {std::pair{src_idx, di},
+                                  std::pair{dst_idx, si}}) {
+          for (RowId id : index->Lookup(v)) {
+            Row row;  // tuple-at-a-time: materialize the whole edge row
+            GB_RETURN_IF_ERROR(table->Get(id, &row));
+            if (!emit(row[col])) return Status::OK();
+          }
         }
-      }
-    }
-  }
-  return -1;
-}
-
-Result<int> Database::ShortestPathVectorized(EdgeMeta* meta,
-                                             const Value& from,
-                                             const Value& to) const {
-  // Bidirectional BFS over int64 adjacency vectors (Virtuoso's optimized
-  // transitivity path).
-  if (!from.is_int() || !to.is_int()) {
-    return Status::InvalidArgument("vertex ids must be integers");
-  }
-  int64_t a = from.as_int(), b = to.as_int();
-  if (a == b) return 0;
-  std::shared_lock<obs::TimedSharedMutex> lock(meta->adj_mu);
-  const auto& adj = meta->adjacency;
-  if (!adj.count(a) || !adj.count(b)) return -1;
-
-  std::unordered_map<int64_t, int> dist_a{{a, 0}}, dist_b{{b, 0}};
-  std::deque<int64_t> frontier_a{a}, frontier_b{b};
-  auto expand = [&adj](std::deque<int64_t>& frontier,
-                       std::unordered_map<int64_t, int>& dist,
-                       const std::unordered_map<int64_t, int>& other,
-                       int* meet) {
-    size_t level = frontier.size();
-    for (size_t i = 0; i < level; ++i) {
-      int64_t v = frontier.front();
-      frontier.pop_front();
-      int d = dist[v];
-      auto it = adj.find(v);
-      if (it == adj.end()) continue;
-      for (int64_t next : it->second) {
-        if (dist.count(next)) continue;
-        dist[next] = d + 1;
-        auto hit = other.find(next);
-        if (hit != other.end()) {
-          *meet = d + 1 + hit->second;
-          return true;
-        }
-        frontier.push_back(next);
-      }
-    }
-    return false;
-  };
-
-  int meet = -1;
-  while (!frontier_a.empty() && !frontier_b.empty()) {
-    bool found = frontier_a.size() <= frontier_b.size()
-                     ? expand(frontier_a, dist_a, dist_b, &meet)
-                     : expand(frontier_b, dist_b, dist_a, &meet);
-    if (found) return meet;
-  }
-  return -1;
+        return Status::OK();
+      });
 }
 
 }  // namespace graphbench

@@ -10,7 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engines/relational/query_result.h"
+#include "engines/query_ops.h"
 #include "lang/plan_cache.h"
 #include "lang/sql/ast.h"
 #include "storage/durability.h"
@@ -99,11 +99,11 @@ class Database {
  private:
   friend class SqlExecutor;
 
-  // Single-table predicate matching for UPDATE/DELETE: RowIds whose row
-  // satisfies `where` (all rows when null). Uses an index for a leading
-  // indexed equality conjunct, otherwise scans.
-  Result<std::vector<RowId>> MatchRows(std::string_view table,
-                                       const sql::Expr* where,
+  // Single-table predicate matching for UPDATE/DELETE: RowIds of `table`
+  // (named `table_name`) whose row satisfies `where` (all rows when null).
+  // Uses an index for a leading indexed equality conjunct, otherwise scans.
+  Result<std::vector<RowId>> MatchRows(std::string_view table_name,
+                                       Table* table, const sql::Expr* where,
                                        const std::vector<Value>& params);
   Result<QueryResult> ExecuteUpdate(const sql::UpdateStmt& stmt,
                                     const std::vector<Value>& params);
@@ -112,11 +112,12 @@ class Database {
   // Removes/adds the row's entries in every index on `table`.
   void UnindexRow(const std::string& table, Table* t, RowId id,
                   const Row& row);
-  Status IndexRow(const std::string& table, Table* t, RowId id,
+  Status IndexRow(std::string_view table, Table* t, RowId id,
                   const Row& row);
-  // Columnar adjacency accelerator maintenance for edge-table rows.
-  void AdjacencyRemove(const std::string& table, const Row& row);
-  void AdjacencyAdd(const std::string& table, const Row& row);
+  // Columnar adjacency accelerator maintenance for one edge-table row:
+  // links (`add`) or unlinks it in both directions; no-op in row mode.
+  void AdjacencyUpdate(std::string_view table_name, const Table& table,
+                       const Row& row, bool add);
 
   struct EdgeMeta {
     std::string src_col;
@@ -133,15 +134,6 @@ class Database {
                                        const std::vector<Value>& params);
   Result<QueryResult> ExecuteInsert(const sql::InsertStmt& stmt,
                                     const std::vector<Value>& params);
-
-  // BFS via index probes + tuple fetches (the row-store path).
-  Result<int> ShortestPathTupleAtATime(Table* table, HashIndex* src_idx,
-                                       HashIndex* dst_idx, int src_col,
-                                       int dst_col, const Value& from,
-                                       const Value& to) const;
-  // BFS over the adjacency accelerator (the columnar path).
-  Result<int> ShortestPathVectorized(EdgeMeta* meta, const Value& from,
-                                     const Value& to) const;
 
   StorageMode mode_;
   storage::DurabilityOptions durability_;

@@ -1,8 +1,7 @@
 #include "engines/relational/sql_executor.h"
 
-#include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "obs/profiler.h"
 
@@ -22,19 +21,6 @@ void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out) {
     return;
   }
   out->push_back(e);
-}
-
-bool CompareSatisfies(BinOp op, int cmp) {
-  switch (op) {
-    case BinOp::kEq: return cmp == 0;
-    case BinOp::kNe: return cmp != 0;
-    case BinOp::kLt: return cmp < 0;
-    case BinOp::kLe: return cmp <= 0;
-    case BinOp::kGt: return cmp > 0;
-    case BinOp::kGe: return cmp >= 0;
-    case BinOp::kAnd: return false;  // handled elsewhere
-  }
-  return false;
 }
 
 }  // namespace
@@ -136,7 +122,7 @@ Result<Value> SqlExecutor::Eval(const Expr& e, const Binding& binding) const {
       }
       GB_ASSIGN_OR_RETURN(Value l, Eval(*e.lhs, binding));
       GB_ASSIGN_OR_RETURN(Value r, Eval(*e.rhs, binding));
-      return Value(CompareSatisfies(e.op, l.Compare(r)));
+      return Value(query_ops::Satisfies(e.op, l.Compare(r)));
     }
     case Expr::Kind::kShortestPath: {
       obs::OpTimer op("shortest_path");
@@ -209,19 +195,15 @@ Result<std::vector<SqlExecutor::Binding>> SqlExecutor::JoinNext(
       on.rhs->kind != Expr::Kind::kColumn) {
     return Status::NotSupported("JOIN ON requires column equality");
   }
-  int l_ai, l_ci, r_ai, r_ci;
-  GB_RETURN_IF_ERROR(ResolveColumn(*on.lhs, &l_ai, &l_ci));
-  GB_RETURN_IF_ERROR(ResolveColumn(*on.rhs, &r_ai, &r_ci));
-  int new_ci, old_ai, old_ci;
-  if (size_t(l_ai) == alias_idx) {
-    new_ci = l_ci;
-    old_ai = r_ai;
-    old_ci = r_ci;
-  } else if (size_t(r_ai) == alias_idx) {
-    new_ci = r_ci;
-    old_ai = l_ai;
-    old_ci = l_ci;
-  } else {
+  // (new_ai, new_ci) is the joined table's side of the equality.
+  int new_ai, new_ci, old_ai, old_ci;
+  GB_RETURN_IF_ERROR(ResolveColumn(*on.lhs, &new_ai, &new_ci));
+  GB_RETURN_IF_ERROR(ResolveColumn(*on.rhs, &old_ai, &old_ci));
+  if (size_t(new_ai) != alias_idx) {
+    std::swap(new_ai, old_ai);
+    std::swap(new_ci, old_ci);
+  }
+  if (size_t(new_ai) != alias_idx) {
     return Status::NotSupported("ON must reference the joined table");
   }
 
@@ -285,147 +267,66 @@ Status SqlExecutor::ApplyReadyConjuncts(
   return Status::OK();
 }
 
-Result<std::vector<Row>> SqlExecutor::Aggregate(
+query_ops::RowFn SqlExecutor::EvalRow(
+    std::vector<const Expr*> exprs,
     const std::vector<Binding>& bindings) const {
-  struct Accumulator {
-    int64_t count = 0;
-    double sum = 0;
-    bool ints_only = true;
-    Value min, max;
-    Value first;       // for non-aggregate (group key) items
-    bool has_first = false;
+  return [this, &bindings, exprs = std::move(exprs)](size_t i,
+                                                     Row* out) -> Status {
+    for (const Expr* e : exprs) {
+      GB_ASSIGN_OR_RETURN(Value v, Eval(*e, bindings[i]));
+      out->push_back(std::move(v));
+    }
+    return Status::OK();
   };
-  struct Group {
-    Row key;
-    std::vector<Accumulator> accs;
-  };
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  std::vector<Group> groups;
-
-  for (const Binding& b : bindings) {
-    Row key;
-    key.reserve(stmt_.group_by.size());
-    for (const auto& g : stmt_.group_by) {
-      GB_ASSIGN_OR_RETURN(Value v, Eval(*g, b));
-      key.push_back(std::move(v));
-    }
-    auto [it, inserted] = index.emplace(key, groups.size());
-    if (inserted) {
-      groups.push_back(Group{std::move(key),
-                             std::vector<Accumulator>(stmt_.items.size())});
-    }
-    Group& group = groups[it->second];
-    for (size_t i = 0; i < stmt_.items.size(); ++i) {
-      const Expr& e = *stmt_.items[i].expr;
-      Accumulator& acc = group.accs[i];
-      if (e.kind == Expr::Kind::kCountStar) {
-        ++acc.count;
-      } else if (e.kind == Expr::Kind::kAggregate) {
-        GB_ASSIGN_OR_RETURN(Value v, Eval(*e.lhs, b));
-        if (v.is_null()) continue;  // SQL: aggregates skip NULLs
-        ++acc.count;
-        if (v.is_numeric()) {
-          acc.sum += v.numeric();
-          acc.ints_only &= v.is_int();
-        }
-        if (acc.min.is_null() || v.Compare(acc.min) < 0) acc.min = v;
-        if (acc.max.is_null() || v.Compare(acc.max) > 0) acc.max = v;
-      } else if (!acc.has_first) {
-        GB_ASSIGN_OR_RETURN(acc.first, Eval(e, b));
-        acc.has_first = true;
-      }
-    }
-  }
-
-  // A global aggregate over zero rows still yields one (empty) group.
-  if (groups.empty() && stmt_.group_by.empty()) {
-    groups.push_back(Group{{}, std::vector<Accumulator>(
-                                   stmt_.items.size())});
-  }
-
-  std::vector<Row> rows;
-  rows.reserve(groups.size());
-  for (const Group& group : groups) {
-    Row row;
-    row.reserve(stmt_.items.size());
-    for (size_t i = 0; i < stmt_.items.size(); ++i) {
-      const Expr& e = *stmt_.items[i].expr;
-      const Accumulator& acc = group.accs[i];
-      switch (e.kind) {
-        case Expr::Kind::kCountStar:
-          row.push_back(Value(acc.count));
-          break;
-        case Expr::Kind::kAggregate:
-          switch (e.agg_fn) {
-            case sql::AggFn::kCount:
-              row.push_back(Value(acc.count));
-              break;
-            case sql::AggFn::kSum:
-              row.push_back(acc.ints_only ? Value(int64_t(acc.sum))
-                                          : Value(acc.sum));
-              break;
-            case sql::AggFn::kAvg:
-              row.push_back(acc.count ? Value(acc.sum / double(acc.count))
-                                      : Value());
-              break;
-            case sql::AggFn::kMin:
-              row.push_back(acc.min);
-              break;
-            case sql::AggFn::kMax:
-              row.push_back(acc.max);
-              break;
-          }
-          break;
-        default:
-          row.push_back(acc.first);
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-
-  // ORDER BY in aggregate mode references select-item aliases.
-  if (!stmt_.order_by.empty()) {
-    std::vector<std::pair<size_t, bool>> keys;  // (column index, desc)
-    for (const auto& o : stmt_.order_by) {
-      if (o.expr->kind != Expr::Kind::kColumn || !o.expr->table_alias.empty()) {
-        return Status::NotSupported(
-            "aggregate ORDER BY must name a select alias");
-      }
-      size_t column = stmt_.items.size();
-      for (size_t i = 0; i < stmt_.items.size(); ++i) {
-        if (stmt_.items[i].name == o.expr->column) {
-          column = i;
-          break;
-        }
-      }
-      if (column == stmt_.items.size()) {
-        return Status::InvalidArgument("unknown ORDER BY alias " +
-                                       o.expr->column);
-      }
-      keys.emplace_back(column, o.desc);
-    }
-    std::stable_sort(rows.begin(), rows.end(),
-                     [&keys](const Row& a, const Row& b) {
-                       for (auto [column, desc] : keys) {
-                         int c = a[column].Compare(b[column]);
-                         if (c != 0) return desc ? c > 0 : c < 0;
-                       }
-                       return false;
-                     });
-  }
-  return rows;
 }
 
-Result<int64_t> SqlExecutor::EffectiveLimit() const {
-  if (stmt_.limit_param < 0) return stmt_.limit;
-  if (size_t(stmt_.limit_param) >= params_.size()) {
-    return Status::InvalidArgument("LIMIT parameter index out of range");
+Result<std::vector<Row>> SqlExecutor::Aggregate(
+    const std::vector<Binding>& bindings, int64_t limit) const {
+  query_ops::AggregateSpec spec;
+  spec.grouped = !stmt_.group_by.empty();
+  spec.limit = limit;
+  for (const auto& item : stmt_.items) {
+    using query_ops::Agg;
+    const Expr& e = *item.expr;
+    if (e.kind == Expr::Kind::kCountStar) {
+      spec.items.push_back({Agg::kCountStar});
+    } else if (e.kind != Expr::Kind::kAggregate) {
+      spec.items.push_back({Agg::kFirst});
+    } else {
+      // Indexed by sql::AggFn.
+      static constexpr Agg kByFn[] = {Agg::kCount, Agg::kSum, Agg::kMin,
+                                      Agg::kMax, Agg::kAvg};
+      spec.items.push_back({kByFn[int(e.agg_fn)]});
+    }
   }
-  const Value& v = params_[size_t(stmt_.limit_param)];
-  if (!v.is_int()) {
-    return Status::InvalidArgument("LIMIT parameter must be an integer");
+  // ORDER BY in aggregate mode references select-item aliases.
+  for (const auto& o : stmt_.order_by) {
+    if (o.expr->kind != Expr::Kind::kColumn || !o.expr->table_alias.empty()) {
+      return Status::NotSupported(
+          "aggregate ORDER BY must name a select alias");
+    }
+    size_t column = 0;
+    while (column < stmt_.items.size() &&
+           stmt_.items[column].name != o.expr->column) {
+      ++column;
+    }
+    if (column == stmt_.items.size()) {
+      return Status::InvalidArgument("unknown ORDER BY alias " +
+                                     o.expr->column);
+    }
+    spec.order.push_back({column, o.desc});
   }
-  return v.as_int();
+  std::vector<const Expr*> keys;
+  for (const auto& g : stmt_.group_by) keys.push_back(g.get());
+  return query_ops::Aggregate(
+      bindings.size(), spec, EvalRow(std::move(keys), bindings),
+      [this, &bindings](size_t i, size_t item, Value* out) -> Status {
+        const Expr& e = *stmt_.items[item].expr;
+        GB_ASSIGN_OR_RETURN(
+            *out, Eval(e.kind == Expr::Kind::kAggregate ? *e.lhs : e,
+                       bindings[i]));
+        return Status::OK();
+      });
 }
 
 Result<QueryResult> SqlExecutor::Run() {
@@ -442,6 +343,12 @@ Result<QueryResult> SqlExecutor::Run() {
   std::vector<const Expr*> conjuncts;
   FlattenConjuncts(stmt_.where.get(), &conjuncts);
   plan_op.Stop();
+  const size_t limit_at = size_t(stmt_.limit_param);  // -1: no parameter
+  GB_ASSIGN_OR_RETURN(
+      int64_t limit,
+      query_ops::BindLimit(
+          stmt_.limit, stmt_.limit_param >= 0,
+          limit_at < params_.size() ? &params_[limit_at] : nullptr));
 
   std::vector<Binding> bindings;
   if (aliases_.empty()) {
@@ -483,64 +390,23 @@ Result<QueryResult> SqlExecutor::Run() {
                      item.expr->kind == Expr::Kind::kAggregate;
   }
   if (has_aggregate) {
-    obs::OpTimer agg_op("aggregate");
-    GB_ASSIGN_OR_RETURN(result.rows, Aggregate(bindings));
-    GB_ASSIGN_OR_RETURN(int64_t bound, EffectiveLimit());
-    size_t limit = bound < 0 ? result.rows.size()
-                             : std::min(size_t(bound), result.rows.size());
-    result.rows.resize(limit);
-    agg_op.AddRows(result.rows.size());
+    GB_ASSIGN_OR_RETURN(result.rows, Aggregate(bindings, limit));
     return result;
   }
 
   // Projection, with ORDER BY keys computed alongside.
-  struct Projected {
-    Row row;
-    Row sort_key;
-  };
-  std::vector<Projected> projected;
-  projected.reserve(bindings.size());
-  std::unordered_set<Row, RowHash, RowEq> seen;
-  obs::OpTimer project_op("project");
-  for (const Binding& b : bindings) {
-    Row row;
-    row.reserve(stmt_.items.size());
-    for (const auto& item : stmt_.items) {
-      GB_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, b));
-      row.push_back(std::move(v));
-    }
-    if (stmt_.distinct && !seen.insert(row).second) continue;
-    Row sort_key;
-    for (const auto& o : stmt_.order_by) {
-      GB_ASSIGN_OR_RETURN(Value v, Eval(*o.expr, b));
-      sort_key.push_back(std::move(v));
-    }
-    projected.push_back(Projected{std::move(row), std::move(sort_key)});
+  query_ops::ProjectSpec spec{stmt_.distinct, stmt_.items.size(), {}, limit};
+  std::vector<const Expr*> items, sort_keys;
+  for (const auto& item : stmt_.items) items.push_back(item.expr.get());
+  for (const auto& o : stmt_.order_by) {
+    sort_keys.push_back(o.expr.get());
+    spec.desc.push_back(o.desc);
   }
-  project_op.AddRows(projected.size());
-  project_op.Stop();
-
-  if (!stmt_.order_by.empty()) {
-    obs::OpTimer sort_op("sort");
-    std::stable_sort(projected.begin(), projected.end(),
-                     [this](const Projected& a, const Projected& b) {
-                       for (size_t i = 0; i < stmt_.order_by.size(); ++i) {
-                         int c = a.sort_key[i].Compare(b.sort_key[i]);
-                         if (c != 0) {
-                           return stmt_.order_by[i].desc ? c > 0 : c < 0;
-                         }
-                       }
-                       return false;
-                     });
-  }
-
-  GB_ASSIGN_OR_RETURN(int64_t bound, EffectiveLimit());
-  size_t limit = bound < 0 ? projected.size()
-                           : std::min(size_t(bound), projected.size());
-  result.rows.reserve(limit);
-  for (size_t i = 0; i < limit; ++i) {
-    result.rows.push_back(std::move(projected[i].row));
-  }
+  GB_ASSIGN_OR_RETURN(
+      result.rows,
+      query_ops::Project(bindings.size(), spec,
+                         EvalRow(std::move(items), bindings),
+                         EvalRow(std::move(sort_keys), bindings)));
   return result;
 }
 

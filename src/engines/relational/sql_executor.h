@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "engines/query_ops.h"
 #include "engines/relational/database.h"
-#include "engines/relational/query_result.h"
 #include "lang/sql/ast.h"
 #include "util/result.h"
 
@@ -47,9 +47,10 @@ class SqlExecutor {
   bool AllBound(const sql::Expr& e, size_t bound_count) const;
 
   Result<Value> Eval(const sql::Expr& e, const Binding& binding) const;
-  // The row bound: the literal LIMIT, a bound LIMIT ? parameter, or -1
-  // for none.
-  Result<int64_t> EffectiveLimit() const;
+  // The per-binding half of the query_ops tail: appends the values of
+  // `exprs` over the binding at a given position.
+  query_ops::RowFn EvalRow(std::vector<const sql::Expr*> exprs,
+                           const std::vector<Binding>& bindings) const;
   // Column fetch honouring the storage model (see class comment).
   Result<Value> FetchColumn(int alias_idx, int col_idx,
                             const Binding& binding) const;
@@ -65,8 +66,8 @@ class SqlExecutor {
 
   // Grouped/global aggregation over the final binding set, honouring
   // GROUP BY and ORDER BY on select-item aliases.
-  Result<std::vector<Row>> Aggregate(
-      const std::vector<Binding>& bindings) const;
+  Result<std::vector<Row>> Aggregate(const std::vector<Binding>& bindings,
+                                     int64_t limit) const;
 
   Database* db_;
   const sql::SelectStmt& stmt_;

@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "engines/relational/query_result.h"
+#include "engines/query_ops.h"
 #include "graph/landmarks.h"
 #include "lang/plan_cache.h"
 #include "obs/metrics.h"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/value_codec.h"
+#include "storage/os_file.h"
 
 namespace graphbench {
 namespace {
@@ -209,6 +210,85 @@ TEST(NativeGraphTest, CheckpointSerializesDirtyRecords) {
   NativeGraph restored(NoCheckpoint());
   ASSERT_TRUE(restored.RestoreFrom(snapshot).ok());
   EXPECT_EQ(restored.VertexCount(), 120u);
+}
+
+// Durable options writing through `fs` with no periodic checkpoint.
+NativeGraphOptions DurableOn(storage::FileSystem* fs) {
+  NativeGraphOptions o = NoCheckpoint();
+  o.durability.enabled = true;
+  o.durability.dir = "db";
+  o.durability.fs = fs;
+  return o;
+}
+
+TEST(NativeGraphTest, FailedJournalAppendPublishesNothing) {
+  storage::MemFileSystem base;
+  storage::FaultOptions fault;
+  fault.fail_after_write_bytes = 24;  // the header fits, no record does
+  storage::FaultFileSystem fs(&base, fault, "neo4j.wal");
+  NativeGraph g(DurableOn(&fs));
+  EXPECT_FALSE(g.AddVertex("Person", {{"id", Value(1)}}).ok());
+  EXPECT_EQ(g.VertexCount(), 0u);
+}
+
+TEST(NativeGraphTest, FailedCommitSyncPublishesNothing) {
+  storage::MemFileSystem base;
+  storage::FaultOptions fault;
+  fault.fail_after_fsyncs = 2;  // the header sync passes, the commit fails
+  storage::FaultFileSystem fs(&base, fault, "neo4j.wal");
+  NativeGraphOptions opts = DurableOn(&fs);
+  opts.durability.fsync_on_commit = true;
+  NativeGraph g(opts);
+  EXPECT_FALSE(g.AddVertex("Person", {}).ok());
+  EXPECT_EQ(g.VertexCount(), 0u);
+}
+
+TEST(NativeGraphTest, FailedOpenIsReturnedByEveryWrite) {
+  storage::MemFileSystem base;
+  storage::FaultOptions fault;
+  fault.fail_after_fsyncs = 1;  // the journal header never syncs
+  storage::FaultFileSystem fs(&base, fault, "neo4j.wal");
+  NativeGraph g(DurableOn(&fs));
+  EXPECT_FALSE(g.AddVertex("Person", {}).ok());
+  EXPECT_FALSE(g.AddVertex("Person", {}).ok());
+  EXPECT_EQ(g.VertexCount(), 0u);
+  // The same store without the fault accepts writes.
+  NativeGraph healthy(DurableOn(&base));
+  VertexId a = *healthy.AddVertex("Person", {});
+  VertexId b = *healthy.AddVertex("Person", {});
+  EXPECT_TRUE(healthy.AddEdge("knows", a, b, {}).ok());
+  EXPECT_TRUE(healthy.SetVertexProperty(a, "id", Value(1)).ok());
+  EXPECT_TRUE(healthy.RemoveEdge("knows", a, b).ok());
+}
+
+TEST(NativeGraphTest, FailedCheckpointIsReturnedButTheWriteStands) {
+  storage::MemFileSystem base;
+  storage::FaultOptions fault;
+  fault.fail_after_fsyncs = 1;  // the store file never syncs
+  storage::FaultFileSystem fs(&base, fault, "neo4j.db");
+  NativeGraphOptions opts = DurableOn(&fs);
+  opts.checkpoint_interval_writes = 3;
+  NativeGraph g(opts);
+  ASSERT_TRUE(g.AddVertex("P", {}).ok());
+  ASSERT_TRUE(g.AddVertex("P", {}).ok());
+  EXPECT_FALSE(g.AddVertex("P", {}).ok());  // triggers the checkpoint
+  EXPECT_EQ(g.VertexCount(), 3u);           // commit-unknown, not undone
+  EXPECT_EQ(g.checkpoints_taken(), 0u);
+}
+
+TEST(NativeGraphTest, DurableCheckpointAppendsEachRecordOnce) {
+  storage::MemFileSystem fs;
+  NativeGraphOptions opts = DurableOn(&fs);
+  opts.checkpoint_interval_writes = 4;
+  NativeGraph g(opts);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(g.AddVertex("P", {{"id", Value(i)}}).ok());
+  }
+  EXPECT_EQ(g.checkpoints_taken(), 2u);
+  // The store file holds exactly the records, and restores the graph.
+  std::string snapshot;
+  ASSERT_TRUE(g.SnapshotTo(&snapshot).ok());
+  EXPECT_EQ(fs.Materialize("db/neo4j.db"), snapshot);
 }
 
 TEST(ValueCodecTest, ValueRoundTrip) {
