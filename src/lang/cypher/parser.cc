@@ -9,22 +9,22 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::vector<Token>* tokens) : cur_(tokens) {}
+  explicit Parser(const TokenStream& tokens) : cur_(tokens) {}
 
   Result<Query> ParseQuery() {
     Query q;
-    if (cur_.TryKeyword("MATCH")) {
+    if (cur_.TryKeyword(Sym::kMatch)) {
       do {
-        GB_ASSIGN_OR_RETURN(PatternChain chain, ParseChain());
-        q.match.push_back(std::move(chain));
-      } while (cur_.TryPunct(","));
-      if (cur_.TryKeyword("WHERE")) {
+        GB_RETURN_IF_ERROR(ParseChain(&q.match.emplace_back()));
+      } while (cur_.TryPunct(Sym::kComma));
+      if (cur_.TryKeyword(Sym::kWhere)) {
         GB_ASSIGN_OR_RETURN(q.where, ParseExpr());
       }
     }
-    if (cur_.TryKeyword("CREATE")) {
+    if (cur_.TryKeyword(Sym::kCreate)) {
       do {
-        GB_ASSIGN_OR_RETURN(PatternChain chain, ParseChain());
+        PatternChain chain;
+        GB_RETURN_IF_ERROR(ParseChain(&chain));
         if (chain.rels.empty()) {
           if (chain.nodes.size() != 1) {
             return Status::InvalidArgument("CREATE node pattern malformed");
@@ -50,39 +50,38 @@ class Parser {
           return Status::InvalidArgument(
               "CREATE supports single nodes or single relationships");
         }
-      } while (cur_.TryPunct(","));
+      } while (cur_.TryPunct(Sym::kComma));
     }
-    if (cur_.TryKeyword("RETURN")) {
-      q.distinct = cur_.TryKeyword("DISTINCT");
+    if (cur_.TryKeyword(Sym::kReturn)) {
+      q.distinct = cur_.TryKeyword(Sym::kDistinct);
+      q.ret.reserve(cur_.CountAhead(Sym::kComma) + 1);
       do {
-        ReturnItem item;
+        ReturnItem& item = q.ret.emplace_back();
         GB_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-        if (cur_.TryKeyword("AS")) {
+        if (cur_.TryKeyword(Sym::kAs)) {
           item.name = cur_.Advance().text;
         } else {
           item.name = DeriveName(*item.expr);
         }
-        q.ret.push_back(std::move(item));
-      } while (cur_.TryPunct(","));
-      if (cur_.TryKeyword("ORDER")) {
-        GB_RETURN_IF_ERROR(cur_.ExpectKeyword("BY"));
+      } while (cur_.TryPunct(Sym::kComma));
+      if (cur_.TryKeyword(Sym::kOrder)) {
+        GB_RETURN_IF_ERROR(cur_.ExpectKeyword(Sym::kBy));
         do {
-          OrderItem item;
+          OrderItem& item = q.order_by.emplace_back();
           GB_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-          if (cur_.TryKeyword("DESC")) {
+          if (cur_.TryKeyword(Sym::kDesc)) {
             item.desc = true;
           } else {
-            cur_.TryKeyword("ASC");
+            cur_.TryKeyword(Sym::kAsc);
           }
-          q.order_by.push_back(std::move(item));
-        } while (cur_.TryPunct(","));
+        } while (cur_.TryPunct(Sym::kComma));
       }
-      if (cur_.TryKeyword("LIMIT")) {
+      if (cur_.TryKeyword(Sym::kLimit)) {
         const Token& t = cur_.Advance();
         if (t.kind == Token::Kind::kParam && !t.text.empty()) {
           q.limit_param = t.text;
         } else if (t.kind == Token::Kind::kInteger) {
-          q.limit = t.literal.as_int();
+          q.limit = t.int_value;
         } else {
           return Status::InvalidArgument(
               "LIMIT expects an integer or $parameter");
@@ -94,100 +93,95 @@ class Parser {
     }
     if (!cur_.AtEnd()) {
       return Status::InvalidArgument("trailing tokens near '" +
-                                     cur_.Peek().text + "'");
+                                     std::string(cur_.Peek().text) + "'");
     }
     return q;
   }
 
  private:
-  Result<PatternChain> ParseChain() {
-    PatternChain chain;
-    GB_ASSIGN_OR_RETURN(NodePattern node, ParseNode());
-    chain.nodes.push_back(std::move(node));
+  // The AST is built in place: on an error the caller drops the query.
+  Status ParseChain(PatternChain* chain) {
+    GB_RETURN_IF_ERROR(ParseNode(&chain->nodes.emplace_back()));
     for (;;) {
       Direction dir;
-      if (cur_.Peek().IsPunct("<-")) {
+      if (cur_.Peek().IsPunct(Sym::kArrowLeft)) {
         cur_.Advance();
         dir = Direction::kIn;
-      } else if (cur_.Peek().IsPunct("-")) {
+      } else if (cur_.Peek().IsPunct(Sym::kMinus)) {
         cur_.Advance();
         dir = Direction::kBoth;  // may become kOut after the closing arrow
       } else {
         break;
       }
-      RelPattern rel;
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("["));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct(":"));
+      RelPattern& rel = chain->rels.emplace_back();
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLBracket));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kColon));
       rel.type = cur_.Advance().text;
-      if (cur_.TryPunct("*")) {
+      if (cur_.TryPunct(Sym::kStar)) {
         // -[:T*]- (unbounded is capped), -[:T*n]-, or -[:T*min..max]-.
         rel.min_hops = 1;
         rel.max_hops = 16;  // engine-enforced cap for bare '*'
         if (cur_.Peek().kind == Token::Kind::kInteger) {
-          rel.min_hops = int(cur_.Advance().literal.as_int());
+          rel.min_hops = int(cur_.Advance().int_value);
           rel.max_hops = rel.min_hops;
-          if (cur_.TryPunct("..")) {
+          if (cur_.TryPunct(Sym::kDotDot)) {
             if (cur_.Peek().kind != Token::Kind::kInteger) {
               return Status::InvalidArgument("expected upper hop bound");
             }
-            rel.max_hops = int(cur_.Advance().literal.as_int());
+            rel.max_hops = int(cur_.Advance().int_value);
           }
         }
         if (rel.min_hops < 1 || rel.max_hops < rel.min_hops) {
           return Status::InvalidArgument("bad variable-length bounds");
         }
       }
-      if (cur_.Peek().IsPunct("{")) {
+      if (cur_.Peek().IsPunct(Sym::kLBrace)) {
         GB_RETURN_IF_ERROR(ParsePropBlock(&rel.props));
       }
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("]"));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRBracket));
       if (dir == Direction::kIn) {
-        GB_RETURN_IF_ERROR(cur_.ExpectPunct("-"));
-      } else if (cur_.TryPunct("->")) {
+        GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kMinus));
+      } else if (cur_.TryPunct(Sym::kArrowRight)) {
         dir = Direction::kOut;
       } else {
-        GB_RETURN_IF_ERROR(cur_.ExpectPunct("-"));
+        GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kMinus));
       }
       rel.dir = dir;
-      GB_ASSIGN_OR_RETURN(NodePattern next, ParseNode());
-      chain.rels.push_back(std::move(rel));
-      chain.nodes.push_back(std::move(next));
+      GB_RETURN_IF_ERROR(ParseNode(&chain->nodes.emplace_back()));
     }
-    return chain;
+    return Status::OK();
   }
 
-  Result<NodePattern> ParseNode() {
-    NodePattern node;
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct("("));
+  Status ParseNode(NodePattern* node) {
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLParen));
     if (cur_.Peek().kind == Token::Kind::kIdentifier) {
-      node.var = cur_.Advance().text;
+      node->var = cur_.Advance().text;
     }
-    if (cur_.TryPunct(":")) {
-      node.label = cur_.Advance().text;
+    if (cur_.TryPunct(Sym::kColon)) {
+      node->label = cur_.Advance().text;
     }
-    if (cur_.Peek().IsPunct("{")) {
-      GB_RETURN_IF_ERROR(ParsePropBlock(&node.props));
+    if (cur_.Peek().IsPunct(Sym::kLBrace)) {
+      GB_RETURN_IF_ERROR(ParsePropBlock(&node->props));
     }
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
-    return node;
+    return cur_.ExpectPunct(Sym::kRParen);
   }
 
   Status ParsePropBlock(
       std::vector<std::pair<std::string, std::unique_ptr<Expr>>>* out) {
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct("{"));
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLBrace));
     do {
-      std::string key = cur_.Advance().text;
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct(":"));
+      std::string key(cur_.Advance().text);
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kColon));
       auto value_or = ParseExpr();
       if (!value_or.ok()) return value_or.status();
       out->emplace_back(std::move(key), std::move(value_or).value());
-    } while (cur_.TryPunct(","));
-    return cur_.ExpectPunct("}");
+    } while (cur_.TryPunct(Sym::kComma));
+    return cur_.ExpectPunct(Sym::kRBrace);
   }
 
   Result<std::unique_ptr<Expr>> ParseExpr() {
     GB_ASSIGN_OR_RETURN(auto lhs, ParseComparison());
-    while (cur_.TryKeyword("AND")) {
+    while (cur_.TryKeyword(Sym::kAnd)) {
       GB_ASSIGN_OR_RETURN(auto rhs, ParseComparison());
       auto node = std::make_unique<Expr>();
       node->kind = Expr::Kind::kBinary;
@@ -202,14 +196,15 @@ class Parser {
   Result<std::unique_ptr<Expr>> ParseComparison() {
     GB_ASSIGN_OR_RETURN(auto lhs, ParsePrimary());
     BinOp op;
-    const Token& t = cur_.Peek();
-    if (t.IsPunct("=")) op = BinOp::kEq;
-    else if (t.IsPunct("<>") || t.IsPunct("!=")) op = BinOp::kNe;
-    else if (t.IsPunct("<")) op = BinOp::kLt;
-    else if (t.IsPunct("<=")) op = BinOp::kLe;
-    else if (t.IsPunct(">")) op = BinOp::kGt;
-    else if (t.IsPunct(">=")) op = BinOp::kGe;
-    else return lhs;
+    switch (cur_.Peek().sym) {
+      case Sym::kEq: op = BinOp::kEq; break;
+      case Sym::kNe: case Sym::kBangEq: op = BinOp::kNe; break;
+      case Sym::kLt: op = BinOp::kLt; break;
+      case Sym::kLe: op = BinOp::kLe; break;
+      case Sym::kGt: op = BinOp::kGt; break;
+      case Sym::kGe: op = BinOp::kGe; break;
+      default: return lhs;
+    }
     cur_.Advance();
     GB_ASSIGN_OR_RETURN(auto rhs, ParsePrimary());
     auto node = std::make_unique<Expr>();
@@ -228,7 +223,7 @@ class Parser {
       case Token::Kind::kFloat:
       case Token::Kind::kString:
         node->kind = Expr::Kind::kLiteral;
-        node->literal = cur_.Advance().literal;
+        node->literal = cur_.Advance().literal();
         return node;
       case Token::Kind::kParam:
         node->kind = Expr::Kind::kParam;
@@ -240,46 +235,47 @@ class Parser {
       case Token::Kind::kIdentifier:
         break;
       default:
-        return Status::InvalidArgument("unexpected token '" + t.text + "'");
+        return Status::InvalidArgument("unexpected token '" +
+                                       std::string(t.text) + "'");
     }
-    if (t.IsKeyword("count")) {
+    if (t.IsKeyword(Sym::kCount)) {
       cur_.Advance();
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("("));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("*"));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLParen));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kStar));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRParen));
       node->kind = Expr::Kind::kCountStar;
       return node;
     }
-    if (t.IsKeyword("length")) {
+    if (t.IsKeyword(Sym::kLength)) {
       // length(shortestPath((a)-[:T*]-(b)))
       cur_.Advance();
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("("));
-      GB_RETURN_IF_ERROR(cur_.ExpectKeyword("shortestPath"));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("("));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("("));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLParen));
+      GB_RETURN_IF_ERROR(cur_.ExpectKeyword(Sym::kShortestPath));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLParen));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLParen));
       node->path_from = cur_.Advance().text;
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("-"));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("["));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct(":"));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRParen));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kMinus));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLBracket));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kColon));
       node->path_rel_type = cur_.Advance().text;
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("*"));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("]"));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("-"));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("("));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kStar));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRBracket));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kMinus));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLParen));
       node->path_to = cur_.Advance().text;
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRParen));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRParen));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRParen));
       node->kind = Expr::Kind::kPathLength;
       return node;
     }
     // var.prop or bare var (bare vars are only valid as property-less
     // references inside shortestPath, handled above, so require ".prop").
-    std::string var = cur_.Advance().text;
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct("."));
+    std::string_view var = cur_.Advance().text;
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kDot));
     node->kind = Expr::Kind::kProp;
-    node->var = std::move(var);
+    node->var = var;
     node->key = cur_.Advance().text;
     return node;
   }
@@ -303,9 +299,9 @@ class Parser {
 }  // namespace
 
 Result<Query> Parse(std::string_view text) {
-  std::vector<Token> tokens;
+  TokenStream tokens;
   GB_RETURN_IF_ERROR(Tokenize(text, LexerOptions{}, &tokens));
-  Parser parser(&tokens);
+  Parser parser(tokens);
   return parser.ParseQuery();
 }
 

@@ -1,153 +1,286 @@
 #include "lang/lexer.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <iterator>
+#include <utility>
 
 #include "util/string_util.h"
 
 namespace graphbench {
 
-bool Token::IsKeyword(std::string_view kw) const {
-  return kind == Kind::kIdentifier && EqualsIgnoreCase(text, kw);
-}
-
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+// Spellings indexed by Sym, in declaration order.
+constexpr std::string_view kSpellings[] = {
+    "",
+    "(", ")", "[", "]", "{", "}",
+    ",", ".", "..", ";", ":",
+    "=", "<>", "!=", "<", "<=", ">", ">=",
+    "<-", "->",
+    "-", "*",
+    "other",
+    "AND", "AS", "ASC", "AVG", "BY", "COUNT", "CREATE", "DELETE", "DESC",
+    "DISTINCT", "FILTER", "FROM", "GROUP", "INSERT", "INTO", "JOIN",
+    "LENGTH", "LIMIT", "MATCH", "MAX", "MIN", "ON", "ORDER", "RETURN",
+    "SELECT", "SET", "shortestPath", "SHORTEST_PATH", "SUM", "UPDATE",
+    "USING", "VALUES", "WHERE",
+};
+static_assert(std::size(kSpellings) == size_t(Sym::kWhere) + 1);
+
+// The keywords in an open-addressed table hashed on the length and the
+// first and last letters, so a lookup usually compares one spelling.
+constexpr size_t kKeywordSlots = 128;
+constexpr size_t kFirstKeyword = size_t(Sym::kAnd);
+constexpr size_t kLastKeyword = size_t(Sym::kWhere);
+
+constexpr size_t KeywordHash(std::string_view w) {
+  return (w.size() * 31 + size_t(AsciiToLower(w.front())) * 7 +
+          size_t(AsciiToLower(w.back()))) % kKeywordSlots;
 }
 
-bool IsIdentChar(char c, bool allow_colon) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-         (allow_colon && c == ':');
+constexpr auto kKeywordTable = [] {
+  std::array<Sym, kKeywordSlots> table{};
+  for (size_t s = kFirstKeyword; s <= kLastKeyword; ++s) {
+    size_t h = KeywordHash(kSpellings[s]);
+    while (table[h] != Sym::kNone) h = (h + 1) % kKeywordSlots;
+    table[h] = Sym(s);
+  }
+  return table;
+}();
+
+constexpr auto kKeywordLengths = [] {
+  std::pair<size_t, size_t> minmax{kSpellings[kFirstKeyword].size(), 0};
+  for (size_t s = kFirstKeyword; s <= kLastKeyword; ++s) {
+    minmax.first = std::min(minmax.first, kSpellings[s].size());
+    minmax.second = std::max(minmax.second, kSpellings[s].size());
+  }
+  return minmax;
+}();
+
+Sym LookupKeyword(std::string_view word) {
+  if (word.size() < kKeywordLengths.first ||
+      word.size() > kKeywordLengths.second) {
+    return Sym::kNone;
+  }
+  for (size_t h = KeywordHash(word); kKeywordTable[h] != Sym::kNone;
+       h = (h + 1) % kKeywordSlots) {
+    Sym sym = kKeywordTable[h];
+    if (EqualsIgnoreCase(kSpellings[size_t(sym)], word)) return sym;
+  }
+  return Sym::kNone;
+}
+
+// ASCII character classes, one table lookup per byte. Bytes >= 0x80 are in
+// no class, so they lex as single-byte punctuation.
+enum : uint8_t { kSpace = 1, kDigit = 2, kAlpha = 4 };
+
+constexpr auto kClass = [] {
+  std::array<uint8_t, 256> t{};
+  for (char c : {' ', '\t', '\n', '\v', '\f', '\r'}) t[uint8_t(c)] = kSpace;
+  for (int c = '0'; c <= '9'; ++c) t[c] = kDigit;
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kAlpha;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kAlpha;
+  t[uint8_t('_')] = kAlpha;
+  return t;
+}();
+
+bool IsSpace(char c) { return kClass[uint8_t(c)] & kSpace; }
+bool IsDigit(char c) { return kClass[uint8_t(c)] & kDigit; }
+bool IsIdentStart(char c) { return kClass[uint8_t(c)] & kAlpha; }
+bool IsIdentChar(char c) { return kClass[uint8_t(c)] & (kAlpha | kDigit); }
+
+// The punctuation token at input[i], one or two bytes long.
+Sym LexPunct(std::string_view input, size_t i, size_t* len) {
+  char next = i + 1 < input.size() ? input[i + 1] : '\0';
+  *len = 2;
+  switch (input[i]) {
+    case '.': if (next == '.') return Sym::kDotDot; break;
+    case '<':
+      if (next == '>') return Sym::kNe;
+      if (next == '=') return Sym::kLe;
+      if (next == '-') return Sym::kArrowLeft;
+      break;
+    case '>': if (next == '=') return Sym::kGe; break;
+    case '!': if (next == '=') return Sym::kBangEq; break;
+    case '-': if (next == '>') return Sym::kArrowRight; break;
+    default: break;
+  }
+  *len = 1;
+  switch (input[i]) {
+    case '(': return Sym::kLParen;
+    case ')': return Sym::kRParen;
+    case '[': return Sym::kLBracket;
+    case ']': return Sym::kRBracket;
+    case '{': return Sym::kLBrace;
+    case '}': return Sym::kRBrace;
+    case ',': return Sym::kComma;
+    case '.': return Sym::kDot;
+    case ';': return Sym::kSemicolon;
+    case ':': return Sym::kColon;
+    case '=': return Sym::kEq;
+    case '<': return Sym::kLt;
+    case '>': return Sym::kGt;
+    case '-': return Sym::kMinus;
+    case '*': return Sym::kStar;
+    default: return Sym::kOtherPunct;
+  }
 }
 
 }  // namespace
 
+std::string_view SymSpelling(Sym sym) { return kSpellings[size_t(sym)]; }
+
+Value Token::literal() const {
+  switch (kind) {
+    case Kind::kInteger: return Value(int_value);
+    case Kind::kFloat: return Value(float_value);
+    case Kind::kString: return Value(text);
+    default: return Value();
+  }
+}
+
 Status Tokenize(std::string_view input, const LexerOptions& options,
-                std::vector<Token>* tokens) {
-  tokens->clear();
-  size_t i = 0;
+                TokenStream* out) {
+  std::pmr::vector<Token>& tokens = out->tokens_;
+  tokens.clear();
+  out->unescaped_.clear();
+  // Every token but kEnd consumes at least one byte, so n + 1 slots hold
+  // any statement: a statement that outgrows the inline slots gets them
+  // in one heap allocation, after which the vector never grows again.
   const size_t n = input.size();
+  tokens.reserve(std::min(n + 1, TokenStream::kInlineTokens));
+  auto reserve_all = [&] {
+    if (tokens.size() == tokens.capacity()) tokens.reserve(n + 1);
+  };
+  auto span = [&](size_t from, size_t to) {
+    return std::string_view(input.data() + from, to - from);
+  };
+  auto ident_end = [&](size_t i, bool allow_colon) {
+    while (i < n &&
+           (IsIdentChar(input[i]) || (allow_colon && input[i] == ':'))) {
+      ++i;
+    }
+    return i;
+  };
+  size_t i = 0;
   while (i < n) {
     char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
-    Token tok;
+    reserve_all();
+    Token& tok = tokens.emplace_back();
+    size_t start = i;
     if (IsIdentStart(c)) {
-      size_t start = i;
-      while (i < n && IsIdentChar(input[i], options.colon_in_identifiers)) {
-        ++i;
-      }
+      i = ident_end(i + 1, options.colon_in_identifiers);
       tok.kind = Token::Kind::kIdentifier;
-      tok.text = std::string(input.substr(start, i - start));
-    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-               (c == '-' && i + 1 < n &&
-                std::isdigit(static_cast<unsigned char>(input[i + 1])) &&
-                (tokens->empty() ||
-                 tokens->back().kind == Token::Kind::kPunct))) {
-      size_t start = i;
-      if (c == '-') ++i;
+      tok.text = span(start, i);
+      tok.sym = LookupKeyword(tok.text);
+    } else if (IsDigit(c) ||
+               (c == '-' && i + 1 < n && IsDigit(input[i + 1]) &&
+                (tokens.size() == 1 ||
+                 tokens[tokens.size() - 2].kind == Token::Kind::kPunct))) {
+      // A '-' right after punctuation (or first) is a sign, else binary.
+      ++i;
       bool is_float = false;
-      while (i < n && (std::isdigit(static_cast<unsigned char>(input[i])) ||
-                       input[i] == '.')) {
+      while (i < n && (IsDigit(input[i]) || input[i] == '.')) {
+        // ".." or ".name" terminates the number (ranges, alias.column).
         if (input[i] == '.') {
-          // ".." or ".name" terminates the number (SQL alias.column).
-          if (i + 1 >= n ||
-              !std::isdigit(static_cast<unsigned char>(input[i + 1]))) {
-            break;
-          }
+          if (i + 1 >= n || !IsDigit(input[i + 1])) break;
           is_float = true;
         }
         ++i;
       }
-      std::string text(input.substr(start, i - start));
+      tok.text = span(start, i);
+      const char* first = tok.text.data();
+      const char* last = first + tok.text.size();
+      std::from_chars_result r;
       if (is_float) {
         tok.kind = Token::Kind::kFloat;
-        tok.literal = Value(std::stod(text));
+        r = std::from_chars(first, last, tok.float_value);
       } else {
         tok.kind = Token::Kind::kInteger;
-        tok.literal = Value(int64_t(std::stoll(text)));
+        r = std::from_chars(first, last, tok.int_value);
       }
-      tok.text = std::move(text);
+      if (r.ec == std::errc::result_out_of_range) {
+        return Status::InvalidArgument("number out of range: '" +
+                                       std::string(tok.text) + "'");
+      }
+      if (r.ec != std::errc() || r.ptr != last) {
+        return Status::InvalidArgument("malformed number: '" +
+                                       std::string(tok.text) + "'");
+      }
     } else if (c == '\'' || c == '"') {
-      char quote = c;
-      ++i;
-      std::string body;
-      bool closed = false;
-      while (i < n) {
-        if (input[i] == '\\' && i + 1 < n) {
-          body.push_back(input[i + 1]);
-          i += 2;
-          continue;
+      // The body is a view of the text until the first escape; from there
+      // it is copied, unescaped, into the stream's own storage.
+      const char quote = c;
+      size_t body = ++i;
+      while (i < n && input[i] != quote && input[i] != '\\') ++i;
+      if (i < n && input[i] == '\\') {
+        std::string& store = out->unescaped_;
+        if (store.capacity() < n) store.reserve(n);
+        size_t store_start = store.size();
+        store.append(span(body, i));
+        while (i < n && input[i] != quote) {
+          if (input[i] == '\\' && i + 1 < n) ++i;
+          store.push_back(input[i++]);
         }
-        if (input[i] == quote) {
-          closed = true;
-          ++i;
-          break;
-        }
-        body.push_back(input[i]);
-        ++i;
+        tok.text = std::string_view(store).substr(store_start);
+      } else {
+        tok.text = span(body, i);
       }
-      if (!closed) return Status::InvalidArgument("unterminated string");
+      if (i >= n) return Status::InvalidArgument("unterminated string");
+      ++i;  // closing quote
       tok.kind = Token::Kind::kString;
-      tok.literal = Value(body);
-      tok.text = std::move(body);
+    } else if (c == '?' && options.question_mark_is_variable && i + 1 < n &&
+               IsIdentStart(input[i + 1])) {
+      i = ident_end(i + 2, false);
+      tok.kind = Token::Kind::kVariable;
+      tok.text = span(start + 1, i);
     } else if (c == '?') {
       ++i;
-      if (options.question_mark_is_variable && i < n &&
-          IsIdentStart(input[i])) {
-        size_t start = i;
-        while (i < n && IsIdentChar(input[i], false)) ++i;
-        tok.kind = Token::Kind::kVariable;
-        tok.text = std::string(input.substr(start, i - start));
-      } else {
-        tok.kind = Token::Kind::kParam;
-      }
-    } else if (c == '$' && i + 1 < n && IsIdentStart(input[i + 1])) {
-      ++i;
-      size_t start = i;
-      while (i < n && IsIdentChar(input[i], false)) ++i;
       tok.kind = Token::Kind::kParam;
-      tok.text = std::string(input.substr(start, i - start));
+      tok.text = span(i, i);
+    } else if (c == '$' && i + 1 < n && IsIdentStart(input[i + 1])) {
+      i = ident_end(i + 2, false);
+      tok.kind = Token::Kind::kParam;
+      tok.text = span(start + 1, i);
     } else {
-      // Multi-char operators first.
-      static constexpr std::string_view kTwoChar[] = {"<>", "<=", ">=", "!=",
-                                                      "->", "<-", ".."};
+      size_t len;
       tok.kind = Token::Kind::kPunct;
-      bool matched = false;
-      for (std::string_view op : kTwoChar) {
-        if (input.substr(i, 2) == op) {
-          tok.text = std::string(op);
-          i += 2;
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) {
-        tok.text = std::string(1, c);
-        ++i;
-      }
+      tok.sym = LexPunct(input, i, &len);
+      tok.text = span(i, i + len);
+      i += len;
     }
-    tokens->push_back(std::move(tok));
   }
-  tokens->push_back(Token{});  // kEnd sentinel
+  reserve_all();
+  tokens.emplace_back();  // kEnd sentinel
   return Status::OK();
 }
 
-Status TokenCursor::ExpectKeyword(std::string_view kw) {
+size_t TokenCursor::CountAhead(Sym p) const {
+  size_t n = 0;
+  for (size_t i = pos_; i < tokens_.size(); ++i) n += tokens_[i].IsPunct(p);
+  return n;
+}
+
+Status TokenCursor::ExpectKeyword(Sym kw) {
   if (!TryKeyword(kw)) {
-    return Status::InvalidArgument("expected keyword '" + std::string(kw) +
-                                   "' near '" + Peek().text + "'");
+    return Status::InvalidArgument("expected keyword '" +
+                                   std::string(SymSpelling(kw)) + "' near '" +
+                                   std::string(Peek().text) + "'");
   }
   return Status::OK();
 }
 
-Status TokenCursor::ExpectPunct(std::string_view p) {
+Status TokenCursor::ExpectPunct(Sym p) {
   if (!TryPunct(p)) {
-    return Status::InvalidArgument("expected '" + std::string(p) +
-                                   "' near '" + Peek().text + "'");
+    return Status::InvalidArgument("expected '" +
+                                   std::string(SymSpelling(p)) + "' near '" +
+                                   std::string(Peek().text) + "'");
   }
   return Status::OK();
 }

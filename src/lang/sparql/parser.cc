@@ -9,12 +9,12 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::vector<Token>* tokens) : cur_(tokens) {}
+  explicit Parser(const TokenStream& tokens) : cur_(tokens) {}
 
   Result<Query> ParseQuery() {
     Query q;
-    GB_RETURN_IF_ERROR(cur_.ExpectKeyword("SELECT"));
-    q.distinct = cur_.TryKeyword("DISTINCT");
+    GB_RETURN_IF_ERROR(cur_.ExpectKeyword(Sym::kSelect));
+    q.distinct = cur_.TryKeyword(Sym::kDistinct);
     // Projections.
     for (;;) {
       const Token& t = cur_.Peek();
@@ -22,11 +22,11 @@ class Parser {
         SelectExpr e;
         e.var = cur_.Advance().text;
         q.select.push_back(std::move(e));
-      } else if (t.IsPunct("(")) {
+      } else if (t.IsPunct(Sym::kLParen)) {
         cur_.Advance();
         GB_ASSIGN_OR_RETURN(SelectExpr e, ParsePathExpr());
         q.select.push_back(std::move(e));
-        GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
+        GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRParen));
       } else {
         break;
       }
@@ -34,57 +34,60 @@ class Parser {
     if (q.select.empty()) {
       return Status::InvalidArgument("SELECT needs at least one projection");
     }
-    GB_RETURN_IF_ERROR(cur_.ExpectKeyword("WHERE"));
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct("{"));
-    while (!cur_.Peek().IsPunct("}")) {
-      if (cur_.TryKeyword("FILTER")) {
+    GB_RETURN_IF_ERROR(cur_.ExpectKeyword(Sym::kWhere));
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLBrace));
+    q.patterns.reserve(cur_.CountAhead(Sym::kDot) +
+                       cur_.CountAhead(Sym::kSemicolon) + 1);
+    while (!cur_.Peek().IsPunct(Sym::kRBrace)) {
+      if (cur_.TryKeyword(Sym::kFilter)) {
         GB_ASSIGN_OR_RETURN(Filter f, ParseFilter());
         q.filters.push_back(std::move(f));
-        cur_.TryPunct(".");
+        cur_.TryPunct(Sym::kDot);
         continue;
       }
-      TriplePattern tp;
-      GB_ASSIGN_OR_RETURN(tp.s, ParseTerm());
-      GB_ASSIGN_OR_RETURN(tp.p, ParseTerm());
-      GB_ASSIGN_OR_RETURN(tp.o, ParseTerm());
-      q.patterns.push_back(std::move(tp));
+      // Patterns are built in place: on an error the query is dropped.
+      TriplePattern& tp = q.patterns.emplace_back();
+      GB_RETURN_IF_ERROR(ParseTerm(&tp.s));
+      GB_RETURN_IF_ERROR(ParseTerm(&tp.p));
+      GB_RETURN_IF_ERROR(ParseTerm(&tp.o));
       // Predicate-object lists: "?s p1 o1 ; p2 o2 ."
-      while (cur_.TryPunct(";")) {
-        TriplePattern more;
-        more.s = q.patterns.back().s;
-        GB_ASSIGN_OR_RETURN(more.p, ParseTerm());
-        GB_ASSIGN_OR_RETURN(more.o, ParseTerm());
-        q.patterns.push_back(std::move(more));
+      while (cur_.TryPunct(Sym::kSemicolon)) {
+        TriplePattern& more = q.patterns.emplace_back();
+        more.s = q.patterns[q.patterns.size() - 2].s;
+        GB_RETURN_IF_ERROR(ParseTerm(&more.p));
+        GB_RETURN_IF_ERROR(ParseTerm(&more.o));
       }
-      cur_.TryPunct(".");
+      cur_.TryPunct(Sym::kDot);
     }
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct("}"));
-    if (cur_.TryKeyword("GROUP")) {
-      GB_RETURN_IF_ERROR(cur_.ExpectKeyword("BY"));
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRBrace));
+    if (cur_.TryKeyword(Sym::kGroup)) {
+      GB_RETURN_IF_ERROR(cur_.ExpectKeyword(Sym::kBy));
       while (cur_.Peek().kind == Token::Kind::kVariable) {
-        q.group_by.push_back(cur_.Advance().text);
+        q.group_by.emplace_back(cur_.Advance().text);
       }
       if (q.group_by.empty()) {
         return Status::InvalidArgument("GROUP BY needs variables");
       }
     }
-    if (cur_.TryKeyword("ORDER")) {
-      GB_RETURN_IF_ERROR(cur_.ExpectKeyword("BY"));
+    if (cur_.TryKeyword(Sym::kOrder)) {
+      GB_RETURN_IF_ERROR(cur_.ExpectKeyword(Sym::kBy));
       for (;;) {
         bool desc = false;
-        if (cur_.TryKeyword("DESC")) {
-          GB_RETURN_IF_ERROR(cur_.ExpectPunct("("));
+        if (cur_.TryKeyword(Sym::kDesc)) {
+          GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLParen));
           desc = true;
         } else {
-          cur_.TryKeyword("ASC");
+          cur_.TryKeyword(Sym::kAsc);
         }
         const Token& v = cur_.Peek();
         if (v.kind != Token::Kind::kVariable) break;
         q.order_by.emplace_back(cur_.Advance().text, desc);
-        if (desc) GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
-        cur_.TryPunct(",");  // SPARQL keys are space-separated; comma ok
+        if (desc) GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRParen));
+        // SPARQL keys are space-separated; a comma is accepted too.
+        cur_.TryPunct(Sym::kComma);
         if (cur_.Peek().kind != Token::Kind::kVariable &&
-            !cur_.Peek().IsKeyword("DESC") && !cur_.Peek().IsKeyword("ASC")) {
+            !cur_.Peek().IsKeyword(Sym::kDesc) &&
+            !cur_.Peek().IsKeyword(Sym::kAsc)) {
           break;
         }
       }
@@ -92,12 +95,12 @@ class Parser {
         return Status::InvalidArgument("ORDER BY needs a variable");
       }
     }
-    if (cur_.TryKeyword("LIMIT")) {
+    if (cur_.TryKeyword(Sym::kLimit)) {
       const Token& t = cur_.Advance();
       if (t.kind == Token::Kind::kParam && !t.text.empty()) {
         q.limit_param = t.text;
       } else if (t.kind == Token::Kind::kInteger) {
-        q.limit = t.literal.as_int();
+        q.limit = t.int_value;
       } else {
         return Status::InvalidArgument(
             "LIMIT expects an integer or $parameter");
@@ -105,7 +108,7 @@ class Parser {
     }
     if (!cur_.AtEnd()) {
       return Status::InvalidArgument("trailing tokens near '" +
-                                     cur_.Peek().text + "'");
+                                     std::string(cur_.Peek().text) + "'");
     }
     return q;
   }
@@ -114,16 +117,16 @@ class Parser {
   Result<SelectExpr> ParsePathExpr() {
     SelectExpr e;
     const Token& fn = cur_.Advance();
-    if (fn.IsKeyword("COUNT")) {
+    if (fn.IsKeyword(Sym::kCount)) {
       e.is_count = true;
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct("("));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLParen));
       const Token& v = cur_.Advance();
       if (v.kind != Token::Kind::kVariable) {
         return Status::InvalidArgument("COUNT expects a variable");
       }
       e.var = v.text;
-      GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
-      GB_RETURN_IF_ERROR(cur_.ExpectKeyword("AS"));
+      GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRParen));
+      GB_RETURN_IF_ERROR(cur_.ExpectKeyword(Sym::kAs));
       const Token& as = cur_.Advance();
       if (as.kind != Token::Kind::kVariable) {
         return Status::InvalidArgument("AS target must be a variable");
@@ -132,29 +135,29 @@ class Parser {
       return e;
     }
     e.is_path = true;
-    if (!fn.IsKeyword("shortestPath")) {
+    if (!fn.IsKeyword(Sym::kShortestPath)) {
       return Status::InvalidArgument("expected shortestPath(...) or COUNT");
     }
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct("("));
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLParen));
     const Token& a = cur_.Advance();
     if (a.kind != Token::Kind::kVariable) {
       return Status::InvalidArgument("shortestPath arg must be a variable");
     }
     e.from_var = a.text;
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct(","));
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kComma));
     const Token& b = cur_.Advance();
     if (b.kind != Token::Kind::kVariable) {
       return Status::InvalidArgument("shortestPath arg must be a variable");
     }
     e.to_var = b.text;
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct(","));
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kComma));
     const Token& p = cur_.Advance();
     if (p.kind != Token::Kind::kIdentifier) {
       return Status::InvalidArgument("shortestPath predicate must be an IRI");
     }
     e.pred_iri = p.text;
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
-    GB_RETURN_IF_ERROR(cur_.ExpectKeyword("AS"));
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRParen));
+    GB_RETURN_IF_ERROR(cur_.ExpectKeyword(Sym::kAs));
     const Token& as = cur_.Advance();
     if (as.kind != Token::Kind::kVariable) {
       return Status::InvalidArgument("AS target must be a variable");
@@ -165,15 +168,15 @@ class Parser {
 
   Result<Filter> ParseFilter() {
     Filter f;
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct("("));
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kLParen));
     const Token& a = cur_.Advance();
     if (a.kind != Token::Kind::kVariable) {
       return Status::InvalidArgument("FILTER expects variables");
     }
     f.var_a = a.text;
-    if (cur_.TryPunct("!=")) {
+    if (cur_.TryPunct(Sym::kBangEq)) {
       f.not_equal = true;
-    } else if (cur_.TryPunct("=")) {
+    } else if (cur_.TryPunct(Sym::kEq)) {
       f.not_equal = false;
     } else {
       return Status::InvalidArgument("FILTER supports = and != only");
@@ -183,38 +186,38 @@ class Parser {
       return Status::InvalidArgument("FILTER expects variables");
     }
     f.var_b = b.text;
-    GB_RETURN_IF_ERROR(cur_.ExpectPunct(")"));
+    GB_RETURN_IF_ERROR(cur_.ExpectPunct(Sym::kRParen));
     return f;
   }
 
-  Result<TermPattern> ParseTerm() {
+  Status ParseTerm(TermPattern* out) {
     const Token& t = cur_.Peek();
-    TermPattern out;
     switch (t.kind) {
       case Token::Kind::kVariable:
-        out.kind = TermPattern::Kind::kVariable;
-        out.text = cur_.Advance().text;
-        return out;
+        out->kind = TermPattern::Kind::kVariable;
+        out->text = cur_.Advance().text;
+        return Status::OK();
       case Token::Kind::kIdentifier:
-        out.kind = TermPattern::Kind::kIri;
-        out.text = cur_.Advance().text;
-        return out;
+        out->kind = TermPattern::Kind::kIri;
+        out->text = cur_.Advance().text;
+        return Status::OK();
       case Token::Kind::kInteger:
       case Token::Kind::kFloat:
       case Token::Kind::kString:
-        out.kind = TermPattern::Kind::kLiteral;
-        out.literal = cur_.Advance().literal;
-        return out;
+        out->kind = TermPattern::Kind::kLiteral;
+        out->literal = cur_.Advance().literal();
+        return Status::OK();
       case Token::Kind::kParam:
         if (t.text.empty()) {
           return Status::InvalidArgument(
               "SPARQL parameters must be named ($name)");
         }
-        out.kind = TermPattern::Kind::kParam;
-        out.text = cur_.Advance().text;
-        return out;
+        out->kind = TermPattern::Kind::kParam;
+        out->text = cur_.Advance().text;
+        return Status::OK();
       default:
-        return Status::InvalidArgument("unexpected token '" + t.text +
+        return Status::InvalidArgument("unexpected token '" +
+                                       std::string(t.text) +
                                        "' in triple pattern");
     }
   }
@@ -228,9 +231,9 @@ Result<Query> Parse(std::string_view text) {
   LexerOptions options;
   options.question_mark_is_variable = true;
   options.colon_in_identifiers = true;
-  std::vector<Token> tokens;
+  TokenStream tokens;
   GB_RETURN_IF_ERROR(Tokenize(text, options, &tokens));
-  Parser parser(&tokens);
+  Parser parser(tokens);
   return parser.ParseQuery();
 }
 

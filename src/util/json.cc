@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -215,18 +216,48 @@ class JsonParser {
       }
       return Status::InvalidArgument("bad JSON literal");
     }
-    // Number.
-    size_t start = pos_;
-    if (c == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(uint8_t(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    return ParseNumber();
+  }
+
+  // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? per RFC 8259, converted
+  // with from_chars; anything else, or a value outside double's range, is
+  // InvalidArgument.
+  Result<Json> ParseNumber() {
+    const size_t start = pos_;
+    auto digits = [this] {
+      size_t from = pos_;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+        ++pos_;
+      }
+      return pos_ - from;
+    };
+    auto at = [this](char c) {
+      return pos_ < text_.size() && text_[pos_] == c;
+    };
+    if (at('-')) ++pos_;
+    if (at('0')) {
       ++pos_;
+    } else if (digits() == 0) {
+      return Status::InvalidArgument("bad JSON number");
     }
-    if (pos_ == start) return Status::InvalidArgument("bad JSON number");
-    return Json::Number(std::stod(std::string(text_.substr(
-        start, pos_ - start))));
+    if (at('.')) {
+      ++pos_;
+      if (digits() == 0) return Status::InvalidArgument("bad JSON number");
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (digits() == 0) return Status::InvalidArgument("bad JSON number");
+    }
+    double value = 0;
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || ptr != last) {
+      return Status::InvalidArgument("JSON number out of range: " +
+                                     std::string(first, last));
+    }
+    return Json::Number(value);
   }
 
   Result<std::string> ParseString() {

@@ -20,7 +20,20 @@ std::string ToLower(std::string_view s);
 std::string ToUpper(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+
+/// ASCII-only case fold: bytes outside A-Z are returned unchanged.
+constexpr char AsciiToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? char(c - 'A' + 'a') : c;
+}
+
+/// ASCII case-insensitive equality.
+inline bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (AsciiToLower(a[i]) != AsciiToLower(b[i])) return false;
+  }
+  return true;
+}
 
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)

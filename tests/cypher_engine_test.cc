@@ -98,6 +98,16 @@ TEST_F(CypherEngineTest, ShortestPathLength) {
   EXPECT_EQ(r->columns[0], "len");
 }
 
+TEST_F(CypherEngineTest, OverlongNumberIsAnError) {
+  for (const char* text :
+       {"MATCH (p:Person {id: 99999999999999999999999}) RETURN p.firstName",
+        "MATCH (a:Person {id: 1})-[:knows*1..99999999999999999999]-(b) "
+        "RETURN b.id"}) {
+    EXPECT_TRUE(engine_.Execute(text, {}).status().IsInvalidArgument())
+        << text;
+  }
+}
+
 TEST_F(CypherEngineTest, CountStar) {
   auto r = engine_.Execute("MATCH (p:Person) RETURN count(*)", {});
   ASSERT_TRUE(r.ok()) << r.status().ToString();

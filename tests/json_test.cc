@@ -67,6 +67,24 @@ TEST(JsonTest, ParseRejectsMalformed) {
   EXPECT_FALSE(Json::Parse("{\"a\" 1}").ok());
 }
 
+TEST(JsonTest, ParseNumbersFollowTheJsonGrammar) {
+  // Each of these used to abort the process (std::stod threw) or parse a
+  // prefix; all are InvalidArgument now.
+  for (const char* bad : {"-", "[-]", "[1e999]", "1.2.3", "[1.2.3]", "01",
+                          "1.", ".5", "+1", "1e", "1e+", "--1", "[-e1]"}) {
+    auto parsed = Json::Parse(bad);
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << bad;
+  }
+  for (auto [text, want] : {std::pair{"0", 0.0}, std::pair{"-0.5", -0.5},
+                            std::pair{"12.25e2", 1225.0},
+                            std::pair{"1E-2", 0.01}, std::pair{"2e+3", 2000.0},
+                            std::pair{"1e308", 1e308}}) {
+    auto parsed = Json::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    EXPECT_DOUBLE_EQ(parsed->as_number(), want) << text;
+  }
+}
+
 TEST(JsonTest, SetOverwritesKey) {
   Json obj = Json::Object();
   obj.Set("k", Json::Int(1));

@@ -114,6 +114,16 @@ TEST_F(RdfEngineTest, UnknownConstantGivesEmptyResult) {
   EXPECT_TRUE(r2->rows.empty());
 }
 
+TEST_F(RdfEngineTest, OverlongNumberIsAnError) {
+  EXPECT_TRUE(engine_.Execute("SELECT ?x WHERE { ?x snb:id "
+                              "99999999999999999999999 }")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(engine_.Execute("SELECT ?x WHERE { ?x snb:id 1.2.3 }")
+                  .status()
+                  .IsInvalidArgument());
+}
+
 TEST_F(RdfEngineTest, TypeScanReturnsAllPersons) {
   auto r = engine_.Execute(
       "SELECT ?id WHERE { ?p rdf:type snb:Person . ?p snb:id ?id } "

@@ -174,6 +174,21 @@ TEST_P(DatabaseContractTest, ErrorsOnUnknownTableOrColumn) {
                   .IsInvalidArgument());
 }
 
+TEST_P(DatabaseContractTest, OverlongOrMalformedNumberIsAnError) {
+  // These used to throw out of the lexer's std::stoll and abort.
+  for (int cached = 0; cached < 2; ++cached) {
+    if (cached) db_->EnablePlanCache();
+    EXPECT_TRUE(Exec("SELECT id FROM person WHERE id = "
+                     "99999999999999999999999")
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(Exec("SELECT id FROM person WHERE id = 1.2.3")
+                    .status()
+                    .IsInvalidArgument());
+  }
+  EXPECT_EQ(db_->plan_cache_stats().size, 0u);
+}
+
 TEST_P(DatabaseContractTest, SizeAccountingGrows) {
   uint64_t before = db_->TotalSizeBytes();
   ASSERT_TRUE(Exec("INSERT INTO person (id, firstName, lastName) "
