@@ -1,12 +1,13 @@
 #include "tinkerpop/traversal.h"
 
 #include <algorithm>
-#include <deque>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "graph/shortest_path.h"
 #include "obs/profiler.h"
 
 namespace graphbench {
@@ -56,32 +57,43 @@ struct Traverser {
   }
 };
 
-Result<int> BfsShortestPath(GremlinGraph* graph, GVertex start,
-                            const GremlinStep& step) {
-  // repeat(both(label).dedup()).until(has(key, value)): breadth-first
-  // expansion through per-vertex Adjacent() calls with a has() probe per
-  // discovered vertex — the step-machine way to answer a shortest path.
+struct GVertexHash {
+  size_t operator()(GVertex v) const { return std::hash<uint64_t>()(v.id); }
+};
+
+// repeat(both(label).dedup()).until(has(key, value)) on the shared BFS
+// kernel: the step machine's neighbour expansion is one Adjacent() call per
+// vertex, and each vertex it discovers gets a has() probe.
+Result<int> ShortestPathDepth(GremlinGraph* graph, GVertex start,
+                              const GremlinStep& step) {
   GB_ASSIGN_OR_RETURN(Value start_val, graph->Property(start, step.key));
   if (start_val == step.value) return 0;
-  std::unordered_set<uint64_t> visited{start.id};
-  std::deque<GVertex> frontier{start};
-  for (int depth = 1; depth <= int(step.n); ++depth) {
-    size_t level = frontier.size();
-    if (level == 0) break;
-    for (size_t i = 0; i < level; ++i) {
-      GVertex v = frontier.front();
-      frontier.pop_front();
-      GB_ASSIGN_OR_RETURN(std::vector<GVertex> neighbors,
-                          graph->Adjacent(v, step.label, Direction::kBoth));
-      for (GVertex n : neighbors) {
-        if (!visited.insert(n.id).second) continue;
-        GB_ASSIGN_OR_RETURN(Value val, graph->Property(n, step.key));
-        if (val == step.value) return depth;
-        frontier.push_back(n);
-      }
+  auto expand = [&](GVertex v, auto&& emit) -> Status {
+    GB_ASSIGN_OR_RETURN(std::vector<GVertex> neighbors,
+                        graph->Adjacent(v, step.label, Direction::kBoth));
+    for (GVertex n : neighbors) {
+      if (!emit(n)) break;
     }
-  }
-  return -1;
+    return Status::OK();
+  };
+  Status probe;  // a failed has() stops the search and is returned
+  auto visit = [&](GVertex v, int) {
+    Result<Value> val = graph->Property(v, step.key);
+    if (!val.ok()) {
+      probe = val.status();
+      return false;
+    }
+    return *val != step.value;
+  };
+  // n <= 0 allows no hops (the kernel would read a negative bound as
+  // unbounded).
+  const int max_hops = int(
+      std::clamp<int64_t>(step.n, 0, std::numeric_limits<int>::max()));
+  Result<int> depth = Bfs<GVertex, GVertexHash>(start, max_hops, expand,
+                                                visit);
+  GB_RETURN_IF_ERROR(depth.status());
+  GB_RETURN_IF_ERROR(probe);
+  return *depth;
 }
 
 }  // namespace
@@ -229,7 +241,7 @@ Result<std::vector<Value>> ExecuteTraversal(GremlinGraph* graph,
             return Status::InvalidArgument("shortest path on a value");
           }
           GB_ASSIGN_OR_RETURN(int depth,
-                              BfsShortestPath(graph, t.vertex, step));
+                              ShortestPathDepth(graph, t.vertex, step));
           t.is_vertex = false;
           t.value = Value(int64_t{depth});
         }

@@ -12,10 +12,87 @@
 
 namespace graphbench {
 
-/// Minimal JSON document model + parser/serializer. Used by the GraphSON
-/// analog wire format of the Gremlin Server (typed JSON is what the real
-/// server speaks, and its cost is part of the TinkerPop overhead the paper
-/// measures).
+/// Appends `s` as a quoted JSON string: `"` and `\` are escaped, as are
+/// control characters (`\n`, `\r`, `\t`, else `\u00xx`); other bytes,
+/// UTF-8 included, are copied as they are.
+void AppendJsonString(std::string_view s, std::string* out);
+/// Appends `i` exactly, in decimal.
+void AppendJsonInt(int64_t i, std::string* out);
+/// Appends `d`: an integral value below 9e15 in magnitude as an integer,
+/// anything else as printf's `%.17g`, which reads back to the same double.
+/// Non-finite values have no JSON spelling; callers handle them.
+void AppendJsonNumber(double d, std::string* out);
+
+/// Cursor over JSON text: the repo's one JSON grammar (RFC 8259). Json::Parse
+/// builds a document with it, and streaming readers such as the GraphSON
+/// codec build their own values in place with it. The cursor methods skip
+/// whitespace first; every error is InvalidArgument.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// The next byte, or '\0' at the end of the text.
+  char Peek();
+  /// Consumes `c` if it is next.
+  bool Consume(char c);
+  /// True when only whitespace remains.
+  bool AtEnd() { return Peek() == '\0' && pos_ == text_.size(); }
+
+  /// Consumes the literal `word` (true, false or null).
+  Status Literal(std::string_view word);
+  /// Reads a string literal. The view points into the text when the string
+  /// has no escapes, else into `*scratch`, which then holds the unescaped
+  /// bytes.
+  Result<std::string_view> String(std::string* scratch);
+  /// Scans a number and returns its text, for ToDouble or ToInt64.
+  Result<std::string_view> NumberText();
+  Result<double> Number();
+  Result<int64_t> Int64();
+
+  /// Converts number text: out of double's range is an error.
+  static Result<double> ToDouble(std::string_view number);
+  /// Converts number text written as an integer (no fraction or exponent)
+  /// that fits int64, exactly; anything else is an error.
+  static Result<int64_t> ToInt64(std::string_view number);
+
+  /// Reads an object: `member(key)` runs once per member with the cursor
+  /// on its value, and must read that value. `key` stays valid until
+  /// `member` returns.
+  template <typename Member>
+  Status Object(Member&& member) {
+    if (!Consume('{')) return Status::InvalidArgument("expected JSON object");
+    if (Consume('}')) return Status::OK();
+    std::string scratch;
+    for (;;) {
+      GB_ASSIGN_OR_RETURN(std::string_view key, String(&scratch));
+      if (!Consume(':')) return Status::InvalidArgument("expected ':'");
+      GB_RETURN_IF_ERROR(member(key));
+      if (Consume(',')) continue;
+      if (Consume('}')) return Status::OK();
+      return Status::InvalidArgument("expected ',' or '}'");
+    }
+  }
+
+  /// Reads an array: `element()` runs once per element and must read it.
+  template <typename Element>
+  Status Array(Element&& element) {
+    if (!Consume('[')) return Status::InvalidArgument("expected JSON array");
+    if (Consume(']')) return Status::OK();
+    for (;;) {
+      GB_RETURN_IF_ERROR(element());
+      if (Consume(',')) continue;
+      if (Consume(']')) return Status::OK();
+      return Status::InvalidArgument("expected ',' or ']'");
+    }
+  }
+
+ private:
+  std::string_view text_;
+  size_t pos_ = 0;
+};
+
+/// Minimal JSON document model: the bench reports, and the tools that
+/// read them back.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -252,6 +254,157 @@ TEST(BytecodeTest, ResultsRoundTripAndCorruption) {
   EXPECT_FALSE(
       gremlinio::DecodeResults(bytes.substr(0, bytes.size() - 2)).ok());
   EXPECT_FALSE(gremlinio::DecodeTraversal("garbage!").ok());
+}
+
+// g:Int64 travels as an exact integer through every path that carries
+// one: a result, a step's value, a step's props and a step's n.
+TEST(BytecodeTest, Int64RoundTripsExactlyOnEveryPath) {
+  const int64_t kEdges[] = {std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max(),
+                            (int64_t{1} << 53) + 1, -(int64_t{1} << 53) - 1};
+  for (int64_t i : kEdges) {
+    auto results = gremlinio::DecodeResults(
+        gremlinio::EncodeResults({Value(i)}));
+    ASSERT_TRUE(results.ok()) << i << ": " << results.status().ToString();
+    ASSERT_EQ(results->size(), 1u);
+    ASSERT_TRUE((*results)[0].is_int()) << i;
+    EXPECT_EQ((*results)[0].as_int(), i);
+
+    Traversal t;
+    t.V().HasIndexed("Person", "id", Value(i)).Limit(i);
+    t.AddV("Person", {{"id", Value(i)}});
+    auto decoded = gremlinio::DecodeTraversal(gremlinio::EncodeTraversal(t));
+    ASSERT_TRUE(decoded.ok()) << i << ": " << decoded.status().ToString();
+    const auto& steps = decoded->steps();
+    ASSERT_EQ(steps.size(), 4u);
+    ASSERT_TRUE(steps[1].value.is_int()) << i;
+    EXPECT_EQ(steps[1].value.as_int(), i);
+    EXPECT_EQ(steps[2].n, i);
+    ASSERT_TRUE(steps[3].props.Get("id").is_int()) << i;
+    EXPECT_EQ(steps[3].props.Get("id").as_int(), i);
+  }
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(gremlinio::EncodeResults({Value(kMax)}),
+            R"({"status":{"code":200},"result":{"data":[)"
+            R"({"@type":"g:Int64","@value":9223372036854775807}]}})");
+}
+
+TEST(BytecodeTest, NonFiniteDoublesTravelAsGraphsonStrings) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::string bytes = gremlinio::EncodeResults(
+      {Value(std::numeric_limits<double>::quiet_NaN()), Value(inf),
+       Value(-inf)});
+  EXPECT_EQ(bytes, R"({"status":{"code":200},"result":{"data":[)"
+                   R"({"@type":"g:Double","@value":"NaN"},)"
+                   R"({"@type":"g:Double","@value":"Infinity"},)"
+                   R"({"@type":"g:Double","@value":"-Infinity"}]}})");
+  auto decoded = gremlinio::DecodeResults(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), 3u);
+  EXPECT_TRUE(std::isnan((*decoded)[0].as_double()));
+  EXPECT_EQ((*decoded)[1].as_double(), inf);
+  EXPECT_EQ((*decoded)[2].as_double(), -inf);
+
+  Traversal t;
+  t.V().Has("score", Value(-inf));
+  auto step = gremlinio::DecodeTraversal(gremlinio::EncodeTraversal(t));
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  EXPECT_EQ(step->steps()[1].value.as_double(), -inf);
+}
+
+// Malformed GraphSON is Corruption, never a silently converted value.
+TEST(BytecodeTest, DecoderRejectsWrongTypedAndOutOfRangeFields) {
+  auto frame = [](const std::string& value) {
+    return R"({"status":{"code":200},"result":{"data":[)" + value + "]}}";
+  };
+  for (const char* bad :
+       {R"({"@type":"g:Int64","@value":1.5})",
+        R"({"@type":"g:Int64","@value":"7"})",
+        R"({"@type":"g:Int64","@value":1e2})",
+        R"({"@type":"g:Int64","@value":9223372036854775808})",
+        R"({"@type":"g:Int64","@value":-9223372036854775809})",
+        R"({"@type":"g:Int64","@value":true})",
+        R"({"@type":"g:Int64"})",
+        R"({"@type":"g:Double","@value":"nan"})",
+        R"({"@type":"g:Double","@value":1e999})",
+        R"({"@type":"g:Float","@value":1})",
+        R"({"@type":"g:Int64","@value":1,"extra":2})",
+        R"(7)", R"(nan)", R"(inf)"}) {
+    auto decoded = gremlinio::DecodeResults(frame(bad));
+    EXPECT_TRUE(decoded.status().IsCorruption())
+        << bad << ": " << decoded.status().ToString();
+  }
+  for (const char* bad :
+       {R"({"@type":"g:Bytecode","step":[{"op":"limit","n":1e300}]})",
+        R"({"@type":"g:Bytecode","step":[{"op":"limit","n":1.5}]})",
+        R"({"@type":"g:Bytecode","step":[{"op":"limit","n":"3"}]})",
+        R"({"@type":"g:Bytecode","step":[{"op":"limit",)"
+        R"("n":99999999999999999999}]})",
+        R"({"@type":"g:Bytecode","step":[{"op":"has","label":7}]})",
+        R"({"@type":"g:Bytecode","step":[{"op":"nope"}]})",
+        R"({"@type":"g:Bytecode","step":[{"label":"x"}]})",
+        R"({"@type":"g:Bytecode","step":[{"op":"V","bogus":1}]})",
+        R"({"@type":"g:Traversal","step":[]})",
+        R"({"@type":"g:Bytecode","step":[]} trailing)"}) {
+    auto decoded = gremlinio::DecodeTraversal(bad);
+    EXPECT_TRUE(decoded.status().IsCorruption())
+        << bad << ": " << decoded.status().ToString();
+  }
+  EXPECT_TRUE(gremlinio::DecodeResults(R"({"status":{"code":500}})")
+                  .status()
+                  .IsCorruption());
+}
+
+// Keys may come in any order, as in any JSON object.
+TEST(BytecodeTest, DecoderAcceptsKeysInAnyOrder) {
+  auto t = gremlinio::DecodeTraversal(
+      R"({"step":[{"n":3,"op":"limit"},{"value":{"@value":-2,)"
+      R"("@type":"g:Int64"},"key":"k","op":"has"}],"@type":"g:Bytecode"})");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->steps().size(), 2u);
+  EXPECT_EQ(t->steps()[0].kind, GremlinStep::Kind::kLimit);
+  EXPECT_EQ(t->steps()[0].n, 3);
+  EXPECT_EQ(t->steps()[1].kind, GremlinStep::Kind::kHas);
+  EXPECT_EQ(t->steps()[1].key, "k");
+  EXPECT_EQ(t->steps()[1].value.as_int(), -2);
+  auto r = gremlinio::DecodeResults(
+      R"({ "result" : { "data" : [ {"@value":0.5,"@type":"g:Double"} ] },)"
+      R"( "status" : { "code" : 200 } })");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), 1u);
+  EXPECT_EQ((*r)[0].as_double(), 0.5);
+}
+
+// The same values end to end through the server: the worker encodes them
+// and the client decodes them.
+TEST(GremlinServerTest, ExactIntsAndNonFiniteDoublesThroughServer) {
+  NativeGraphOptions opts;
+  opts.checkpoint_interval_writes = 0;
+  NativeGraph native(opts);
+  ASSERT_TRUE(native.CreateUniqueIndex("Person", "id").ok());
+  NativeProvider provider(&native);
+  const int64_t big = (int64_t{1} << 53) + 1;
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(provider
+                  .AddVertex("Person",
+                             {{"id", Value(1)},
+                              {"big", Value(big)},
+                              {"max", Value(max)},
+                              {"nan", Value(std::nan(""))},
+                              {"inf", Value(-inf)}})
+                  .ok());
+  GremlinServer server(&provider, GremlinServerOptions{});
+  Traversal t;
+  t.V().HasIndexed("Person", "id", Value(1))
+      .ValueMap({"big", "max", "nan", "inf"});
+  auto r = server.Submit(t);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), 4u);
+  EXPECT_EQ((*r)[0].as_int(), big);
+  EXPECT_EQ((*r)[1].as_int(), max);
+  EXPECT_TRUE(std::isnan((*r)[2].as_double()));
+  EXPECT_EQ((*r)[3].as_double(), -inf);
 }
 
 TEST(GremlinServerTest, RoundTripThroughServer) {

@@ -150,5 +150,84 @@ TEST_F(TraversalStepsTest, ValueMapFlattensInKeyOrder) {
   EXPECT_EQ((*r)[1].as_int(), 8);
 }
 
+// repeat(both()).until(has()) on the shared BFS kernel: n is the most hops
+// it takes. The chain is 1-2-3-4-5.
+TEST_F(TraversalStepsTest, ShortestPathFindsExactlyMaxDepthHops) {
+  auto depth = [this](int from, int to, int64_t max_depth) -> int64_t {
+    Traversal t;
+    t.V().HasIndexed("Person", "id", Value(from))
+        .ShortestPath("knows", "id", Value(to), max_depth);
+    auto r = Run(t);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() && r->size() == 1 ? (*r)[0].as_int() : -2;
+  };
+  EXPECT_EQ(depth(1, 5, 4), 4);   // exactly n hops
+  EXPECT_EQ(depth(1, 5, 3), -1);  // n + 1 hops
+  EXPECT_EQ(depth(5, 2, 3), 3);
+  EXPECT_EQ(depth(5, 1, 3), -1);
+  EXPECT_EQ(depth(3, 3, 0), 0);   // the start vertex already matches
+  EXPECT_EQ(depth(3, 3, 5), 0);
+  EXPECT_EQ(depth(3, 4, 0), -1);  // no hops allowed
+  EXPECT_EQ(depth(3, 4, -1), -1);
+  EXPECT_EQ(depth(1, 6, 10), -1);  // no such vertex
+}
+
+// Fails Property or Adjacent on one vertex, forwarding everything else.
+class FailingGraph : public GremlinGraph {
+ public:
+  FailingGraph(GremlinGraph* base, GVertex bad, bool fail_adjacent)
+      : base_(base), bad_(bad), fail_adjacent_(fail_adjacent) {}
+
+  Result<GVertex> AddVertex(std::string_view label,
+                            const PropertyMap& props) override {
+    return base_->AddVertex(label, props);
+  }
+  Status AddEdge(std::string_view label, GVertex from, GVertex to,
+                 const PropertyMap& props) override {
+    return base_->AddEdge(label, from, to, props);
+  }
+  Result<std::vector<GVertex>> VerticesByProperty(
+      std::string_view label, std::string_view key,
+      const Value& value) override {
+    return base_->VerticesByProperty(label, key, value);
+  }
+  Result<std::vector<GVertex>> AllVertices(std::string_view label) override {
+    return base_->AllVertices(label);
+  }
+  Result<std::vector<GVertex>> Adjacent(GVertex v, std::string_view label,
+                                        Direction dir) override {
+    if (fail_adjacent_ && v == bad_) return Status::Internal("adjacent");
+    return base_->Adjacent(v, label, dir);
+  }
+  Result<Value> Property(GVertex v, std::string_view key) override {
+    if (!fail_adjacent_ && v == bad_) return Status::Internal("property");
+    return base_->Property(v, key);
+  }
+  Result<std::string> Label(GVertex v) override { return base_->Label(v); }
+  uint64_t VertexCount() const override { return base_->VertexCount(); }
+  uint64_t EdgeCount() const override { return base_->EdgeCount(); }
+  uint64_t ApproximateSizeBytes() const override {
+    return base_->ApproximateSizeBytes();
+  }
+  std::string name() const override { return "failing"; }
+
+ private:
+  GremlinGraph* base_;
+  GVertex bad_;
+  bool fail_adjacent_;
+};
+
+TEST_F(TraversalStepsTest, ShortestPathReturnsProviderErrors) {
+  Traversal t;
+  t.V().HasIndexed("Person", "id", Value(1))
+      .ShortestPath("knows", "id", Value(5));
+  for (bool fail_adjacent : {false, true}) {
+    FailingGraph graph(&provider_, vertices_[2], fail_adjacent);
+    auto r = ExecuteTraversal(&graph, t);
+    EXPECT_TRUE(r.status().IsInternal())
+        << fail_adjacent << ": " << r.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace graphbench
