@@ -8,6 +8,7 @@
 #include "bench_common.h"
 #include "graph/value_codec.h"
 #include "kv/btree_kv.h"
+#include "kv/key_codec.h"
 #include "kv/lsm_kv.h"
 #include "mq/broker.h"
 #include "storage/column_table.h"
@@ -58,16 +59,24 @@ BENCHMARK(BM_KvGet<LsmKv>);
 template <typename Kv>
 void BM_KvScanPrefix(benchmark::State& state) {
   auto kv = MakeKv<Kv>();
-  // 1000 "vertices" with 20 adjacency rows each.
+  // 1000 "vertices" with 20 adjacency columns each, in Titan's layout:
+  // the 'A' row key (tag + vertex id) followed by a column suffix.
+  auto row = [](uint64_t v) {
+    std::string key;
+    keycodec::AppendRowKey(&key, 'A', v);
+    return key;
+  };
   for (uint64_t v = 0; v < 1000; ++v) {
     for (uint64_t e = 0; e < 20; ++e) {
-      kv->Put(Key(v) + "/" + std::to_string(e), "edge");
+      std::string key = row(v);
+      keycodec::AppendU64(&key, e);
+      kv->Put(key, "edge");
     }
   }
   Rng rng(2);
   std::vector<std::pair<std::string, std::string>> out;
   for (auto _ : state) {
-    kv->ScanPrefix(Key(rng.Uniform(1000)) + "/", &out);
+    kv->ScanPrefix(row(rng.Uniform(1000)), &out);
     benchmark::DoNotOptimize(out.size());
   }
 }

@@ -14,16 +14,14 @@ TitanGraph::TitanGraph(std::unique_ptr<KvStore> backend)
 
 std::string TitanGraph::VertexKey(uint64_t vid) {
   std::string key;
-  keycodec::AppendByte(&key, 'V');
-  keycodec::AppendU64(&key, vid);
+  keycodec::AppendRowKey(&key, 'V', vid);
   return key;
 }
 
 std::string TitanGraph::AdjPrefix(uint64_t vid, Direction dir,
                                   std::string_view elabel) {
   std::string key;
-  keycodec::AppendByte(&key, 'A');
-  keycodec::AppendU64(&key, vid);
+  keycodec::AppendRowKey(&key, 'A', vid);
   keycodec::AppendByte(&key, dir == Direction::kOut ? 0 : 1);
   if (!elabel.empty()) keycodec::AppendString(&key, elabel);
   return key;

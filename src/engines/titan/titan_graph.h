@@ -20,7 +20,9 @@ namespace graphbench {
 /// analog. With an LsmKv backend this is Titan-C (Cassandra); with a
 /// BTreeKv backend, Titan-B (BerkeleyDB).
 ///
-/// Storage layout (order-preserving keycodec):
+/// Storage layout (order-preserving keycodec; 'V' vid and 'A' vid are
+/// keycodec row keys, so on LsmKv a vertex's row and each of its adjacency
+/// slices live in one memtable shard):
 ///   'V' vid                         -> label + encoded PropertyMap
 ///   'A' vid dir elabel other eid    -> encoded edge PropertyMap
 ///   'I' label key encoded-value     -> vid (unique vertex index)

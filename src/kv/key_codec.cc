@@ -11,6 +11,11 @@ void AppendU64(std::string* dst, uint64_t v) {
 
 void AppendByte(std::string* dst, uint8_t v) { dst->push_back(char(v)); }
 
+void AppendRowKey(std::string* dst, uint8_t tag, uint64_t row) {
+  AppendByte(dst, tag);
+  AppendU64(dst, row);
+}
+
 void AppendString(std::string* dst, std::string_view s) {
   for (char c : s) {
     dst->push_back(c);

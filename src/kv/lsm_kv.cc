@@ -1,7 +1,6 @@
 #include "kv/lsm_kv.h"
 
 #include <algorithm>
-#include <map>
 
 namespace graphbench {
 
@@ -10,6 +9,93 @@ namespace {
 bool HasPrefix(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() &&
          s.compare(0, prefix.size(), prefix) == 0;
+}
+
+// The newest version of one key that a source holds at a pin. Points into
+// the source (run entries and memtable nodes never move while pinned).
+struct Visible {
+  const std::string* key;
+  const std::string* value;
+  bool tombstone;
+  uint64_t epoch;
+};
+
+// One sorted source of a merge, a run or a memtable, restricted to the
+// keys under `prefix` and positioned on `cur`.
+struct MergeCursor {
+  const SortedRun::Entry* run = nullptr;  // run source: next entry
+  const SortedRun::Entry* run_end = nullptr;
+  const MemTable::Node* node = nullptr;   // memtable source: next node
+  size_t source = 0;                      // merge order: oldest run is 0
+  Visible cur{};
+
+  // Moves `cur` to the next key with a version visible at `pin`; false
+  // when the source has no more keys under `prefix`.
+  bool Advance(std::string_view prefix, uint64_t pin) {
+    while (run != run_end && HasPrefix(run->key, prefix)) {
+      // A key's entries are newest first: the first one at or below the
+      // pin is its visible version.
+      const SortedRun::Entry* hit = nullptr;
+      const std::string& key = run->key;
+      for (; run != run_end && run->key == key; ++run) {
+        if (hit == nullptr && run->epoch <= pin) hit = run;
+      }
+      if (hit != nullptr) {
+        cur = {&hit->key, &hit->value, hit->tombstone, hit->epoch};
+        return true;
+      }
+    }
+    while (node != nullptr && HasPrefix(node->key, prefix)) {
+      const MemTable::Node* n = node;
+      node = MemTable::NextNode(n);
+      const MemTable::ValueVersion* v =
+          n->chain.load(std::memory_order_acquire);
+      while (v != nullptr && v->epoch > pin) v = v->older;
+      if (v != nullptr) {
+        cur = {&n->key, &v->value, v->tombstone, v->epoch};
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+// Merges the sources in key order and calls `emit` once per key with its
+// newest version: the highest epoch, equal epochs going to the later
+// source (a run flushed later, or a memtable over every run). The cursors
+// start before their first key.
+template <typename Emit>
+void MergeNewest(std::vector<MergeCursor>* cursors, std::string_view prefix,
+                 uint64_t pin, Emit emit) {
+  std::vector<MergeCursor>& heap = *cursors;
+  heap.erase(std::remove_if(heap.begin(), heap.end(),
+                            [&](MergeCursor& c) {
+                              return !c.Advance(prefix, pin);
+                            }),
+             heap.end());
+  // Min-heap on (key, source): equal keys pop oldest source first.
+  auto after = [](const MergeCursor& a, const MergeCursor& b) {
+    const int c = a.cur.key->compare(*b.cur.key);
+    return c != 0 ? c > 0 : a.source > b.source;
+  };
+  std::make_heap(heap.begin(), heap.end(), after);
+  auto advance_top = [&] {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    if (heap.back().Advance(prefix, pin)) {
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      heap.pop_back();
+    }
+  };
+  while (!heap.empty()) {
+    Visible best = heap.front().cur;
+    advance_top();
+    while (!heap.empty() && *heap.front().cur.key == *best.key) {
+      if (heap.front().cur.epoch >= best.epoch) best = heap.front().cur;
+      advance_top();
+    }
+    emit(best);
+  }
 }
 
 }  // namespace
@@ -215,29 +301,23 @@ void LsmKv::FlushShard(Shard* shard) {
 
 void LsmKv::MaybeCompactLocked(concurrency::EpochManager& mgr) {
   if (runs_owned_->size() < options_.max_runs) return;
-  // Full merge, newest version per key wins; history is collapsed and
-  // bottom-level tombstones are dropped (nothing older can resurface).
-  struct Best {
-    std::string value;
-    bool tombstone;
-    uint64_t epoch;
-  };
-  std::map<std::string, Best> merged;
+  // Full merge at an unbounded pin, newest version per key wins; history
+  // is collapsed and bottom-level tombstones are dropped (nothing older
+  // can resurface).
+  std::vector<MergeCursor> cursors;
   for (const auto& run : *runs_owned_) {  // oldest first
-    for (const SortedRun::Entry& e : run->entries()) {
-      auto [it, inserted] =
-          merged.try_emplace(e.key, Best{e.value, e.tombstone, e.epoch});
-      if (!inserted && e.epoch >= it->second.epoch) {
-        it->second = Best{e.value, e.tombstone, e.epoch};
-      }
-    }
+    const auto& e = run->entries();
+    cursors.push_back({.run = e.data(),
+                       .run_end = e.data() + e.size(),
+                       .source = cursors.size()});
   }
   std::vector<SortedRun::Entry> entries;
-  entries.reserve(merged.size());
-  for (auto& [k, b] : merged) {
-    if (b.tombstone) continue;
-    entries.push_back({k, std::move(b.value), false, b.epoch});
-  }
+  MergeNewest(&cursors, "", concurrency::EpochManager::kWriterPin,
+              [&entries](const Visible& v) {
+                if (!v.tombstone) {
+                  entries.push_back({*v.key, *v.value, false, v.epoch});
+                }
+              });
   auto next = std::make_shared<RunsVec>();
   next->push_back(std::make_shared<const SortedRun>(std::move(entries)));
   std::shared_ptr<RunsVec> old = std::move(runs_owned_);
@@ -275,51 +355,36 @@ Status LsmKv::Get(std::string_view key, std::string* value) const {
 void LsmKv::CollectVisible(
     std::string_view prefix, uint64_t pin,
     std::vector<std::pair<std::string, std::string>>* live) const {
-  struct Best {
-    std::string value;
-    bool tombstone;
-    uint64_t epoch;
-  };
-  std::map<std::string, Best> merged;
+  // A prefix that pins a row key lives in that row's shard alone.
+  const bool one_row = prefix.size() >= keycodec::kRowKeyBytes;
+  const size_t first = one_row ? ShardOf(prefix) : 0;
+  const size_t last = one_row ? first + 1 : kShards;
   // Capture memtables before the run list (see Get for the ordering
   // argument; a retired memtable stays readable under our caller's pin).
   std::array<const MemTable*, kShards> mems;
-  for (size_t i = 0; i < kShards; ++i) {
+  for (size_t i = first; i < last; ++i) {
     mems[i] = shards_[i].mem.load(std::memory_order_acquire);
   }
   const RunsVec* runs = runs_.load(std::memory_order_acquire);
-  auto apply = [&merged](const std::string& key, const std::string& val,
-                         bool tombstone, uint64_t epoch) {
-    auto [it, inserted] = merged.try_emplace(key, Best{val, tombstone, epoch});
-    if (!inserted && epoch >= it->second.epoch) {
-      it->second = Best{val, tombstone, epoch};
-    }
-  };
+  std::vector<MergeCursor> cursors;
+  cursors.reserve(runs->size() + (last - first));
   for (const auto& run : *runs) {  // oldest first
-    const auto& entries = run->entries();
-    auto it = std::lower_bound(
-        entries.begin(), entries.end(), prefix,
-        [](const SortedRun::Entry& e, std::string_view p) {
+    const SortedRun::Entry* begin = run->entries().data();
+    const SortedRun::Entry* end = begin + run->entries().size();
+    const SortedRun::Entry* from = std::lower_bound(
+        begin, end, prefix, [](const SortedRun::Entry& e, std::string_view p) {
           return e.key < p;
         });
-    for (; it != entries.end() && HasPrefix(it->key, prefix); ++it) {
-      if (it->epoch <= pin) apply(it->key, it->value, it->tombstone, it->epoch);
-    }
+    cursors.push_back({.run = from, .run_end = end, .source = cursors.size()});
   }
-  for (const MemTable* mem : mems) {
-    for (const MemTable::Node* n = mem->Seek(prefix);
-         n != nullptr && HasPrefix(n->key, prefix);
-         n = MemTable::NextNode(n)) {
-      const MemTable::ValueVersion* v =
-          n->chain.load(std::memory_order_acquire);
-      while (v != nullptr && v->epoch > pin) v = v->older;
-      if (v != nullptr) apply(n->key, v->value, v->tombstone, v->epoch);
-    }
+  for (size_t i = first; i < last; ++i) {
+    cursors.push_back({.node = mems[i]->Seek(prefix),
+                       .source = cursors.size()});
   }
   live->clear();
-  for (auto& [key, b] : merged) {
-    if (!b.tombstone) live->emplace_back(key, std::move(b.value));
-  }
+  MergeNewest(&cursors, prefix, pin, [live](const Visible& v) {
+    if (!v.tombstone) live->emplace_back(*v.key, *v.value);
+  });
 }
 
 class LsmKv::Iter : public KvIterator {

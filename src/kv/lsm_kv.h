@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "concurrency/epoch.h"
+#include "kv/key_codec.h"
 #include "kv/kv_store.h"
 
 namespace graphbench {
@@ -113,8 +114,13 @@ struct LsmOptions {
 /// In-memory log-structured merge KV store: the Cassandra analog backing
 /// Titan-C.
 ///
-/// The memtable is hash-partitioned into independent shards, each with its
-/// own writer mutex — Cassandra's partitioned write path. Reads never take
+/// The memtable is partitioned by row key (keycodec::RowKeyOf: a tag byte
+/// plus a 64-bit row id, Titan's vertex and adjacency rows) into
+/// independent shards, each with its own writer mutex — Cassandra's
+/// partitioned write path, where a row is a partition. A prefix scan that
+/// pins a row key reads that row's shard and the runs; a shorter prefix
+/// reads every shard. Sources are merged in key order and only the newest
+/// visible version of each key is copied out. Reads never take
 /// a lock at all: they pin an epoch, load the published memtable and run
 /// pointers, and resolve version chains at that pin, so readers observe a
 /// consistent snapshot while updates stream in (§4.3: this is what keeps
@@ -167,8 +173,10 @@ class LsmKv : public KvStore {
     std::atomic<const MemTable*> mem{nullptr};
   };
 
+  /// A key's shard is its row's (keycodec::RowKeyOf), so one row's
+  /// columns share a memtable and a row slice reads one shard.
   size_t ShardOf(std::string_view key) const {
-    return std::hash<std::string_view>()(key) % kShards;
+    return std::hash<std::string_view>()(keycodec::RowKeyOf(key)) % kShards;
   }
 
   Status WriteInternal(std::string_view key, std::string_view value,
@@ -176,8 +184,10 @@ class LsmKv : public KvStore {
   void FlushShard(Shard* shard);
   void MaybeCompactLocked(concurrency::EpochManager& mgr);
 
-  /// Epoch-filtered merge of every source overlapping [prefix, ...): the
-  /// newest visible version per key. Used by scans/iterators/Count.
+  /// Epoch-filtered merge of every source that can hold keys under
+  /// `prefix` (every run; one shard's memtable when the prefix pins a row
+  /// key, else all of them): the newest visible version per key, copied
+  /// out in key order. Used by scans/iterators/Count.
   void CollectVisible(
       std::string_view prefix, uint64_t pin,
       std::vector<std::pair<std::string, std::string>>* live) const;

@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <thread>
 
 #include "engines/relational/database.h"
 #include "engines/titan/titan_graph.h"
 #include "kv/btree_kv.h"
+#include "kv/key_codec.h"
 #include "kv/lsm_kv.h"
 #include "mq/broker.h"
 
@@ -34,6 +36,65 @@ TEST(ConcurrencyTest, LsmConcurrentWritersLoseNothing) {
   EXPECT_EQ(kv.Count(), uint64_t(kThreads * kPerThread));
   std::string v;
   EXPECT_TRUE(kv.Get("t2-1999", &v).ok());
+}
+
+// A reader scans whole rows (one memtable shard plus the runs) while a
+// writer appends columns to those rows and flushes and compacts under it.
+// Every scan is sorted, duplicate-free, and holds at least every column
+// acknowledged before it began.
+TEST(ConcurrencyTest, LsmRowScansDuringAppendsAndFlushes) {
+  LsmOptions options;
+  options.memtable_bytes = 2048;
+  options.max_runs = 3;
+  LsmKv kv(options);
+  constexpr uint64_t kRows = 4, kColumns = 600;
+  auto row_key = [](uint64_t row) {
+    std::string key;
+    keycodec::AppendRowKey(&key, 'A', row);
+    return key;
+  };
+  std::array<std::atomic<uint64_t>, kRows> acked{};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t c = 0; c < kColumns; ++c) {
+      for (uint64_t r = 0; r < kRows; ++r) {
+        std::string key = row_key(r);
+        keycodec::AppendU64(&key, c);
+        EXPECT_TRUE(kv.Put(key, std::to_string(c)).ok());
+        acked[r].store(c + 1, std::memory_order_release);
+      }
+      if (c % 50 == 0) kv.Flush();
+    }
+    done = true;
+  });
+  std::vector<std::pair<std::string, std::string>> rows;
+  auto scan_row = [&](uint64_t r) {
+    const uint64_t floor = acked[r].load(std::memory_order_acquire);
+    const std::string prefix = row_key(r);
+    ASSERT_TRUE(kv.ScanPrefix(prefix, &rows).ok());
+    ASSERT_GE(rows.size(), floor);
+    std::vector<bool> seen(kColumns, false);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (i > 0) {
+        ASSERT_LT(rows[i - 1].first, rows[i].first);
+      }
+      std::string_view key(rows[i].first);
+      ASSERT_EQ(key.substr(0, prefix.size()), prefix);
+      key.remove_prefix(prefix.size());
+      uint64_t c = 0;
+      ASSERT_TRUE(keycodec::DecodeU64(&key, &c));
+      ASSERT_LT(c, kColumns);
+      ASSERT_EQ(rows[i].second, std::to_string(c));
+      seen[c] = true;
+    }
+    for (uint64_t c = 0; c < floor; ++c) ASSERT_TRUE(seen[c]) << c;
+  };
+  for (uint64_t scans = 0; !HasFatalFailure() && (!done || scans < 100);
+       ++scans) {
+    scan_row(scans % kRows);
+  }
+  writer.join();
+  EXPECT_GT(kv.compactions_run(), 0u);
 }
 
 TEST(ConcurrencyTest, BTreeReadersDuringSplits) {

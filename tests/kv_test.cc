@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "concurrency/epoch.h"
 #include "kv/btree_kv.h"
 #include "kv/key_codec.h"
 #include "kv/lsm_kv.h"
@@ -375,6 +376,169 @@ TEST(LsmKvTest, TombstonesSurviveFlushAndDropOnCompaction) {
   std::string v;
   EXPECT_TRUE(kv.Get("gone", &v).IsNotFound());
   EXPECT_EQ(kv.Count(), 0u);
+}
+
+// A Titan row key: the tag byte plus the vertex id.
+std::string RowKey(uint8_t tag, uint64_t row) {
+  std::string key;
+  keycodec::AppendRowKey(&key, tag, row);
+  return key;
+}
+
+std::vector<std::pair<std::string, std::string>> OracleScan(
+    const std::map<std::string, std::string>& ref, const std::string& prefix) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (auto it = ref.lower_bound(prefix);
+       it != ref.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    out.emplace_back(it->first, it->second);
+  }
+  return out;
+}
+
+// The memtable is partitioned by row key and a scan whose prefix pins a
+// row reads one shard: every prefix length, on both sides of the 9-byte
+// row key, must still see exactly the oracle's keys through flushes and
+// compactions. Keys shorter than a row key route as a whole.
+TEST(LsmKvTest, RowKeyScansMatchOracleThroughFlushAndCompaction) {
+  LsmOptions opts;
+  opts.memtable_bytes = 768;  // small: flush every few dozen writes
+  opts.max_runs = 3;
+  LsmKv kv(opts);
+  std::map<std::string, std::string> ref;
+  Rng rng(19);
+  std::vector<std::string> universe;
+  for (uint8_t tag : {uint8_t('A'), uint8_t('V')}) {
+    for (uint64_t row : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{255},
+                         uint64_t{256}, uint64_t{1} << 56, ~uint64_t{0}}) {
+      const std::string rk = RowKey(tag, row);
+      universe.push_back(rk);  // a key that is exactly its row key
+      for (uint64_t col = 0; col < 6; ++col) {
+        std::string key = rk;
+        keycodec::AppendByte(&key, uint8_t(col % 2));  // direction byte
+        if (col >= 2) keycodec::AppendString(&key, col % 3 ? "knows" : "k");
+        keycodec::AppendU64(&key, rng.Uniform(4));
+        universe.push_back(key);
+      }
+    }
+  }
+  // Keys shorter than a row key, some of them prefixes of row keys.
+  universe.insert(universe.end(), {"A", "V", "Ab", "I", "\xff"});
+  universe.push_back(RowKey('A', 1).substr(0, 5));
+  universe.push_back(RowKey('V', 256).substr(0, 8));
+
+  auto check = [&] {
+    for (const std::string& key : universe) {
+      for (size_t len = 0; len <= key.size() + 1; ++len) {
+        const std::string prefix = len <= key.size()
+                                       ? key.substr(0, len)
+                                       : key + std::string(1, '\0');
+        std::vector<std::pair<std::string, std::string>> got;
+        ASSERT_TRUE(kv.ScanPrefix(prefix, &got).ok());
+        ASSERT_EQ(got, OracleScan(ref, prefix))
+            << "prefix of length " << len << " of a " << key.size()
+            << "-byte key";
+      }
+      std::string value;
+      auto it = ref.find(key);
+      Status s = kv.Get(key, &value);
+      if (it == ref.end()) {
+        EXPECT_TRUE(s.IsNotFound());
+      } else {
+        ASSERT_TRUE(s.ok());
+        EXPECT_EQ(value, it->second);
+      }
+    }
+    EXPECT_EQ(kv.Count(), ref.size());
+  };
+
+  for (int i = 1; i <= 2400; ++i) {
+    const std::string& key = universe[rng.Uniform(universe.size())];
+    if (rng.Bernoulli(0.3)) {
+      ASSERT_TRUE(kv.Delete(key).ok());
+      ref.erase(key);
+    } else {
+      const std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(kv.Put(key, value).ok());
+      ref[key] = value;
+    }
+    if (i % 400 == 0) {
+      ASSERT_NO_FATAL_FAILURE(check());
+    }
+  }
+  kv.Flush();
+  ASSERT_NO_FATAL_FAILURE(check());
+  EXPECT_GT(kv.compactions_run(), 2u);
+}
+
+// A pinned reader keeps its snapshot of a row across later writes to it,
+// including a flush that moves the row from the memtable into a run.
+TEST(LsmKvTest, PinnedRowScanKeepsSnapshotAcrossOverwriteDeleteAndFlush) {
+  LsmOptions opts;
+  opts.max_runs = 100;  // no compaction: it may collapse the history
+  LsmKv kv(opts);
+  const std::string row = RowKey('A', 42);
+  auto col = [&row](uint64_t c) {
+    std::string key = row;
+    keycodec::AppendU64(&key, c);
+    return key;
+  };
+  for (uint64_t c = 0; c < 3; ++c) ASSERT_TRUE(kv.Put(col(c), "old").ok());
+  kv.Flush();  // columns 0-2 in a run, 3-4 in the memtable
+  for (uint64_t c = 3; c < 5; ++c) ASSERT_TRUE(kv.Put(col(c), "old").ok());
+  ASSERT_TRUE(kv.Put(RowKey('A', 43), "neighbour").ok());
+
+  std::vector<std::pair<std::string, std::string>> before, during, after;
+  {
+    concurrency::EpochGuard pin;
+    ASSERT_TRUE(kv.ScanPrefix(row, &before).ok());
+    ASSERT_EQ(before.size(), 5u);
+    ASSERT_TRUE(kv.Put(col(1), "new").ok());  // overwrite in a run
+    ASSERT_TRUE(kv.Put(col(4), "new").ok());  // overwrite in the memtable
+    ASSERT_TRUE(kv.Delete(col(0)).ok());
+    ASSERT_TRUE(kv.Delete(col(3)).ok());
+    ASSERT_TRUE(kv.Put(col(5), "new").ok());
+    kv.Flush();
+    ASSERT_TRUE(kv.ScanPrefix(row, &during).ok());
+    EXPECT_EQ(during, before);
+    std::string value;
+    ASSERT_TRUE(kv.Get(col(0), &value).ok());
+    EXPECT_EQ(value, "old");
+  }
+  ASSERT_TRUE(kv.ScanPrefix(row, &after).ok());
+  std::vector<std::pair<std::string, std::string>> expect = {
+      {col(1), "new"}, {col(2), "old"}, {col(4), "new"}, {col(5), "new"}};
+  EXPECT_EQ(after, expect);
+}
+
+// Writes in one batch share an epoch, so a key rewritten around a flush
+// has equal-epoch versions in two sources: the later source wins, in
+// scans and in compaction alike.
+TEST(LsmKvTest, EqualEpochVersionsResolveToTheLaterSource) {
+  LsmOptions opts;
+  opts.max_runs = 3;
+  LsmKv kv(opts);
+  const std::string key = RowKey('V', 9);
+  const std::vector<std::pair<std::string, std::string>> newest = {
+      {key, "b"}};
+  std::vector<std::pair<std::string, std::string>> rows;
+  {
+    concurrency::WriteBatch batch;
+    ASSERT_TRUE(kv.Put(key, "a").ok());
+    kv.Flush();
+    ASSERT_TRUE(kv.Put(key, "b").ok());
+  }
+  ASSERT_TRUE(kv.ScanPrefix(key, &rows).ok());
+  EXPECT_EQ(rows, newest);  // memtable over run
+  kv.Flush();
+  ASSERT_EQ(kv.num_runs(), 2u);
+  ASSERT_TRUE(kv.ScanPrefix(key, &rows).ok());
+  EXPECT_EQ(rows, newest);  // later run over earlier run
+  ASSERT_TRUE(kv.Put(RowKey('V', 10), "x").ok());
+  kv.Flush();  // third run: compaction
+  ASSERT_EQ(kv.compactions_run(), 1u);
+  ASSERT_TRUE(kv.ScanPrefix(key, &rows).ok());
+  EXPECT_EQ(rows, newest);
 }
 
 TEST(KeyCodecTest, U64OrderPreserving) {
