@@ -2,11 +2,17 @@
 // cost? Runs the four read queries against the same provider twice —
 // through the server (GraphSON codec + request queue + worker pool) and
 // embedded (direct step execution) — isolating the overhead §4.2/§4.4
-// attribute to the server.
+// attribute to the server. A third, profiled pass through the server
+// splits that cost into the profiler's rows (serialize, dispatchRequest,
+// queue, decodeRequest, steps, encodeResults, awaitResponse, deserialize)
+// and checks that they account for the measured Submit time. The binary
+// exits 1 when a profiled case lacks the queue or deserialize row.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.h"
+#include "obs/profiler.h"
 #include "snb/datagen.h"
 #include "snb/params.h"
 #include "sut/gremlin_sut.h"
@@ -15,15 +21,23 @@
 namespace graphbench {
 namespace {
 
-double MeanMs(GremlinServer* server, const Traversal& t, bool embedded,
-              int reps) {
-  Stopwatch clock;
+// Wall time of one loop of calls and how many of them succeeded.
+struct Run {
+  uint64_t micros = 0;
   int ok = 0;
+  double MeanMs() const { return ok ? micros / 1000.0 / ok : -1; }
+};
+
+Run Repeat(GremlinServer* server, const Traversal& t, bool embedded,
+           int reps) {
+  Run run;
+  Stopwatch clock;
   for (int i = 0; i < reps; ++i) {
     auto r = embedded ? server->SubmitEmbedded(t) : server->Submit(t);
-    if (r.ok()) ++ok;
+    if (r.ok()) ++run.ok;
   }
-  return ok ? clock.ElapsedMillis() / ok : -1;
+  run.micros = clock.ElapsedMicros();
+  return run;
 }
 
 }  // namespace
@@ -88,48 +102,50 @@ int main(int argc, char** argv) {
   obs::BenchReport report("ablation_gremlin_server", "SF-A (SF3 analog)");
   report.SetParam("reps", Json::Int(reps));
 
+  GremlinServer* server = sut->server();
+  bool rows_missing = false;
   for (const QueryCase& c : cases) {
-    double via_server = MeanMs(sut->server(), c.traversal, false, reps);
-    double embedded = MeanMs(sut->server(), c.traversal, true, reps);
+    double via_server = Repeat(server, c.traversal, false, reps).MeanMs();
+    double embedded = Repeat(server, c.traversal, true, reps).MeanMs();
     table.AddRow({c.name, bench::FormatMillis(via_server),
                   bench::FormatMillis(embedded),
                   embedded > 0
                       ? StringPrintf("%.2fx", via_server / embedded)
                       : "-"});
+
+    // The profiled pass: its rows' self times should sum to the wall time
+    // the stopwatch measured around the same Submits.
+    obs::QueryProfile profile;
+    Run profiled;
+    {
+      obs::ProfileScope scope(&profile);
+      profiled = Repeat(server, c.traversal, false, reps);
+    }
     Json metrics = Json::Object();
     metrics.Set("via_server_ms", Json::Number(via_server));
     metrics.Set("embedded_ms", Json::Number(embedded));
+    metrics.Set("profiled_ms", Json::Number(profiled.MeanMs()));
+    if (obs::kEnabled) {
+      std::printf("\n%s", profile.ToString(c.name).c_str());
+      double coverage = double(profile.TotalSelfMicros()) /
+                        double(std::max<uint64_t>(profiled.micros, 1));
+      std::printf("profile coverage: rows sum to %.1f%% of measured Submit "
+                  "time (%s)\n", 100.0 * coverage,
+                  coverage > 0.9 && coverage < 1.1 ? "ok" : "OUT OF BOUNDS");
+      metrics.Set("profile_coverage", Json::Number(coverage));
+      for (const char* row : {"queue", "deserialize"}) {
+        if (profile.Find(row) != nullptr) continue;
+        std::fprintf(stderr, "%s: no %s row in the server profile\n",
+                     c.name, row);
+        rows_missing = true;
+      }
+    }
+    metrics.Set("profile", obs::ProfileJson(profile));
     report.AddSystem(c.name, std::move(metrics));
   }
+  std::printf("\n");
   table.Print();
 
-  // Per-stage attribution: the trace spans recorded inside Submit should
-  // account for (nearly) all of the measured Submit latency.
-  const obs::TraceRing& trace = sut->server()->trace();
-  TablePrinter stages("Submit cost by pipeline stage");
-  stages.SetHeader({"Stage", "Spans", "Total ms", "Mean us"});
-  uint64_t stage_micros = 0;
-  for (int i = 0; i < obs::kNumStages; ++i) {
-    auto totals = trace.totals(obs::Stage(i));
-    if (totals.count == 0) continue;
-    stage_micros += totals.total_micros;
-    stages.AddRow({obs::StageName(obs::Stage(i)),
-                   std::to_string(totals.count),
-                   StringPrintf("%.2f", totals.total_micros / 1000.0),
-                   StringPrintf("%.1f", double(totals.total_micros) /
-                                            double(totals.count))});
-  }
-  stages.Print();
-  const Histogram& submit = sut->server()->submit_latency_micros();
-  double submit_micros = submit.mean() * double(submit.count());
-  if (submit_micros > 0) {
-    double coverage = double(stage_micros) / submit_micros;
-    std::printf("\ntrace coverage: stages sum to %.1f%% of total Submit "
-                "latency (%s)\n", 100.0 * coverage,
-                coverage > 0.9 && coverage < 1.1 ? "ok" : "OUT OF BOUNDS");
-  }
-  report.AttachTrace(trace);
-
   bench::WriteReport(report, argc, argv);
-  return 0;
+  return rows_missing ? 1 : 0;
 }

@@ -103,34 +103,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-/// Records the scope's wall-clock duration (micros) into a histogram, and
-/// optionally counts the event, on destruction. A null histogram (or the
-/// compile-time kill switch) makes it a no-op, including the clock reads.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* hist, Counter* count = nullptr)
-      : hist_(hist), count_(count) {
-    if constexpr (kEnabled) {
-      if (hist_ != nullptr) start_ = NowMicros();
-    }
-  }
-  ~ScopedTimer() {
-    if constexpr (kEnabled) {
-      if (hist_ == nullptr) return;
-      hist_->Add(NowMicros() - start_);
-      if (count_ != nullptr) count_->Increment();
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* hist_;
-  Counter* count_;
-  uint64_t start_ = 0;
-};
-
 /// Per-SUT read/write probe, named "sut.<id>.{reads,read_micros,
 /// read_errors}" and "sut.<id>.{writes,write_micros,write_errors}" in the
 /// default registry. The Sut facade holds one and brackets every read and

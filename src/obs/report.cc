@@ -45,16 +45,6 @@ void BenchReport::AttachRegistry(const MetricsRegistry& registry) {
   metrics_.Set("histograms", std::move(histograms));
 }
 
-void BenchReport::AttachTrace(const TraceRing& ring) {
-  Json stages = TraceStagesJson(ring);
-  if (systems_.size() == 0) {
-    metrics_.Set("trace_stages", std::move(stages));
-    return;
-  }
-  // Attach to the most recent system entry.
-  systems_.at(systems_.size() - 1).Set("trace_stages", std::move(stages));
-}
-
 Json BenchReport::ToJson() const {
   Json root = Json::Object();
   root.Set("schema_version", Json::Int(kSchemaVersion));
@@ -166,22 +156,6 @@ Json SlowLogJson(const std::vector<SlowQueryEntry>& entries) {
     entry.Set("latency_micros", Json::Int(int64_t(e.latency_micros)));
     entry.Set("profile", ProfileJson(e.profile));
     out.Append(std::move(entry));
-  }
-  return out;
-}
-
-Json TraceStagesJson(const TraceRing& ring) {
-  Json out = Json::Object();
-  for (size_t s = 0; s < kNumStages; ++s) {
-    TraceRing::StageTotals totals = ring.totals(Stage(s));
-    if (totals.count == 0) continue;
-    Json stage = Json::Object();
-    stage.Set("count", Json::Int(int64_t(totals.count)));
-    stage.Set("total_micros", Json::Int(int64_t(totals.total_micros)));
-    stage.Set("mean_us",
-              Json::Number(double(totals.total_micros) /
-                           double(totals.count)));
-    out.Set(StageName(Stage(s)), std::move(stage));
   }
   return out;
 }

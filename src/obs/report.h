@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/slowlog.h"
-#include "obs/trace.h"
 #include "util/histogram.h"
 #include "util/json.h"
 #include "util/result.h"
@@ -54,11 +53,6 @@ class BenchReport {
   /// Snapshot of a registry, stored under "metrics".
   void AttachRegistry(const MetricsRegistry& registry);
 
-  /// Per-stage totals of a trace ring, stored under
-  /// "systems[...].trace_stages" of the most recent AddSystem entry, or
-  /// under top-level "trace_stages" when no system was added yet.
-  void AttachTrace(const TraceRing& ring);
-
   Json ToJson() const;
 
   /// Serializes to `<dir>/BENCH_<bench_name>.json` ("." by default).
@@ -95,11 +89,6 @@ Json ProfileJson(const QueryProfile& profile);
 /// Slow-query entries -> [{"kind", "params", "latency_micros",
 /// "profile"}, ...], worst first.
 Json SlowLogJson(const std::vector<SlowQueryEntry>& entries);
-
-/// TraceRing per-stage breakdown ->
-/// {stage: {"count","total_micros","mean_us"}, ...} for every stage with
-/// at least one span.
-Json TraceStagesJson(const TraceRing& ring);
 
 }  // namespace obs
 }  // namespace graphbench

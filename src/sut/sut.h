@@ -55,19 +55,6 @@ class Sut {
  public:
   virtual ~Sut() = default;
 
-  /// Runs `fn` (typically one or more queries against this SUT) with
-  /// per-operator profiling captured into `profile`: every instrumented
-  /// pipeline (Gremlin traversal steps — including across the Gremlin
-  /// Server's worker pool — Cypher operators, SQL executor phases, RDF
-  /// triple-pattern joins) records its OpTimer rows there. Uniform across
-  /// SUTs because capture rides the thread-local active profile rather
-  /// than a plumbed context. No-op capture when obs is compiled out.
-  template <typename Fn>
-  auto Profiled(obs::QueryProfile* profile, Fn&& fn) {
-    obs::ProfileScope scope(profile);
-    return std::forward<Fn>(fn)();
-  }
-
   SutKind kind() const { return kind_; }
   /// Column label, e.g. "Postgres (SQL)" or "Titan-C (Gremlin)".
   std::string name() const { return SutKindName(kind_); }

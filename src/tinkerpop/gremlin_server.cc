@@ -8,6 +8,45 @@
 
 namespace graphbench {
 
+namespace {
+
+// One request's state, shared by the submitting client and the worker.
+// The two stamps are written only under a profile. The pool's queue mutex
+// orders `enqueued_at` before the worker reads it, and the reply hand-off
+// orders `finished_at` before the client reads it.
+struct Request {
+  std::string bytecode;
+  std::promise<Result<std::string>> reply;
+  uint64_t enqueued_at = 0;
+  uint64_t finished_at = 0;
+};
+
+// Server side: decode the bytecode, execute it, encode the response frame.
+// A byte-identical request reuses the cached traversal template, so the
+// decodeRequest row shrinks to the cache probe on hits.
+Result<std::string> Serve(GremlinGraph* graph,
+                          lang::PlanCache<Traversal>* plan_cache,
+                          const std::string& bytecode) {
+  obs::OpTimer decode_op("decodeRequest");
+  std::shared_ptr<const Traversal> traversal;
+  if (plan_cache != nullptr) traversal = plan_cache->Lookup(bytecode);
+  if (traversal == nullptr) {
+    GB_ASSIGN_OR_RETURN(Traversal decoded,
+                        gremlinio::DecodeTraversal(bytecode));
+    traversal = std::make_shared<const Traversal>(std::move(decoded));
+    if (plan_cache != nullptr) plan_cache->Insert(bytecode, traversal);
+  }
+  decode_op.Stop();
+  GB_ASSIGN_OR_RETURN(std::vector<Value> results,
+                      ExecuteTraversal(graph, *traversal));
+  obs::OpTimer encode_op("encodeResults");
+  std::string frame = gremlinio::EncodeResults(results);
+  encode_op.AddRows(results.size());
+  return frame;
+}
+
+}  // namespace
+
 GremlinServer::GremlinServer(GremlinGraph* graph,
                              GremlinServerOptions options)
     : graph_(graph), pool_(options.workers, options.max_queue) {
@@ -20,140 +59,57 @@ GremlinServer::GremlinServer(GremlinGraph* graph,
 GremlinServer::~GremlinServer() { pool_.Shutdown(); }
 
 Result<std::vector<Value>> GremlinServer::Submit(const Traversal& traversal) {
-  // Opened first so trace-id/span setup is attributed rather than lost.
   obs::OpTimer serialize_op("serialize");
-  const uint64_t trace_id = obs::kEnabled ? trace_.NextTraceId() : 0;
-  const uint64_t submit_start = obs::kEnabled ? NowMicros() : 0;
-
   // The submitting thread's active profile, handed to the worker so the
   // traversal's per-step OpTimers land in the client's QueryProfile. Safe:
   // the client blocks on reply.get() while the worker runs, so only one
   // thread records at a time.
   obs::QueryProfile* profile = obs::ActiveProfile();
-
   // Client side: encode the traversal to bytecode.
-  std::string request;
-  {
-    obs::ScopedSpan span(&trace_, obs::Stage::kSerialize, trace_id);
-    request = gremlinio::EncodeTraversal(traversal);
-  }
+  std::string bytecode = gremlinio::EncodeTraversal(traversal);
   serialize_op.Stop();
 
-  // Client-side dispatch: promise/future setup and packaging the request
-  // closure. Stops before the pool hand-off — once the worker can run it
-  // may record into the same profile, so this timer must not overlap it
-  // (the hand-off itself lands in the worker's "queue" wait).
+  // Client-side dispatch: the request state and the task closure. Stops
+  // before the pool hand-off: once the worker can run it may record into
+  // the same profile, so this timer must not overlap it (the hand-off
+  // itself lands in the worker's "queue" wait).
   obs::OpTimer dispatch_op("dispatchRequest");
-  auto response = std::make_shared<std::promise<Result<std::string>>>();
-  std::future<Result<std::string>> reply = response->get_future();
-  // Written by the worker right before set_value so the client can
-  // attribute the wake-up delay of the blocking reply.get() (real Gremlin
-  // clients see the same scheduling gap on the response path).
-  auto finished_at = std::make_shared<std::atomic<uint64_t>>(0);
-
-  GremlinGraph* graph = graph_;
-  obs::TraceRing* trace = &trace_;
-  lang::PlanCache<Traversal>* plan_cache = plan_cache_.get();
-  // Stamped right before the pool hand-off (after dispatch_op stops) so the
-  // worker's "queue" wait never overlaps the client's dispatchRequest time.
-  auto enqueued_at = std::make_shared<std::atomic<uint64_t>>(0);
-  std::function<void()> task = [graph, request = std::move(request),
-                                response, trace, trace_id, enqueued_at,
-                                profile, finished_at,
-                                plan_cache]() mutable {
+  auto request = std::make_shared<Request>();
+  request->bytecode = std::move(bytecode);
+  std::future<Result<std::string>> reply = request->reply.get_future();
+  std::function<void()> task = [graph = graph_,
+                                plan_cache = plan_cache_.get(), profile,
+                                request] {
     obs::ProfileScope profile_scope(profile);
-    uint64_t started_at = 0;
-    if constexpr (obs::kEnabled) {
-      started_at = NowMicros();
-      uint64_t enq = enqueued_at->load();
-      uint64_t waited = started_at > enq ? started_at - enq : 0;
-      trace->Record(
-          obs::Span{trace_id, obs::Stage::kQueue, enq, waited});
-      if (profile != nullptr) {
-        profile->Record("queue", 1, 0, waited, waited);
-      }
+    if (profile != nullptr) {
+      uint64_t waited = NowMicros() - request->enqueued_at;
+      profile->Record("queue", 1, 0, waited, waited);
     }
-    // Server side: decode, execute, encode the response frame. The
-    // execute span must be recorded BEFORE set_value — set_value wakes
-    // the waiting client, and any scheduling delay after it would be
-    // misattributed to this stage.
-    auto record_execute = [&] {
-      if constexpr (obs::kEnabled) {
-        trace->Record(obs::Span{trace_id, obs::Stage::kExecute, started_at,
-                                NowMicros() - started_at});
-      }
-    };
-    // Decode the bytecode, or reuse the cached traversal template for a
-    // byte-identical request (the decodeRequest profiler row shrinks to
-    // the cache probe on hits; the queue/execute/encode tax stays).
-    obs::OpTimer decode_op("decodeRequest");
-    std::shared_ptr<const Traversal> traversal;
-    if (plan_cache != nullptr) {
-      traversal = plan_cache->Lookup(request);
-    }
-    if (traversal == nullptr) {
-      auto decoded = gremlinio::DecodeTraversal(request);
-      if (!decoded.ok()) {
-        decode_op.Stop();
-        record_execute();
-        if constexpr (obs::kEnabled) finished_at->store(NowMicros());
-        response->set_value(decoded.status());
-        return;
-      }
-      traversal = std::make_shared<const Traversal>(std::move(*decoded));
-      if (plan_cache != nullptr) plan_cache->Insert(request, traversal);
-    }
-    decode_op.Stop();
-    auto results = ExecuteTraversal(graph, *traversal);
-    if (!results.ok()) {
-      record_execute();
-      if constexpr (obs::kEnabled) finished_at->store(NowMicros());
-      response->set_value(results.status());
-      return;
-    }
-    obs::OpTimer encode_op("encodeResults");
-    std::string frame = gremlinio::EncodeResults(*results);
-    encode_op.AddRows(results->size());
-    encode_op.Stop();
-    record_execute();
-    if constexpr (obs::kEnabled) finished_at->store(NowMicros());
-    response->set_value(std::move(frame));
+    Result<std::string> frame = Serve(graph, plan_cache, request->bytecode);
+    // Stamped right before set_value wakes the client, so the client's
+    // awaitResponse row holds the wake-up delay of reply.get() (real
+    // Gremlin clients see the same scheduling gap on the response path).
+    if (profile != nullptr) request->finished_at = NowMicros();
+    request->reply.set_value(std::move(frame));
   };
   dispatch_op.Stop();
-  if constexpr (obs::kEnabled) enqueued_at->store(NowMicros());
-  bool accepted = pool_.Submit(std::move(task));
-  if (!accepted) {
+  if (profile != nullptr) request->enqueued_at = NowMicros();
+  if (!pool_.Submit(std::move(task))) {
     ++rejected_;
     return Status::Busy("gremlin server request queue full");
   }
 
   Result<std::string> frame = reply.get();
-  if constexpr (obs::kEnabled) {
-    // Wake-up delay between the worker publishing the reply and this
-    // thread resuming — response-path scheduling the step timers can't see.
-    if (profile != nullptr && finished_at->load() != 0) {
-      uint64_t now = NowMicros();
-      uint64_t done = finished_at->load();
-      uint64_t wake = now > done ? now - done : 0;
-      profile->Record("awaitResponse", 1, 0, wake, wake);
-    }
+  if (profile != nullptr) {
+    uint64_t wake = NowMicros() - request->finished_at;
+    profile->Record("awaitResponse", 1, 0, wake, wake);
   }
   if (!frame.ok()) return frame.status();
   ++served_;
-  // Client side: decode the response frame. The span's ring record and the
-  // submit histogram update happen inside the timer so the tail of Submit
-  // stays attributed.
-  obs::OpTimer op("deserialize");
-  Result<std::vector<Value>> decoded = Status::Internal("not decoded");
-  {
-    obs::ScopedSpan span(&trace_, obs::Stage::kDeserialize, trace_id);
-    decoded = gremlinio::DecodeResults(*frame);
-  }
-  if (decoded.ok()) op.AddRows(decoded->size());
-  if constexpr (obs::kEnabled) {
-    submit_micros_.Add(NowMicros() - submit_start);
-  }
-  op.Stop();
+  // Client side: decode the response frame.
+  obs::OpTimer deserialize_op("deserialize");
+  Result<std::vector<Value>> decoded = gremlinio::DecodeResults(*frame);
+  if (decoded.ok()) deserialize_op.AddRows(decoded->size());
   return decoded;
 }
 

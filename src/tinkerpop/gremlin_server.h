@@ -5,8 +5,6 @@
 #include <memory>
 
 #include "lang/plan_cache.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "tinkerpop/structure.h"
 #include "tinkerpop/traversal.h"
 #include "util/result.h"
@@ -43,6 +41,12 @@ class GremlinServer {
   GremlinServer& operator=(const GremlinServer&) = delete;
 
   /// Synchronous round trip. Busy when the request queue is full.
+  ///
+  /// Under the caller's active QueryProfile (obs::ProfileScope) one call
+  /// records the rows `serialize`, `dispatchRequest`, `queue`,
+  /// `decodeRequest`, the traversal's step rows, `encodeResults`,
+  /// `awaitResponse` and `deserialize`: the Figure 2 tax, stage by stage.
+  /// With no profile installed it reads no clock.
   Result<std::vector<Value>> Submit(const Traversal& traversal);
 
   /// Bypass the server layer: execute directly against the provider
@@ -53,16 +57,6 @@ class GremlinServer {
   uint64_t requests_rejected() const { return rejected_; }
 
   GremlinGraph* graph() { return graph_; }
-
-  /// Per-stage spans of recent Submit calls: serialize (client encode),
-  /// queue (wait for a worker), execute (server-side decode + run +
-  /// encode), deserialize (client decode). Their per-request sum is the
-  /// Figure 2 platform-agnostic-access tax, attributed.
-  const obs::TraceRing& trace() const { return trace_; }
-  obs::TraceRing* mutable_trace() { return &trace_; }
-
-  /// Total wall-clock Submit latency (accepted requests only).
-  const Histogram& submit_latency_micros() const { return submit_micros_; }
 
   bool plan_cache_enabled() const { return plan_cache_ != nullptr; }
   lang::PlanCacheStats plan_cache_stats() const {
@@ -75,8 +69,6 @@ class GremlinServer {
   /// Decoded-traversal cache shared by the workers; null when disabled.
   std::unique_ptr<lang::PlanCache<Traversal>> plan_cache_;
   ThreadPool pool_;
-  obs::TraceRing trace_;
-  Histogram submit_micros_;
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> rejected_{0};
 };

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "obs/trace.h"
 #include "util/json.h"
 
 namespace graphbench {
@@ -92,53 +91,6 @@ TEST(HistogramStatsTest, PercentileEdges) {
   EXPECT_LE(stats.p99, double(stats.max) * 2);
 }
 
-TEST(ScopedTimerTest, RecordsIntoHistogramAndCounter) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
-  Histogram h;
-  obs::Counter c;
-  { obs::ScopedTimer timer(&h, &c); }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(c.value(), 1u);
-  { obs::ScopedTimer noop(nullptr); }  // must not crash
-}
-
-TEST(TraceRingTest, WraparoundKeepsNewestOldestFirst) {
-  obs::TraceRing ring(4);
-  for (uint64_t i = 1; i <= 10; ++i) {
-    ring.Record(obs::Span{i, obs::Stage::kExecute, i * 100, 10});
-  }
-  EXPECT_EQ(ring.total_recorded(), 10u);
-  std::vector<obs::Span> spans = ring.Spans();
-  ASSERT_EQ(spans.size(), 4u);
-  // Oldest retained is trace 7, newest is 10, in order.
-  for (size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(spans[i].trace_id, 7 + i);
-  }
-  auto totals = ring.totals(obs::Stage::kExecute);
-  EXPECT_EQ(totals.count, 10u);  // totals cover overwritten spans too
-  EXPECT_EQ(totals.total_micros, 100u);
-
-  ring.Clear();
-  EXPECT_TRUE(ring.Spans().empty());
-  EXPECT_EQ(ring.total_recorded(), 0u);
-}
-
-TEST(TraceRingTest, ScopedSpanRecordsStage) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
-  obs::TraceRing ring(16);
-  uint64_t id = ring.NextTraceId();
-  { obs::ScopedSpan span(&ring, obs::Stage::kSerialize, id); }
-  { obs::ScopedSpan span(&ring, obs::Stage::kExecute, id); }
-  { obs::ScopedSpan noop(nullptr, obs::Stage::kParse); }  // no-op
-  std::vector<obs::Span> spans = ring.Spans();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].stage, obs::Stage::kSerialize);
-  EXPECT_EQ(spans[1].stage, obs::Stage::kExecute);
-  EXPECT_EQ(spans[0].trace_id, id);
-  EXPECT_EQ(ring.totals(obs::Stage::kSerialize).count, 1u);
-  EXPECT_EQ(ring.totals(obs::Stage::kParse).count, 0u);
-}
-
 TEST(BenchReportTest, WrittenFileParsesBackWithAllKeys) {
   if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::MetricsRegistry registry;
@@ -152,10 +104,6 @@ TEST(BenchReportTest, WrittenFileParsesBackWithAllKeys) {
   system.Set("reads_per_second", Json::Number(123.5));
   report.AddSystem("Neo4j (Cypher)", std::move(system));
   report.AttachRegistry(registry);
-
-  obs::TraceRing ring(8);
-  ring.Record(obs::Span{1, obs::Stage::kExecute, 0, 50});
-  report.AttachTrace(ring);
 
   Result<std::string> path = report.WriteFile(::testing::TempDir());
   ASSERT_TRUE(path.ok()) << path.status().ToString();
@@ -185,8 +133,6 @@ TEST(BenchReportTest, WrittenFileParsesBackWithAllKeys) {
   ASSERT_EQ(doc.Get("systems").size(), 1u);
   const Json& sys = doc.Get("systems").at(0);
   EXPECT_EQ(sys.Get("system").as_string(), "Neo4j (Cypher)");
-  EXPECT_TRUE(sys.Has("trace_stages"));
-  EXPECT_EQ(sys.Get("trace_stages").Get("execute").Get("count").as_int(), 1);
 
   const Json& metrics = doc.Get("metrics");
   EXPECT_EQ(metrics.Get("counters").Get("mq.produced").as_int(), 42);

@@ -38,7 +38,11 @@ TEST_P(ProfileSmokeTest, TwoHopProducesNonEmptyProfile) {
   int64_t person = params.NextPersonId();
 
   obs::QueryProfile profile;
-  auto result = sut->Profiled(&profile, [&] { return sut->TwoHop(person); });
+  Result<QueryResult> result = Status::Internal("not run");
+  {
+    obs::ProfileScope scope(&profile);
+    result = sut->TwoHop(person);
+  }
   ASSERT_TRUE(result.ok()) << sut->name() << ": "
                            << result.status().ToString();
   EXPECT_FALSE(profile.empty())

@@ -3,15 +3,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "engines/native/native_graph.h"
 #include "engines/relational/database.h"
 #include "engines/titan/titan_graph.h"
 #include "kv/btree_kv.h"
 #include "kv/lsm_kv.h"
+#include "obs/profiler.h"
 #include "providers/native_provider.h"
 #include "providers/sqlg_provider.h"
 #include "tinkerpop/bytecode.h"
@@ -467,6 +471,207 @@ TEST(GremlinServerTest, OverloadRejectsWithBusy) {
   EXPECT_GT(busy.load(), 0);
   EXPECT_GT(ok.load(), 0);
   EXPECT_EQ(server.requests_rejected(), uint64_t(busy.load()));
+}
+
+// --- The server's profile rows -------------------------------------------
+// GraphBench's layer split reads these rows by name (serialize,
+// dispatchRequest, decodeRequest and encodeResults are the server's share),
+// so their names, order and count per Submit are a contract.
+
+// A native provider whose first index lookup blocks until Release(), so a
+// test can hold the server's only worker busy.
+class GatedProvider : public NativeProvider {
+ public:
+  using NativeProvider::NativeProvider;
+
+  Result<std::vector<GVertex>> VerticesByProperty(
+      std::string_view label, std::string_view key,
+      const Value& value) override {
+    if (!gated_.exchange(true)) {
+      entered_.set_value();
+      released_.wait();
+    }
+    return NativeProvider::VerticesByProperty(label, key, value);
+  }
+
+  void WaitEntered() { entered_future_.wait(); }
+  void Release() { release_.set_value(); }
+
+ private:
+  std::atomic<bool> gated_{false};
+  std::promise<void> entered_;
+  std::future<void> entered_future_ = entered_.get_future();
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
+class ServerProfileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    NativeGraphOptions opts;
+    opts.checkpoint_interval_writes = 0;
+    native_ = std::make_unique<NativeGraph>(opts);
+    ASSERT_TRUE(native_->CreateUniqueIndex("Person", "id").ok());
+    provider_ = std::make_unique<GatedProvider>(native_.get());
+    ASSERT_TRUE(provider_
+                    ->AddVertex("Person", {{"id", Value(1)},
+                                           {"firstName", Value("Ada")}})
+                    .ok());
+    lookup_.V().HasIndexed("Person", "id", Value(1)).Values("firstName");
+  }
+
+  // Every test but the Busy one opens the gate before its first Submit.
+  void OpenGate() {
+    provider_->Release();
+    ASSERT_TRUE(provider_->VerticesByProperty("Person", "id", Value(1)).ok());
+  }
+
+  static std::vector<std::string> Names(const obs::QueryProfile& profile) {
+    std::vector<std::string> names;
+    for (const obs::OpStats& op : profile.ops()) names.push_back(op.name);
+    return names;
+  }
+
+  std::unique_ptr<NativeGraph> native_;
+  std::unique_ptr<GatedProvider> provider_;
+  Traversal lookup_;
+};
+
+TEST_F(ServerProfileTest, OneSubmitRecordsEveryStageOnce) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  OpenGate();
+  GremlinServer server(provider_.get());
+  obs::QueryProfile profile;
+  {
+    obs::ProfileScope scope(&profile);
+    auto r = server.Submit(lookup_);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->size(), 1u);
+  }
+  std::vector<std::string> names = Names(profile);
+  // Client rows, worker rows (the traversal's steps between decode and
+  // encode), then the client's wake-up and decode, in execution order.
+  ASSERT_GT(names.size(), 7u);
+  const std::vector<std::string> head = {"serialize", "dispatchRequest",
+                                         "queue", "decodeRequest"};
+  const std::vector<std::string> tail = {"encodeResults", "awaitResponse",
+                                         "deserialize"};
+  EXPECT_EQ(std::vector<std::string>(names.begin(), names.begin() + 4), head);
+  EXPECT_EQ(std::vector<std::string>(names.end() - 3, names.end()), tail);
+  EXPECT_NE(profile.Find("has(indexed)"), nullptr);
+  EXPECT_NE(profile.Find("values()"), nullptr);
+  for (const obs::OpStats& op : profile.ops()) {
+    EXPECT_EQ(op.invocations, 1u) << op.name;
+    EXPECT_LE(op.self_micros, op.cumulative_micros) << op.name;
+  }
+  EXPECT_EQ(profile.Find("deserialize")->rows, 1u);
+}
+
+TEST_F(ServerProfileTest, PlanCacheHitStillRecordsDecodeRequest) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  OpenGate();
+  GremlinServerOptions options;
+  options.plan_cache_capacity = 4;
+  GremlinServer server(provider_.get(), options);
+  ASSERT_TRUE(server.Submit(lookup_).ok());
+  obs::QueryProfile profile;
+  {
+    obs::ProfileScope scope(&profile);
+    ASSERT_TRUE(server.Submit(lookup_).ok());
+  }
+  EXPECT_EQ(server.plan_cache_stats().hits, 1u);
+  const obs::OpStats* decode = profile.Find("decodeRequest");
+  ASSERT_NE(decode, nullptr);
+  EXPECT_EQ(decode->invocations, 1u);
+  EXPECT_NE(profile.Find("deserialize"), nullptr);
+}
+
+TEST_F(ServerProfileTest, DecodeErrorRecordsQueueAndDecodeRequest) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  OpenGate();
+  GremlinServer server(provider_.get());
+  // A step kind the wire format has no name for: the client encodes it as
+  // "unknown" and the worker fails to decode the request.
+  Traversal bad;
+  GremlinStep step;
+  step.kind = GremlinStep::Kind(250);
+  bad.mutable_steps()->push_back(step);
+  obs::QueryProfile profile;
+  Result<std::vector<Value>> r = std::vector<Value>{};
+  {
+    obs::ProfileScope scope(&profile);
+    r = server.Submit(bad);
+  }
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+  EXPECT_EQ(server.requests_served(), 0u);
+  EXPECT_EQ(Names(profile),
+            (std::vector<std::string>{"serialize", "dispatchRequest", "queue",
+                                      "decodeRequest", "awaitResponse"}));
+}
+
+TEST_F(ServerProfileTest, BusyRejectionRecordsNoWorkerRow) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  GremlinServerOptions options;
+  options.workers = 1;
+  options.max_queue = 1;
+  GremlinServer server(provider_.get(), options);
+
+  // The first request holds the only worker at the gate.
+  std::thread holder([&] { ASSERT_TRUE(server.Submit(lookup_).ok()); });
+  provider_->WaitEntered();
+
+  // Of two more clients, one fills the one-slot queue and the other is
+  // rejected at once. The rejected one finishes while the gate is shut.
+  struct Client {
+    obs::QueryProfile profile;
+    Status status;
+  };
+  Client clients[2];
+  std::atomic<int> finished{0};
+  std::vector<std::thread> threads;
+  for (Client& c : clients) {
+    threads.emplace_back([&server, &c, &finished, this] {
+      obs::ProfileScope scope(&c.profile);
+      c.status = server.Submit(lookup_).status();
+      ++finished;
+    });
+  }
+  while (finished.load() == 0) std::this_thread::yield();
+  provider_->Release();
+  for (std::thread& t : threads) t.join();
+  holder.join();
+
+  EXPECT_EQ(server.requests_rejected(), 1u);
+  int busy = 0;
+  for (const Client& c : clients) {
+    if (!c.status.IsBusy()) {
+      EXPECT_TRUE(c.status.ok()) << c.status.ToString();
+      EXPECT_NE(c.profile.Find("queue"), nullptr);
+      continue;
+    }
+    ++busy;
+    EXPECT_EQ(Names(c.profile),
+              (std::vector<std::string>{"serialize", "dispatchRequest"}));
+  }
+  EXPECT_EQ(busy, 1);
+}
+
+TEST_F(ServerProfileTest, UnprofiledSubmitRecordsNothing) {
+  OpenGate();
+  GremlinServer server(provider_.get());
+  ASSERT_TRUE(server.Submit(lookup_).ok());
+  obs::QueryProfile profile;
+  {
+    obs::ProfileScope scope(&profile);
+    // A null scope switches capture off, on the worker too.
+    obs::ProfileScope off(nullptr);
+    auto r = server.Submit(lookup_);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->size(), 1u);
+  }
+  EXPECT_TRUE(profile.empty()) << profile.ToString();
+  EXPECT_EQ(server.requests_served(), 2u);
 }
 
 }  // namespace
