@@ -1,15 +1,19 @@
 // Ablation 1 (DESIGN.md §5): what does the Gremlin Server layer itself
-// cost? Runs the four read queries against the same provider twice —
+// cost? Runs the four read queries against the same provider two ways —
 // through the server (GraphSON codec + request queue + worker pool) and
 // embedded (direct step execution) — isolating the overhead §4.2/§4.4
-// attribute to the server. A third, profiled pass through the server
-// splits that cost into the profiler's rows (serialize, dispatchRequest,
+// attribute to the server. After one warm-up pass of each, every case runs
+// kBlocks interleaved server/embedded blocks of --reps calls; the table
+// shows the median block mean of each and the median per-block ratio with
+// its min-max spread, so one noisy block moves no figure. A profiled pass
+// through the server splits that cost into the profiler's rows (serialize, dispatchRequest,
 // queue, decodeRequest, steps, encodeResults, awaitResponse, deserialize)
 // and checks that they account for the measured Submit time. The binary
 // exits 1 when a profiled case lacks the queue or deserialize row.
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.h"
 #include "obs/profiler.h"
@@ -27,6 +31,14 @@ struct Run {
   int ok = 0;
   double MeanMs() const { return ok ? micros / 1000.0 / ok : -1; }
 };
+
+constexpr int kBlocks = 5;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
 
 Run Repeat(GremlinServer* server, const Traversal& t, bool embedded,
            int reps) {
@@ -57,8 +69,10 @@ int main(int argc, char** argv) {
   }
   snb::ParamPools params(data, 7);
 
-  TablePrinter table("Gremlin Server vs embedded execution (mean ms)");
-  table.SetHeader({"Query", "Via server", "Embedded", "Server overhead"});
+  TablePrinter table(
+      "Gremlin Server vs embedded execution (median block mean, ms)");
+  table.SetHeader({"Query", "Via server", "Embedded", "Server overhead",
+                   "Overhead min-max"});
 
   struct QueryCase {
     const char* name;
@@ -101,17 +115,30 @@ int main(int argc, char** argv) {
 
   obs::BenchReport report("ablation_gremlin_server", "SF-A (SF3 analog)");
   report.SetParam("reps", Json::Int(reps));
+  report.SetParam("blocks", Json::Int(kBlocks));
 
   GremlinServer* server = sut->server();
   bool rows_missing = false;
   for (const QueryCase& c : cases) {
-    double via_server = Repeat(server, c.traversal, false, reps).MeanMs();
-    double embedded = Repeat(server, c.traversal, true, reps).MeanMs();
+    Repeat(server, c.traversal, false, reps);  // warm-up, discarded
+    Repeat(server, c.traversal, true, reps);
+    std::vector<double> via_ms, embedded_ms, ratios;
+    for (int b = 0; b < kBlocks; ++b) {
+      via_ms.push_back(Repeat(server, c.traversal, false, reps).MeanMs());
+      embedded_ms.push_back(Repeat(server, c.traversal, true, reps).MeanMs());
+      if (embedded_ms.back() > 0) {
+        ratios.push_back(via_ms.back() / embedded_ms.back());
+      }
+    }
+    const double via_server = Median(via_ms);
+    const double embedded = Median(embedded_ms);
+    const double ratio = ratios.empty() ? 0 : Median(ratios);
+    const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
     table.AddRow({c.name, bench::FormatMillis(via_server),
                   bench::FormatMillis(embedded),
-                  embedded > 0
-                      ? StringPrintf("%.2fx", via_server / embedded)
-                      : "-"});
+                  ratios.empty() ? "-" : StringPrintf("%.2fx", ratio),
+                  ratios.empty() ? "-"
+                                 : StringPrintf("%.2f-%.2fx", *lo, *hi)});
 
     // The profiled pass: its rows' self times should sum to the wall time
     // the stopwatch measured around the same Submits.
@@ -124,6 +151,11 @@ int main(int argc, char** argv) {
     Json metrics = Json::Object();
     metrics.Set("via_server_ms", Json::Number(via_server));
     metrics.Set("embedded_ms", Json::Number(embedded));
+    if (!ratios.empty()) {
+      metrics.Set("overhead_ratio", Json::Number(ratio));
+      metrics.Set("overhead_ratio_min", Json::Number(*lo));
+      metrics.Set("overhead_ratio_max", Json::Number(*hi));
+    }
     metrics.Set("profiled_ms", Json::Number(profiled.MeanMs()));
     if (obs::kEnabled) {
       std::printf("\n%s", profile.ToString(c.name).c_str());

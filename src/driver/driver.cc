@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -44,9 +43,7 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
   metrics.read_timeline.assign(buckets, 0);
 
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> reads{0}, read_errors{0};
-  std::atomic<uint64_t> writes{0}, write_errors{0}, dep_violations{0};
-  std::mutex timeline_mu;
+  uint64_t writes = 0, write_errors = 0, dep_violations = 0, late = 0;
 
   Stopwatch run_clock;
   auto bucket_of = [&](uint64_t micros) {
@@ -55,19 +52,13 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
     return std::min(b, buckets - 1);
   };
 
-  // Observability: mirror the run's counters into the default registry so
-  // bench reports can snapshot them alongside DriverMetrics.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  obs::Counter* obs_reads = registry.GetCounter("driver.reads");
-  obs::Counter* obs_read_errors = registry.GetCounter("driver.read_errors");
-  obs::Counter* obs_writes = registry.GetCounter("driver.writes");
-  obs::Counter* obs_write_errors =
-      registry.GetCounter("driver.write_errors");
-  obs::Gauge* obs_lag = registry.GetGauge("mq.consumer.lag");
+  obs::Gauge* obs_lag =
+      obs::MetricsRegistry::Default().GetGauge("mq.consumer.lag");
 
   // --- The single writer: drain the Kafka queue into the SUT -----------
-  std::atomic<uint64_t> write_micros_active{0};
-  std::atomic<uint64_t> late{0};
+  // The writer owns the write-side fields of `metrics` and the counts
+  // above; they are read only after it joins.
+  uint64_t write_micros_active = 0;
   std::thread writer([&] {
     mq::Consumer consumer(broker_, std::string(topic));
     // Paced mode: op k is due at k / rate seconds into the run.
@@ -119,29 +110,26 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
           }
         }
         ++op_index;
-        Stopwatch op_clock;
+        const uint64_t start_us = run_clock.ElapsedMicros();
         Status s = sut_->Apply(*op);
-        uint64_t us = op_clock.ElapsedMicros();
+        const uint64_t end_us = run_clock.ElapsedMicros();
+        const uint64_t us = end_us - start_us;
         if (pace > 0) {
           // Schedule-aware latency (the LDBC driver's definition):
           // completion relative to the op's scheduled slot, not its actual
           // start. When the writer falls behind, the queueing delay counts
           // — avoiding coordinated omission in overload reporting.
-          uint64_t end_us = run_clock.ElapsedMicros();
           metrics.write_schedule_latency_micros.Add(
               end_us > due_us ? end_us - due_us : 0);
         }
         if (s.ok()) {
           metrics.write_latency_micros.Add(us);
           ++writes;
-          obs_writes->Increment();
           watermark = std::max(watermark, op->scheduled_date);
-          std::lock_guard<std::mutex> lock(timeline_mu);
-          ++metrics.write_timeline[bucket_of(run_clock.ElapsedMicros())];
+          ++metrics.write_timeline[bucket_of(end_us)];
         } else {
           metrics.write_error_latency_micros.Add(us);
           ++write_errors;
-          obs_write_errors->Increment();
         }
         if (stop.load()) break;
       }
@@ -159,10 +147,20 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
   const bool slowlog_enabled =
       obs::kEnabled && options_.slowlog_threshold_micros > 0;
 
+  // Each reader records into its own cache-line-aligned tally, merged
+  // after the join, so readers share no lock and write no shared line.
+  struct alignas(64) ReaderTally {
+    Histogram ok_micros;
+    Histogram error_micros;
+    std::vector<uint64_t> timeline;
+  };
+  std::vector<ReaderTally> tallies(options_.num_readers);
   std::vector<std::thread> readers;
   readers.reserve(options_.num_readers);
   for (size_t r = 0; r < options_.num_readers; ++r) {
     readers.emplace_back([&, r] {
+      ReaderTally& tally = tallies[r];
+      tally.timeline.assign(buckets, 0);
       snb::ParamPools local(*params);  // independent deterministic stream
       Rng mix_rng(options_.seed + r * 7919);
       obs::QueryProfile profile;
@@ -170,7 +168,7 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
         double roll = mix_rng.NextDouble();
         const char* kind;
         int64_t person = 0;
-        Stopwatch op_clock;
+        const uint64_t start_us = run_clock.ElapsedMicros();
         Status s;
         {
           obs::ProfileScope scope(slowlog_enabled ? &profile : nullptr);
@@ -196,7 +194,8 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
             s = sut_->PointLookup(person).status();
           }
         }
-        uint64_t us = op_clock.ElapsedMicros();
+        const uint64_t end_us = run_clock.ElapsedMicros();
+        const uint64_t us = end_us - start_us;
         if (slowlog_enabled) {
           if (us >= options_.slowlog_threshold_micros) {
             slowlog.Record(kind, sut_->StatementText(kind),
@@ -209,15 +208,10 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
           }
         }
         if (s.ok()) {
-          metrics.read_latency_micros.Add(us);
-          ++reads;
-          obs_reads->Increment();
-          std::lock_guard<std::mutex> lock(timeline_mu);
-          ++metrics.read_timeline[bucket_of(run_clock.ElapsedMicros())];
+          tally.ok_micros.Add(us);
+          ++tally.timeline[bucket_of(end_us)];
         } else {
-          metrics.read_error_latency_micros.Add(us);
-          ++read_errors;
-          obs_read_errors->Increment();
+          tally.error_micros.Add(us);
         }
       }
     });
@@ -228,18 +222,24 @@ Result<DriverMetrics> InteractiveDriver::Run(std::string_view topic,
   stop = true;
   for (auto& t : readers) t.join();
   writer.join();
-
   metrics.elapsed_seconds = run_clock.ElapsedSeconds();
+  for (const ReaderTally& tally : tallies) {
+    metrics.read_latency_micros.Merge(tally.ok_micros);
+    metrics.read_error_latency_micros.Merge(tally.error_micros);
+    for (size_t b = 0; b < buckets; ++b) {
+      metrics.read_timeline[b] += tally.timeline[b];
+    }
+  }
+
   metrics.timeline_bucket_millis = options_.timeline_bucket_millis;
   metrics.slow_queries = slowlog.TakeEntries();
-  metrics.reads_completed = reads;
-  metrics.read_errors = read_errors;
+  metrics.reads_completed = metrics.read_latency_micros.count();
+  metrics.read_errors = metrics.read_error_latency_micros.count();
   metrics.writes_completed = writes;
   metrics.write_errors = write_errors;
   metrics.dependency_violations = dep_violations;
   metrics.late_writes = late;
-  metrics.write_seconds =
-      double(write_micros_active.load()) / 1e6;
+  metrics.write_seconds = double(write_micros_active) / 1e6;
   metrics.reads_per_second =
       metrics.elapsed_seconds > 0
           ? double(metrics.reads_completed) / metrics.elapsed_seconds

@@ -10,9 +10,11 @@
 
 #include "concurrency/epoch.h"
 #include "concurrency/versioned.h"
-#include "graph/property_graph.h"
+#include "graph/graph_types.h"
 #include "storage/durability.h"
 #include "storage/wal.h"
+#include "util/result.h"
+#include "util/status.h"
 
 namespace graphbench {
 
@@ -51,7 +53,7 @@ struct NativeGraphOptions {
 /// pin. Readers therefore never block — not even during the checkpoint
 /// stall, which under the old coarse shared_mutex froze every read for up
 /// to `checkpoint_max_pause_micros`.
-class NativeGraph : public PropertyGraph {
+class NativeGraph {
  public:
   explicit NativeGraph(NativeGraphOptions options = {});
 
@@ -59,28 +61,29 @@ class NativeGraph : public PropertyGraph {
   NativeGraph& operator=(const NativeGraph&) = delete;
 
   Result<VertexId> AddVertex(std::string_view label,
-                             const PropertyMap& props) override;
+                             const PropertyMap& props);
   Result<EdgeId> AddEdge(std::string_view label, VertexId src, VertexId dst,
-                         const PropertyMap& props) override;
-  Status GetVertex(VertexId v, std::string* label,
-                   PropertyMap* props) const override;
+                         const PropertyMap& props);
+  Status GetVertex(VertexId v, std::string* label, PropertyMap* props) const;
   Status GetEdge(EdgeId e, std::string* label, VertexId* src, VertexId* dst,
-                 PropertyMap* props) const override;
-  Result<Value> VertexProperty(VertexId v,
-                               std::string_view key) const override;
+                 PropertyMap* props) const;
+  /// Single vertex property (Null when absent).
+  Result<Value> VertexProperty(VertexId v, std::string_view key) const;
   Status SetVertexProperty(VertexId v, std::string_view key,
-                           const Value& value) override;
+                           const Value& value);
+  /// Adjacency of `v` restricted to `edge_label` (empty = any) and
+  /// direction.
   Result<std::vector<Neighbor>> Neighbors(VertexId v,
                                           std::string_view edge_label,
-                                          Direction dir) const override;
+                                          Direction dir) const;
+  /// Unique lookup through the (label, property) index.
   Result<VertexId> FindVertex(std::string_view label, std::string_view key,
-                              const Value& value) const override;
-  std::vector<VertexId> VerticesByLabel(
-      std::string_view label) const override;
-  uint64_t VertexCount() const override;
-  uint64_t EdgeCount() const override;
-  uint64_t ApproximateSizeBytes() const override;
-  std::string name() const override { return "native-graph"; }
+                              const Value& value) const;
+  /// All vertices of `label` (any label when empty). For scans/loaders.
+  std::vector<VertexId> VerticesByLabel(std::string_view label) const;
+  uint64_t VertexCount() const;
+  uint64_t EdgeCount() const;
+  uint64_t ApproximateSizeBytes() const;
 
   /// Declares a unique index on (vertex label, property). The benchmark
   /// creates one on every label's "id" property, per the paper's fairness

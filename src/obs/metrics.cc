@@ -21,28 +21,12 @@ T* GetOrCreate(std::mutex* mu,
 
 }  // namespace
 
-MetricsSnapshot::HistogramStats SummarizeHistogram(const Histogram& h) {
-  MetricsSnapshot::HistogramStats stats;
-  stats.count = h.count();
-  stats.mean = h.mean();
-  stats.min = h.min();
-  stats.max = h.max();
-  stats.p50 = h.Percentile(50);
-  stats.p95 = h.Percentile(95);
-  stats.p99 = h.Percentile(99);
-  return stats;
-}
-
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
   return GetOrCreate(&mu_, &counters_, name);
 }
 
 Gauge* MetricsRegistry::GetGauge(std::string_view name) {
   return GetOrCreate(&mu_, &gauges_, name);
-}
-
-Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
-  return GetOrCreate(&mu_, &histograms_, name);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
@@ -56,10 +40,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, g] : gauges_) {
     snap.gauges.emplace_back(name, g->value());
   }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms.emplace_back(name, SummarizeHistogram(*h));
-  }
   return snap;
 }
 
@@ -67,7 +47,6 @@ void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->Reset();
   for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Clear();
 }
 
 MetricsRegistry& MetricsRegistry::Default() {
@@ -82,8 +61,6 @@ SutProbe::SutProbe(std::string_view sut_id) {
   writes_ = reg.GetCounter(base + ".writes");
   read_errors_ = reg.GetCounter(base + ".read_errors");
   write_errors_ = reg.GetCounter(base + ".write_errors");
-  read_micros_ = reg.GetHistogram(base + ".read_micros");
-  write_micros_ = reg.GetHistogram(base + ".write_micros");
 }
 
 }  // namespace obs

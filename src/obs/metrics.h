@@ -10,9 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/histogram.h"
-#include "util/stopwatch.h"
-
 namespace graphbench {
 namespace obs {
 
@@ -59,37 +56,26 @@ class Gauge {
 
 /// Point-in-time view of one registry, for report serialization.
 struct MetricsSnapshot {
-  struct HistogramStats {
-    uint64_t count = 0;
-    double mean = 0;
-    uint64_t min = 0;
-    uint64_t max = 0;
-    double p50 = 0;
-    double p95 = 0;
-    double p99 = 0;
-  };
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;
-  std::vector<std::pair<std::string, HistogramStats>> histograms;
 };
 
-MetricsSnapshot::HistogramStats SummarizeHistogram(const Histogram& h);
-
-/// Thread-safe registry of named counters, gauges, and latency histograms.
-/// Get* creates on first use and returns a pointer that stays valid for
-/// the registry's lifetime, so hot paths look a metric up once (e.g. in a
-/// constructor or function-local static) and then touch only the atomic.
+/// Thread-safe registry of named counters and gauges. Latency is timed by
+/// whoever drives a call (the driver's per-thread histograms, a bench's
+/// recorder), never here. Get* creates on first use and returns a pointer
+/// that stays valid for the registry's lifetime, so hot paths look a
+/// metric up once (e.g. in a constructor or function-local static) and
+/// then touch only the atomic.
 class MetricsRegistry {
  public:
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
-  Histogram* GetHistogram(std::string_view name);
 
-  /// Sorted by name; histograms are summarized to percentile stats.
+  /// Sorted by name.
   MetricsSnapshot Snapshot() const;
 
-  /// Zeroes every counter/gauge and clears every histogram (names and
-  /// pointers survive). Benches call this between per-system runs.
+  /// Zeroes every counter and gauge (names and pointers survive). Benches
+  /// call this between per-system runs.
   void Reset();
 
   /// The process-wide registry every built-in instrumentation point
@@ -100,50 +86,30 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-/// Per-SUT read/write probe, named "sut.<id>.{reads,read_micros,
-/// read_errors}" and "sut.<id>.{writes,write_micros,write_errors}" in the
-/// default registry. The Sut facade holds one and brackets every read and
-/// write with Start() and EndRead()/EndWrite(). Only ok results count as
-/// reads/writes and add latency; a failure counts only as an error, so a
-/// fast rejection never passes for a fast success.
+/// Per-SUT read/write counters, named "sut.<id>.{reads,read_errors}" and
+/// "sut.<id>.{writes,write_errors}" in the default registry. The Sut facade
+/// holds one and counts every read and write with EndRead()/EndWrite().
+/// Only ok results count as reads/writes; a failure counts only as an
+/// error. The probe reads no clock: the caller that drives an operation
+/// times it.
 class SutProbe {
  public:
   explicit SutProbe(std::string_view sut_id);
 
-  /// Start stamp for one operation; no clock read when obs is compiled out.
-  static uint64_t Start() {
-    if constexpr (kEnabled) return NowMicros();
-    return 0;
-  }
-  void EndRead(uint64_t start, bool ok) const {
-    End(start, ok, read_micros_, reads_, read_errors_);
-  }
-  void EndWrite(uint64_t start, bool ok) const {
-    End(start, ok, write_micros_, writes_, write_errors_);
-  }
+  void EndRead(bool ok) const { End(ok, reads_, read_errors_); }
+  void EndWrite(bool ok) const { End(ok, writes_, write_errors_); }
 
  private:
-  static void End(uint64_t start, bool ok, Histogram* micros, Counter* done,
-                  Counter* errors) {
-    if constexpr (kEnabled) {
-      if (!ok) {
-        errors->Increment();
-        return;
-      }
-      micros->Add(NowMicros() - start);
-      done->Increment();
-    }
+  static void End(bool ok, Counter* done, Counter* errors) {
+    (ok ? done : errors)->Increment();
   }
 
   Counter* reads_;
   Counter* writes_;
   Counter* read_errors_;
   Counter* write_errors_;
-  Histogram* read_micros_;
-  Histogram* write_micros_;
 };
 
 }  // namespace obs

@@ -35,14 +35,9 @@ void BenchReport::AttachRegistry(const MetricsRegistry& registry) {
   for (const auto& [name, value] : snap.gauges) {
     gauges.Set(name, Json::Int(value));
   }
-  Json histograms = Json::Object();
-  for (const auto& [name, stats] : snap.histograms) {
-    histograms.Set(name, HistogramJson(stats));
-  }
   metrics_ = Json::Object();
   metrics_.Set("counters", std::move(counters));
   metrics_.Set("gauges", std::move(gauges));
-  metrics_.Set("histograms", std::move(histograms));
 }
 
 Json BenchReport::ToJson() const {
@@ -75,18 +70,14 @@ Result<std::string> BenchReport::WriteFile(std::string_view dir) const {
 }
 
 Json HistogramJson(const Histogram& h) {
-  return HistogramJson(SummarizeHistogram(h));
-}
-
-Json HistogramJson(const MetricsSnapshot::HistogramStats& stats) {
   Json out = Json::Object();
-  out.Set("count", Json::Int(int64_t(stats.count)));
-  out.Set("mean_us", Json::Number(stats.mean));
-  out.Set("min_us", Json::Int(int64_t(stats.min)));
-  out.Set("max_us", Json::Int(int64_t(stats.max)));
-  out.Set("p50_us", Json::Number(stats.p50));
-  out.Set("p95_us", Json::Number(stats.p95));
-  out.Set("p99_us", Json::Number(stats.p99));
+  out.Set("count", Json::Int(int64_t(h.count())));
+  out.Set("mean_us", Json::Number(h.mean()));
+  out.Set("min_us", Json::Int(int64_t(h.min())));
+  out.Set("max_us", Json::Int(int64_t(h.max())));
+  out.Set("p50_us", Json::Number(h.Percentile(50)));
+  out.Set("p95_us", Json::Number(h.Percentile(95)));
+  out.Set("p99_us", Json::Number(h.Percentile(99)));
   return out;
 }
 

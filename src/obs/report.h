@@ -26,10 +26,13 @@ namespace obs {
 ///     "scale":   "<dataset description>",
 ///     "params":  { flag: value, ... },
 ///     "systems": [ { "system": "...", <metric>: ... }, ... ],
-///     "metrics": { "counters": {...}, "gauges": {...},
-///                  "histograms": { name: {count,mean,min,max,
-///                                         p50,p95,p99}, ... } }
+///     "metrics": { "counters": {...}, "gauges": {...} }
 ///   }
+///
+/// Latency lives only in "systems" entries, timed by the driver or bench
+/// that drove each call; "metrics" holds the registry's counters and
+/// gauges. Older v2 reports also carry a "metrics.histograms" map that no
+/// reader uses.
 ///
 /// Schema v2 additions (all inside "systems" entries): "profiles"
 /// (per-query-type per-operator breakdowns, see ProfileJson),
@@ -72,7 +75,6 @@ class BenchReport {
 /// Histogram -> {"count","mean_us","min_us","max_us","p50_us","p95_us",
 /// "p99_us"}.
 Json HistogramJson(const Histogram& h);
-Json HistogramJson(const MetricsSnapshot::HistogramStats& stats);
 
 /// DriverMetrics -> one "systems" entry body: op counts, rates, latency
 /// summaries (service latency of ok ops, "read_error_latency"/

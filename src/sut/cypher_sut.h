@@ -49,8 +49,7 @@ class CypherSut : public Sut {
   CypherEngine engine_;
 };
 
-/// Loads the SNB snapshot into any PropertyGraph-shaped store via a bulk
-/// import (used by CypherSut; the Gremlin SUTs load through the structure
+/// Loads the SNB snapshot into the native store via a bulk import (used by CypherSut; the Gremlin SUTs load through the structure
 /// API instead). Creates the per-label unique id indexes first.
 Status LoadSnbIntoNativeGraph(const snb::Dataset& data, NativeGraph* graph);
 

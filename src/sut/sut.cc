@@ -49,9 +49,8 @@ template <typename Body>
 auto Sut::Read(Body&& body) -> decltype(body()) {
   if (facade_ == Facade::kForward) return body();
   concurrency::EpochGuard guard;
-  const uint64_t start = obs::SutProbe::Start();
   decltype(body()) result = body();
-  probe_.EndRead(start, result.ok());
+  probe_.EndRead(result.ok());
   return result;
 }
 
@@ -99,7 +98,6 @@ Result<QueryResult> Sut::TopPosters(int64_t limit) {
 Status Sut::Apply(const snb::UpdateOp& op) {
   std::optional<concurrency::WriteBatch> batch;
   if (facade_ == Facade::kFull) batch.emplace();
-  const uint64_t start = obs::SutProbe::Start();
   bool knows_changed = true;
   Status st = DoApply(op, &knows_changed);
   if (st.ok() && knows_changed && landmarks_ != nullptr) {
@@ -118,7 +116,7 @@ Status Sut::Apply(const snb::UpdateOp& op) {
         break;
     }
   }
-  if (facade_ != Facade::kForward) probe_.EndWrite(start, st.ok());
+  if (facade_ != Facade::kForward) probe_.EndWrite(st.ok());
   return st;
 }
 

@@ -47,10 +47,11 @@ const char* SutKindId(SutKind kind);
 ///
 /// The public methods are one facade for every column (template method):
 /// each does the shared work once around a SUT-specific protected `Do*`
-/// body. Reads pin an epoch and are probed as `sut.<id>.*`;
-/// ShortestPathLen first tries the landmark index; Load and Apply open a
-/// WriteBatch and keep the landmark index in step. A new SUT implements
-/// only the `Do*` bodies and SizeBytes.
+/// body. Reads pin an epoch and are counted as `sut.<id>.*`; the facade
+/// reads no clock, so whoever drives a call times it. ShortestPathLen
+/// first tries the landmark index; Load and Apply open a WriteBatch and
+/// keep the landmark index in step. A new SUT implements only the `Do*`
+/// bodies and SizeBytes.
 class Sut {
  public:
   virtual ~Sut() = default;
@@ -128,7 +129,7 @@ class Sut {
   /// What the facade wraps around the `Do*` bodies besides the landmark
   /// index, which it always keeps.
   enum class Facade {
-    /// Reads pin an epoch; reads and Apply are probed; Load and Apply
+    /// Reads pin an epoch; reads and Apply are counted; Load and Apply
     /// open a WriteBatch.
     kFull,
     /// As kFull, except Apply opens no WriteBatch. The Gremlin SUTs
@@ -139,7 +140,7 @@ class Sut {
     /// Each worker-side mutation batches itself instead (DESIGN.md §11).
     kNoApplyBatch,
     /// Nothing: a decorator whose `Do*` bodies call another SUT's public
-    /// methods, which already pin, batch and probe once. Passing through
+    /// methods, which already pin, batch and count once. Passing through
     /// keeps the probe from counting twice and never opens a batch
     /// around a Gremlin SUT.
     kForward,

@@ -7,26 +7,6 @@ namespace graphbench {
 
 Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
 
-Histogram::Histogram(Histogram&& other) noexcept : buckets_(kNumBuckets, 0) {
-  *this = std::move(other);
-}
-
-Histogram& Histogram::operator=(Histogram&& other) noexcept {
-  if (this == &other) return *this;
-  std::lock_guard<std::mutex> lock(other.mu_);
-  count_ = other.count_;
-  sum_ = other.sum_;
-  min_ = other.min_;
-  max_ = other.max_;
-  buckets_ = std::move(other.buckets_);
-  other.buckets_.assign(kNumBuckets, 0);
-  other.count_ = 0;
-  other.sum_ = 0;
-  other.min_ = ~0ull;
-  other.max_ = 0;
-  return *this;
-}
-
 // Bucket layout: values below 2^kLinearBits map to themselves. Above,
 // the doubling [2^e, 2^(e+1)) splits into 2^kSubBits buckets of width
 // 2^(e-kSubBits), so a bucket's width is at most 1/16 of its lower bound.
@@ -49,7 +29,6 @@ uint64_t Histogram::BucketUpper(size_t b) {
 }
 
 void Histogram::Add(uint64_t micros) {
-  std::lock_guard<std::mutex> lock(mu_);
   ++count_;
   sum_ += micros;
   min_ = std::min(min_, micros);
@@ -58,8 +37,6 @@ void Histogram::Add(uint64_t micros) {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  std::lock_guard<std::mutex> l1(mu_);
-  std::lock_guard<std::mutex> l2(other.mu_);
   count_ += other.count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
@@ -68,7 +45,6 @@ void Histogram::Merge(const Histogram& other) {
 }
 
 void Histogram::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   count_ = 0;
   sum_ = 0;
   min_ = ~0ull;
@@ -77,12 +53,10 @@ void Histogram::Clear() {
 }
 
 double Histogram::mean() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return count_ == 0 ? 0.0 : double(sum_) / double(count_);
 }
 
 double Histogram::Percentile(double p) const {
-  std::lock_guard<std::mutex> lock(mu_);
   if (count_ == 0) return 0.0;
   uint64_t threshold = uint64_t(double(count_) * p / 100.0 + 0.5);
   if (threshold == 0) threshold = 1;

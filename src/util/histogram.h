@@ -2,7 +2,6 @@
 #define GRAPHBENCH_UTIL_HISTOGRAM_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -12,15 +11,10 @@ namespace graphbench {
 /// microseconds; reports count/mean/percentiles. Values below 64 us are
 /// exact; above, each doubling splits into 16 buckets out to 2^36 us
 /// (~19 hours), so a percentile is within 1/16 of the true sample.
-/// Add() is thread-safe.
+/// Not thread-safe: single owner; `Merge` after join.
 class Histogram {
  public:
   Histogram();
-
-  /// Movable so result structs carrying histograms can be returned by
-  /// value. Not thread-safe with respect to concurrent Add() on `other`.
-  Histogram(Histogram&& other) noexcept;
-  Histogram& operator=(Histogram&& other) noexcept;
 
   void Add(uint64_t micros);
   void Merge(const Histogram& other);
@@ -50,7 +44,6 @@ class Histogram {
   // Exclusive upper bound of bucket `b`.
   static uint64_t BucketUpper(size_t b);
 
-  mutable std::mutex mu_;
   uint64_t count_ = 0;
   uint64_t sum_ = 0;
   uint64_t min_ = ~0ull;

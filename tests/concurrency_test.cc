@@ -7,12 +7,16 @@
 #include <atomic>
 #include <thread>
 
+#include "driver/driver.h"
 #include "engines/relational/database.h"
 #include "engines/titan/titan_graph.h"
 #include "kv/btree_kv.h"
 #include "kv/key_codec.h"
 #include "kv/lsm_kv.h"
 #include "mq/broker.h"
+#include "obs/metrics.h"
+#include "snb/datagen.h"
+#include "sut/matrix_sut.h"
 
 namespace graphbench {
 namespace {
@@ -192,6 +196,61 @@ TEST(ConcurrencyTest, MqManyProducersOneConsumer) {
   for (auto& p : producers) p.join();
   EXPECT_EQ(got, size_t(kProducers * kEach));
   EXPECT_TRUE(consumer.CaughtUp());
+}
+
+/// Matrix, except a point lookup of an odd person id fails fast, so the
+/// driver's readers record both outcomes.
+class OddLookupsFailSut : public MatrixSut {
+ protected:
+  Result<QueryResult> DoPointLookup(int64_t person_id) override {
+    if (person_id % 2 != 0) return Status::Busy("odd id");
+    return MatrixSut::DoPointLookup(person_id);
+  }
+};
+
+// Each driver reader records into its own histograms and timeline, merged
+// after the join; under TSan this proves the readers share nothing they
+// write. No wall-clock drain assertion: TSan's slowdown would break it.
+TEST(ConcurrencyTest, DriverReadersRecordPerThreadAndMergeExactly) {
+  snb::DatagenOptions gen;
+  gen.num_persons = 60;
+  gen.seed = 5;
+  snb::Dataset data = snb::Generate(gen);
+  OddLookupsFailSut sut;
+  ASSERT_TRUE(sut.Load(data).ok());
+  mq::Broker broker;
+  ASSERT_TRUE(
+      InteractiveDriver::ProduceUpdates(&broker, "updates", data).ok());
+
+  DriverOptions options;
+  options.num_readers = 8;
+  options.run_millis = 100;
+  options.timeline_bucket_millis = 20;
+  InteractiveDriver driver(&sut, &broker, options);
+  snb::ParamPools params(data, 5);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const uint64_t probed_reads = reg.GetCounter("sut.matrix.reads")->value();
+  const uint64_t probed_errors =
+      reg.GetCounter("sut.matrix.read_errors")->value();
+  Result<DriverMetrics> metrics = driver.Run("updates", &params);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+
+  uint64_t timeline_total = 0;
+  for (uint64_t n : metrics->read_timeline) timeline_total += n;
+  EXPECT_GT(metrics->reads_completed, 0u);
+  EXPECT_GT(metrics->read_errors, 0u);
+  EXPECT_EQ(metrics->read_latency_micros.count(), metrics->reads_completed);
+  EXPECT_EQ(timeline_total, metrics->reads_completed);
+  EXPECT_EQ(metrics->read_error_latency_micros.count(),
+            metrics->read_errors);
+  if (obs::kEnabled) {
+    // The facade counts every read the readers issued, independently.
+    EXPECT_EQ(reg.GetCounter("sut.matrix.reads")->value() - probed_reads,
+              metrics->reads_completed);
+    EXPECT_EQ(reg.GetCounter("sut.matrix.read_errors")->value() -
+                  probed_errors,
+              metrics->read_errors);
+  }
 }
 
 }  // namespace

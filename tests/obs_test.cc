@@ -33,7 +33,6 @@ TEST(MetricsRegistryTest, SameNameReturnsSamePointer) {
   EXPECT_EQ(registry.GetCounter("a"), registry.GetCounter("a"));
   EXPECT_NE(registry.GetCounter("a"), registry.GetCounter("b"));
   EXPECT_EQ(registry.GetGauge("g"), registry.GetGauge("g"));
-  EXPECT_EQ(registry.GetHistogram("h"), registry.GetHistogram("h"));
 }
 
 TEST(MetricsRegistryTest, SnapshotAndReset) {
@@ -41,7 +40,6 @@ TEST(MetricsRegistryTest, SnapshotAndReset) {
   obs::MetricsRegistry registry;
   registry.GetCounter("c")->Increment(5);
   registry.GetGauge("g")->Set(-3);
-  registry.GetHistogram("h")->Add(100);
 
   obs::MetricsSnapshot snap = registry.Snapshot();
   ASSERT_EQ(snap.counters.size(), 1u);
@@ -49,46 +47,43 @@ TEST(MetricsRegistryTest, SnapshotAndReset) {
   EXPECT_EQ(snap.counters[0].second, 5u);
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_EQ(snap.gauges[0].second, -3);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].second.count, 1u);
 
   obs::Counter* c = registry.GetCounter("c");
   registry.Reset();
   EXPECT_EQ(c, registry.GetCounter("c"));  // pointers survive Reset
   EXPECT_EQ(c->value(), 0u);
   EXPECT_EQ(registry.GetGauge("g")->value(), 0);
-  EXPECT_EQ(registry.GetHistogram("h")->count(), 0u);
 }
 
-TEST(HistogramStatsTest, PercentileEdges) {
-  Histogram empty;
-  obs::MetricsSnapshot::HistogramStats zero =
-      obs::SummarizeHistogram(empty);
-  EXPECT_EQ(zero.count, 0u);
-  EXPECT_EQ(zero.min, 0u);
-  EXPECT_EQ(zero.max, 0u);
-  EXPECT_EQ(zero.p50, 0);
-  EXPECT_EQ(zero.p99, 0);
+TEST(HistogramJsonTest, PercentileEdges) {
+  Json zero = obs::HistogramJson(Histogram());
+  EXPECT_EQ(zero.Get("count").as_int(), 0);
+  EXPECT_EQ(zero.Get("min_us").as_int(), 0);
+  EXPECT_EQ(zero.Get("max_us").as_int(), 0);
+  EXPECT_EQ(zero.Get("p50_us").as_number(), 0);
+  EXPECT_EQ(zero.Get("p99_us").as_number(), 0);
 
   Histogram one;
   one.Add(250);
-  obs::MetricsSnapshot::HistogramStats single = obs::SummarizeHistogram(one);
-  EXPECT_EQ(single.count, 1u);
-  EXPECT_EQ(single.min, 250u);
-  EXPECT_EQ(single.max, 250u);
+  Json single = obs::HistogramJson(one);
+  EXPECT_EQ(single.Get("count").as_int(), 1);
+  EXPECT_EQ(single.Get("min_us").as_int(), 250);
+  EXPECT_EQ(single.Get("max_us").as_int(), 250);
   // All percentiles collapse to (the bucket of) the only sample.
-  EXPECT_GE(single.p99, single.p50);
-  EXPECT_GE(single.p50, 250.0 / 2);
+  EXPECT_GE(single.Get("p99_us").as_number(),
+            single.Get("p50_us").as_number());
+  EXPECT_GE(single.Get("p50_us").as_number(), 250.0 / 2);
 
   Histogram many;
   for (uint64_t i = 1; i <= 1000; ++i) many.Add(i);
-  obs::MetricsSnapshot::HistogramStats stats = obs::SummarizeHistogram(many);
-  EXPECT_EQ(stats.count, 1000u);
-  EXPECT_EQ(stats.min, 1u);
-  EXPECT_EQ(stats.max, 1000u);
-  EXPECT_LE(stats.p50, stats.p95);
-  EXPECT_LE(stats.p95, stats.p99);
-  EXPECT_LE(stats.p99, double(stats.max) * 2);
+  Json stats = obs::HistogramJson(many);
+  EXPECT_EQ(stats.Get("count").as_int(), 1000);
+  EXPECT_EQ(stats.Get("min_us").as_int(), 1);
+  EXPECT_EQ(stats.Get("max_us").as_int(), 1000);
+  EXPECT_LE(stats.Get("p50_us").as_number(), stats.Get("p95_us").as_number());
+  EXPECT_LE(stats.Get("p95_us").as_number(), stats.Get("p99_us").as_number());
+  EXPECT_LE(stats.Get("p99_us").as_number(),
+            double(stats.Get("max_us").as_int()) * 2);
 }
 
 TEST(BenchReportTest, WrittenFileParsesBackWithAllKeys) {
@@ -96,7 +91,6 @@ TEST(BenchReportTest, WrittenFileParsesBackWithAllKeys) {
   obs::MetricsRegistry registry;
   registry.GetCounter("mq.produced")->Increment(42);
   registry.GetGauge("mq.consumer.lag")->Set(7);
-  registry.GetHistogram("sut.neo4j.read_micros")->Add(123);
 
   obs::BenchReport report("obs_test", "unit");
   report.SetParam("reps", Json::Int(3));
@@ -137,14 +131,7 @@ TEST(BenchReportTest, WrittenFileParsesBackWithAllKeys) {
   const Json& metrics = doc.Get("metrics");
   EXPECT_EQ(metrics.Get("counters").Get("mq.produced").as_int(), 42);
   EXPECT_EQ(metrics.Get("gauges").Get("mq.consumer.lag").as_int(), 7);
-  const Json& hist =
-      metrics.Get("histograms").Get("sut.neo4j.read_micros");
-  for (const char* key :
-       {"count", "mean_us", "min_us", "max_us", "p50_us", "p95_us",
-        "p99_us"}) {
-    EXPECT_TRUE(hist.Has(key)) << "missing histogram key " << key;
-  }
-  EXPECT_EQ(hist.Get("count").as_int(), 1);
+  EXPECT_FALSE(metrics.Has("histograms"));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The Sut facade (sut/sut.h): the base class, not each SUT, pins the epoch,
 // probes `sut.<id>.*`, opens write batches and fires the landmark hooks
 // around every SUT's Do* bodies. These tests hold the facade to that:
-// every read kind and every write is probed exactly once on every SUT,
+// every read kind and every write is counted exactly once on every SUT,
 // failures count only as errors, a SUT that reports "knows unchanged"
 // fires no landmark hook, and a forwarding decorator adds nothing.
 
@@ -28,20 +28,18 @@ const snb::Dataset& SharedDataset() {
   return *data;
 }
 
-/// The six probe series of one SUT in the default registry.
+/// The four probe counters of one SUT in the default registry.
 struct ProbeCounts {
-  uint64_t reads, read_micros, read_errors;
-  uint64_t writes, write_micros, write_errors;
+  uint64_t reads, read_errors;
+  uint64_t writes, write_errors;
 };
 
 ProbeCounts Counts(SutKind kind) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   const std::string base = std::string("sut.") + SutKindId(kind);
   return {reg.GetCounter(base + ".reads")->value(),
-          reg.GetHistogram(base + ".read_micros")->count(),
           reg.GetCounter(base + ".read_errors")->value(),
           reg.GetCounter(base + ".writes")->value(),
-          reg.GetHistogram(base + ".write_micros")->count(),
           reg.GetCounter(base + ".write_errors")->value()};
 }
 
@@ -91,9 +89,7 @@ TEST_P(SutFacadeTest, EveryReadKindAndApplyIsProbedOnce) {
   const ProbeCounts after = Counts(kind);
 
   EXPECT_EQ(after.reads - before.reads, 8u);
-  EXPECT_EQ(after.read_micros - before.read_micros, 8u);
   EXPECT_EQ(after.writes - before.writes, 1u);
-  EXPECT_EQ(after.write_micros - before.write_micros, 1u);
   EXPECT_EQ(after.read_errors, before.read_errors);
   EXPECT_EQ(after.write_errors, before.write_errors);
 }
@@ -166,9 +162,7 @@ TEST(SutFacadeFakeTest, FailedOpsCountOnlyAsErrors) {
   EXPECT_EQ(after.read_errors - before.read_errors, 3u);
   EXPECT_EQ(after.write_errors - before.write_errors, 1u);
   EXPECT_EQ(after.reads, before.reads);
-  EXPECT_EQ(after.read_micros, before.read_micros);
   EXPECT_EQ(after.writes, before.writes);
-  EXPECT_EQ(after.write_micros, before.write_micros);
 }
 
 TEST(SutFacadeFakeTest, ClearedKnowsChangedFiresNoLandmarkHook) {
