@@ -92,19 +92,20 @@ ProfileScope::~ProfileScope() {
   tls.child_micros = prev_child_micros_;
 }
 
-OpTimer::OpTimer(std::string_view name) {
+OpTimer::OpTimer(std::string_view name, uint64_t start_micros) {
   ProfilerTls& tls = Tls();
   if (tls.active == nullptr) return;
   profile_ = tls.active;
   name_ = name;
   parent_child_micros_ = tls.child_micros;
   tls.child_micros = &child_micros_;
-  start_ = NowMicros();
+  start_ = start_micros != 0 ? start_micros : NowMicros();
 }
 
-void OpTimer::Stop() {
-  if (profile_ == nullptr) return;
-  uint64_t elapsed = NowMicros() - start_;
+uint64_t OpTimer::Stop() {
+  if (profile_ == nullptr) return 0;
+  const uint64_t now = NowMicros();
+  uint64_t elapsed = now - start_;
   ProfilerTls& tls = Tls();
   tls.child_micros = parent_child_micros_;
   if (parent_child_micros_ != nullptr) *parent_child_micros_ += elapsed;
@@ -114,6 +115,7 @@ void OpTimer::Stop() {
       elapsed >= child_micros_ ? elapsed - child_micros_ : 0;
   profile_->Record(name_, 1, rows_, self, elapsed);
   profile_ = nullptr;
+  return now;
 }
 
 #else  // GRAPHBENCH_OBS_DISABLED
@@ -121,8 +123,8 @@ void OpTimer::Stop() {
 QueryProfile* ActiveProfile() { return nullptr; }
 ProfileScope::ProfileScope(QueryProfile*) {}
 ProfileScope::~ProfileScope() = default;
-OpTimer::OpTimer(std::string_view) {}
-void OpTimer::Stop() {}
+OpTimer::OpTimer(std::string_view, uint64_t) {}
+uint64_t OpTimer::Stop() { return 0; }
 
 #endif  // GRAPHBENCH_OBS_DISABLED
 

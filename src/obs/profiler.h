@@ -29,7 +29,7 @@ struct OpStats {
 /// need no profiling context plumbed through their call graphs. Rows merge
 /// by operator name in first-execution order. NOT thread-safe: one thread
 /// records at a time (the Gremlin Server hands the profile to its worker
-/// while the submitting client blocks on the reply).
+/// while the submitting client awaits the reply).
 class QueryProfile {
  public:
   /// Merges one operator execution into the profile.
@@ -94,9 +94,15 @@ class ProfileScope {
 ///   op.AddRows(rows.size());
 ///
 /// `name` must outlive the timer (string literals in practice).
+///
+/// A stage that directly follows another on the same thread can start at
+/// the stamp the other stopped at (Stop()'s result) instead of reading the
+/// clock: the two rows then tile the interval, so the profile's own
+/// bookkeeping between them lands in a row instead of in none.
 class OpTimer {
  public:
-  explicit OpTimer(std::string_view name);
+  /// Starts at `start_micros`, or reads the clock when it is 0.
+  explicit OpTimer(std::string_view name, uint64_t start_micros = 0);
   ~OpTimer() { Stop(); }
 
   /// Adds produced elements/rows to the row this timer will record.
@@ -111,8 +117,9 @@ class OpTimer {
   /// Records now instead of at scope exit (for straight-line phase code:
   /// parse, plan, ... in one function body). Idempotent; the destructor
   /// becomes a no-op afterwards. Must respect stack order: do not Stop()
-  /// while a nested OpTimer is still alive.
-  void Stop();
+  /// while a nested OpTimer is still alive. Returns the stamp it stopped
+  /// at, or 0 when it records nothing.
+  uint64_t Stop();
 
   OpTimer(const OpTimer&) = delete;
   OpTimer& operator=(const OpTimer&) = delete;

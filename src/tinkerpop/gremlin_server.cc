@@ -1,6 +1,6 @@
 #include "tinkerpop/gremlin_server.h"
 
-#include <future>
+#include <thread>
 
 #include "obs/profiler.h"
 #include "tinkerpop/bytecode.h"
@@ -10,24 +10,27 @@ namespace graphbench {
 
 namespace {
 
-// One request's state, shared by the submitting client and the worker.
-// The two stamps are written only under a profile. The pool's queue mutex
-// orders `enqueued_at` before the worker reads it, and the reply hand-off
-// orders `finished_at` before the client reads it.
+// One request's state, shared by the submitting client and the worker, so
+// the worker's notify after publishing never touches a freed slot. The two
+// stamps are read only under a profile. The pool's queue mutex orders
+// `enqueued_at` before the worker reads it; the release store of `ready`
+// orders `frame` and `finished_at` before the client reads them.
 struct Request {
   std::string bytecode;
-  std::promise<Result<std::string>> reply;
+  Result<std::string> frame{std::string()};
+  std::atomic<uint32_t> ready{0};
   uint64_t enqueued_at = 0;
   uint64_t finished_at = 0;
 };
 
 // Server side: decode the bytecode, execute it, encode the response frame.
 // A byte-identical request reuses the cached traversal template, so the
-// decodeRequest row shrinks to the cache probe on hits.
+// decodeRequest row shrinks to the cache probe on hits. decodeRequest
+// starts at `dequeued_at`, where the queue row ended.
 Result<std::string> Serve(GremlinGraph* graph,
                           lang::PlanCache<Traversal>* plan_cache,
-                          const std::string& bytecode) {
-  obs::OpTimer decode_op("decodeRequest");
+                          const std::string& bytecode, uint64_t dequeued_at) {
+  obs::OpTimer decode_op("decodeRequest", dequeued_at);
   std::shared_ptr<const Traversal> traversal;
   if (plan_cache != nullptr) traversal = plan_cache->Lookup(bytecode);
   if (traversal == nullptr) {
@@ -62,54 +65,68 @@ Result<std::vector<Value>> GremlinServer::Submit(const Traversal& traversal) {
   obs::OpTimer serialize_op("serialize");
   // The submitting thread's active profile, handed to the worker so the
   // traversal's per-step OpTimers land in the client's QueryProfile. Safe:
-  // the client blocks on reply.get() while the worker runs, so only one
-  // thread records at a time.
+  // the client awaits the reply while the worker runs, so only one thread
+  // records at a time.
   obs::QueryProfile* profile = obs::ActiveProfile();
   // Client side: encode the traversal to bytecode.
   std::string bytecode = gremlinio::EncodeTraversal(traversal);
-  serialize_op.Stop();
+  // Each client-side stage starts where the one before it stopped.
+  const uint64_t serialized_at = serialize_op.Stop();
 
   // Client-side dispatch: the request state and the task closure. Stops
   // before the pool hand-off: once the worker can run it may record into
   // the same profile, so this timer must not overlap it (the hand-off
   // itself lands in the worker's "queue" wait).
-  obs::OpTimer dispatch_op("dispatchRequest");
+  obs::OpTimer dispatch_op("dispatchRequest", serialized_at);
   auto request = std::make_shared<Request>();
   request->bytecode = std::move(bytecode);
-  std::future<Result<std::string>> reply = request->reply.get_future();
   std::function<void()> task = [graph = graph_,
                                 plan_cache = plan_cache_.get(), profile,
                                 request] {
     obs::ProfileScope profile_scope(profile);
+    uint64_t dequeued_at = 0;
     if (profile != nullptr) {
-      uint64_t waited = NowMicros() - request->enqueued_at;
+      dequeued_at = NowMicros();
+      uint64_t waited = dequeued_at - request->enqueued_at;
       profile->Record("queue", 1, 0, waited, waited);
     }
-    Result<std::string> frame = Serve(graph, plan_cache, request->bytecode);
-    // Stamped right before set_value wakes the client, so the client's
-    // awaitResponse row holds the wake-up delay of reply.get() (real
+    request->frame =
+        Serve(graph, plan_cache, request->bytecode, dequeued_at);
+    // Stamped right before the reply is published, so the client's
+    // awaitResponse row holds the delay until it sees the reply (real
     // Gremlin clients see the same scheduling gap on the response path).
     if (profile != nullptr) request->finished_at = NowMicros();
-    request->reply.set_value(std::move(frame));
+    request->ready.store(1, std::memory_order_release);
+    request->ready.notify_one();
   };
-  dispatch_op.Stop();
-  if (profile != nullptr) request->enqueued_at = NowMicros();
+  request->enqueued_at = dispatch_op.Stop();
   if (!pool_.Submit(std::move(task))) {
     ++rejected_;
     return Status::Busy("gremlin server request queue full");
   }
 
-  Result<std::string> frame = reply.get();
+  // Poll for the reply as the pool's workers poll for tasks, then park.
+  for (int i = 0; i < ThreadPool::kPollRounds &&
+                  request->ready.load(std::memory_order_acquire) == 0;
+       ++i) {
+    std::this_thread::yield();
+  }
+  request->ready.wait(0, std::memory_order_acquire);
+  uint64_t replied_at = 0;
   if (profile != nullptr) {
-    uint64_t wake = NowMicros() - request->finished_at;
+    replied_at = NowMicros();
+    uint64_t wake = replied_at - request->finished_at;
     profile->Record("awaitResponse", 1, 0, wake, wake);
   }
+  const Result<std::string>& frame = request->frame;
   if (!frame.ok()) return frame.status();
   ++served_;
-  // Client side: decode the response frame.
-  obs::OpTimer deserialize_op("deserialize");
+  // Client side: decode the response frame, then free the request (the
+  // worker has usually dropped its share by now), so the row holds both.
+  obs::OpTimer deserialize_op("deserialize", replied_at);
   Result<std::vector<Value>> decoded = gremlinio::DecodeResults(*frame);
   if (decoded.ok()) deserialize_op.AddRows(decoded->size());
+  request.reset();
   return decoded;
 }
 

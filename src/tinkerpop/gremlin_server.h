@@ -32,6 +32,13 @@ struct GremlinServerOptions {
 /// and executed against the provider graph, (4) results serialized back
 /// and decoded client-side. Steps 1-4 are real work on every request —
 /// the platform-agnostic-access tax of Figure 2.
+///
+/// The two thread hand-offs are not modelled work, so they poll before
+/// they sleep: a worker that has just served a request polls the shared
+/// queue, and the client polls its request's reply slot, each for
+/// ThreadPool::kPollRounds yields before parking (a condition variable and
+/// an atomic wait). Back-to-back requests thus pay no futex wake-up, while
+/// an idle server still parks within ~50 µs.
 class GremlinServer {
  public:
   GremlinServer(GremlinGraph* graph, GremlinServerOptions options = {});

@@ -54,7 +54,7 @@ TEST(ProfilerTest, OpTimerIsNoOpWithoutActiveProfile) {
   EXPECT_EQ(ActiveProfile(), nullptr);
   OpTimer op("orphan");
   op.AddRows(3);
-  op.Stop();  // must not crash or record anywhere
+  EXPECT_EQ(op.Stop(), 0u);  // must not crash, record anywhere or read a clock
 }
 
 TEST(ProfilerTest, NestedTimersPartitionSelfTime) {
@@ -118,6 +118,25 @@ TEST(ProfilerTest, SequentialStopsKeepSiblingsIndependent) {
             p.Find("parse")->cumulative_micros);
   EXPECT_EQ(p.Find("plan")->self_micros, p.Find("plan")->cumulative_micros);
   EXPECT_GE(p.Find("parse")->self_micros, 1000u);
+}
+
+// A stage started at the previous one's stop stamp begins there, not when
+// it is constructed, so the two rows tile the interval between them.
+TEST(ProfilerTest, ChainedTimerStartsWherePreviousStopped) {
+  if (!kEnabled) GTEST_SKIP() << "obs compiled out";
+  QueryProfile p;
+  {
+    ProfileScope scope(&p);
+    OpTimer a("serialize");
+    SpinFor(1000);
+    const uint64_t stopped_at = a.Stop();
+    EXPECT_NE(stopped_at, 0u);
+    SpinFor(2000);  // bookkeeping between the stages
+    OpTimer b("dispatch", stopped_at);
+    b.Stop();
+  }
+  EXPECT_GE(p.Find("serialize")->cumulative_micros, 1000u);
+  EXPECT_GE(p.Find("dispatch")->cumulative_micros, 2000u);
 }
 
 TEST(ProfilerTest, ProfileScopeInstallsAndRestores) {

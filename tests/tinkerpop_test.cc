@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -438,46 +439,6 @@ TEST(GremlinServerTest, RoundTripThroughServer) {
   EXPECT_EQ((*embedded)[0].as_string(), "Ada");
 }
 
-TEST(GremlinServerTest, OverloadRejectsWithBusy) {
-  NativeGraphOptions opts;
-  opts.checkpoint_interval_writes = 0;
-  NativeGraph native(opts);
-  NativeProvider provider(&native);
-  // Build a long chain so traversals take a little while.
-  GVertex prev = *provider.AddVertex("Person", {{"id", Value(0)}});
-  for (int i = 1; i < 2000; ++i) {
-    GVertex v = *provider.AddVertex("Person", {{"id", Value(i)}});
-    ASSERT_TRUE(provider.AddEdge("knows", prev, v, {}).ok());
-    prev = v;
-  }
-  GremlinServerOptions server_opts;
-  server_opts.workers = 1;
-  server_opts.max_queue = 1;
-  GremlinServer server(&provider, server_opts);
-
-  // Flood from many client threads; with queue=1 some must be rejected.
-  std::atomic<int> busy{0}, ok{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 8; ++c) {
-    clients.emplace_back([&] {
-      Traversal t;
-      t.V("Person").Both("knows").Dedup().Count();
-      auto r = server.Submit(t);
-      if (r.ok()) ++ok;
-      else if (r.status().IsBusy()) ++busy;
-    });
-  }
-  for (auto& th : clients) th.join();
-  EXPECT_GT(busy.load(), 0);
-  EXPECT_GT(ok.load(), 0);
-  EXPECT_EQ(server.requests_rejected(), uint64_t(busy.load()));
-}
-
-// --- The server's profile rows -------------------------------------------
-// GraphBench's layer split reads these rows by name (serialize,
-// dispatchRequest, decodeRequest and encodeResults are the server's share),
-// so their names, order and count per Submit are a contract.
-
 // A native provider whose first index lookup blocks until Release(), so a
 // test can hold the server's only worker busy.
 class GatedProvider : public NativeProvider {
@@ -504,6 +465,130 @@ class GatedProvider : public NativeProvider {
   std::promise<void> release_;
   std::shared_future<void> released_ = release_.get_future().share();
 };
+
+TEST(GremlinServerTest, OverloadRejectsWithBusy) {
+  NativeGraphOptions opts;
+  opts.checkpoint_interval_writes = 0;
+  NativeGraph native(opts);
+  ASSERT_TRUE(native.CreateUniqueIndex("Person", "id").ok());
+  GatedProvider provider(&native);
+  ASSERT_TRUE(provider.AddVertex("Person", {{"id", Value(1)}}).ok());
+  GremlinServerOptions server_opts;
+  server_opts.workers = 1;
+  server_opts.max_queue = 1;
+  GremlinServer server(&provider, server_opts);
+  Traversal lookup;
+  lookup.V().HasIndexed("Person", "id", Value(1)).Values("id");
+
+  // The first request holds the only worker at the gate.
+  std::thread holder([&] { ASSERT_TRUE(server.Submit(lookup).ok()); });
+  provider.WaitEntered();
+
+  // Of the racing clients, one fills the one-slot queue and every other one
+  // is rejected at once, while the gate is still shut.
+  constexpr int kClients = 8;
+  std::atomic<int> busy{0}, ok{0}, finished{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      auto r = server.Submit(lookup);
+      if (r.ok()) ++ok;
+      else if (r.status().IsBusy()) ++busy;
+      ++finished;
+    });
+  }
+  while (finished.load() < kClients - 1) std::this_thread::yield();
+  provider.Release();
+  for (auto& th : clients) th.join();
+  holder.join();
+  EXPECT_EQ(busy.load(), kClients - 1);
+  EXPECT_EQ(ok.load(), 1);
+  EXPECT_EQ(server.requests_rejected(), uint64_t(busy.load()));
+  EXPECT_EQ(server.requests_served(), 2u);
+}
+
+// Eight clients on two workers: each reply must answer its own request,
+// whichever worker served it and whether the hand-offs polled or parked.
+TEST(GremlinServerTest, ConcurrentClientsGetTheirOwnReplies) {
+  constexpr int kClients = 8, kIdsPerClient = 16, kLookups = 2000;
+  NativeGraphOptions opts;
+  opts.checkpoint_interval_writes = 0;
+  NativeGraph native(opts);
+  ASSERT_TRUE(native.CreateUniqueIndex("Person", "id").ok());
+  NativeProvider provider(&native);
+  for (int id = 0; id < kClients * kIdsPerClient; ++id) {
+    ASSERT_TRUE(provider
+                    .AddVertex("Person",
+                               {{"id", Value(id)},
+                                {"firstName", Value("p" + std::to_string(id))}})
+                    .ok());
+  }
+  GremlinServerOptions server_opts;
+  server_opts.workers = 2;
+  GremlinServer server(&provider, server_opts);
+
+  std::atomic<int> failed{0}, wrong{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kLookups; ++i) {
+        const int id = c * kIdsPerClient + i % kIdsPerClient;
+        Traversal t;
+        t.V().HasIndexed("Person", "id", Value(id)).Values("firstName");
+        auto r = server.Submit(t);
+        if (!r.ok()) {
+          ++failed;
+        } else if (r->size() != 1 ||
+                   (*r)[0].as_string() != "p" + std::to_string(id)) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(server.requests_served(), uint64_t(kClients) * kLookups);
+}
+
+// After each idle spell, far longer than the poll budget, every worker and
+// client has parked; the burst that follows must still be served in full.
+// A lost wake-up hangs here, and the test's ctest TIMEOUT fails it.
+TEST(GremlinServerTest, BurstAfterIdleWakesParkedWorkers) {
+  constexpr int kBursts = 10, kClients = 4, kLookups = 25;
+  NativeGraphOptions opts;
+  opts.checkpoint_interval_writes = 0;
+  NativeGraph native(opts);
+  ASSERT_TRUE(native.CreateUniqueIndex("Person", "id").ok());
+  NativeProvider provider(&native);
+  ASSERT_TRUE(provider.AddVertex("Person", {{"id", Value(1)}}).ok());
+  GremlinServerOptions server_opts;
+  server_opts.workers = 2;
+  GremlinServer server(&provider, server_opts);
+  Traversal lookup;
+  lookup.V().HasIndexed("Person", "id", Value(1)).Values("id");
+
+  std::atomic<int> failed{0};
+  for (int burst = 0; burst < kBursts; ++burst) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&] {
+        for (int i = 0; i < kLookups; ++i) {
+          if (!server.Submit(lookup).ok()) ++failed;
+        }
+      });
+    }
+    for (auto& th : clients) th.join();
+  }
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(server.requests_served(), uint64_t(kBursts) * kClients * kLookups);
+}
+
+// --- The server's profile rows -------------------------------------------
+// GraphBench's layer split reads these rows by name (serialize,
+// dispatchRequest, decodeRequest and encodeResults are the server's share),
+// so their names, order and count per Submit are a contract.
 
 class ServerProfileTest : public ::testing::Test {
  protected:

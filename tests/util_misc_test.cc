@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "util/histogram.h"
@@ -111,23 +113,50 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(pool.Submit([&] { counter++; }));
   }
-  pool.Drain();
+  pool.Shutdown();
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPoolTest, BoundedQueueRejectsOverflow) {
   ThreadPool pool(1, /*max_queue=*/2);
-  std::atomic<bool> release{false};
-  pool.Submit([&] {
+  std::atomic<bool> started{false}, release{false};
+  ASSERT_TRUE(pool.Submit([&] {
+    started = true;
     while (!release) std::this_thread::yield();
-  });
-  // Worker busy; queue capacity 2.
+  }));
+  while (!started) std::this_thread::yield();
+  // The only worker is busy, so exactly the queue's two slots are taken.
   int accepted = 0;
   for (int i = 0; i < 10; ++i) accepted += pool.Submit([] {});
-  EXPECT_LE(accepted, 2 + 1);  // small race margin on dequeue timing
-  EXPECT_LT(accepted, 10);
+  EXPECT_EQ(accepted, 2);
   release = true;
-  pool.Drain();
+  pool.Shutdown();
+}
+
+// Bursts of 1 to kBursts tasks from several threads, each after the
+// workers have used up their polls and parked, and each awaited by
+// counting, not by Shutdown (whose notify_all would hide a lost wake-up).
+// A lost wake-up hangs the test.
+TEST(ThreadPoolTest, ParkedWorkersWakeForEveryBurst) {
+  constexpr int kBursts = 40, kSubmitters = 4;
+  ThreadPool pool(2);
+  std::atomic<int> done{0};
+  int submitted = 0;
+  for (int burst = 1; burst <= kBursts; ++burst) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::vector<std::thread> submitters;
+    for (int s = 0; s < kSubmitters; ++s) {
+      submitters.emplace_back([&, s] {
+        for (int i = s; i < burst; i += kSubmitters) {
+          ASSERT_TRUE(pool.Submit([&] { ++done; }));
+        }
+      });
+    }
+    for (std::thread& t : submitters) t.join();
+    submitted += burst;
+    while (done.load() < submitted) std::this_thread::yield();
+  }
+  EXPECT_EQ(done.load(), kBursts * (kBursts + 1) / 2);
 }
 
 TEST(ThreadPoolTest, SubmitAfterShutdownFails) {
