@@ -1,7 +1,13 @@
 // Google-benchmark microbenchmarks for the storage substrates: KV stores
-// (B+-tree vs LSM), table stores (row vs columnar), the message queue, and
-// the wire codecs. These calibrate the building blocks underneath the
-// paper-level experiments.
+// (B+-tree vs LSM, in memory and paged), table stores (row vs columnar, in
+// memory and paged), the message queue, and the wire codecs. These
+// calibrate the building blocks underneath the paper-level experiments.
+//
+// The paged arms (PagedBTreeKv, PagedTable) run on MemFileSystem with a
+// 1,024-page pool and the group-commit WAL (no fsync per commit), the
+// durable SUTs' defaults, so they price the paged structure and its log
+// next to the in-memory twin, not a disk. Their writing arms run a fixed
+// number of ops, since the log grows with every one.
 
 #include <benchmark/benchmark.h>
 
@@ -10,9 +16,12 @@
 #include "kv/btree_kv.h"
 #include "kv/key_codec.h"
 #include "kv/lsm_kv.h"
+#include "kv/paged_btree_kv.h"
 #include "mq/broker.h"
 #include "storage/column_table.h"
 #include "storage/heap_table.h"
+#include "storage/os_file.h"
+#include "storage/paged_table.h"
 #include "tinkerpop/bytecode.h"
 #include "util/random.h"
 
@@ -25,14 +34,30 @@ std::string Key(uint64_t i) {
   return buf;
 }
 
+// Ops per run of a paged writing arm.
+constexpr int64_t kPagedWrites = 100000;
+
+storage::PagerOptions PagedOptions() {
+  storage::PagerOptions options;
+  options.cache_pages = 1024;
+  return options;
+}
+
+// `fs` backs the paged store and must outlive it.
 template <typename Kv>
-std::unique_ptr<KvStore> MakeKv() {
+std::unique_ptr<KvStore> MakeKv(storage::MemFileSystem*) {
   return std::make_unique<Kv>();
+}
+
+template <>
+std::unique_ptr<KvStore> MakeKv<PagedBTreeKv>(storage::MemFileSystem* fs) {
+  return PagedBTreeKv::Open(fs, "kv.db", "kv.wal", PagedOptions()).value();
 }
 
 template <typename Kv>
 void BM_KvPut(benchmark::State& state) {
-  auto kv = MakeKv<Kv>();
+  storage::MemFileSystem fs;
+  auto kv = MakeKv<Kv>(&fs);
   uint64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(kv->Put(Key(i++), "value-payload-64-bytes"));
@@ -41,10 +66,12 @@ void BM_KvPut(benchmark::State& state) {
 }
 BENCHMARK(BM_KvPut<BTreeKv>);
 BENCHMARK(BM_KvPut<LsmKv>);
+BENCHMARK(BM_KvPut<PagedBTreeKv>)->Iterations(kPagedWrites);
 
 template <typename Kv>
 void BM_KvGet(benchmark::State& state) {
-  auto kv = MakeKv<Kv>();
+  storage::MemFileSystem fs;
+  auto kv = MakeKv<Kv>(&fs);
   constexpr uint64_t kN = 100000;
   for (uint64_t i = 0; i < kN; ++i) kv->Put(Key(i), "v");
   Rng rng(1);
@@ -55,10 +82,12 @@ void BM_KvGet(benchmark::State& state) {
 }
 BENCHMARK(BM_KvGet<BTreeKv>);
 BENCHMARK(BM_KvGet<LsmKv>);
+BENCHMARK(BM_KvGet<PagedBTreeKv>);
 
 template <typename Kv>
 void BM_KvScanPrefix(benchmark::State& state) {
-  auto kv = MakeKv<Kv>();
+  storage::MemFileSystem fs;
+  auto kv = MakeKv<Kv>(&fs);
   // 1000 "vertices" with 20 adjacency columns each, in Titan's layout:
   // the 'A' row key (tag + vertex id) followed by a column suffix.
   auto row = [](uint64_t v) {
@@ -89,34 +118,59 @@ TableSchema BenchSchema() {
                            {"score", Value::Type::kInt}});
 }
 
+// A table and, for the paged one, the pager under it (declared first, so
+// it outlives the table).
+struct BenchTable {
+  std::unique_ptr<storage::Pager> pager;
+  std::unique_ptr<Table> table;
+};
+
+template <typename T>
+BenchTable MakeTable(storage::MemFileSystem*) {
+  return {nullptr, std::make_unique<T>(BenchSchema())};
+}
+
+template <>
+BenchTable MakeTable<PagedTable>(storage::MemFileSystem* fs) {
+  BenchTable out;
+  out.pager =
+      storage::Pager::Open(fs, "t.db", "t.wal", PagedOptions()).value();
+  out.table = PagedTable::Create(out.pager.get(), BenchSchema()).value();
+  return out;
+}
+
 template <typename T>
 void BM_TableInsert(benchmark::State& state) {
-  T table(BenchSchema());
+  storage::MemFileSystem fs;
+  BenchTable t = MakeTable<T>(&fs);
   int64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        table.Insert({Value(i++), Value("somebody"), Value(i * 3)}));
+        t.table->Insert({Value(i++), Value("somebody"), Value(i * 3)}));
   }
   state.SetItemsProcessed(i);
 }
 BENCHMARK(BM_TableInsert<HeapTable>);
 BENCHMARK(BM_TableInsert<ColumnTable>);
+BENCHMARK(BM_TableInsert<PagedTable>)->Iterations(kPagedWrites);
 
 template <typename T>
 void BM_TableGetColumn(benchmark::State& state) {
-  T table(BenchSchema());
+  storage::MemFileSystem fs;
+  BenchTable t = MakeTable<T>(&fs);
   for (int64_t i = 0; i < 50000; ++i) {
-    table.Insert({Value(i), Value("somebody"), Value(i * 3)}).ok();
+    t.table->Insert({Value(i), Value("somebody"), Value(i * 3)}).ok();
   }
   Rng rng(3);
   Value v;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        table.GetColumn(RowId(rng.Uniform(50000)), 2, &v));
+        t.table->GetColumn(RowId(rng.Uniform(50000)), 2, &v));
   }
 }
 BENCHMARK(BM_TableGetColumn<HeapTable>);
 BENCHMARK(BM_TableGetColumn<ColumnTable>);
+BENCHMARK(BM_TableGetColumn<PagedTable>);
 
 void BM_MqProduceConsume(benchmark::State& state) {
   mq::Broker broker;

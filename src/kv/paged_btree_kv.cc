@@ -24,6 +24,8 @@ constexpr uint8_t kFlagTombstone = 1;
 constexpr uint8_t kFlagOverflow = 2;
 constexpr uint64_t kMetaMagic = 0x5442424247ull;  // "GBBBT"
 constexpr uint64_t kMetaPage = 1;
+// Meta page: [magic][root][first leaf][count][bytes], u64 each.
+constexpr size_t kMetaBytes = 40;
 // Structural overhead charged per entry, matching BTreeKv's accounting so
 // ApproximateSizeBytes is comparable across the backends.
 constexpr uint64_t kEntryOverhead = 32;
@@ -295,7 +297,7 @@ Status PagedBTreeKv::LoadMeta() {
 
 Status PagedBTreeKv::WriteMetaLocked() {
   GB_ASSIGN_OR_RETURN(PageRef meta, pager_->Fetch(kMetaPage));
-  meta.MarkDirty();
+  meta.MarkDirty(0, kMetaBytes);
   char* p = meta.data();
   StoreU64(p, kMetaMagic);
   StoreU64(p + 8, root_page_);
@@ -344,7 +346,8 @@ Status PagedBTreeKv::ReadValue(const char* leaf_page, size_t slot,
 /// that slot's record when `replace`. In place when it fits; otherwise the
 /// node is compacted or split, and a split inserts its separator into the
 /// parent the same way, up to a new root. `page` is the leaf at depth
-/// path_.size(), marked dirty.
+/// path_.size(). Each branch declares to the pager only the bytes it
+/// changes.
 Status PagedBTreeKv::PlaceRecordLocked(PageRef page, size_t pos, bool replace,
                                        uint8_t flags, std::string_view key,
                                        std::string_view value) {
@@ -355,22 +358,36 @@ Status PagedBTreeKv::PlaceRecordLocked(PageRef page, size_t pos, bool replace,
   for (;;) {
     char* p = page.data();
     Node node(p);
+    size_t slot_at = kNodeHeader + kSlotBytes * pos;
+    size_t record_at = node.records_start() - rec.size();
     if (replace) {
       Record old = node.At(pos);
       if (old.size() == rec.size()) {
+        page.MarkDirty(node.record_offset(pos), rec.size());
         WriteRecord(p + node.record_offset(pos), rec);
         return Status::OK();
       }
       if (node.free_bytes() >= rec.size()) {
-        StoreU16(p + kNodeHeader + kSlotBytes * pos, AppendRecord(p, rec));
+        // Repoint: the record-area start, the slot, the new record.
+        page.MarkDirty(4, 2);
+        page.MarkDirty(slot_at, kSlotBytes);
+        page.MarkDirty(record_at, rec.size());
+        StoreU16(p + slot_at, AppendRecord(p, rec));
         return Status::OK();
       }
     } else if (node.free_bytes() >= kSlotBytes + rec.size()) {
+      // Count and record-area start, the slots from `pos` on (shifted one
+      // right), the new record.
+      page.MarkDirty(2, 4);
+      page.MarkDirty(slot_at, kSlotBytes * (node.count() - pos + 1));
+      page.MarkDirty(record_at, rec.size());
       InsertSlot(p, pos, AppendRecord(p, rec));
       return Status::OK();
     }
 
-    // Full: materialize the node from a copy, tombstones without values.
+    // Full: materialize the node from a copy, tombstones without values,
+    // and rebuild the whole page.
+    page.MarkDirty();
     std::string copy(p, kPageDataSize);
     Node full(copy.data());
     std::vector<Record> entries(full.count());
@@ -421,7 +438,6 @@ Status PagedBTreeKv::PlaceRecordLocked(PageRef page, size_t pos, bool replace,
     }
     --level;
     GB_ASSIGN_OR_RETURN(page, FetchNode(path_[level].page_id));
-    page.MarkDirty();
     pos = path_[level].child_index;
     replace = false;
   }
@@ -450,7 +466,7 @@ Status PagedBTreeKv::MutateLeaf(std::string_view key, std::string_view value,
     // Lazy tombstone: the slot stays (and keeps leaves ordered) but reads
     // skip it. A dropped overflow chain is leaked — no free list
     // (DESIGN.md §12).
-    leaf.MarkDirty();
+    leaf.MarkDirty(node.record_offset(pos), 1);
     leaf.data()[node.record_offset(pos)] |= char(kFlagTombstone);
     return WriteMetaLocked();
   }
@@ -473,7 +489,6 @@ Status PagedBTreeKv::MutateLeaf(std::string_view key, std::string_view value,
   }
   bytes_ += key.size() + value.size() + kEntryOverhead;
   ++count_;
-  leaf.MarkDirty();
   GB_RETURN_IF_ERROR(
       PlaceRecordLocked(std::move(leaf), pos, found, flags, key, stored));
   return WriteMetaLocked();

@@ -34,6 +34,9 @@ constexpr uint8_t kSlotTombstone = 4;
 // Slot payload starts after [flags u8][pad u8][len u16].
 constexpr size_t kSlotHeader = 4;
 constexpr size_t kInlineCapacity = PagedTable::kSlotBytes - kSlotHeader;
+// Meta page: [magic u64][next_row u64][live_rows u64][bytes u64] (the
+// counters every mutation rewrites), then [first_dir u64].
+constexpr size_t kMetaCounterBytes = 32;
 // Directory page: [next u64][count u32] + page ids.
 constexpr size_t kDirHeader = 12;
 constexpr size_t kDirCapacity = (kPageDataSize - kDirHeader) / 8;
@@ -176,11 +179,10 @@ Status PagedTable::LoadMeta(uint64_t meta_page) {
   if (GetU64(meta.data()) != kTableMagic) {
     return Status::Corruption("paged_table: bad meta page");
   }
-  meta_page_ = meta_page;
-  next_row_ = GetU64(meta.data() + 8);
-  live_rows_ = GetU64(meta.data() + 16);
-  bytes_ = GetU64(meta.data() + 24);
-  uint64_t dir = GetU64(meta.data() + 32);
+  uint64_t next_row = GetU64(meta.data() + 8);
+  uint64_t live_rows = GetU64(meta.data() + 16);
+  uint64_t bytes = GetU64(meta.data() + 24);
+  uint64_t dir = GetU64(meta.data() + kMetaCounterBytes);
   // The chain is newest-dir-page-first (GrowLocked pushes at the head),
   // but ids within a page are in allocation order. Collect per-page runs
   // and flatten them oldest-run-first so slot_pages_ matches write-time
@@ -201,22 +203,28 @@ Status PagedTable::LoadMeta(uint64_t meta_page) {
     runs.push_back(std::move(run));
     dir = GetU64(page.data());
   }
+  // Nothing cached changes unless the whole walk succeeded.
   slot_pages_.clear();
   for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
     slot_pages_.insert(slot_pages_.end(), it->begin(), it->end());
   }
+  meta_page_ = meta_page;
+  next_row_ = next_row;
+  live_rows_ = live_rows;
+  bytes_ = bytes;
   return Status::OK();
 }
 
+
 Status PagedTable::WriteMetaLocked() {
   GB_ASSIGN_OR_RETURN(PageRef meta, pager_->Fetch(meta_page_));
-  meta.MarkDirty();
+  meta.MarkDirty(0, kMetaCounterBytes);
   char* p = meta.data();
   StoreU64(p, kTableMagic);
   StoreU64(p + 8, next_row_);
   StoreU64(p + 16, live_rows_);
   StoreU64(p + 24, bytes_);
-  // first_dir (p + 32) is maintained by GrowLocked.
+  // first_dir (p + kMetaCounterBytes) is maintained by GrowLocked.
   return Status::OK();
 }
 
@@ -231,12 +239,13 @@ Status PagedTable::GrowLocked() {
   // chain newest-first and reverses the run order to recover allocation
   // order.
   GB_ASSIGN_OR_RETURN(PageRef meta, pager_->Fetch(meta_page_));
-  uint64_t head = GetU64(meta.data() + 32);
+  uint64_t head = GetU64(meta.data() + kMetaCounterBytes);
   if (head != 0) {
     GB_ASSIGN_OR_RETURN(PageRef dir, pager_->Fetch(head));
     uint32_t count = GetU32(dir.data() + 8);
     if (count < kDirCapacity) {
-      dir.MarkDirty();
+      dir.MarkDirty(8, 4);
+      dir.MarkDirty(kDirHeader + count * 8, 8);
       StoreU64(dir.data() + kDirHeader + count * 8, slots_id);
       StoreU32(dir.data() + 8, count + 1);
       slot_pages_.push_back(slots_id);
@@ -249,8 +258,8 @@ Status PagedTable::GrowLocked() {
   StoreU64(dir.data(), head);
   StoreU32(dir.data() + 8, 1);
   StoreU64(dir.data() + kDirHeader, slots_id);
-  meta.MarkDirty();
-  StoreU64(meta.data() + 32, dir.page_id());
+  meta.MarkDirty(kMetaCounterBytes, 8);
+  StoreU64(meta.data() + kMetaCounterBytes, dir.page_id());
   slot_pages_.push_back(slots_id);
   return Status::OK();
 }
@@ -259,7 +268,7 @@ Status PagedTable::WriteSlot(RowId id, const Row& row, bool live) {
   uint64_t page_index = id / kSlotsPerPage;
   size_t slot = size_t(id % kSlotsPerPage);
   GB_ASSIGN_OR_RETURN(PageRef page, pager_->Fetch(slot_pages_[page_index]));
-  page.MarkDirty();
+  page.MarkDirty(slot * kSlotBytes, kSlotBytes);
   char* p = page.data() + slot * kSlotBytes;
   if (!live) {
     p[0] = char(kSlotTombstone);
@@ -280,11 +289,6 @@ Status PagedTable::WriteSlot(RowId id, const Row& row, bool live) {
     // A replaced overflow chain is leaked — no free list (DESIGN.md §12).
     GB_ASSIGN_OR_RETURN(uint64_t first,
                         storage::WriteOverflowChain(pager_, payload));
-    // The overflow writes may have evicted and reloaded this slot page;
-    // re-fetch rather than trusting the old frame pointer.
-    GB_ASSIGN_OR_RETURN(page, pager_->Fetch(slot_pages_[page_index]));
-    page.MarkDirty();
-    p = page.data() + slot * kSlotBytes;
     p[0] = char(kSlotLive | kSlotOverflow);
     p[1] = 0;
     storage::StoreU16(p + 2, 0);
@@ -323,7 +327,8 @@ Status PagedTable::ReadSlot(RowId id, Row* row, bool* live) const {
   return DeserializeRow(std::string_view(p + kSlotHeader, len), row);
 }
 
-Status PagedTable::RunOp(const std::function<Status()>& body) {
+template <typename Body>
+Status PagedTable::RunOp(Body&& body) {
   pager_->BeginOp();
   Status s = body();
   if (!s.ok()) {
@@ -356,6 +361,11 @@ Result<RowId> PagedTable::Insert(const Row& row) {
     next_row_ = id;
     live_rows_ = live_before;
     bytes_ = bytes_before;
+    // The op was rolled back, or logged without the fsync that makes it
+    // durable (commit-unknown): then its changes stand in the pages and
+    // may replay after a crash, and the next insert must not reuse its id.
+    // The pages tell which; keep the restored fields if they can't be read.
+    (void)LoadMeta(meta_page_);
     return s;
   }
   return id;
@@ -397,7 +407,10 @@ Status PagedTable::Update(RowId id, const Row& row) {
     bytes_ -= std::min(bytes_, RowFootprint(old));
     return WriteMetaLocked();
   });
-  if (!s.ok()) bytes_ = bytes_before;
+  if (!s.ok()) {
+    bytes_ = bytes_before;
+    (void)LoadMeta(meta_page_);  // as in Insert
+  }
   return s;
 }
 
@@ -418,6 +431,7 @@ Status PagedTable::Delete(RowId id) {
   if (!s.ok()) {
     live_rows_ = live_before;
     bytes_ = bytes_before;
+    (void)LoadMeta(meta_page_);  // as in Insert
   }
   return s;
 }

@@ -1,7 +1,6 @@
 #ifndef GRAPHBENCH_STORAGE_PAGED_TABLE_H_
 #define GRAPHBENCH_STORAGE_PAGED_TABLE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,6 +54,8 @@ class PagedTable : public Table {
   PagedTable(storage::Pager* pager, TableSchema schema);
 
   Status InitFresh();
+  /// Reads the cached meta fields and directory from the pages; changes
+  /// nothing when a page cannot be read.
   Status LoadMeta(uint64_t meta_page);
   Status WriteMetaLocked();
   /// Appends a fresh slot page to the directory (inside the current op).
@@ -64,7 +65,8 @@ class PagedTable : public Table {
   Status WriteSlot(RowId id, const Row& row, bool live);
   Status ReadSlot(RowId id, Row* row, bool* live) const;
   /// One mutation = one pager op; shared by Insert/Update/Delete.
-  Status RunOp(const std::function<Status()>& body);
+  template <typename Body>
+  Status RunOp(Body&& body);
 
   storage::Pager* pager_;
   uint64_t meta_page_ = 0;

@@ -30,6 +30,10 @@ constexpr uint8_t kSubDelta = 2;  // [page_id u64][off u16][len u16][bytes]
 // less than a second header.
 constexpr size_t kSubDeltaHeader = 1 + 8 + 2 + 2;
 constexpr size_t kSubImageBytes = 1 + 8 + kPageDataSize;
+// Declared ranges closer than this are merged. Changed bytes in two ranges
+// are then more than kSubDeltaHeader apart, which a whole-page diff never
+// joins into one run either, so diffing range by range logs the same runs.
+constexpr size_t kRangeGap = (kSubDeltaHeader + 7) & ~size_t(7);
 
 struct HeaderSlot {
   uint64_t generation = 0;
@@ -77,24 +81,22 @@ inline uint64_t LoadWord(const char* p) {
   return v;
 }
 
-// Appends one kSubDelta per maximal run where `now` differs from `was`
-// (runs closer than a sub-record header merged), skipping equal bytes a
-// word at a time. Returns false when the page is unchanged.
+// Appends one kSubDelta per maximal run in [lo, hi) where `now` differs
+// from `was` (runs closer than a sub-record header merged), skipping equal
+// bytes a word at a time. `lo` and `hi` are word-aligned. Returns false
+// when the range is unchanged.
 bool AppendDeltas(uint64_t page_id, const char* now, const char* was,
-                  std::string* body) {
+                  size_t lo, size_t hi, std::string* body) {
   static_assert(kPageDataSize % 8 == 0, "word-wise diff needs whole words");
   bool changed = false;
-  size_t i = 0;
+  size_t i = lo;
   for (;;) {
-    while (i < kPageDataSize && LoadWord(now + i) == LoadWord(was + i)) {
-      i += 8;
-    }
-    if (i == kPageDataSize) return changed;
+    while (i < hi && LoadWord(now + i) == LoadWord(was + i)) i += 8;
+    if (i == hi) return changed;
     while (now[i] == was[i]) ++i;  // the word differs, so this stops in it
     size_t start = i;
     size_t end = i + 1;  // one past the last changed byte of the run
-    for (size_t j = end; j < kPageDataSize && j - end < kSubDeltaHeader;
-         ++j) {
+    for (size_t j = end; j < hi && j - end < kSubDeltaHeader; ++j) {
       if (now[j] != was[j]) end = j + 1;
     }
     body->push_back(char(kSubDelta));
@@ -105,7 +107,7 @@ bool AppendDeltas(uint64_t page_id, const char* now, const char* was,
     changed = true;
     // The run ended because the kSubDeltaHeader bytes after it are equal:
     // resume at the word holding the first byte past them.
-    i = std::min(kPageDataSize, (end + kSubDeltaHeader) & ~size_t(7));
+    i = std::min(hi, (end + kSubDeltaHeader) & ~size_t(7));
   }
 }
 
@@ -394,20 +396,87 @@ void Pager::BeginOp() {
   in_op_ = true;
 }
 
-void Pager::MarkDirtyFrame(void* frame_ptr) {
+void Pager::MarkDirtyFrame(void* frame_ptr, size_t offset, size_t len) {
   Frame* frame = static_cast<Frame*>(frame_ptr);
-  if (!in_op_ || frame->touched_in_op) return;
-  frame->pre_image_slot = op_frames_.size();
-  size_t need = (frame->pre_image_slot + 1) * kPageDataSize;
-  if (pre_images_.size() < need) pre_images_.resize(need);
-  std::memcpy(pre_images_.data() + frame->pre_image_slot * kPageDataSize,
-              frame->data + kPageHeaderBytes, kPageDataSize);
-  frame->touched_in_op = true;
-  op_frames_.push_back(frame);
-  // Op pin: the frame must survive (unevicted) until Commit/AbortOp even
-  // if the caller drops its PageRef early.
-  std::lock_guard<std::mutex> lock(mu_);
-  PinLocked(frame);
+  if (!in_op_) return;
+  if (!frame->touched_in_op) {
+    frame->pre_image_slot = op_frames_.size();
+    size_t need = (frame->pre_image_slot + 1) * kPageDataSize;
+    if (pre_images_.size() < need) pre_images_.resize(need);
+    frame->range_count = 0;
+    frame->touched_in_op = true;
+    op_frames_.push_back(frame);
+    // Op pin: the frame must survive (unevicted) until Commit/AbortOp even
+    // if the caller drops its PageRef early.
+    std::lock_guard<std::mutex> lock(mu_);
+    PinLocked(frame);
+  }
+  size_t hi = std::min(kPageDataSize, offset + len);
+  if (offset < hi) {
+    DeclareRange(frame, offset & ~size_t(7), (hi + 7) & ~size_t(7));
+  }
+}
+
+void Pager::DeclareRange(Frame* frame, size_t lo, size_t hi) {
+  Range* ranges = frame->ranges;
+  size_t count = frame->range_count;
+  for (size_t i = 0; i < count; ++i) {
+    if (ranges[i].lo <= lo && hi <= ranges[i].hi) return;  // covered
+  }
+  const char* now = frame->data + kPageHeaderBytes;
+  char* pre = PreImage(frame);
+  auto snapshot = [&](size_t from, size_t to) {
+    std::memcpy(pre + from, now + from, to - from);
+  };
+  // Snapshot the bytes of [lo, hi) that no earlier range covers: those
+  // the op has already changed keep their first snapshot.
+  size_t at = lo;
+  for (size_t i = 0; i < count && at < hi; ++i) {
+    if (ranges[i].hi <= at) continue;
+    if (ranges[i].lo >= hi) break;
+    if (ranges[i].lo > at) snapshot(at, ranges[i].lo);
+    at = std::max<size_t>(at, ranges[i].hi);
+  }
+  if (at < hi) snapshot(at, hi);
+
+  // Merge the new range in by start, joining ranges that overlap or lie
+  // closer than kRangeGap; a gap joined that way is snapshotted too.
+  Range merged[kMaxRanges + 1];
+  size_t n = 0;
+  auto add = [&](Range next) {
+    if (n > 0 && next.lo < merged[n - 1].hi + kRangeGap) {
+      if (next.lo > merged[n - 1].hi) snapshot(merged[n - 1].hi, next.lo);
+      merged[n - 1].hi = std::max(merged[n - 1].hi, next.hi);
+    } else {
+      merged[n++] = next;
+    }
+  };
+  Range added{uint16_t(lo), uint16_t(hi)};
+  bool placed = false;
+  for (size_t i = 0; i < count; ++i) {
+    if (!placed && added.lo < ranges[i].lo) {
+      add(added);
+      placed = true;
+    }
+    add(ranges[i]);
+  }
+  if (!placed) add(added);
+  if (n > kMaxRanges) {
+    // Out of room: join the two ranges with the smallest gap between.
+    size_t best = 0;
+    for (size_t i = 1; i + 1 < n; ++i) {
+      if (merged[i + 1].lo - merged[i].hi <
+          merged[best + 1].lo - merged[best].hi) {
+        best = i;
+      }
+    }
+    snapshot(merged[best].hi, merged[best + 1].lo);
+    merged[best].hi = merged[best + 1].hi;
+    std::copy(merged + best + 2, merged + n, merged + best + 1);
+    --n;
+  }
+  std::copy(merged, merged + n, ranges);
+  frame->range_count = uint8_t(n);
 }
 
 Status Pager::CommitOp() {
@@ -426,17 +495,25 @@ Status Pager::CommitOp() {
   op_changed_.clear();
   for (Frame* frame : op_frames_) {
     const char* now = frame->data + kPageHeaderBytes;
+    const char* was = PreImage(frame);
+    const Range* ranges = frame->ranges;
+    const Range* ranges_end = ranges + frame->range_count;
     size_t mark = body.size();
     if (frame->image_logged) {
-      if (!AppendDeltas(frame->page_id, now, PreImage(frame), &body)) {
-        continue;  // touched but unchanged: nothing to log
+      bool changed = false;
+      for (const Range* r = ranges; r != ranges_end; ++r) {
+        changed |=
+            AppendDeltas(frame->page_id, now, was, r->lo, r->hi, &body);
       }
+      if (!changed) continue;  // touched but unchanged: nothing to log
       if (body.size() - mark <= kSubImageBytes) {
         op_changed_.push_back(frame);
         continue;
       }
       body.resize(mark);  // the runs cost more than the page: log it whole
-    } else if (std::memcmp(now, PreImage(frame), kPageDataSize) == 0) {
+    } else if (std::none_of(ranges, ranges_end, [&](const Range& r) {
+                 return std::memcmp(now + r.lo, was + r.lo, r.hi - r.lo) != 0;
+               })) {
       continue;
     }
     // First touch this WAL generation (or a rewrite bigger than the page):
@@ -510,8 +587,12 @@ Status Pager::CommitOp() {
 void Pager::EndOpLocked(bool restore) {
   for (Frame* frame : op_frames_) {
     if (restore) {
-      std::memcpy(frame->data + kPageHeaderBytes, PreImage(frame),
-                  kPageDataSize);
+      char* now = frame->data + kPageHeaderBytes;
+      const char* was = PreImage(frame);
+      for (size_t i = 0; i < frame->range_count; ++i) {
+        const Range& r = frame->ranges[i];
+        std::memcpy(now + r.lo, was + r.lo, r.hi - r.lo);
+      }
     }
     frame->touched_in_op = false;
     UnpinLocked(frame);
@@ -598,7 +679,9 @@ const char* PageRef::data() const {
   return static_cast<Pager::Frame*>(frame_)->data + kPageHeaderBytes;
 }
 
-void PageRef::MarkDirty() { pager_->MarkDirtyFrame(frame_); }
+void PageRef::MarkDirty(size_t offset, size_t len) {
+  pager_->MarkDirtyFrame(frame_, offset, len);
+}
 
 // --- Overflow chains ------------------------------------------------------
 

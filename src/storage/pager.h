@@ -39,8 +39,9 @@ struct PagerOptions {
 class Pager;
 
 /// Pinned page handle. The frame cannot be evicted while a PageRef to it
-/// is live. Call MarkDirty() before the first mutation inside an op so
-/// the pager can snapshot the pre-image for physiological logging.
+/// is live. Call MarkDirty(offset, len) before mutating a byte range inside
+/// an op so the pager can snapshot that range's pre-image for
+/// physiological logging.
 class PageRef {
  public:
   PageRef() = default;
@@ -55,10 +56,13 @@ class PageRef {
   /// The kPageDataSize-byte client data area.
   char* data();
   const char* data() const;
-  /// Snapshots the pre-image into the current op (first call per op) and
-  /// marks the page as touched. Must be called inside BeginOp/CommitOp
-  /// and before mutating data().
-  void MarkDirty();
+  /// Declares that the op may change data()[offset, offset + len): the
+  /// pager snapshots the bytes of the range no earlier declaration in this
+  /// op covered, and marks the page as touched. Must be called inside
+  /// BeginOp/CommitOp and before mutating the range. Bytes outside every
+  /// range declared in the op must not change in it. No arguments
+  /// declares the whole page.
+  void MarkDirty(size_t offset = 0, size_t len = kPageDataSize);
 
  private:
   friend class Pager;
@@ -79,7 +83,11 @@ class PageRef {
 /// touched page — the full page image on the first touch after a
 /// checkpoint (the full-page-write that makes torn db-file pages
 /// recoverable), afterwards one byte-range delta per changed run of the
-/// page — so a torn WAL tail drops whole ops, never half of one.
+/// page — so a torn WAL tail drops whole ops, never half of one. Only the
+/// declared ranges are snapshotted, diffed and (on abort) restored. They
+/// are kept word-aligned and at least a delta header (rounded up to a
+/// word) apart, so the runs found are exactly those a whole-page diff
+/// would find: the log is the same however tightly the caller declares.
 ///
 /// Checkpoint flushes all dirty pages, fsyncs the db file, publishes a
 /// new header generation, and resets the WAL under the generation's
@@ -132,6 +140,11 @@ class Pager {
   uint64_t checkpoints_taken() const { return checkpoints_taken_; }
 
  private:
+  struct Range {
+    uint16_t lo;
+    uint16_t hi;
+  };
+  static constexpr size_t kMaxRanges = 8;
   struct Frame {
     uint64_t page_id = 0;
     uint64_t page_lsn = 0;
@@ -141,8 +154,14 @@ class Pager {
     bool image_logged = false;
     int pins = 0;
     bool touched_in_op = false;
-    /// This op's pre-image: data-area snapshot at first MarkDirty, slot
-    /// `pre_image_slot` of the pager's pooled pre-image buffer.
+    /// This op's declared ranges [lo, hi) of the data area: word-aligned,
+    /// sorted, and at least kRangeGap (pager.cc) apart. A declaration
+    /// that would need one more range merges the two closest instead.
+    uint8_t range_count = 0;
+    Range ranges[kMaxRanges];
+    /// This op's pre-image: the declared ranges' bytes as of their
+    /// declaration, at their own offsets in slot `pre_image_slot` of the
+    /// pager's pooled pre-image buffer.
     size_t pre_image_slot = 0;
     std::list<uint64_t>::iterator lru_pos;
     bool in_lru = false;
@@ -154,9 +173,12 @@ class Pager {
 
   static uint64_t SaltForGeneration(uint64_t generation);
   static void SealPage(Frame* frame, std::string* out);
-  const char* PreImage(const Frame* frame) const {
+  char* PreImage(const Frame* frame) {
     return pre_images_.data() + frame->pre_image_slot * kPageDataSize;
   }
+  /// Adds [lo, hi) to the frame's declared ranges, snapshotting the bytes
+  /// that become covered.
+  void DeclareRange(Frame* frame, size_t lo, size_t hi);
   /// Ends the op: unpins its pages, first restoring their pre-images when
   /// `restore`. Called with mu_ held (and op_mu_, released after).
   void EndOpLocked(bool restore);
@@ -169,7 +191,7 @@ class Pager {
   void PinLocked(Frame* frame);
   void UnpinLocked(Frame* frame);
   void Unpin(void* frame);
-  void MarkDirtyFrame(void* frame);
+  void MarkDirtyFrame(void* frame, size_t offset, size_t len);
 
   FileSystem* fs_;
   std::unique_ptr<File> db_;
@@ -190,9 +212,10 @@ class Pager {
 
   std::mutex op_mu_;  // held from BeginOp to Commit/AbortOp
   std::vector<Frame*> op_frames_;  // touched pages; id-sorted at commit
-  /// Pre-images of the current op's pages, kPageDataSize bytes per touched
-  /// page. One buffer reused across ops: it grows to the largest op seen
-  /// and never shrinks, so MarkDirty allocates nothing in steady state.
+  /// Pre-images of the current op's pages, one kPageDataSize slot per
+  /// touched page (only its declared ranges are filled). One buffer
+  /// reused across ops: it grows to the largest op seen and never
+  /// shrinks, so MarkDirty allocates nothing in steady state.
   std::vector<char> pre_images_;
   std::vector<Frame*> op_changed_;  // the pages CommitOp's record changes
   std::string commit_body_;  // the op record under construction, reused

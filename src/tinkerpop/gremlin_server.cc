@@ -13,8 +13,17 @@ namespace {
 // One request's state, shared by the submitting client and the worker, so
 // the worker's notify after publishing never touches a freed slot. The two
 // stamps are read only under a profile. The pool's queue mutex orders
-// `enqueued_at` before the worker reads it; the release store of `ready`
-// orders `frame` and `finished_at` before the client reads them.
+// `enqueued_at` before the worker reads it; the store of `ready` orders
+// `frame` and `finished_at` before the client reads them.
+//
+// `ready` is stored and waited on seq_cst, not release/acquire.
+// libstdc++'s notify_one skips the futex wake when its count of waiters
+// reads zero, and a waiter counts itself in before it reads `ready`. With
+// a release store the worker may read that count before its store is
+// visible, while the client counts itself in and still reads 0: the client
+// then sleeps on a published reply that no wake reaches. That happened in
+// a 20-s short_reads run, which hung with the client parked on
+// `ready` == 1 and every worker idle.
 struct Request {
   std::string bytecode;
   Result<std::string> frame{std::string()};
@@ -96,7 +105,7 @@ Result<std::vector<Value>> GremlinServer::Submit(const Traversal& traversal) {
     // awaitResponse row holds the delay until it sees the reply (real
     // Gremlin clients see the same scheduling gap on the response path).
     if (profile != nullptr) request->finished_at = NowMicros();
-    request->ready.store(1, std::memory_order_release);
+    request->ready.store(1, std::memory_order_seq_cst);
     request->ready.notify_one();
   };
   request->enqueued_at = dispatch_op.Stop();
@@ -111,7 +120,7 @@ Result<std::vector<Value>> GremlinServer::Submit(const Traversal& traversal) {
        ++i) {
     std::this_thread::yield();
   }
-  request->ready.wait(0, std::memory_order_acquire);
+  request->ready.wait(0, std::memory_order_seq_cst);
   uint64_t replied_at = 0;
   if (profile != nullptr) {
     replied_at = NowMicros();

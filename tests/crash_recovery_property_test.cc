@@ -1,6 +1,7 @@
 // Kill-and-replay property test for the durable storage substrate
-// (ISSUE: the --durable acceptance gate). Each trial runs a random op
-// stream against PagedBTreeKv over the crash-simulating MemFileSystem —
+// (the --durable acceptance gate). Each trial runs a random op stream
+// against PagedBTreeKv, or PagedTable (the durable Postgres and Virtuoso
+// store), over the crash-simulating MemFileSystem —
 // optionally through a FaultFileSystem injecting scheduled fsync/write
 // failures — then "kills the machine" (MemFileSystem::Crash resolves
 // every unsynced write as kept, torn at a 512-byte sector, or dropped),
@@ -29,6 +30,7 @@
 
 #include "kv/paged_btree_kv.h"
 #include "storage/os_file.h"
+#include "storage/paged_table.h"
 #include "util/random.h"
 
 namespace graphbench {
@@ -103,6 +105,21 @@ struct TrialConfig {
   std::string fault_filter;
 };
 
+// The file system a trial writes through: `base`, or a FaultFileSystem
+// over it (kept in `faulty`) when the config schedules a fault.
+storage::FileSystem* TrialFileSystem(const TrialConfig& config,
+                                     MemFileSystem* base,
+                                     std::unique_ptr<FaultFileSystem>* faulty) {
+  if (config.fail_after_fsyncs <= 0 && config.short_write_at <= 0) {
+    return base;
+  }
+  FaultOptions fault;
+  fault.fail_after_fsyncs = config.fail_after_fsyncs;
+  fault.short_write_at = config.short_write_at;
+  *faulty = std::make_unique<FaultFileSystem>(base, fault, config.fault_filter);
+  return faulty->get();
+}
+
 // Runs one kill-and-replay trial; all properties are asserted inside.
 void RunTrial(const TrialConfig& config) {
   SCOPED_TRACE("seed=" + std::to_string(config.seed) +
@@ -117,15 +134,7 @@ void RunTrial(const TrialConfig& config) {
 
   MemFileSystem base;
   std::unique_ptr<FaultFileSystem> faulty;
-  storage::FileSystem* fs = &base;
-  if (config.fail_after_fsyncs > 0 || config.short_write_at > 0) {
-    FaultOptions fault;
-    fault.fail_after_fsyncs = config.fail_after_fsyncs;
-    fault.short_write_at = config.short_write_at;
-    faulty = std::make_unique<FaultFileSystem>(&base, fault,
-                                              config.fault_filter);
-    fs = faulty.get();
-  }
+  storage::FileSystem* fs = TrialFileSystem(config, &base, &faulty);
 
   PagerOptions pager_options;
   pager_options.cache_pages = 8;  // tiny pool: constant dirty evictions
@@ -352,6 +361,194 @@ TEST(CrashRecoveryPropertyTest, SplitHeavyStreamsRecover) {
       config.ascending_keys = ascending;
       config.key_padding = 240;
       RunTrial(config);
+    }
+  }
+}
+
+// --- PagedTable ------------------------------------------------------------
+//
+// The same kill-and-replay checks for the slotted table: random inserts,
+// updates and deletes of rows inline in their 128-byte slot or spilled to
+// overflow chains, then a crash, a reopen and PagedTable::Attach. Each
+// logged op is recorded with the row id it wrote, so the oracle needs no
+// knowledge of how the table assigns ids.
+
+struct TableOp {
+  RowId id = 0;
+  std::optional<std::string> value;  // nullopt = delete
+};
+
+using TableState = std::map<RowId, std::string>;
+
+TableSchema TableTrialSchema() {
+  return TableSchema(
+      "t", {{"id", Value::Type::kInt}, {"v", Value::Type::kString}});
+}
+
+void RunTableTrial(const TrialConfig& config) {
+  SCOPED_TRACE("table seed=" + std::to_string(config.seed) +
+               " fsync_on_commit=" + std::to_string(config.fsync_on_commit) +
+               " ckpt_every=" + std::to_string(config.checkpoint_every) +
+               " fail_after_fsyncs=" +
+               std::to_string(config.fail_after_fsyncs) + " filter=" +
+               config.fault_filter);
+  Rng rng(config.seed * 2654435761u + 29);
+
+  MemFileSystem base;
+  std::unique_ptr<FaultFileSystem> faulty;
+  storage::FileSystem* fs = TrialFileSystem(config, &base, &faulty);
+
+  PagerOptions pager_options;
+  pager_options.cache_pages = 8;  // tiny pool: constant dirty evictions
+  pager_options.fsync_on_commit = config.fsync_on_commit;
+
+  std::vector<TableOp> history;
+  size_t durable_floor = 0;
+  uint64_t meta_page = 0;
+
+  {
+    auto pager = storage::Pager::Open(fs, "t.db", "t.wal", pager_options);
+    if (!pager.ok()) return;  // fault fired during create: nothing acked
+    auto table = PagedTable::Create(pager->get(), TableTrialSchema());
+    if (!table.ok()) return;
+    // The table must exist after the crash for Attach to find it.
+    if (!(*pager)->Checkpoint().ok()) return;
+    meta_page = (*table)->meta_page();
+    storage::Wal* wal = (*pager)->wal();
+
+    RowId next_id = 0;  // ids below this may hold rows
+    for (int i = 0; i < config.ops; ++i) {
+      uint64_t kind = rng.Uniform(10);
+      TableOp op;
+      if (kind >= 5) {
+        op.value = std::string(rng.Uniform(8) == 0 ? 125 + rng.Uniform(900)
+                                                   : 1 + rng.Uniform(100),
+                               char('a' + rng.Uniform(26)));
+      }
+      uint64_t wal_bytes = wal->size_bytes();
+      Status s;
+      if (kind >= 7 || next_id == 0) {
+        if (!op.value.has_value()) continue;
+        auto id = (*table)->Insert(
+            Row{Value(int64_t(next_id)), Value(*op.value)});
+        // A failed insert may still have been logged (commit-unknown);
+        // it then wrote the id the next insert would have taken.
+        op.id = id.ok() ? *id : next_id;
+        s = id.status();
+      } else {
+        op.id = rng.Uniform(next_id);
+        s = op.value.has_value()
+                ? (*table)->Update(op.id,
+                                   Row{Value(int64_t(op.id)), Value(*op.value)})
+                : (*table)->Delete(op.id);
+        if (s.IsNotFound()) continue;  // a deleted row: no-op
+      }
+      if (!s.ok()) {
+        // Rolled back, or commit-unknown (see RunTrial): only a logged
+        // record can replay.
+        if (wal->size_bytes() != wal_bytes) history.push_back(op);
+      } else {
+        history.push_back(op);
+        if (config.fsync_on_commit) durable_floor = history.size();
+      }
+      if (wal->size_bytes() != wal_bytes && op.id >= next_id) {
+        next_id = op.id + 1;
+      }
+      if (config.checkpoint_every > 0 &&
+          (i + 1) % config.checkpoint_every == 0 &&
+          (*pager)->Checkpoint().ok()) {
+        durable_floor = history.size();
+      }
+    }
+  }
+
+  base.Crash(&rng);
+
+  auto pager = storage::Pager::Open(&base, "t.db", "t.wal", pager_options);
+  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+  auto table = PagedTable::Attach(pager->get(), meta_page, TableTrialSchema());
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  TableState recovered;
+  for (auto it = (*table)->NewScanIterator(); it->Valid(); it->Next()) {
+    Row row;
+    it->GetRow(&row);
+    recovered[it->row_id()] = row[1].as_string();
+  }
+
+  TableState candidate;
+  size_t k = 0;
+  for (; k <= history.size(); ++k) {
+    if (k >= durable_floor && candidate == recovered) break;
+    if (k < history.size()) {
+      const TableOp& op = history[k];
+      if (op.value.has_value()) {
+        candidate[op.id] = *op.value;
+      } else {
+        candidate.erase(op.id);
+      }
+    }
+  }
+  ASSERT_LE(k, history.size())
+      << "recovered rows match no acknowledged prefix: durable_floor="
+      << durable_floor << " history=" << history.size()
+      << " recovered rows=" << recovered.size() << [&] {
+           std::string out = "\n  recovered:";
+           for (const auto& [id, v] : recovered) {
+             out += " " + std::to_string(id) + "=" + v.substr(0, 4);
+           }
+           out += "\n  history:";
+           for (size_t i = 0; i < history.size(); ++i) {
+             out += (i < durable_floor ? " [A]" : " [M]") +
+                    std::to_string(history[i].id) + "=" +
+                    (history[i].value ? history[i].value->substr(0, 4)
+                                      : std::string("<del>"));
+           }
+           return out;
+         }();
+  EXPECT_EQ((*table)->row_count(), recovered.size());
+
+  // And the table must keep working after recovery.
+  auto id = (*table)->Insert(Row{Value(int64_t(-1)), Value("post-recovery")});
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  Row row;
+  ASSERT_TRUE((*table)->Get(*id, &row).ok());
+  EXPECT_EQ(row[1].as_string(), "post-recovery");
+}
+
+TEST(CrashRecoveryPropertyTest, TableFsyncPerCommitNeverLosesAcks) {
+  int trials = FullDepth() ? 60 : 8;
+  for (int t = 0; t < trials; ++t) {
+    TrialConfig config;
+    config.seed = uint64_t(6000 + t);
+    config.fsync_on_commit = true;
+    RunTableTrial(config);
+  }
+}
+
+TEST(CrashRecoveryPropertyTest, TableGroupDurabilityKeepsCheckpointedPrefix) {
+  int trials = FullDepth() ? 60 : 8;
+  for (int t = 0; t < trials; ++t) {
+    TrialConfig config;
+    config.seed = uint64_t(7000 + t);
+    config.fsync_on_commit = false;
+    config.checkpoint_every = 23;
+    RunTableTrial(config);
+  }
+}
+
+TEST(CrashRecoveryPropertyTest, TableSurvivesScheduledWalFsyncFailures) {
+  int trials = FullDepth() ? 40 : 6;
+  std::vector<int64_t> schedule =
+      FullDepth() ? std::vector<int64_t>{2, 3, 5, 8, 13, 21}
+                  : std::vector<int64_t>{3, 8};
+  for (int64_t fail_after : schedule) {
+    for (int t = 0; t < trials; ++t) {
+      TrialConfig config;
+      config.seed = uint64_t(8000 + t) * 31 + uint64_t(fail_after);
+      config.fsync_on_commit = true;
+      config.fail_after_fsyncs = fail_after;
+      config.fault_filter = ".wal";
+      RunTableTrial(config);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -331,6 +332,164 @@ TEST(PagerTest, MultiRunDeltaReplaysEveryRun) {
     EXPECT_EQ(page.substr(4, kPageDataSize - 8),
               std::string(kPageDataSize - 8, 'A'))
         << "pass " << pass;
+  }
+}
+
+// Writes `len` bytes at `off` of `page`, declaring them first: just that
+// range when `tight`, else the whole page. One time in five the bytes
+// written are the ones already there (a write that changes nothing).
+void DeclareAndWrite(PageRef* page, bool tight, size_t off, size_t len,
+                     Rng* rng) {
+  if (tight) {
+    page->MarkDirty(off, len);
+  } else {
+    page->MarkDirty();
+  }
+  if (rng->Uniform(5) == 0) return;
+  for (size_t i = 0; i < len; ++i) page->data()[off + i] = char(rng->Next());
+}
+
+// Tight and whole-page declarations of the same writes must log the same
+// bytes: declared ranges are merged so that a range-by-range diff finds
+// exactly the runs of a whole-page diff. The stream mixes short and long
+// writes, overlapping, adjacent and re-declared ones, ops with more ranges
+// than a frame keeps (which widen), ops whose runs cost more than an
+// image, unchanged rewrites, aborts, checkpoints and evictions.
+TEST(PagerTest, TightAndWholePageDeclarationsLogTheSameBytes) {
+  MemFileSystem tight_fs, whole_fs;
+  PagerOptions options;
+  options.cache_pages = 8;
+  auto tight = MustOpen(&tight_fs, options);
+  auto whole = MustOpen(&whole_fs, options);
+  constexpr uint64_t kPages = 12;
+  Rng stream(29);
+  for (int op = 0; op < 800; ++op) {
+    uint64_t seed = stream.Next();
+    for (Pager* pager : {tight.get(), whole.get()}) {
+      bool is_tight = pager == tight.get();
+      Rng rng(seed);
+      pager->BeginOp();
+      int pages = 1 + int(rng.Uniform(3));
+      for (int p = 0; p < pages; ++p) {
+        auto page = pager->page_count() <= kPages
+                        ? pager->Allocate()
+                        : pager->Fetch(1 + rng.Uniform(kPages));
+        ASSERT_TRUE(page.ok()) << page.status().ToString();
+        size_t writes = rng.Uniform(6) == 0 ? 9 + rng.Uniform(40)
+                                            : 1 + rng.Uniform(4);
+        size_t last_end = 0;
+        for (size_t w = 0; w < writes; ++w) {
+          size_t off;
+          switch (rng.Uniform(4)) {
+            case 0:  // adjacent to, or just past, the previous write
+              off = std::min(kPageDataSize - 1, last_end + rng.Uniform(24));
+              break;
+            case 1:  // near the page's ends
+              off = rng.Uniform(2) ? rng.Uniform(16)
+                                   : kPageDataSize - 1 - rng.Uniform(16);
+              break;
+            default:
+              off = rng.Uniform(kPageDataSize);
+          }
+          size_t len = rng.Uniform(8) == 0 ? 1 + rng.Uniform(600)
+                                           : 1 + rng.Uniform(20);
+          len = std::min(len, kPageDataSize - off);
+          DeclareAndWrite(&*page, is_tight, off, len, &rng);
+          last_end = off + len;
+        }
+      }
+      if (rng.Uniform(10) == 0) {
+        pager->AbortOp();
+      } else {
+        ASSERT_TRUE(pager->CommitOp().ok());
+      }
+    }
+    if (op % 200 == 199) {
+      ASSERT_TRUE(tight->Checkpoint().ok());
+      ASSERT_TRUE(whole->Checkpoint().ok());
+    }
+  }
+  EXPECT_GT(tight->wal()->log_bytes(), 0u);
+  EXPECT_EQ(tight->wal()->log_bytes(), whole->wal()->log_bytes());
+  EXPECT_TRUE(tight_fs.Materialize("t.wal") == whole_fs.Materialize("t.wal"));
+  EXPECT_TRUE(tight_fs.Materialize("t.db") == whole_fs.Materialize("t.db"));
+}
+
+// AbortOp puts back exactly the declared bytes as they were before the op,
+// whatever order the op declared and wrote them in: a range re-declared
+// after it was written keeps its first snapshot.
+TEST(PagerTest, AbortRestoresExactlyTheDeclaredBytes) {
+  MemFileSystem fs;
+  auto pager = MustOpen(&fs);
+  std::string original(kPageDataSize, '\0');
+  for (size_t i = 0; i < kPageDataSize; ++i) original[i] = char(i * 7 % 251);
+  pager->BeginOp();
+  {
+    auto page = pager->Allocate();
+    ASSERT_TRUE(page.ok());
+    page->MarkDirty();
+    std::memcpy(page->data(), original.data(), kPageDataSize);
+  }
+  ASSERT_TRUE(pager->CommitOp().ok());
+
+  pager->BeginOp();
+  {
+    auto page = pager->Fetch(1);
+    ASSERT_TRUE(page.ok());
+    char* p = page->data();
+    page->MarkDirty(100, 20);
+    std::memset(p + 100, 'a', 20);
+    page->MarkDirty(90, 40);  // overlaps the written range
+    std::memset(p + 90, 'b', 40);
+    page->MarkDirty(130, 8);  // adjacent
+    std::memset(p + 130, 'c', 8);
+    page->MarkDirty(100, 20);  // re-declared
+    std::memset(p + 100, 'd', 20);
+    // More scattered ranges than a frame keeps: the closest ones merge.
+    for (size_t off = 1000; off < 2400; off += 100) {
+      page->MarkDirty(off, 3);
+      std::memset(p + off, 'e', 3);
+    }
+    page->MarkDirty(kPageDataSize - 5, 5);
+    std::memset(p + kPageDataSize - 5, 'f', 5);
+    // Outside every declared range (against the contract): abort leaves
+    // it, which shows the restore copies the declared ranges only.
+    p[3500] = 'x';
+  }
+  pager->AbortOp();
+  std::string want = original;
+  want[3500] = 'x';
+  EXPECT_TRUE(ReadPage(pager.get(), 1, kPageDataSize) == want);
+
+  // Random declarations, each written right after it is made. Each trial
+  // first commits fresh page contents, so the pooled pre-image buffer
+  // holds stale bytes that differ from the page's.
+  Rng rng(71);
+  for (int trial = 0; trial < 300; ++trial) {
+    pager->BeginOp();
+    auto page = pager->Fetch(1);
+    ASSERT_TRUE(page.ok());
+    page->MarkDirty();
+    for (size_t i = 0; i < kPageDataSize; ++i) {
+      page->data()[i] = char(rng.Next());
+    }
+    ASSERT_TRUE(pager->CommitOp().ok());
+    std::string before(page->data(), kPageDataSize);
+    pager->BeginOp();
+    int declarations = 1 + int(rng.Uniform(20));
+    for (int d = 0; d < declarations; ++d) {
+      size_t off = rng.Uniform(kPageDataSize);
+      size_t len = std::min<size_t>(1 + rng.Uniform(rng.Uniform(4) ? 24 : 400),
+                                    kPageDataSize - off);
+      page->MarkDirty(off, len);
+      for (size_t i = 0; i < len; ++i) {
+        page->data()[off + i] = char(rng.Next());
+      }
+    }
+    page = PageRef();
+    pager->AbortOp();
+    ASSERT_TRUE(ReadPage(pager.get(), 1, kPageDataSize) == before)
+        << "trial " << trial;
   }
 }
 
