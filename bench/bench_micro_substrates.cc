@@ -7,7 +7,11 @@
 // 1,024-page pool and the group-commit WAL (no fsync per commit), the
 // durable SUTs' defaults, so they price the paged structure and its log
 // next to the in-memory twin, not a disk. Their writing arms run a fixed
-// number of ops, since the log grows with every one.
+// number of ops, since the log grows with every one. Each paged reading
+// arm runs at two sizes: one whose pages all fit the pool (20k rows fill
+// 645 slot pages; 20k keys fit as well), which prices a buffer-pool hit,
+// and the size the in-memory arms use (50k rows fill 1,613 slot pages;
+// 100k keys), out of pool, where about a third of reads miss.
 
 #include <benchmark/benchmark.h>
 
@@ -68,21 +72,22 @@ BENCHMARK(BM_KvPut<BTreeKv>);
 BENCHMARK(BM_KvPut<LsmKv>);
 BENCHMARK(BM_KvPut<PagedBTreeKv>)->Iterations(kPagedWrites);
 
+// Arg: keys loaded (and read at random).
 template <typename Kv>
 void BM_KvGet(benchmark::State& state) {
   storage::MemFileSystem fs;
   auto kv = MakeKv<Kv>(&fs);
-  constexpr uint64_t kN = 100000;
-  for (uint64_t i = 0; i < kN; ++i) kv->Put(Key(i), "v");
+  const uint64_t n = uint64_t(state.range(0));
+  for (uint64_t i = 0; i < n; ++i) kv->Put(Key(i), "v");
   Rng rng(1);
   std::string value;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kv->Get(Key(rng.Uniform(kN)), &value));
+    benchmark::DoNotOptimize(kv->Get(Key(rng.Uniform(n)), &value));
   }
 }
-BENCHMARK(BM_KvGet<BTreeKv>);
-BENCHMARK(BM_KvGet<LsmKv>);
-BENCHMARK(BM_KvGet<PagedBTreeKv>);
+BENCHMARK(BM_KvGet<BTreeKv>)->Arg(100000);
+BENCHMARK(BM_KvGet<LsmKv>)->Arg(100000);
+BENCHMARK(BM_KvGet<PagedBTreeKv>)->Arg(20000)->Arg(100000);
 
 template <typename Kv>
 void BM_KvScanPrefix(benchmark::State& state) {
@@ -154,23 +159,25 @@ BENCHMARK(BM_TableInsert<HeapTable>);
 BENCHMARK(BM_TableInsert<ColumnTable>);
 BENCHMARK(BM_TableInsert<PagedTable>)->Iterations(kPagedWrites);
 
+// Arg: rows loaded (and read at random).
 template <typename T>
 void BM_TableGetColumn(benchmark::State& state) {
   storage::MemFileSystem fs;
   BenchTable t = MakeTable<T>(&fs);
-  for (int64_t i = 0; i < 50000; ++i) {
+  const int64_t n = state.range(0);
+  for (int64_t i = 0; i < n; ++i) {
     t.table->Insert({Value(i), Value("somebody"), Value(i * 3)}).ok();
   }
   Rng rng(3);
   Value v;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        t.table->GetColumn(RowId(rng.Uniform(50000)), 2, &v));
+        t.table->GetColumn(RowId(rng.Uniform(uint64_t(n))), 2, &v));
   }
 }
-BENCHMARK(BM_TableGetColumn<HeapTable>);
-BENCHMARK(BM_TableGetColumn<ColumnTable>);
-BENCHMARK(BM_TableGetColumn<PagedTable>);
+BENCHMARK(BM_TableGetColumn<HeapTable>)->Arg(50000);
+BENCHMARK(BM_TableGetColumn<ColumnTable>)->Arg(50000);
+BENCHMARK(BM_TableGetColumn<PagedTable>)->Arg(20000)->Arg(50000);
 
 void BM_MqProduceConsume(benchmark::State& state) {
   mq::Broker broker;

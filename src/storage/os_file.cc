@@ -199,6 +199,30 @@ void MemFileSystem::FileState::ApplyPending(std::string* image,
   }
 }
 
+void MemFileSystem::FileState::AddPending(uint64_t offset,
+                                          std::string_view data) {
+  size_t index = pending.size();
+  pending.push_back({offset, std::string(data)});
+  if (data.empty()) {
+    truncates.push_back(index);
+    return;
+  }
+  uint64_t end = offset + data.size();
+  for (uint64_t b = offset / kBlockBytes; b <= (end - 1) / kBlockBytes; ++b) {
+    std::vector<size_t>& writes = block_writes[b];
+    if (offset <= b * kBlockBytes && (b + 1) * kBlockBytes <= end) {
+      writes.clear();  // covers the block: the earlier writes are hidden
+    }
+    writes.push_back(index);
+  }
+}
+
+void MemFileSystem::FileState::ClearPending() {
+  pending.clear();
+  block_writes.clear();
+  truncates.clear();
+}
+
 std::string MemFileSystem::FileState::Materialize() const {
   std::string image = durable;
   for (const PendingWrite& w : pending) ApplyPending(&image, w);
@@ -241,7 +265,20 @@ Status MemFile::ReadAt(uint64_t offset, size_t n, std::string* out) const {
     size_t have = size_t(std::min<uint64_t>(end, s->durable.size()) - offset);
     std::memcpy(out->data(), s->durable.data() + offset, have);
   }
-  for (const MemFileSystem::PendingWrite& w : s->pending) {
+  // Only the pending writes that touch the range (plus every truncate),
+  // in issue order.
+  std::vector<size_t> order = s->truncates;
+  for (uint64_t b = offset / FileState::kBlockBytes;
+       b <= (end - 1) / FileState::kBlockBytes; ++b) {
+    auto it = s->block_writes.find(b);
+    if (it != s->block_writes.end()) {
+      order.insert(order.end(), it->second.begin(), it->second.end());
+    }
+  }
+  std::sort(order.begin(), order.end());
+  order.erase(std::unique(order.begin(), order.end()), order.end());
+  for (size_t index : order) {
+    const MemFileSystem::PendingWrite& w = s->pending[index];
     if (w.data.empty()) {  // truncate: everything at or past it reads zero
       if (w.offset < end) {
         uint64_t from = std::max(w.offset, offset);
@@ -263,7 +300,7 @@ Status MemFile::WriteAt(uint64_t offset, std::string_view data) {
   if (data.empty()) return Status::OK();
   std::lock_guard<std::mutex> lock(*mu_);
   FileState* s = state();
-  s->pending.push_back({offset, std::string(data)});
+  s->AddPending(offset, data);
   s->logical_size = std::max(s->logical_size, offset + data.size());
   return Status::OK();
 }
@@ -272,7 +309,7 @@ Status MemFile::Append(std::string_view data) {
   if (data.empty()) return Status::OK();
   std::lock_guard<std::mutex> lock(*mu_);
   FileState* s = state();
-  s->pending.push_back({s->logical_size, std::string(data)});
+  s->AddPending(s->logical_size, data);
   s->logical_size += data.size();
   return Status::OK();
 }
@@ -283,7 +320,7 @@ Status MemFile::Sync() {
   for (const MemFileSystem::PendingWrite& w : s->pending) {
     FileState::ApplyPending(&s->durable, w);
   }
-  s->pending.clear();
+  s->ClearPending();
   return Status::OK();
 }
 
@@ -292,7 +329,7 @@ Status MemFile::Truncate(uint64_t size) {
   FileState* s = state();
   // Represented as an empty-data pending write: Materialize and Crash both
   // treat it as "resize to offset".
-  s->pending.push_back({size, std::string()});
+  s->AddPending(size, std::string_view());
   s->logical_size = size;
   return Status::OK();
 }
@@ -350,7 +387,7 @@ void MemFileSystem::Crash(Rng* rng) {
       }
     }
     state->durable = std::move(image);
-    state->pending.clear();
+    state->ClearPending();
     state->logical_size = state->durable.size();
   }
 }

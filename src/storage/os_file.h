@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/random.h"
@@ -126,11 +127,23 @@ class MemFileSystem : public FileSystem {
     std::string data;
   };
   struct FileState {
+    static constexpr uint64_t kBlockBytes = 4096;
     std::string durable;              // contents as of the last Sync
     std::vector<PendingWrite> pending;  // unsynced writes, in issue order
     uint64_t logical_size = 0;          // durable + pending view
+    // Where the pending writes are, so a read visits only those that
+    // overlap it: per kBlockBytes block, the indices into `pending` of
+    // the writes touching it, in issue order, starting from the last one
+    // that covered the whole block (earlier ones are hidden there); and
+    // the indices of the pending truncates.
+    std::unordered_map<uint64_t, std::vector<size_t>> block_writes;
+    std::vector<size_t> truncates;
     // Renders durable+pending into a flat contents string.
     std::string Materialize() const;
+    // Appends a write, or truncate (empty data), to `pending` and indexes it.
+    void AddPending(uint64_t offset, std::string_view data);
+    // Drops every pending write and its index (after a Sync or Crash).
+    void ClearPending();
     // Applies one pending write, or truncate (empty data), to `image`.
     static void ApplyPending(std::string* image, const PendingWrite& w);
   };

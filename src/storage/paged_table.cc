@@ -8,6 +8,7 @@
 
 namespace graphbench {
 
+using storage::GetU16;
 using storage::GetU32;
 using storage::GetU64;
 using storage::kPageDataSize;
@@ -20,6 +21,7 @@ using storage::ReadU16;
 using storage::ReadU32;
 using storage::ReadU64;
 using storage::ReadU8;
+using storage::StoreU16;
 using storage::StoreU32;
 using storage::StoreU64;
 
@@ -31,12 +33,22 @@ constexpr uint8_t kSlotUnused = 0;
 constexpr uint8_t kSlotLive = 1;
 constexpr uint8_t kSlotOverflow = 2;  // OR'd with kSlotLive
 constexpr uint8_t kSlotTombstone = 4;
-// Slot payload starts after [flags u8][pad u8][len u16].
+constexpr uint8_t kSlotPacked = 8;  // OR'd with kSlotLive
+// Slot payload starts after [flags u8][pad u8][len u16]. A packed slot's
+// payload is [row page u64][offset u16][len u16]; an overflow slot's is
+// [first page u64][len u64].
 constexpr size_t kSlotHeader = 4;
 constexpr size_t kInlineCapacity = PagedTable::kSlotBytes - kSlotHeader;
 // Meta page: [magic u64][next_row u64][live_rows u64][bytes u64] (the
-// counters every mutation rewrites), then [first_dir u64].
+// counters every mutation rewrites), then [first_dir u64][row_page u64].
 constexpr size_t kMetaCounterBytes = 32;
+constexpr size_t kMetaFirstDir = kMetaCounterBytes;
+constexpr size_t kMetaRowPage = 40;
+// Row page: [fill u16] (the offset of its first free byte), then packed
+// row payloads back to back. Rows too long for the slot but no longer
+// than kMaxPackedRow are appended here; longer ones take overflow chains.
+constexpr size_t kRowPageHeader = 2;
+constexpr size_t kMaxPackedRow = kPageDataSize - kRowPageHeader;
 // Directory page: [next u64][count u32] + page ids.
 constexpr size_t kDirHeader = 12;
 constexpr size_t kDirCapacity = (kPageDataSize - kDirHeader) / 8;
@@ -166,11 +178,7 @@ Status PagedTable::InitFresh() {
     return meta_or.status();
   }
   meta_page_ = meta_or->page_id();
-  Status s = WriteMetaLocked();
-  if (!s.ok()) {
-    pager_->AbortOp();
-    return s;
-  }
+  WriteMetaLocked(&*meta_or);
   return pager_->CommitOp();
 }
 
@@ -182,7 +190,7 @@ Status PagedTable::LoadMeta(uint64_t meta_page) {
   uint64_t next_row = GetU64(meta.data() + 8);
   uint64_t live_rows = GetU64(meta.data() + 16);
   uint64_t bytes = GetU64(meta.data() + 24);
-  uint64_t dir = GetU64(meta.data() + kMetaCounterBytes);
+  uint64_t dir = GetU64(meta.data() + kMetaFirstDir);
   // The chain is newest-dir-page-first (GrowLocked pushes at the head),
   // but ids within a page are in allocation order. Collect per-page runs
   // and flatten them oldest-run-first so slot_pages_ matches write-time
@@ -216,19 +224,17 @@ Status PagedTable::LoadMeta(uint64_t meta_page) {
 }
 
 
-Status PagedTable::WriteMetaLocked() {
-  GB_ASSIGN_OR_RETURN(PageRef meta, pager_->Fetch(meta_page_));
-  meta.MarkDirty(0, kMetaCounterBytes);
-  char* p = meta.data();
+void PagedTable::WriteMetaLocked(PageRef* meta) {
+  meta->MarkDirty(0, kMetaCounterBytes);
+  char* p = meta->data();
   StoreU64(p, kTableMagic);
   StoreU64(p + 8, next_row_);
   StoreU64(p + 16, live_rows_);
   StoreU64(p + 24, bytes_);
-  // first_dir (p + kMetaCounterBytes) is maintained by GrowLocked.
-  return Status::OK();
+  // first_dir is maintained by GrowLocked, row_page by PackLocked.
 }
 
-Status PagedTable::GrowLocked() {
+Status PagedTable::GrowLocked(PageRef* meta) {
   GB_ASSIGN_OR_RETURN(PageRef slots, pager_->Allocate());
   slots.MarkDirty();
   std::memset(slots.data(), 0, kPageDataSize);
@@ -238,8 +244,7 @@ Status PagedTable::GrowLocked() {
   // so we never walk the chain on the write path; LoadMeta walks the
   // chain newest-first and reverses the run order to recover allocation
   // order.
-  GB_ASSIGN_OR_RETURN(PageRef meta, pager_->Fetch(meta_page_));
-  uint64_t head = GetU64(meta.data() + kMetaCounterBytes);
+  uint64_t head = GetU64(meta->data() + kMetaFirstDir);
   if (head != 0) {
     GB_ASSIGN_OR_RETURN(PageRef dir, pager_->Fetch(head));
     uint32_t count = GetU32(dir.data() + 8);
@@ -258,13 +263,42 @@ Status PagedTable::GrowLocked() {
   StoreU64(dir.data(), head);
   StoreU32(dir.data() + 8, 1);
   StoreU64(dir.data() + kDirHeader, slots_id);
-  meta.MarkDirty(kMetaCounterBytes, 8);
-  StoreU64(meta.data() + kMetaCounterBytes, dir.page_id());
+  meta->MarkDirty(kMetaFirstDir, 8);
+  StoreU64(meta->data() + kMetaFirstDir, dir.page_id());
   slot_pages_.push_back(slots_id);
   return Status::OK();
 }
 
-Status PagedTable::WriteSlot(RowId id, const Row& row, bool live) {
+Status PagedTable::PackLocked(PageRef* meta, std::string_view payload,
+                              uint64_t* row_page, uint16_t* offset) {
+  uint64_t current = GetU64(meta->data() + kMetaRowPage);
+  PageRef rows;
+  size_t fill = 0;
+  if (current != 0) {
+    GB_ASSIGN_OR_RETURN(rows, pager_->Fetch(current));
+    fill = GetU16(rows.data());
+    if (fill < kRowPageHeader) {
+      return Status::Corruption("paged_table: bad row page");
+    }
+  }
+  if (current == 0 || fill + payload.size() > kPageDataSize) {
+    // The current page's tail stays unused; the fresh page becomes current.
+    GB_ASSIGN_OR_RETURN(rows, pager_->Allocate());
+    fill = kRowPageHeader;
+    meta->MarkDirty(kMetaRowPage, 8);
+    StoreU64(meta->data() + kMetaRowPage, rows.page_id());
+  }
+  rows.MarkDirty(0, kRowPageHeader);
+  rows.MarkDirty(fill, payload.size());
+  std::memcpy(rows.data() + fill, payload.data(), payload.size());
+  StoreU16(rows.data(), uint16_t(fill + payload.size()));
+  *row_page = rows.page_id();
+  *offset = uint16_t(fill);
+  return Status::OK();
+}
+
+Status PagedTable::WriteSlot(PageRef* meta, RowId id, const Row& row,
+                             bool live) {
   uint64_t page_index = id / kSlotsPerPage;
   size_t slot = size_t(id % kSlotsPerPage);
   GB_ASSIGN_OR_RETURN(PageRef page, pager_->Fetch(slot_pages_[page_index]));
@@ -273,7 +307,7 @@ Status PagedTable::WriteSlot(RowId id, const Row& row, bool live) {
   if (!live) {
     p[0] = char(kSlotTombstone);
     p[1] = 0;
-    storage::StoreU16(p + 2, 0);
+    StoreU16(p + 2, 0);
     std::memset(p + kSlotHeader, 0, kInlineCapacity);
     return Status::OK();
   }
@@ -281,17 +315,29 @@ Status PagedTable::WriteSlot(RowId id, const Row& row, bool live) {
   if (payload.size() <= kInlineCapacity) {
     p[0] = char(kSlotLive);
     p[1] = 0;
-    storage::StoreU16(p + 2, uint16_t(payload.size()));
+    StoreU16(p + 2, uint16_t(payload.size()));
     std::memcpy(p + kSlotHeader, payload.data(), payload.size());
     std::memset(p + kSlotHeader + payload.size(), 0,
                 kInlineCapacity - payload.size());
+  } else if (payload.size() <= kMaxPackedRow) {
+    // A replaced packed row's bytes are leaked, as a chain's are.
+    uint64_t row_page;
+    uint16_t offset;
+    GB_RETURN_IF_ERROR(PackLocked(meta, payload, &row_page, &offset));
+    p[0] = char(kSlotLive | kSlotPacked);
+    p[1] = 0;
+    StoreU16(p + 2, 0);
+    StoreU64(p + kSlotHeader, row_page);
+    StoreU16(p + kSlotHeader + 8, offset);
+    StoreU16(p + kSlotHeader + 10, uint16_t(payload.size()));
+    std::memset(p + kSlotHeader + 12, 0, kInlineCapacity - 12);
   } else {
     // A replaced overflow chain is leaked — no free list (DESIGN.md §12).
     GB_ASSIGN_OR_RETURN(uint64_t first,
                         storage::WriteOverflowChain(pager_, payload));
     p[0] = char(kSlotLive | kSlotOverflow);
     p[1] = 0;
-    storage::StoreU16(p + 2, 0);
+    StoreU16(p + 2, 0);
     StoreU64(p + kSlotHeader, first);
     StoreU64(p + kSlotHeader + 8, payload.size());
     std::memset(p + kSlotHeader + 16, 0, kInlineCapacity - 16);
@@ -314,6 +360,16 @@ Status PagedTable::ReadSlot(RowId id, Row* row, bool* live) const {
   }
   *live = true;
   if (row == nullptr) return Status::OK();
+  if (flags & kSlotPacked) {
+    uint64_t row_page = GetU64(p + kSlotHeader);
+    uint16_t offset = GetU16(p + kSlotHeader + 8);
+    uint16_t len = GetU16(p + kSlotHeader + 10);
+    if (offset < kRowPageHeader || offset + size_t(len) > kPageDataSize) {
+      return Status::Corruption("paged_table: bad packed row");
+    }
+    GB_ASSIGN_OR_RETURN(PageRef rows, pager_->Fetch(row_page));
+    return DeserializeRow(std::string_view(rows.data() + offset, len), row);
+  }
   if (flags & kSlotOverflow) {
     uint64_t first = GetU64(p + kSlotHeader);
     uint64_t len = GetU64(p + kSlotHeader + 8);
@@ -323,14 +379,18 @@ Status PagedTable::ReadSlot(RowId id, Row* row, bool* live) const {
             const_cast<storage::Pager*>(pager_), first, len));
     return DeserializeRow(payload, row);
   }
-  uint16_t len = storage::GetU16(p + 2);
+  uint16_t len = GetU16(p + 2);
   return DeserializeRow(std::string_view(p + kSlotHeader, len), row);
 }
 
 template <typename Body>
 Status PagedTable::RunOp(Body&& body) {
   pager_->BeginOp();
-  Status s = body();
+  Status s;
+  {
+    Result<PageRef> meta = pager_->Fetch(meta_page_);
+    s = meta.ok() ? body(&*meta) : meta.status();
+  }
   if (!s.ok()) {
     pager_->AbortOp();
     return s;
@@ -346,15 +406,16 @@ Result<RowId> PagedTable::Insert(const Row& row) {
   RowId id = next_row_;
   size_t dir_size_before = slot_pages_.size();
   uint64_t live_before = live_rows_, bytes_before = bytes_;
-  Status s = RunOp([&] {
+  Status s = RunOp([&](PageRef* meta) {
     if (id / kSlotsPerPage >= slot_pages_.size()) {
-      GB_RETURN_IF_ERROR(GrowLocked());
+      GB_RETURN_IF_ERROR(GrowLocked(meta));
     }
-    GB_RETURN_IF_ERROR(WriteSlot(id, row, /*live=*/true));
+    GB_RETURN_IF_ERROR(WriteSlot(meta, id, row, /*live=*/true));
     next_row_ = id + 1;
     ++live_rows_;
     bytes_ += RowFootprint(row);
-    return WriteMetaLocked();
+    WriteMetaLocked(meta);
+    return Status::OK();
   });
   if (!s.ok()) {
     slot_pages_.resize(dir_size_before);
@@ -401,11 +462,12 @@ Status PagedTable::Update(RowId id, const Row& row) {
   GB_RETURN_IF_ERROR(ReadSlot(id, &old, &live));
   if (!live) return Status::NotFound("row deleted");
   uint64_t bytes_before = bytes_;
-  Status s = RunOp([&] {
-    GB_RETURN_IF_ERROR(WriteSlot(id, row, /*live=*/true));
+  Status s = RunOp([&](PageRef* meta) {
+    GB_RETURN_IF_ERROR(WriteSlot(meta, id, row, /*live=*/true));
     bytes_ += RowFootprint(row);
     bytes_ -= std::min(bytes_, RowFootprint(old));
-    return WriteMetaLocked();
+    WriteMetaLocked(meta);
+    return Status::OK();
   });
   if (!s.ok()) {
     bytes_ = bytes_before;
@@ -422,11 +484,12 @@ Status PagedTable::Delete(RowId id) {
   GB_RETURN_IF_ERROR(ReadSlot(id, &old, &live));
   if (!live) return Status::NotFound("row deleted");
   uint64_t live_before = live_rows_, bytes_before = bytes_;
-  Status s = RunOp([&] {
-    GB_RETURN_IF_ERROR(WriteSlot(id, Row{}, /*live=*/false));
+  Status s = RunOp([&](PageRef* meta) {
+    GB_RETURN_IF_ERROR(WriteSlot(meta, id, Row{}, /*live=*/false));
     --live_rows_;
     bytes_ -= std::min(bytes_, RowFootprint(old));
-    return WriteMetaLocked();
+    WriteMetaLocked(meta);
+    return Status::OK();
   });
   if (!s.ok()) {
     live_rows_ = live_before;

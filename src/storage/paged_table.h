@@ -17,8 +17,10 @@ namespace graphbench {
 /// Rows live in fixed 128-byte slots so RowIds stay dense and stable
 /// (id = slot_page_index * kSlotsPerPage + slot, exactly HeapTable's
 /// scheme) no matter how row sizes change across updates: a row whose
-/// serialization outgrows its slot moves to an overflow chain while the
-/// slot keeps its place. Slot pages are registered in a directory chain
+/// serialization outgrows its slot is appended to the table's current
+/// row page, shared with other such rows (or, when longer than a page,
+/// moves to an overflow chain), while the slot keeps its place and
+/// points at it. Slot pages are registered in a directory chain
 /// hanging off the table's meta page; several tables share one pager
 /// (one db file per Database). Deletes tombstone the slot; ids are never
 /// reused. Each Insert/Update/Delete is one pager op, so every mutation
@@ -57,14 +59,22 @@ class PagedTable : public Table {
   /// Reads the cached meta fields and directory from the pages; changes
   /// nothing when a page cannot be read.
   Status LoadMeta(uint64_t meta_page);
-  Status WriteMetaLocked();
-  /// Appends a fresh slot page to the directory (inside the current op).
-  Status GrowLocked();
-  /// Serializes `row` into the slot, spilling to an overflow chain when
-  /// it doesn't fit inline (inside the current op).
-  Status WriteSlot(RowId id, const Row& row, bool live);
+  /// The helpers below run inside the current op; `meta` is the table's
+  /// meta page, pinned by the op.
+  void WriteMetaLocked(storage::PageRef* meta);
+  /// Appends a fresh slot page to the directory.
+  Status GrowLocked(storage::PageRef* meta);
+  /// Appends `payload` to the current row page (a fresh one when it does
+  /// not fit) and says where it went.
+  Status PackLocked(storage::PageRef* meta, std::string_view payload,
+                    uint64_t* row_page, uint16_t* offset);
+  /// Serializes `row` into the slot, or, when it doesn't fit inline, into
+  /// a row page or an overflow chain the slot points at.
+  Status WriteSlot(storage::PageRef* meta, RowId id, const Row& row,
+                   bool live);
   Status ReadSlot(RowId id, Row* row, bool* live) const;
-  /// One mutation = one pager op; shared by Insert/Update/Delete.
+  /// One mutation = one pager op, its body called with the pinned meta
+  /// page; shared by Insert/Update/Delete.
   template <typename Body>
   Status RunOp(Body&& body);
 

@@ -25,6 +25,7 @@ constexpr uint8_t kOpRecord = 1;
 // Sub-record tags inside an op record's body.
 constexpr uint8_t kSubImage = 1;  // [page_id u64][kPageDataSize bytes]
 constexpr uint8_t kSubDelta = 2;  // [page_id u64][off u16][len u16][bytes]
+constexpr uint8_t kSubZero = 3;   // [page_id u64]: the data area is zeros
 // Bytes a sub-record spends before its payload. Changed runs separated by
 // fewer unchanged bytes than this are logged as one delta: the gap costs
 // less than a second header.
@@ -209,15 +210,19 @@ Status Pager::RecoverLocked(const std::string& wal_path) {
       page_count_ = std::max(page_count_, page_id + 1);
       GB_ASSIGN_OR_RETURN(Frame * frame,
                           FetchLocked(page_id, /*for_recovery=*/true));
-      if (tag == kSubImage) {
-        std::string_view image;
-        if (!ReadBytes(&cursor, kPageDataSize, &image)) {
-          return Status::Corruption("pager: truncated page image");
+      if (tag == kSubImage || tag == kSubZero) {
+        // Full-page images and zero-page records apply unconditionally:
+        // they are the repair path for pages torn by an interrupted flush.
+        char* area = frame->data + kPageHeaderBytes;
+        if (tag == kSubZero) {
+          std::memset(area, 0, kPageDataSize);
+        } else {
+          std::string_view image;
+          if (!ReadBytes(&cursor, kPageDataSize, &image)) {
+            return Status::Corruption("pager: truncated page image");
+          }
+          std::memcpy(area, image.data(), kPageDataSize);
         }
-        // Full-page images apply unconditionally: they are the repair
-        // path for pages torn by an interrupted flush.
-        std::memcpy(frame->data + kPageHeaderBytes, image.data(),
-                    kPageDataSize);
         frame->page_lsn = record.lsn;
         frame->dirty = true;
         frame->image_logged = true;
@@ -295,7 +300,8 @@ Result<Pager::Frame*> Pager::FetchLocked(uint64_t page_id,
                                 std::to_string(page_id));
     }
     // During recovery a torn page stays zeroed; the WAL's full-page
-    // image for it (guaranteed by first-touch image logging) repairs it.
+    // image or zero-page record for it (every page's first record in a
+    // generation is one of the two) repairs it.
   }
   // Short read: page allocated but never flushed — virgin zeros.
 
@@ -379,6 +385,7 @@ Result<PageRef> Pager::Allocate() {
   auto frame = std::make_unique<Frame>();
   frame->page_id = page_id;
   std::memset(frame->data, 0, kPageSize);
+  frame->born = true;
   Frame* raw = frame.get();
   frames_.emplace(page_id, std::move(frame));
   cached_pages_->Set(int64_t(frames_.size()));
@@ -499,13 +506,23 @@ Status Pager::CommitOp() {
     const Range* ranges = frame->ranges;
     const Range* ranges_end = ranges + frame->range_count;
     size_t mark = body.size();
-    if (frame->image_logged) {
+    if (frame->image_logged || frame->born) {
+      if (frame->born) {
+        // Born this generation and never logged: the page was zeros before
+        // this op (bytes outside the declared ranges still are), so the
+        // runs against the pre-image rebuild it from a zeroed page.
+        body.push_back(char(kSubZero));
+        PutU64(&body, frame->page_id);
+      }
       bool changed = false;
       for (const Range* r = ranges; r != ranges_end; ++r) {
         changed |=
             AppendDeltas(frame->page_id, now, was, r->lo, r->hi, &body);
       }
-      if (!changed) continue;  // touched but unchanged: nothing to log
+      if (!changed) {  // touched but unchanged: nothing to log
+        body.resize(mark);
+        continue;
+      }
       if (body.size() - mark <= kSubImageBytes) {
         op_changed_.push_back(frame);
         continue;
@@ -516,8 +533,9 @@ Status Pager::CommitOp() {
                })) {
       continue;
     }
-    // First touch this WAL generation (or a rewrite bigger than the page):
-    // log the full image so a flush torn mid-page is repairable on replay.
+    // First touch this WAL generation of a page older than it (or a
+    // rewrite bigger than the page): log the full image so a flush torn
+    // mid-page is repairable on replay.
     body.push_back(char(kSubImage));
     PutU64(&body, frame->page_id);
     body.append(now, kPageDataSize);
@@ -558,6 +576,7 @@ Status Pager::CommitOp() {
       frame->page_lsn = *lsn;
       frame->dirty = true;
       frame->image_logged = true;  // logged now, or already this generation
+      frame->born = false;
     }
   }
   Status sync_status = Status::OK();
@@ -646,7 +665,10 @@ Status Pager::Checkpoint() {
     degraded_ = true;
     return reset;
   }
-  for (auto& [page_id, frame] : frames_) frame->image_logged = false;
+  for (auto& [page_id, frame] : frames_) {
+    frame->image_logged = false;
+    frame->born = false;
+  }
   ops_since_checkpoint_ = 0;
   ++checkpoints_taken_;
   checkpoints_->Increment();

@@ -83,7 +83,9 @@ class PageRef {
 /// touched page — the full page image on the first touch after a
 /// checkpoint (the full-page-write that makes torn db-file pages
 /// recoverable), afterwards one byte-range delta per changed run of the
-/// page — so a torn WAL tail drops whole ops, never half of one. Only the
+/// page — so a torn WAL tail drops whole ops, never half of one. A page
+/// allocated since the last checkpoint is instead first logged as "starts
+/// as zeros" plus its runs, which repairs a torn flush just as well. Only the
 /// declared ranges are snapshotted, diffed and (on abort) restored. They
 /// are kept word-aligned and at least a delta header (rounded up to a
 /// word) apart, so the runs found are exactly those a whole-page diff
@@ -152,6 +154,10 @@ class Pager {
     /// A full image of this page is already in the current WAL
     /// generation, so later ops may log deltas.
     bool image_logged = false;
+    /// Allocated since the last checkpoint and not logged or evicted
+    /// since: the page is all zeros as of this op, so its first record
+    /// may say so and log deltas against zeros instead of an image.
+    bool born = false;
     int pins = 0;
     bool touched_in_op = false;
     /// This op's declared ranges [lo, hi) of the data area: word-aligned,

@@ -368,8 +368,9 @@ TEST(CrashRecoveryPropertyTest, SplitHeavyStreamsRecover) {
 // --- PagedTable ------------------------------------------------------------
 //
 // The same kill-and-replay checks for the slotted table: random inserts,
-// updates and deletes of rows inline in their 128-byte slot or spilled to
-// overflow chains, then a crash, a reopen and PagedTable::Attach. Each
+// updates and deletes of rows inline in their 128-byte slot, packed into
+// shared row pages, or spilled to overflow chains longer than a page, then
+// a crash, a reopen and PagedTable::Attach. Each
 // logged op is recorded with the row id it wrote, so the oracle needs no
 // knowledge of how the table assigns ids.
 
@@ -421,9 +422,12 @@ void RunTableTrial(const TrialConfig& config) {
       uint64_t kind = rng.Uniform(10);
       TableOp op;
       if (kind >= 5) {
-        op.value = std::string(rng.Uniform(8) == 0 ? 125 + rng.Uniform(900)
-                                                   : 1 + rng.Uniform(100),
-                               char('a' + rng.Uniform(26)));
+        // Inline, packed (a row page holds several), or a chain.
+        uint64_t shape = rng.Uniform(16);
+        size_t len = shape == 0   ? 4100 + rng.Uniform(3000)
+                     : shape < 4 ? 125 + rng.Uniform(900)
+                                 : 1 + rng.Uniform(100);
+        op.value = std::string(len, char('a' + rng.Uniform(26)));
       }
       uint64_t wal_bytes = wal->size_bytes();
       Status s;

@@ -266,7 +266,9 @@ TEST(PagedBTreeKvTest, WalBytesPerOpStayRecordSized) {
   double delete_bytes = double(wal->log_bytes() - before) / kDeletes;
 
   EXPECT_EQ((*kv)->Count(), uint64_t(kPuts - kDeletes));
-  EXPECT_LE(put_bytes, 1024.0);
+  // Logged today: 271.5 B per Put (split pages start as zero-page
+  // records), 53.6 B per Delete.
+  EXPECT_LE(put_bytes, 290.0);
   EXPECT_LE(delete_bytes, 128.0);
   std::printf("log bytes per Put %.1f, per tombstone Delete %.1f\n",
               put_bytes, delete_bytes);

@@ -131,7 +131,8 @@ TEST(MemFileSystemTest, CrashTearsAtSectorBoundaries) {
 // MemFile builds each read from the durable slice plus the overlapping
 // pending writes; the flat image rebuilt in full is the oracle, across
 // random writes, holes, truncates (shrinking and growing), syncs and
-// crashes.
+// crashes, and across thousands of pending writes, where a read visits
+// only those its blocks index.
 TEST(MemFileSystemTest, RangeReadsMatchMaterializedImage) {
   Rng rng(23);
   for (int trial = 0; trial < 40; ++trial) {
@@ -168,6 +169,53 @@ TEST(MemFileSystemTest, RangeReadsMatchMaterializedImage) {
                                << " offset " << offset << " n " << n;
       }
     }
+  }
+
+  // A pager's db file between checkpoints: thousands of unsynced page
+  // writes (most of them rewrites of a few hot pages), unaligned writes
+  // straddling blocks, appends and the odd truncate, never synced.
+  for (int trial = 0; trial < 3; ++trial) {
+    MemFileSystem fs;
+    auto file = fs.Open("f");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->WriteAt(0, std::string(20 * 4096, 'D')).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+    for (int step = 0; step < 3000; ++step) {
+      uint64_t action = rng.Uniform(100);
+      if (action < 60) {
+        uint64_t page =
+            rng.Uniform(4) == 0 ? rng.Uniform(40) : rng.Uniform(4);
+        std::string data(4096, char('a' + rng.Uniform(26)));
+        data[rng.Uniform(4096)] = '!';
+        ASSERT_TRUE((*file)->WriteAt(page * 4096, data).ok());
+      } else if (action < 90) {
+        std::string data(rng.Uniform(9000) + 1, char('a' + rng.Uniform(26)));
+        ASSERT_TRUE((*file)->WriteAt(rng.Uniform(45 * 4096), data).ok());
+      } else if (action < 98) {
+        std::string data(rng.Uniform(300) + 1, 'z');
+        ASSERT_TRUE((*file)->Append(data).ok());
+      } else {
+        ASSERT_TRUE((*file)->Truncate(rng.Uniform(50 * 4096)).ok());
+      }
+      if (step % 50 != 49) continue;
+      std::string image = fs.Materialize("f");
+      auto size = (*file)->Size();
+      ASSERT_TRUE(size.ok());
+      ASSERT_EQ(*size, image.size()) << "trial " << trial << " step " << step;
+      for (int r = 0; r < 8; ++r) {
+        uint64_t offset = r % 2 == 0
+                              ? rng.Uniform(image.size() / 4096 + 1) * 4096
+                              : rng.Uniform(image.size() + 64);
+        size_t n = r % 2 == 0 ? 4096 : size_t(rng.Uniform(12000));
+        std::string out;
+        ASSERT_TRUE((*file)->ReadAt(offset, n, &out).ok());
+        std::string expect =
+            offset < image.size() ? image.substr(offset, n) : std::string();
+        ASSERT_EQ(out, expect) << "trial " << trial << " step " << step
+                               << " offset " << offset << " n " << n;
+      }
+    }
+    EXPECT_GT(fs.PendingBytes(), 0u);
   }
 }
 

@@ -294,6 +294,85 @@ TEST(PagerTest, TornPageRepairedByFullPageImage) {
   }
 }
 
+// A page allocated since the last checkpoint is first logged as "starts as
+// zeros" plus its changed runs, not as a full image. Replay must rebuild it
+// byte for byte whatever the db file holds at its offset: a flush torn by
+// the crash, or (the second half) a checksum-valid page some other store
+// left there, which a replay that skipped the zero-page record would keep.
+TEST(PagerTest, BornPageRebuiltFromZeroPageRecord) {
+  std::string want(kPageDataSize, '\0');
+  for (size_t off = 0; off < kPageDataSize; off += 300) {
+    std::memcpy(&want[off], "born", 4);
+  }
+  // Writes `want` into a freshly allocated page 1 and logs it; then, when
+  // `flush`, evicts it from the 2-page pool, which writes it to the db
+  // file; and syncs the log.
+  auto write_born_page = [&want](Pager* pager, bool flush) {
+    pager->BeginOp();
+    auto page = pager->Allocate();
+    ASSERT_TRUE(page.ok());
+    ASSERT_EQ(page->page_id(), 1u);
+    page->MarkDirty();
+    std::memcpy(page->data(), want.data(), kPageDataSize);
+    page = PageRef();
+    uint64_t before = pager->wal()->log_bytes();
+    ASSERT_TRUE(pager->CommitOp().ok());
+    // Zero-page record plus 14 short runs: far less than an image.
+    EXPECT_LT(pager->wal()->log_bytes() - before, 400u);
+    for (int i = 0; flush && i < 2; ++i) {
+      pager->BeginOp();
+      auto other = pager->Allocate();
+      ASSERT_TRUE(other.ok());
+      other->MarkDirty(0, 8);
+      std::memcpy(other->data(), "evicting", 8);
+      other = PageRef();
+      ASSERT_TRUE(pager->CommitOp().ok());
+    }
+    ASSERT_TRUE(pager->wal()->Sync().ok());
+  };
+  PagerOptions options;
+  options.cache_pages = 2;
+  Rng rng(61);
+  for (int trial = 0; trial < 20; ++trial) {
+    MemFileSystem fs;
+    {
+      auto pager = MustOpen(&fs, options);
+      write_born_page(pager.get(), /*flush=*/true);
+    }
+    fs.Crash(&rng);  // the db file's page 1 is kept, torn or dropped
+    auto pager = MustOpen(&fs, options);
+    EXPECT_TRUE(ReadPage(pager.get(), 1, kPageDataSize) == want)
+        << "trial " << trial;
+  }
+
+  // A sealed page of other bytes at page 1's offset before it is born.
+  MemFileSystem other_fs;
+  {
+    auto other = MustOpen(&other_fs);
+    other->BeginOp();
+    auto page = other->Allocate();
+    ASSERT_TRUE(page.ok());
+    page->MarkDirty();
+    std::memset(page->data(), 's', kPageDataSize);
+    page = PageRef();
+    ASSERT_TRUE(other->CommitOp().ok());
+    ASSERT_TRUE(other->Checkpoint().ok());
+  }
+  std::string stale =
+      other_fs.Materialize("t.db").substr(kPageSize, kPageSize);
+  MemFileSystem fs;
+  {
+    auto pager = MustOpen(&fs, options);
+    auto db = fs.Open("t.db");
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->WriteAt(kPageSize, stale).ok());
+    ASSERT_TRUE((*db)->Sync().ok());
+    write_born_page(pager.get(), /*flush=*/false);
+  }
+  auto pager = MustOpen(&fs, options);
+  EXPECT_TRUE(ReadPage(pager.get(), 1, kPageDataSize) == want);
+}
+
 // One op changing both ends of a page logs one delta per changed run, in
 // one record. Recovery must apply every run: the first one stamps the page
 // with the record's LSN, and the gate must still admit the second.
