@@ -79,7 +79,7 @@ class CoarseLockSut : public Sut {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return inner_->TopPosters(limit);
   }
-  Status DoApply(const snb::UpdateOp& op, bool* /*knows_changed*/) override {
+  Status DoApply(const snb::UpdateOp& op) override {
     std::unique_lock<std::shared_mutex> lock(mu_);
     return inner_->Apply(op);
   }

@@ -20,7 +20,6 @@ namespace graphbench {
 namespace {
 
 std::unique_ptr<Sut> MakeFig3Sut(SutKind kind, bool plan_cache,
-                                 bool landmarks,
                                  const storage::DurabilityOptions& durability) {
   std::unique_ptr<Sut> sut;
   if (kind == SutKind::kNeo4jCypher) {
@@ -40,7 +39,6 @@ std::unique_ptr<Sut> MakeFig3Sut(SutKind kind, bool plan_cache,
   }
   if (sut == nullptr) return sut;
   if (plan_cache) sut->EnablePlanCache();
-  if (landmarks) sut->EnableLandmarks();
   return sut;
 }
 
@@ -77,7 +75,6 @@ int main(int argc, char** argv) {
   options.slowlog_threshold_micros =
       uint64_t(bench::FlagInt(argc, argv, "slowlog_threshold_us", 0));
   bool plan_cache = bench::FlagBool(argc, argv, "plan_cache", false);
-  bool landmarks = bench::FlagBool(argc, argv, "landmarks", false);
   storage::DurabilityOptions durability;
   durability.enabled = bench::FlagBool(argc, argv, "durable", false);
   durability.dir =
@@ -109,7 +106,6 @@ int main(int argc, char** argv) {
   report.SetParam("slowlog_threshold_us",
                   Json::Int(int64_t(options.slowlog_threshold_micros)));
   report.SetParam("plan_cache", Json::Int(plan_cache ? 1 : 0));
-  report.SetParam("landmarks", Json::Int(landmarks ? 1 : 0));
   report.SetParam("durable", Json::Int(durability.enabled ? 1 : 0));
   report.SetParam("fsync_on_commit",
                   Json::Int(durability.fsync_on_commit ? 1 : 0));
@@ -122,8 +118,7 @@ int main(int argc, char** argv) {
 
   mq::Broker broker;
   for (SutKind kind : AllSutKinds()) {
-    std::unique_ptr<Sut> sut =
-        MakeFig3Sut(kind, plan_cache, landmarks, durability);
+    std::unique_ptr<Sut> sut = MakeFig3Sut(kind, plan_cache, durability);
     if (sut == nullptr) {
       table.AddRow({SutKindName(kind), "durable open error", "", "", "", "",
                     ""});
@@ -160,18 +155,7 @@ int main(int argc, char** argv) {
                       metrics->write_latency_micros.Percentile(99) / 1000.0),
          std::to_string(metrics->read_errors),
          std::to_string(metrics->write_errors)});
-    Json system_json = obs::DriverMetricsJson(*metrics);
-    if (landmarks) {
-      LandmarkStats stats = sut->landmark_stats();
-      Json lm = Json::Object();
-      lm.Set("hits", Json::Int(int64_t(stats.hits)));
-      lm.Set("pruned_searches", Json::Int(int64_t(stats.pruned_searches)));
-      lm.Set("rebuilds", Json::Int(int64_t(stats.rebuilds)));
-      lm.Set("repairs", Json::Int(int64_t(stats.repairs)));
-      lm.Set("fallbacks", Json::Int(int64_t(stats.fallbacks)));
-      system_json.Set("landmarks", std::move(lm));
-    }
-    report.AddSystem(sut->name(), std::move(system_json));
+    report.AddSystem(sut->name(), obs::DriverMetricsJson(*metrics));
 
     if (kind == SutKind::kNeo4jCypher || kind == SutKind::kTitanC) {
       timelines.push_back(Timeline{sut->name(), metrics->write_timeline});

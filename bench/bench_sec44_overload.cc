@@ -70,7 +70,7 @@ class ComplexMixSut : public Sut {
   Result<QueryResult> DoTopPosters(int64_t limit) override {
     return inner_->TopPosters(limit);
   }
-  Status DoApply(const snb::UpdateOp& op, bool* /*knows_changed*/) override {
+  Status DoApply(const snb::UpdateOp& op) override {
     return inner_->Apply(op);
   }
 

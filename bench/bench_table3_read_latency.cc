@@ -11,7 +11,6 @@ int main(int argc, char** argv) {
   options.repetitions = int(bench::FlagInt(argc, argv, "reps", 100));
   options.profile = bench::FlagBool(argc, argv, "profile", false);
   options.plan_cache = bench::FlagBool(argc, argv, "plan_cache", false);
-  options.landmarks = bench::FlagBool(argc, argv, "landmarks", false);
   obs::BenchReport report("table3_read_latency", "SF-B (SF10 analog)");
   benchlib::RunReadLatencyTable(
       snb::ScaleB(), options,

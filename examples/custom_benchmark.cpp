@@ -2,7 +2,7 @@
 // the engine, reader count, query mix, and scale from the command line and
 // get the Figure 3-style metrics for that single configuration.
 //
-//   ./custom_benchmark --engine=virtuoso --readers=8 --millis=2000 \
+//   ./custom_benchmark --engine=virtuoso --readers=8 --millis=2000
 //       --twohop=0.3 --persons=2000
 
 #include <cstdio>

@@ -37,8 +37,7 @@ std::string RunReadLatencyTable(const snb::DatagenOptions& scale,
   std::vector<Loaded> suts;
   for (SutKind kind : AllSutKinds()) {
     Loaded l;
-    l.sut = MakeSut(kind, SutOptions{.plan_cache = options.plan_cache,
-                                     .landmarks = options.landmarks});
+    l.sut = MakeSut(kind, SutOptions{.plan_cache = options.plan_cache});
     Status s = l.sut->Load(data);
     if (!s.ok()) {
       std::fprintf(stderr, "load failed for %s: %s\n",
@@ -182,7 +181,6 @@ std::string RunReadLatencyTable(const snb::DatagenOptions& scale,
     report->SetParam("repetitions", Json::Int(options.repetitions));
     report->SetParam("profile", Json::Int(options.profile ? 1 : 0));
     report->SetParam("plan_cache", Json::Int(options.plan_cache ? 1 : 0));
-    report->SetParam("landmarks", Json::Int(options.landmarks ? 1 : 0));
     for (size_t i = 0; i < suts.size(); ++i) {
       if (options.plan_cache) {
         lang::PlanCacheStats stats = suts[i].sut->plan_cache_stats();
@@ -192,17 +190,6 @@ std::string RunReadLatencyTable(const snb::DatagenOptions& scale,
         cache.Set("evictions", Json::Int(int64_t(stats.evictions)));
         cache.Set("hit_rate", Json::Number(stats.HitRate()));
         system_metrics[i].Set("plan_cache", std::move(cache));
-      }
-      if (options.landmarks) {
-        LandmarkStats stats = suts[i].sut->landmark_stats();
-        Json lm = Json::Object();
-        lm.Set("hits", Json::Int(int64_t(stats.hits)));
-        lm.Set("pruned_searches", Json::Int(int64_t(stats.pruned_searches)));
-        lm.Set("prunes", Json::Int(int64_t(stats.prunes)));
-        lm.Set("rebuilds", Json::Int(int64_t(stats.rebuilds)));
-        lm.Set("repairs", Json::Int(int64_t(stats.repairs)));
-        lm.Set("fallbacks", Json::Int(int64_t(stats.fallbacks)));
-        system_metrics[i].Set("landmarks", std::move(lm));
       }
       report->AddSystem(suts[i].sut->name(), std::move(system_metrics[i]));
     }

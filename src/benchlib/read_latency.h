@@ -23,12 +23,6 @@ struct ReadLatencyOptions {
   /// embeds a "plan_cache" section with the cache traffic. Off by default — parse-per-call is the paper's
   /// methodology.
   bool plan_cache = false;
-  /// When true (the --landmarks flag), every SUT answers shortest-path
-  /// queries through the shared landmark index (DESIGN.md §9); each
-  /// system's report entry then embeds a "landmarks" section with
-  /// hit/prune/rebuild counts. Off by default — engine-native BFS is the
-  /// paper's methodology.
-  bool landmarks = false;
 };
 
 /// Runs the §4.2 read-only experiment — point lookup, 1-hop, 2-hop,

@@ -419,9 +419,8 @@ QueryResult MatrixEngine::TopPosters(int64_t limit) const {
   return r;
 }
 
-Status MatrixEngine::Apply(const snb::UpdateOp& op, bool* knows_changed) {
+Status MatrixEngine::Apply(const snb::UpdateOp& op) {
   obs::OpTimer timer("matrix_apply");
-  if (knows_changed != nullptr) *knows_changed = false;
   concurrency::EpochManager& mgr = concurrency::EpochManager::Global();
   concurrency::WriteBatch batch;
   std::lock_guard<std::mutex> lock(write_mu_);
@@ -430,9 +429,7 @@ Status MatrixEngine::Apply(const snb::UpdateOp& op, bool* knows_changed) {
   switch (op.kind) {
     case K::kAddPerson: {
       // A new person is a new row and column of the knows matrix.
-      const size_t rows = person_id_.size();
       InternPerson(mgr, op.person);
-      if (knows_changed != nullptr) *knows_changed = person_id_.size() > rows;
       return Status::OK();
     }
     case K::kAddFriendship: {
@@ -440,8 +437,7 @@ Status MatrixEngine::Apply(const snb::UpdateOp& op, bool* knows_changed) {
       int32_t b = PersonOrd(op.knows.person2, wp);
       // Unknown endpoints no-op, mirroring a MATCH that binds nothing.
       if (a < 0 || b < 0) return Status::OK();
-      bool changed = knows_.AddEdge(a, b);
-      if (knows_changed != nullptr) *knows_changed = changed;
+      knows_.AddEdge(a, b);
       return Status::OK();
     }
     case K::kRemoveFriendship: {
@@ -453,7 +449,6 @@ Status MatrixEngine::Apply(const snb::UpdateOp& op, bool* knows_changed) {
       if (!knows_.RemoveEdge(a, b)) {
         return Status::NotFound("no knows edge to remove");
       }
-      if (knows_changed != nullptr) *knows_changed = true;
       return Status::OK();
     }
     case K::kAddPost:

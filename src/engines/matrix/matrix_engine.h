@@ -31,7 +31,7 @@ enum class MatrixBfsKind : uint8_t {
 };
 
 struct MatrixEngineOptions {
-  DeltaCsrOptions csr;
+  DeltaCsrOptions csr{};
   MatrixBfsKind bfs = MatrixBfsKind::kSpmv;
 };
 
@@ -80,12 +80,9 @@ class MatrixEngine {
   QueryResult RepliesOfPost(int64_t post_id) const;
   QueryResult TopPosters(int64_t limit) const;
 
-  /// Applies one update-stream op. `knows_changed` (may be null) reports
-  /// whether the adjacency matrix actually mutated — a new person adds a
-  /// row; false for duplicate persons, duplicate friendship inserts the
-  /// boolean matrix collapses, and non-knows ops — so the caller fires
-  /// landmark invalidation hooks only for real mutations.
-  Status Apply(const snb::UpdateOp& op, bool* knows_changed = nullptr);
+  /// Applies one update-stream op. A duplicate friendship insert is a
+  /// no-op: the boolean matrix collapses it.
+  Status Apply(const snb::UpdateOp& op);
 
   uint64_t SizeBytes() const;
   MatrixStats stats() const;

@@ -36,7 +36,7 @@ struct NativeGraphOptions {
   /// newly serialized records to the store file and fsyncs it instead of
   /// sleeping the simulated floor — the Figure 3 dips become genuine
   /// fsync stalls.
-  storage::DurabilityOptions durability;
+  storage::DurabilityOptions durability{};
 };
 
 /// Specialized graph database with native graph storage: the Neo4j analog.

@@ -372,8 +372,13 @@ Result<QueryResult> Database::Execute(std::string_view sql_text,
 Result<QueryResult> Database::ExecuteStatement(
     const sql::Statement& stmt, const std::vector<Value>& params) {
   if (stmt.kind == sql::Statement::Kind::kSelect) {
-    SqlExecutor exec(this, *stmt.select, params);
-    return exec.Run();
+    // Read committed: a SELECT that bound a row a concurrent DELETE then
+    // removed (Aborted, see SqlExecutor::FetchColumn) runs again.
+    while (true) {
+      SqlExecutor exec(this, *stmt.select, params);
+      Result<QueryResult> result = exec.Run();
+      if (result.ok() || !result.status().IsAborted()) return result;
+    }
   }
   if (stmt.kind == sql::Statement::Kind::kUpdate) {
     return ExecuteUpdate(*stmt.update, params);
@@ -481,7 +486,9 @@ Result<int> Database::ShortestPath(std::string_view edge_table,
                                   std::pair{dst_idx, si}}) {
           for (RowId id : index->Lookup(v)) {
             Row row;  // tuple-at-a-time: materialize the whole edge row
-            GB_RETURN_IF_ERROR(table->Get(id, &row));
+            Status got = table->Get(id, &row);
+            if (got.IsNotFound()) continue;  // deleted after the probe
+            GB_RETURN_IF_ERROR(got);
             if (!emit(row[col])) return Status::OK();
           }
         }

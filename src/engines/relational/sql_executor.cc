@@ -85,16 +85,18 @@ Result<Value> SqlExecutor::FetchColumn(int alias_idx, int col_idx,
                                        const Binding& binding) const {
   RowId id = binding[size_t(alias_idx)];
   Table* table = aliases_[size_t(alias_idx)].table;
-  if (db_->mode() == StorageMode::kRow) {
-    // Tuple-at-a-time: the row store hands back the whole tuple and the
-    // executor projects out of it, as a row engine does.
-    Row row;
-    GB_RETURN_IF_ERROR(table->Get(id, &row));
-    return row[size_t(col_idx)];
-  }
+  Row row;
   Value v;
-  GB_RETURN_IF_ERROR(table->GetColumn(id, size_t(col_idx), &v));
-  return v;
+  // Tuple-at-a-time: the row store hands back the whole tuple and the
+  // executor projects out of it, as a row engine does.
+  const bool whole_row = db_->mode() == StorageMode::kRow;
+  Status got = whole_row ? table->Get(id, &row)
+                         : table->GetColumn(id, size_t(col_idx), &v);
+  // A concurrent DELETE removed the row after the probe or join that
+  // bound it: Aborted makes Database::Execute re-run the SELECT.
+  if (got.IsNotFound()) return Status::Aborted("row deleted during read");
+  GB_RETURN_IF_ERROR(got);
+  return whole_row ? row[size_t(col_idx)] : v;
 }
 
 Result<Value> SqlExecutor::Eval(const Expr& e, const Binding& binding) const {
@@ -230,8 +232,9 @@ Result<std::vector<SqlExecutor::Binding>> SqlExecutor::JoinNext(
   std::unordered_map<Value, std::vector<RowId>, ValueHash> build;
   for (auto it = new_table->NewScanIterator(); it->Valid(); it->Next()) {
     Value key;
-    GB_RETURN_IF_ERROR(
-        new_table->GetColumn(it->row_id(), size_t(new_ci), &key));
+    Status got = new_table->GetColumn(it->row_id(), size_t(new_ci), &key);
+    if (got.IsNotFound()) continue;  // deleted since the scan reached it
+    GB_RETURN_IF_ERROR(got);
     build[key].push_back(it->row_id());
   }
   for (Binding& b : input) {

@@ -116,8 +116,8 @@ struct UpdateOp {
     kAddPost = 6,          // U6
     kAddComment = 7,       // U7
     kAddFriendship = 8,    // U8
-    // Extension beyond the spec's U1-U8 adds: unfriending, so precomputed
-    // read structures (landmark index) face genuine invalidation churn.
+    // Extension beyond the spec's U1-U8 adds: unfriending, so every
+    // engine's adjacency and shortest-path search face deletes.
     kRemoveFriendship = 9,
   };
 

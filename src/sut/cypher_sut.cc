@@ -239,7 +239,7 @@ Result<QueryResult> CypherSut::DoTopPosters(int64_t limit) {
   return engine_.Execute(kTopPostersCypher, {{"limit", Value(limit)}});
 }
 
-Status CypherSut::DoApply(const snb::UpdateOp& op, bool* /*knows_changed*/) {
+Status CypherSut::DoApply(const snb::UpdateOp& op) {
   using K = snb::UpdateOp::Kind;
   switch (op.kind) {
     case K::kAddPerson: {

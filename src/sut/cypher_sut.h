@@ -42,7 +42,7 @@ class CypherSut : public Sut {
       int64_t person_id, const std::string& first_name) override;
   Result<QueryResult> DoRepliesOfPost(int64_t post_id) override;
   Result<QueryResult> DoTopPosters(int64_t limit) override;
-  Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override;
+  Status DoApply(const snb::UpdateOp& op) override;
 
  private:
   NativeGraph graph_;

@@ -253,7 +253,9 @@ Status GremlinSut::DoLoad(const snb::Dataset& data) {
 Status GremlinSut::LoadConcurrent(const snb::Dataset& data, size_t loaders) {
   if (loaders <= 1) return Load(data);
   loaders_ = loaders;
-  Status st = LoadUnbatched(data);
+  // Not Load: its batch, held open on this thread, would keep the epoch
+  // from advancing, so loader threads could not read each other's vertices.
+  Status st = DoLoad(data);
   loaders_ = 1;
   return st;
 }
@@ -360,8 +362,7 @@ Result<QueryResult> GremlinSut::DoTopPosters(int64_t limit) {
   });
 }
 
-Status GremlinSut::DoApply(const snb::UpdateOp& op,
-                           bool* /*knows_changed*/) {
+Status GremlinSut::DoApply(const snb::UpdateOp& op) {
   // Runs with no outer batch (Facade::kNoApplyBatch): each traversal
   // commits on its server worker before the next one is submitted.
   using K = snb::UpdateOp::Kind;

@@ -56,12 +56,8 @@ class MatrixSut : public Sut {
   Result<QueryResult> DoTopPosters(int64_t limit) override {
     return engine_.TopPosters(limit);
   }
-  /// The landmark mirror is dup-tolerant but the boolean matrix collapses
-  /// duplicate friendships, so the engine reports whether the matrix
-  /// actually mutated — otherwise a duplicated insert followed by one
-  /// remove would leave a phantom parallel edge in the mirror.
-  Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override {
-    return engine_.Apply(op, knows_changed);
+  Status DoApply(const snb::UpdateOp& op) override {
+    return engine_.Apply(op);
   }
 
  private:

@@ -305,8 +305,7 @@ Result<QueryResult> RelationalSut::DoTopPosters(int64_t limit) {
   return db_.Execute(kTopPostersSql, {Value(limit)});
 }
 
-Status RelationalSut::DoApply(const snb::UpdateOp& op,
-                              bool* /*knows_changed*/) {
+Status RelationalSut::DoApply(const snb::UpdateOp& op) {
   using K = snb::UpdateOp::Kind;
   auto run = [this](const char* text,
                     const std::vector<Value>& params) -> Status {

@@ -262,7 +262,7 @@ Result<QueryResult> SparqlSut::DoTopPosters(int64_t limit) {
   return engine_.Execute(kTopPostersSparql, {{"limit", Value(limit)}});
 }
 
-Status SparqlSut::DoApply(const snb::UpdateOp& op, bool* /*knows_changed*/) {
+Status SparqlSut::DoApply(const snb::UpdateOp& op) {
   using K = snb::UpdateOp::Kind;
   switch (op.kind) {
     case K::kAddPerson:

@@ -45,7 +45,7 @@ class SparqlSut : public Sut {
       int64_t person_id, const std::string& first_name) override;
   Result<QueryResult> DoRepliesOfPost(int64_t post_id) override;
   Result<QueryResult> DoTopPosters(int64_t limit) override;
-  Status DoApply(const snb::UpdateOp& op, bool* knows_changed) override;
+  Status DoApply(const snb::UpdateOp& op) override;
 
  private:
   // Triple helpers for the SNB mapping.

@@ -16,33 +16,10 @@ namespace graphbench {
 Sut::Sut(SutKind kind, Facade facade)
     : kind_(kind), facade_(facade), probe_(SutKindId(kind)) {}
 
-void Sut::EnableLandmarks(const LandmarkOptions& options) {
-  if (landmarks_ == nullptr) {
-    landmarks_ = std::make_unique<LandmarkIndex>(options);
-  }
-}
-
-LandmarkStats Sut::landmark_stats() const {
-  return landmarks_ == nullptr ? LandmarkStats{} : landmarks_->stats();
-}
-
 Status Sut::Load(const snb::Dataset& data) {
-  if (facade_ == Facade::kForward) return LoadUnbatched(data);
+  if (facade_ == Facade::kForward) return DoLoad(data);
   concurrency::WriteBatch batch;
-  return LoadUnbatched(data);
-}
-
-Status Sut::LoadUnbatched(const snb::Dataset& data) {
-  GB_RETURN_IF_ERROR(DoLoad(data));
-  if (landmarks_ != nullptr) {
-    // Every configuration seeds the same structure from the snapshot.
-    for (const snb::Person& p : data.persons) landmarks_->AddPerson(p.id);
-    for (const snb::Knows& k : data.knows) {
-      landmarks_->AddEdge(k.person1, k.person2);
-    }
-    landmarks_->Build();
-  }
-  return Status::OK();
+  return DoLoad(data);
 }
 
 template <typename Body>
@@ -67,15 +44,7 @@ Result<QueryResult> Sut::TwoHop(int64_t person_id) {
 }
 
 Result<int> Sut::ShortestPathLen(int64_t from_person, int64_t to_person) {
-  return Read([&]() -> Result<int> {
-    if (landmarks_ != nullptr) {
-      if (std::optional<int> len =
-              landmarks_->ShortestPathLen(from_person, to_person)) {
-        return *len;
-      }
-    }
-    return DoShortestPathLen(from_person, to_person);
-  });
+  return Read([&] { return DoShortestPathLen(from_person, to_person); });
 }
 
 Result<QueryResult> Sut::RecentPosts(int64_t person_id, int64_t limit) {
@@ -98,24 +67,7 @@ Result<QueryResult> Sut::TopPosters(int64_t limit) {
 Status Sut::Apply(const snb::UpdateOp& op) {
   std::optional<concurrency::WriteBatch> batch;
   if (facade_ == Facade::kFull) batch.emplace();
-  bool knows_changed = true;
-  Status st = DoApply(op, &knows_changed);
-  if (st.ok() && knows_changed && landmarks_ != nullptr) {
-    using K = snb::UpdateOp::Kind;
-    switch (op.kind) {
-      case K::kAddPerson:
-        landmarks_->OnPersonAdded(op.person.id);
-        break;
-      case K::kAddFriendship:
-        landmarks_->OnEdgeAdded(op.knows.person1, op.knows.person2);
-        break;
-      case K::kRemoveFriendship:
-        landmarks_->OnEdgeRemoved(op.knows.person1, op.knows.person2);
-        break;
-      default:
-        break;
-    }
-  }
+  Status st = DoApply(op);
   if (facade_ != Facade::kForward) probe_.EndWrite(st.ok());
   return st;
 }
@@ -182,7 +134,6 @@ std::unique_ptr<Sut> MakeSut(SutKind kind, const SutOptions& options) {
                                  : MakeSut(kind);
   if (sut == nullptr) return sut;
   if (options.plan_cache) sut->EnablePlanCache();
-  if (options.landmarks) sut->EnableLandmarks(options.landmark_options);
   return sut;
 }
 

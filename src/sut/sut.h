@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "engines/query_ops.h"
-#include "graph/landmarks.h"
 #include "lang/plan_cache.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -48,10 +47,8 @@ const char* SutKindId(SutKind kind);
 /// The public methods are one facade for every column (template method):
 /// each does the shared work once around a SUT-specific protected `Do*`
 /// body. Reads pin an epoch and are counted as `sut.<id>.*`; the facade
-/// reads no clock, so whoever drives a call times it. ShortestPathLen
-/// first tries the landmark index; Load and Apply open a WriteBatch and
-/// keep the landmark index in step. A new SUT implements only the `Do*`
-/// bodies and SizeBytes.
+/// reads no clock, so whoever drives a call times it. Load and Apply open
+/// a WriteBatch. A new SUT implements only the `Do*` bodies and SizeBytes.
 class Sut {
  public:
   virtual ~Sut() = default;
@@ -113,21 +110,8 @@ class Sut {
     return std::string();
   }
 
-  // --- Landmark-accelerated shortest paths (DESIGN.md §9) ---------------
-  /// Opts the SUT into the shared landmark index: call before Load, and
-  /// ShortestPathLen answers through landmark-derived bounds that prune
-  /// (often eliminate) the per-call BFS, with invalidation hooks on the
-  /// knows write path keeping answers exact. `options` tunes hub count,
-  /// selection policy, and repair budgets. Off by default — every path
-  /// query re-runs its engine's BFS, the paper's methodology.
-  void EnableLandmarks(const LandmarkOptions& options = {});
-  bool landmarks_enabled() const { return landmarks_ != nullptr; }
-  /// Aggregated landmark-index traffic; zeros when disabled.
-  LandmarkStats landmark_stats() const;
-
  protected:
-  /// What the facade wraps around the `Do*` bodies besides the landmark
-  /// index, which it always keeps.
+  /// What the facade wraps around the `Do*` bodies.
   enum class Facade {
     /// Reads pin an epoch; reads and Apply are counted; Load and Apply
     /// open a WriteBatch.
@@ -148,12 +132,6 @@ class Sut {
 
   explicit Sut(SutKind kind, Facade facade = Facade::kFull);
 
-  /// Load without the outer WriteBatch, for load paths that mutate from
-  /// several threads (GremlinSut::LoadConcurrent): a batch held open on
-  /// the calling thread keeps the epoch from advancing, so loader threads
-  /// could not read each other's vertices.
-  Status LoadUnbatched(const snb::Dataset& data);
-
   /// Loads the snapshot; `plan_cache_enabled()` says whether to turn on
   /// the engine's plan cache.
   virtual Status DoLoad(const snb::Dataset& data) = 0;
@@ -168,11 +146,8 @@ class Sut {
       int64_t person_id, const std::string& first_name) = 0;
   virtual Result<QueryResult> DoRepliesOfPost(int64_t post_id) = 0;
   virtual Result<QueryResult> DoTopPosters(int64_t limit) = 0;
-  /// Applies one update. `*knows_changed` arrives true; a SUT that can
-  /// tell an update left the knows graph unchanged (Matrix: a duplicate
-  /// friendship its boolean matrix collapses) clears it, and the landmark
-  /// hooks then skip the op.
-  virtual Status DoApply(const snb::UpdateOp& op, bool* knows_changed) = 0;
+  /// Applies one update.
+  virtual Status DoApply(const snb::UpdateOp& op) = 0;
 
  private:
   template <typename Body>
@@ -182,7 +157,6 @@ class Sut {
   const Facade facade_;
   obs::SutProbe probe_;
   bool plan_cache_ = false;
-  std::unique_ptr<LandmarkIndex> landmarks_;
 };
 
 /// Everything a factory call can toggle on a fresh SUT before Load. One
@@ -191,17 +165,13 @@ class Sut {
 struct SutOptions {
   /// Engine plan caches keyed by statement text (the --plan_cache flag).
   bool plan_cache = false;
-  /// Shared landmark shortest-path index (the --landmarks flag).
-  bool landmarks = false;
-  /// Tuning for the landmark index; only read when `landmarks` is true.
-  LandmarkOptions landmark_options;
   /// Durable storage (the --durable flag): when `durability.enabled`, the
   /// SUTs with a paged analog open pager/WAL-backed stores under
   /// `durability.dir` — Titan-B's BerkeleyDB analog becomes PagedBTreeKv,
   /// the relational engines put heap/column tables on paged storage, and
   /// Neo4j-Cypher journals writes and fsyncs real checkpoints. The other
   /// configurations stay memory-resident (documented in DESIGN.md §12).
-  storage::DurabilityOptions durability;
+  storage::DurabilityOptions durability{};
 };
 
 /// Creates a fresh SUT of the given kind with the selected opt-in read

@@ -37,13 +37,13 @@ struct GremlinStep {
   };
 
   Kind kind;
-  std::string label;
-  std::string key;
-  Value value;
+  std::string label{};
+  std::string key{};
+  Value value{};
   int64_t n = 0;
-  std::string name;        // kAs / kWhereNeq; kAddE: from-mark
-  std::string name2;       // kAddE: to-mark
-  PropertyMap props;       // kAddV / kAddE
+  std::string name{};      // kAs / kWhereNeq; kAddE: from-mark
+  std::string name2{};     // kAddE: to-mark
+  PropertyMap props{};     // kAddV / kAddE
 };
 
 /// Fluent builder for the Gremlin step list, mirroring the query shapes in

@@ -54,7 +54,9 @@ TEST(BenchDiffTest, FlagsRegressionBeyondThreshold) {
   EXPECT_NEAR(two_hop->delta_pct, 30.0, 1e-9);
   // The histogram latencies did not move.
   for (const auto& d : diff->deltas) {
-    if (d.metric != "two_hop_ms") EXPECT_FALSE(d.regressed) << d.metric;
+    if (d.metric != "two_hop_ms") {
+      EXPECT_FALSE(d.regressed) << d.metric;
+    }
   }
 }
 

@@ -195,7 +195,7 @@ class HalfFailingReadsSut : public Sut {
   }
   Result<QueryResult> DoRepliesOfPost(int64_t) override { return Answer(); }
   Result<QueryResult> DoTopPosters(int64_t) override { return Answer(); }
-  Status DoApply(const snb::UpdateOp&, bool*) override { return Status::OK(); }
+  Status DoApply(const snb::UpdateOp&) override { return Status::OK(); }
 
  private:
   Result<QueryResult> Answer() {

@@ -30,10 +30,16 @@ void* operator new(size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+// Kept out of line: inlined, GCC sees free() on operator new's pointer
+// and warns (-Wmismatched-new-delete), though new here is malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace graphbench {
 namespace {

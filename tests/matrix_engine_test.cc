@@ -3,8 +3,8 @@
 // symmetry), SpMV-vs-pointer-chasing BFS agreement with an oracle, masked
 // two-hop semantics, columnar side-table reads, and the one-writer /
 // many-readers locking discipline (the case the TSan CI job exercises).
-// SUT-level equivalence lives in sut_equivalence_test.cc; the landmark
-// interaction in landmarks_churn_property_test.cc.
+// SUT-level equivalence lives in sut_equivalence_test.cc; concurrent
+// knows churn against the SUT in knows_churn_property_test.cc.
 
 #include "engines/matrix/matrix_engine.h"
 
@@ -226,7 +226,7 @@ TEST(MatrixEngineTest, ColumnarSideTablesAnswerPropertyReads) {
   }
 }
 
-TEST(MatrixEngineTest, ApplyReportsWhetherKnowsChanged) {
+TEST(MatrixEngineTest, DuplicateFriendshipCollapses) {
   snb::Dataset data = TinyDataset();
   MatrixEngine engine;
   ASSERT_TRUE(engine.Load(data).ok());
@@ -236,20 +236,18 @@ TEST(MatrixEngineTest, ApplyReportsWhetherKnowsChanged) {
   snb::UpdateOp add;
   add.kind = snb::UpdateOp::Kind::kAddFriendship;
   add.knows = k;
-  bool changed = true;
-  ASSERT_TRUE(engine.Apply(add, &changed).ok());
-  EXPECT_FALSE(changed) << "duplicate friendship is a boolean no-op";
+  ASSERT_TRUE(engine.Apply(add).ok()) << "duplicate friendship is a no-op";
 
+  // One remove undoes the original and its duplicate alike.
   snb::UpdateOp del;
   del.kind = snb::UpdateOp::Kind::kRemoveFriendship;
   del.knows = k;
-  ASSERT_TRUE(engine.Apply(del, &changed).ok());
-  EXPECT_TRUE(changed);
-  EXPECT_FALSE(engine.Apply(del, &changed).ok()) << "edge already gone";
-  EXPECT_FALSE(changed);
+  ASSERT_TRUE(engine.Apply(del).ok());
+  EXPECT_NE(engine.ShortestPathLen(k.person1, k.person2), 1);
+  EXPECT_FALSE(engine.Apply(del).ok()) << "edge already gone";
 
-  ASSERT_TRUE(engine.Apply(add, &changed).ok());
-  EXPECT_TRUE(changed) << "re-adding the removed friendship mutates";
+  ASSERT_TRUE(engine.Apply(add).ok());
+  EXPECT_EQ(engine.ShortestPathLen(k.person1, k.person2), 1);
 }
 
 TEST(MatrixEngineTest, ConcurrentReadersWithSingleWriter) {

@@ -77,7 +77,9 @@ TEST(QueryOpsTest, ProjectSortKeepsTiesInSolutionOrderAtScale) {
       return std::pair{row[1].as_int(), -row[2].as_int()};
     };
     ASSERT_LE(key(p), key(c)) << "row " << i;
-    if (key(p) == key(c)) ASSERT_LT(p[0].as_int(), c[0].as_int());
+    if (key(p) == key(c)) {
+      ASSERT_LT(p[0].as_int(), c[0].as_int());
+    }
   }
 }
 

@@ -4,10 +4,7 @@
 // property that makes the paper's cross-system latency comparison
 // meaningful. Each SUT runs twice — with the plan cache off (the paper's
 // parse-per-call methodology) and on (plans cached by text) — since the
-// cache must never change answers, only latency. The same discipline
-// applies to the landmark shortest-path index (DESIGN.md §9): every
-// configuration also runs with landmarks off and on, since the index is
-// an accelerator that must never change any answer.
+// cache must never change answers, only latency.
 
 #include <gtest/gtest.h>
 
@@ -38,15 +35,13 @@ const snb::Dataset& SharedDataset() {
 }
 
 class SutEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<SutKind, bool, bool>> {
+    : public ::testing::TestWithParam<std::tuple<SutKind, bool>> {
  protected:
   void SetUp() override {
-    auto [kind, plan_cache, landmarks] = GetParam();
-    sut_ = MakeSut(kind, SutOptions{.plan_cache = plan_cache,
-                                    .landmarks = landmarks});
+    auto [kind, plan_cache] = GetParam();
+    sut_ = MakeSut(kind, SutOptions{.plan_cache = plan_cache});
     ASSERT_NE(sut_, nullptr);
     ASSERT_EQ(sut_->plan_cache_enabled(), plan_cache) << sut_->name();
-    ASSERT_EQ(sut_->landmarks_enabled(), landmarks) << sut_->name();
     Status s = sut_->Load(SharedDataset());
     ASSERT_TRUE(s.ok()) << sut_->name() << ": " << s.ToString();
   }
@@ -319,16 +314,14 @@ TEST_P(SutEquivalenceTest, SizeBytesIsPositiveAfterLoad) {
 INSTANTIATE_TEST_SUITE_P(
     AllSuts, SutEquivalenceTest,
     ::testing::Combine(::testing::ValuesIn(AllSutKinds()),
-                       ::testing::Bool(), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<SutKind, bool, bool>>&
-           info) {
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<SutKind, bool>>& info) {
       std::string name = SutKindName(std::get<0>(info.param));
       std::string out;
       for (char c : name) {
         if (std::isalnum(static_cast<unsigned char>(c))) out += c;
       }
       out += std::get<1>(info.param) ? "PlanCache" : "ParsePerCall";
-      out += std::get<2>(info.param) ? "Landmarks" : "EngineBfs";
       return out;
     });
 

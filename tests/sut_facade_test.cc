@@ -1,9 +1,8 @@
 // The Sut facade (sut/sut.h): the base class, not each SUT, pins the epoch,
-// probes `sut.<id>.*`, opens write batches and fires the landmark hooks
-// around every SUT's Do* bodies. These tests hold the facade to that:
-// every read kind and every write is counted exactly once on every SUT,
-// failures count only as errors, a SUT that reports "knows unchanged"
-// fires no landmark hook, and a forwarding decorator adds nothing.
+// probes `sut.<id>.*` and opens write batches around every SUT's Do*
+// bodies. These tests hold the facade to that: every read kind and every
+// write is counted exactly once on every SUT, failures count only as
+// errors, and a forwarding decorator adds nothing.
 
 #include <gtest/gtest.h>
 
@@ -57,13 +56,6 @@ snb::UpdateOp AddPerson(const snb::Dataset& data, int64_t id) {
   return op;
 }
 
-snb::UpdateOp RemoveFriendship(const snb::Knows& k) {
-  snb::UpdateOp op;
-  op.kind = snb::UpdateOp::Kind::kRemoveFriendship;
-  op.knows = k;
-  return op;
-}
-
 class SutFacadeTest : public ::testing::TestWithParam<SutKind> {};
 
 TEST_P(SutFacadeTest, EveryReadKindAndApplyIsProbedOnce) {
@@ -102,17 +94,13 @@ INSTANTIATE_TEST_SUITE_P(AllSuts, SutFacadeTest,
                            return id;
                          });
 
-/// A SUT whose bodies fail on demand and whose writes can report that
-/// the knows graph did not change. It has no engine: reads answer empty
-/// and the shortest path is always kEngineAnswer.
+/// A SUT whose bodies fail on demand. It has no engine: reads answer
+/// empty and the shortest path is always 0.
 class FakeSut : public Sut {
  public:
-  static constexpr int kEngineAnswer = 77;
-
   FakeSut() : Sut(SutKind::kMatrix) {}
 
   bool fail = false;
-  bool clear_knows_changed = false;
 
   uint64_t SizeBytes() const override { return 0; }
 
@@ -123,7 +111,7 @@ class FakeSut : public Sut {
   Result<QueryResult> DoTwoHop(int64_t) override { return Answer(); }
   Result<int> DoShortestPathLen(int64_t, int64_t) override {
     if (fail) return Status::Busy("fake rejection");
-    return kEngineAnswer;
+    return 0;
   }
   Result<QueryResult> DoRecentPosts(int64_t, int64_t) override {
     return Answer();
@@ -134,8 +122,7 @@ class FakeSut : public Sut {
   }
   Result<QueryResult> DoRepliesOfPost(int64_t) override { return Answer(); }
   Result<QueryResult> DoTopPosters(int64_t) override { return Answer(); }
-  Status DoApply(const snb::UpdateOp&, bool* knows_changed) override {
-    if (clear_knows_changed) *knows_changed = false;
+  Status DoApply(const snb::UpdateOp&) override {
     return fail ? Status::Busy("fake rejection") : Status::OK();
   }
 
@@ -163,37 +150,6 @@ TEST(SutFacadeFakeTest, FailedOpsCountOnlyAsErrors) {
   EXPECT_EQ(after.write_errors - before.write_errors, 1u);
   EXPECT_EQ(after.reads, before.reads);
   EXPECT_EQ(after.writes, before.writes);
-}
-
-TEST(SutFacadeFakeTest, ClearedKnowsChangedFiresNoLandmarkHook) {
-  const snb::Dataset& data = SharedDataset();
-  const snb::Knows& k = data.knows.front();
-  const int64_t newcomer = UnusedPersonId(data);
-  for (bool clear : {false, true}) {
-    SCOPED_TRACE(clear ? "knows_changed cleared" : "knows_changed kept");
-    FakeSut sut;
-    sut.EnableLandmarks();
-    ASSERT_TRUE(sut.Load(data).ok());
-    sut.clear_knows_changed = clear;
-    ASSERT_EQ(*sut.ShortestPathLen(k.person1, k.person2), 1);
-
-    ASSERT_TRUE(sut.Apply(RemoveFriendship(k)).ok());
-    ASSERT_TRUE(sut.Apply(AddPerson(data, newcomer)).ok());
-
-    Result<int> removed = sut.ShortestPathLen(k.person1, k.person2);
-    Result<int> isolated = sut.ShortestPathLen(newcomer, k.person1);
-    ASSERT_TRUE(removed.ok());
-    ASSERT_TRUE(isolated.ok());
-    if (clear) {
-      // The index never saw either write: the stale edge still answers,
-      // and the unknown newcomer falls through to the engine.
-      EXPECT_EQ(*removed, 1);
-      EXPECT_EQ(*isolated, FakeSut::kEngineAnswer);
-    } else {
-      EXPECT_NE(*removed, 1);
-      EXPECT_EQ(*isolated, -1);
-    }
-  }
 }
 
 /// Forwards every call to another SUT's public methods, the way the bench
@@ -234,7 +190,7 @@ class ForwardingSut : public Sut {
   Result<QueryResult> DoTopPosters(int64_t limit) override {
     return inner_->TopPosters(limit);
   }
-  Status DoApply(const snb::UpdateOp& op, bool*) override {
+  Status DoApply(const snb::UpdateOp& op) override {
     return inner_->Apply(op);
   }
 

@@ -5,9 +5,9 @@
 // prefix of the update stream) and during a mixed read/write phase that
 // interleaves the remaining update ops — plus synthesized unfriend ops —
 // with path queries. This catches distribution-dependent bugs the
-// fixed-dataset equivalence suite cannot, and (with landmarks enabled on
-// two of the five families) that the landmark index stays exact while
-// writes land between queries. The mixed phase also probes the two
+// fixed-dataset equivalence suite cannot, and that each engine's own
+// shortest-path search stays exact while writes land between queries.
+// The mixed phase also probes the two
 // content-heavy aggregates (TopPosters, RepliesOfPost) so the columnar
 // side tables — not just the adjacency structures — are exercised while
 // posts and comments stream in.
@@ -128,13 +128,7 @@ TEST_P(SutRandomPropertyTest, FamiliesAgreeWithReferenceMidStream) {
                            SutKind::kMatrix};
   std::vector<std::unique_ptr<Sut>> suts;
   for (SutKind kind : kinds) {
-    // Two families run with the landmark index enabled so its answers are
-    // cross-checked against the plain-BFS families and the reference.
-    // The matrix SUT stays landmark-free so its SpMV BFS itself is what
-    // gets cross-checked.
-    const bool landmarks =
-        kind == SutKind::kNeo4jCypher || kind == SutKind::kTitanC;
-    auto sut = MakeSut(kind, SutOptions{.landmarks = landmarks});
+    auto sut = MakeSut(kind);
     ASSERT_TRUE(sut->Load(data).ok()) << sut->name();
     suts.push_back(std::move(sut));
   }
