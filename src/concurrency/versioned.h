@@ -251,8 +251,12 @@ class EpochHashMap {
   EpochHashMap(const EpochHashMap&) = delete;
   EpochHashMap& operator=(const EpochHashMap&) = delete;
 
-  /// Reader probe: the value visible at `pin`, or nullptr.
-  const V* Find(const K& key, uint64_t pin) const {
+  /// Reader probe: the value visible at `pin`, or nullptr. `key` may be
+  /// of any type `Hash` takes and K compares equal to (a string_view when
+  /// K is a string and `Hash` hashes string_views), so a probe need not
+  /// build a K.
+  template <typename Q>
+  const V* Find(const Q& key, uint64_t pin) const {
     const Table* t = table_.load(std::memory_order_acquire);
     const Node* n =
         t->buckets[Hash{}(key) & (t->buckets.size() - 1)].load(

@@ -25,6 +25,12 @@ namespace graphbench {
 /// chain must be resolvable — by an inline property equality (index lookup
 /// when one exists), by a label scan, or by already being bound by an
 /// earlier chain. The SNB interactive queries all satisfy this.
+///
+/// Execution binds once per call: every variable becomes a slot and every
+/// $parameter a value before the MATCH starts. Solutions are flat runs of
+/// VertexIds, one slot each, and expansions read adjacency into one reused
+/// buffer, so a row costs no heap allocation until the RETURN tail
+/// (query_ops) builds the output rows.
 class CypherEngine {
  public:
   using Params = std::map<std::string, Value>;
@@ -50,9 +56,6 @@ class CypherEngine {
   NativeGraph* graph() { return graph_; }
 
  private:
-  struct Binding;  // var name -> VertexId slots; defined in the .cc
-
-  Result<Value> EvalConst(const cypher::Expr& e, const Params& params) const;
   // Runs an already-parsed query: the shared tail of the cached and
   // parse-per-call paths of Execute.
   Result<QueryResult> ExecuteParsed(const cypher::Query& q,

@@ -63,7 +63,7 @@ uint32_t NativeGraph::InternLabel(EpochManager& mgr, std::string_view label) {
 }
 
 int NativeGraph::LookupLabel(std::string_view label, uint64_t pin) const {
-  const uint32_t* id = label_ids_.Find(std::string(label), pin);
+  const uint32_t* id = label_ids_.Find(label, pin);
   return id == nullptr ? -1 : int(*id);
 }
 
@@ -333,25 +333,37 @@ Status NativeGraph::SetVertexProperty(VertexId v, std::string_view key,
   return MaybeCheckpointLocked();
 }
 
-Result<std::vector<Neighbor>> NativeGraph::Neighbors(
-    VertexId v, std::string_view edge_label, Direction dir) const {
+Status NativeGraph::Neighbors(VertexId v, std::string_view edge_label,
+                              Direction dir,
+                              std::vector<Neighbor>* out) const {
   EpochGuard guard;
   const uint64_t pin = ReadPin(guard);
   const VertexRec* rec = vertices_.Read(v, pin);
   if (rec == nullptr) return Status::NotFound("vertex");
-  std::vector<Neighbor> out;
   int wanted = edge_label.empty() ? -2 : LookupLabel(edge_label, pin);
-  if (wanted == -1) return out;  // label never seen: no edges
+  if (wanted == -1) return Status::OK();  // label never seen: no edges
   for (const AdjGroup& g : rec->adj) {
     if (wanted != -2 && int(g.edge_label) != wanted) continue;
     if (dir == Direction::kOut || dir == Direction::kBoth) {
-      out.insert(out.end(), g.out.begin(), g.out.end());
+      out->insert(out->end(), g.out.begin(), g.out.end());
     }
     if (dir == Direction::kIn || dir == Direction::kBoth) {
-      out.insert(out.end(), g.in.begin(), g.in.end());
+      out->insert(out->end(), g.in.begin(), g.in.end());
     }
   }
-  return out;
+  return Status::OK();
+}
+
+int NativeGraph::LabelId(std::string_view label) const {
+  EpochGuard guard;
+  return LookupLabel(label, ReadPin(guard));
+}
+
+Result<uint32_t> NativeGraph::VertexLabelId(VertexId v) const {
+  EpochGuard guard;
+  const VertexRec* rec = vertices_.Read(v, ReadPin(guard));
+  if (rec == nullptr) return Status::NotFound("vertex");
+  return rec->label;
 }
 
 Status NativeGraph::CreateUniqueIndex(std::string_view label,

@@ -71,11 +71,15 @@ class NativeGraph {
   Result<Value> VertexProperty(VertexId v, std::string_view key) const;
   Status SetVertexProperty(VertexId v, std::string_view key,
                            const Value& value);
-  /// Adjacency of `v` restricted to `edge_label` (empty = any) and
-  /// direction.
-  Result<std::vector<Neighbor>> Neighbors(VertexId v,
-                                          std::string_view edge_label,
-                                          Direction dir) const;
+  /// Appends to `out` the adjacency of `v` restricted to `edge_label`
+  /// (empty = any) and direction. The buffer is the caller's, so an
+  /// expansion over many vertices reuses one.
+  Status Neighbors(VertexId v, std::string_view edge_label, Direction dir,
+                   std::vector<Neighbor>* out) const;
+  /// Interned id of `label`, or -1 when no record has carried it: with
+  /// VertexLabelId, a label check that copies no name.
+  int LabelId(std::string_view label) const;
+  Result<uint32_t> VertexLabelId(VertexId v) const;
   /// Unique lookup through the (label, property) index.
   Result<VertexId> FindVertex(std::string_view label, std::string_view key,
                               const Value& value) const;
@@ -181,7 +185,10 @@ class NativeGraph {
   concurrency::VersionedTable<VertexRec> vertices_;
   concurrency::VersionedTable<EdgeRec> edges_;
   concurrency::VersionedCell<Counts> counts_;
-  concurrency::EpochHashMap<std::string, uint32_t> label_ids_;
+  // Hashed as string_views, so a lookup by name copies nothing.
+  concurrency::EpochHashMap<std::string, uint32_t,
+                            std::hash<std::string_view>>
+      label_ids_;
   concurrency::StableVec<std::string> label_names_;
   // Unique indexes: the handle list is republished on schema changes;
   // the per-index maps are insert-only and epoch-tagged.

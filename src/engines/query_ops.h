@@ -21,25 +21,6 @@ struct QueryResult {
   uint64_t affected = 0;
 };
 
-/// Hash/equality for Row, used by DISTINCT, group-by and hash joins.
-struct RowHash {
-  size_t operator()(const Row& row) const {
-    size_t h = 0x9e3779b97f4a7c15ULL;
-    for (const Value& v : row) h = h * 31 + v.Hash();
-    return h;
-  }
-};
-
-struct RowEq {
-  bool operator()(const Row& a, const Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
-    }
-    return true;
-  }
-};
-
 /// The storage-independent tail of a declarative query, written once for
 /// the SQL, Cypher and SPARQL engines: group-by with its aggregates,
 /// DISTINCT, ORDER BY and LIMIT. Each engine still matches, joins and
@@ -95,8 +76,9 @@ struct ProjectSpec {
 
 /// Projects each of `bindings` solutions through `row`. With DISTINCT, a
 /// row equal to an earlier one is dropped before `sort_key` computes its
-/// ORDER BY keys. Then sorts stably (ties keep solution order) and keeps
-/// the first `limit` rows.
+/// ORDER BY keys. Then orders stably (ties keep solution order) and keeps
+/// the first `limit` rows: with a LIMIT, a top-k selection that gives the
+/// same rows as a full stable sort plus truncation.
 Result<std::vector<Row>> Project(size_t bindings, const ProjectSpec& spec,
                                  const RowFn& row, const RowFn& sort_key);
 
@@ -123,7 +105,9 @@ struct AggregateSpec {
 /// key (called only when grouped), `value` an item's argument (for every
 /// solution of count..max items; for the group's first solution of kFirst
 /// items; never for kKey and kCountStar). Groups come out in first-seen
-/// order, then sort stably on `order` and keep the first `limit`.
+/// order, then sort stably on `order` and keep the first `limit`; only
+/// those groups become output rows. Groups are kept flat, so integer keys
+/// cost no allocation per group beyond amortized growth.
 Result<std::vector<Row>> Aggregate(size_t bindings, const AggregateSpec& spec,
                                    const RowFn& key, const ValueFn& value);
 

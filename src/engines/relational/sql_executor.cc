@@ -137,6 +137,11 @@ Result<Value> SqlExecutor::Eval(const Expr& e, const Binding& binding) const {
     }
     case Expr::Kind::kCountStar:
       return Status::Internal("COUNT(*) outside aggregation context");
+    case Expr::Kind::kAggregate:
+      // Aggregates are computed by Aggregate() from select items; one
+      // anywhere else (WHERE, a non-aggregate ORDER BY) has no group.
+      return Status::InvalidArgument(
+          "aggregate function outside an aggregate select item");
   }
   return Status::Internal("unhandled expression kind");
 }

@@ -52,8 +52,8 @@ class NativeProvider : public GremlinGraph {
   Result<std::vector<GVertex>> Adjacent(GVertex v,
                                         std::string_view edge_label,
                                         Direction dir) override {
-    GB_ASSIGN_OR_RETURN(std::vector<Neighbor> neighbors,
-                        graph_->Neighbors(v.id, edge_label, dir));
+    std::vector<Neighbor> neighbors;
+    GB_RETURN_IF_ERROR(graph_->Neighbors(v.id, edge_label, dir, &neighbors));
     std::vector<GVertex> out;
     out.reserve(neighbors.size());
     for (const Neighbor& n : neighbors) out.push_back(GVertex{n.vertex});

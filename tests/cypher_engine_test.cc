@@ -2,6 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <new>
+
+// Counts every heap allocation made through operator new in this binary,
+// so the executor's allocations per query can be gated exactly.
+static std::atomic<long> g_allocations{0};
+
+void* operator new(size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t size) { return operator new(size); }
+// Kept out of line: inlined, GCC sees free() on operator new's pointer
+// and warns (-Wmismatched-new-delete), though new here is malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept {
+  std::free(p);
+}
+
 namespace graphbench {
 namespace {
 
@@ -233,6 +260,312 @@ TEST_F(CypherEngineTest, WhereComparesAcrossVars) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->rows.size(), 1u);
   EXPECT_EQ(r->rows[0][0].as_int(), 4);
+}
+
+// --- Binding shapes ------------------------------------------------------
+// Each case pins the rows (and their solution order, where no ORDER BY
+// fixes it) the executor produces for one way a pattern binds variables.
+// Adjacency lists keep insertion order, out-edges before in-edges, and a
+// label scan visits vertices in id order.
+
+std::vector<std::vector<int64_t>> IntRows(const QueryResult& r) {
+  std::vector<std::vector<int64_t>> out;
+  for (const Row& row : r.rows) {
+    std::vector<int64_t>& ints = out.emplace_back();
+    for (const Value& v : row) ints.push_back(v.as_int());
+  }
+  return out;
+}
+
+using IntTable = std::vector<std::vector<int64_t>>;
+
+TEST_F(CypherEngineTest, RepeatedVariableInOneChainClosesOnItsVertex) {
+  // Triangles through 1: the chain must come back to the vertex `a`
+  // bound at its anchor.
+  auto r = engine_.Execute(
+      "MATCH (a:Person {id: $id})-[:KNOWS]-(b)-[:KNOWS]-(c)-[:KNOWS]-(a) "
+      "RETURN b.id, c.id",
+      {{"id", Value(1)}});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(IntRows(*r), (IntTable{{2, 3}, {3, 2}}));
+
+  // A self-loop pattern: nobody knows themselves.
+  auto loop = engine_.Execute("MATCH (a:Person)-[:KNOWS]-(a) RETURN a.id",
+                              {});
+  ASSERT_TRUE(loop.ok()) << loop.status().ToString();
+  EXPECT_TRUE(loop->rows.empty());
+}
+
+TEST_F(CypherEngineTest, VariableSharedByTwoChains) {
+  // Common friends: the second chain's expansion target is already bound.
+  auto common = engine_.Execute(
+      "MATCH (a:Person {id: $a})-[:KNOWS]-(f), "
+      "(b:Person {id: $b})-[:KNOWS]-(f) RETURN f.id",
+      {{"a", Value(1)}, {"b", Value(4)}});
+  ASSERT_TRUE(common.ok()) << common.status().ToString();
+  EXPECT_EQ(IntRows(*common), (IntTable{{3}}));
+
+  // The second chain's anchor is bound by the first.
+  auto anchored = engine_.Execute(
+      "MATCH (p:Person {id: $id})-[:KNOWS]->(f), (f)-[:KNOWS]->(g) "
+      "RETURN f.id, g.id",
+      {{"id", Value(1)}});
+  ASSERT_TRUE(anchored.ok()) << anchored.status().ToString();
+  EXPECT_EQ(IntRows(*anchored), (IntTable{{2, 3}, {3, 4}}));
+
+  // Two unrelated anchors make a cross product, first chain outermost.
+  auto cross = engine_.Execute(
+      "MATCH (a:Person {id: $a})-[:KNOWS]->(f), (b:Person) "
+      "WHERE b.id > 3 RETURN f.id, b.id",
+      {{"a", Value(1)}});
+  ASSERT_TRUE(cross.ok()) << cross.status().ToString();
+  EXPECT_EQ(IntRows(*cross), (IntTable{{2, 4}, {2, 5}, {3, 4}, {3, 5}}));
+}
+
+TEST_F(CypherEngineTest, AnonymousNodes) {
+  auto degree = engine_.Execute(
+      "MATCH (p:Person {id: $id})-[:KNOWS]-() RETURN count(*)",
+      {{"id", Value(3)}});
+  ASSERT_TRUE(degree.ok()) << degree.status().ToString();
+  EXPECT_EQ(IntRows(*degree), (IntTable{{3}}));
+
+  auto scan = engine_.Execute("MATCH (:Person) RETURN count(*)", {});
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(IntRows(*scan), (IntTable{{5}}));
+
+  // An expansion needs a named source: an anonymous node cannot be
+  // expanded from.
+  auto through = engine_.Execute(
+      "MATCH (p:Person {id: $id})-[:KNOWS]-()-[:KNOWS]-(ff) RETURN ff.id",
+      {{"id", Value(1)}});
+  EXPECT_TRUE(through.status().IsNotSupported());
+}
+
+TEST_F(CypherEngineTest, LabelAndInlinePropsOnExpansionTarget) {
+  ASSERT_TRUE(engine_.Execute("CREATE (x:Post {id: $id})", {{"id", Value(100)}})
+                  .ok());
+  ASSERT_TRUE(engine_
+                  .Execute("MATCH (a:Person {id: $a}), (x:Post {id: $x}) "
+                           "CREATE (a)-[:KNOWS]->(x)",
+                           {{"a", Value(1)}, {"x", Value(100)}})
+                  .ok());
+  auto expand = [&](const char* target) {
+    auto r = engine_.Execute(
+        std::string("MATCH (p:Person {id: $id})-[:KNOWS]->") + target +
+            " RETURN f.id",
+        {{"id", Value(1)}, {"fn", Value("Cy")}});
+    EXPECT_TRUE(r.ok()) << target << ": " << r.status().ToString();
+    return r.ok() ? IntRows(*r) : IntTable{};
+  };
+  EXPECT_EQ(expand("(f)"), (IntTable{{2}, {3}, {100}}));
+  EXPECT_EQ(expand("(f:Person)"), (IntTable{{2}, {3}}));
+  EXPECT_EQ(expand("(f:Post)"), (IntTable{{100}}));
+  EXPECT_EQ(expand("(f:Unseen)"), IntTable{});
+  EXPECT_EQ(expand("(f {firstName: $fn})"), (IntTable{{3}}));
+  EXPECT_EQ(expand("(f:Person {firstName: $fn})"), (IntTable{{3}}));
+  EXPECT_EQ(expand("(f:Post {firstName: $fn})"), IntTable{});
+
+  // An anchor's lookup uses its first property; the rest are checked.
+  auto anchor = engine_.Execute(
+      "MATCH (p:Person {id: $id, firstName: $fn}) RETURN p.id",
+      {{"id", Value(3)}, {"fn", Value("Bob")}});
+  ASSERT_TRUE(anchor.ok()) << anchor.status().ToString();
+  EXPECT_TRUE(anchor->rows.empty());
+}
+
+TEST_F(CypherEngineTest, VarLengthHopThenSingleHop) {
+  // Exactly two hops from 1 is {4}; 4's neighbours are 5 (out) and 3 (in).
+  auto r = engine_.Execute(
+      "MATCH (p:Person {id: $id})-[:KNOWS*2..2]-(x)-[:KNOWS]-(y) "
+      "RETURN x.id, y.id",
+      {{"id", Value(1)}});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(IntRows(*r), (IntTable{{4, 5}, {4, 3}}));
+}
+
+TEST_F(CypherEngineTest, WhereOverTwoVariablesWithAnd) {
+  auto r = engine_.Execute(
+      "MATCH (a:Person)-[:KNOWS]->(b) WHERE a.id < $hi AND b.id > $lo "
+      "RETURN a.id, b.id",
+      {{"hi", Value(3)}, {"lo", Value(2)}});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(IntRows(*r), (IntTable{{1, 3}, {2, 3}}));
+}
+
+TEST_F(CypherEngineTest, MatchCreateBetweenBoundEndpoints) {
+  auto one = engine_.Execute(
+      "MATCH (a:Person {id: $a}), (b:Person {id: $b}) "
+      "CREATE (a)-[:LIKES {weight: 1}]->(b)",
+      {{"a", Value(2)}, {"b", Value(5)}});
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->affected, 1u);
+
+  // One relationship per matched row, endpoints taken from each row.
+  auto per_row = engine_.Execute(
+      "MATCH (a:Person {id: $a})-[:KNOWS]->(f) CREATE (f)-[:LIKES]->(a)",
+      {{"a", Value(1)}});
+  ASSERT_TRUE(per_row.ok()) << per_row.status().ToString();
+  EXPECT_EQ(per_row->affected, 2u);
+
+  // A created node can be an endpoint beside a matched one.
+  auto with_node = engine_.Execute(
+      "MATCH (a:Person {id: $a}) CREATE (t:Tag {id: $t}), (a)-[:LIKES]->(t)",
+      {{"a", Value(4)}, {"t", Value(7)}});
+  ASSERT_TRUE(with_node.ok()) << with_node.status().ToString();
+  EXPECT_EQ(with_node->affected, 2u);
+
+  auto likes = engine_.Execute(
+      "MATCH (a:Person)-[:LIKES]->(b) RETURN a.id, b.id", {});
+  ASSERT_TRUE(likes.ok()) << likes.status().ToString();
+  EXPECT_EQ(IntRows(*likes), (IntTable{{2, 5}, {2, 1}, {3, 1}, {4, 7}}));
+
+  EXPECT_TRUE(engine_
+                  .Execute("MATCH (a:Person {id: $a}) CREATE (a)-[:LIKES]->(z)",
+                           {{"a", Value(1)}})
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST_F(CypherEngineTest, ChainThatEmptiesMidway) {
+  // 5 has no outgoing KNOWS: the chain empties at its first hop.
+  auto rows = engine_.Execute(
+      "MATCH (p:Person {id: $id})-[:KNOWS]->(f)-[:KNOWS]-(g) RETURN g.id",
+      {{"id", Value(5)}});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_TRUE(rows->rows.empty());
+
+  auto count = engine_.Execute(
+      "MATCH (p:Person {id: $id})-[:KNOWS]->(f)-[:KNOWS]-(g) RETURN count(*)",
+      {{"id", Value(5)}});
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(IntRows(*count), (IntTable{{0}}));
+
+  auto later_chain = engine_.Execute(
+      "MATCH (p:Person {id: $id})-[:KNOWS]->(f), (q:Person) RETURN q.id",
+      {{"id", Value(5)}});
+  ASSERT_TRUE(later_chain.ok()) << later_chain.status().ToString();
+  EXPECT_TRUE(later_chain->rows.empty());
+
+  auto created = engine_.Execute(
+      "MATCH (p:Person {id: $id})-[:KNOWS]->(f) CREATE (f)-[:LIKES]->(p)",
+      {{"id", Value(5)}});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  EXPECT_EQ(created->affected, 0u);
+}
+
+// --- Allocation gate -----------------------------------------------------
+// Heap allocations of one cached-plan execution, on fixture graphs whose
+// size is scaled by 4x. The executor works over flat bindings and buffers
+// that grow by doubling, so scaling the input may add only a few
+// allocations (vector doublings) beyond one per output row; an executor
+// that allocates per binding or per group adds hundreds.
+
+long AllocationsOf(const std::function<void()>& fn) {
+  long before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+struct Counted {
+  long allocations = 0;
+  size_t rows = 0;
+};
+
+// Runs `query` once to fill the plan cache, then counts a second run.
+Counted CountExecution(CypherEngine* engine, const char* query,
+                       const CypherEngine::Params& params) {
+  auto warm = engine->Execute(query, params);
+  EXPECT_TRUE(warm.ok()) << warm.status().ToString();
+  Counted c;
+  c.allocations = AllocationsOf([&] {
+    auto r = engine->Execute(query, params);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) c.rows = r->rows.size();
+  });
+  return c;
+}
+
+constexpr char kTopPostersShape[] =
+    "MATCH (post:Post)-[:postHasCreator]->(p) "
+    "RETURN p.id, count(*) AS n "
+    "ORDER BY count(*) DESC, p.id LIMIT $limit";
+
+constexpr char kTwoHopShape[] =
+    "MATCH (p:Person {id: $id})-[:knows]-(f)-[:knows]-(ff) "
+    "WHERE ff.id <> $id RETURN DISTINCT ff.id";
+
+// `posts` posts spread over `creators` creators (creator i % creators
+// writes post i, so post counts tie in long runs).
+Counted TopPostersAllocations(int posts, int creators) {
+  NativeGraph graph;
+  std::vector<VertexId> people;
+  for (int i = 0; i < creators; ++i) {
+    people.push_back(*graph.AddVertex("Person", {{"id", Value(1000 + i)}}));
+  }
+  for (int i = 0; i < posts; ++i) {
+    VertexId post = *graph.AddVertex("Post", {{"id", Value(i)}});
+    EXPECT_TRUE(graph
+                    .AddEdge("postHasCreator", post,
+                             people[size_t(i * 7 % creators)], {})
+                    .ok());
+  }
+  CypherEngine engine(&graph);
+  engine.EnablePlanCache();
+  return CountExecution(&engine, kTopPostersShape, {{"limit", Value(20)}});
+}
+
+// Person 0 knows `friends` people, each of whom knows `fof` more (and the
+// friend next to it), so TwoHop binds friends * (fof + 3) solutions.
+Counted TwoHopAllocations(int friends, int fof) {
+  NativeGraph graph;
+  EXPECT_TRUE(graph.CreateUniqueIndex("Person", "id").ok());
+  int64_t next_id = 0;
+  auto person = [&] {
+    return *graph.AddVertex("Person", {{"id", Value(next_id++)}});
+  };
+  VertexId root = person();
+  std::vector<VertexId> fs;
+  for (int i = 0; i < friends; ++i) {
+    fs.push_back(person());
+    EXPECT_TRUE(graph.AddEdge("knows", root, fs.back(), {}).ok());
+  }
+  for (int i = 0; i < friends; ++i) {
+    EXPECT_TRUE(
+        graph.AddEdge("knows", fs[size_t(i)], fs[size_t((i + 1) % friends)], {})
+            .ok());
+    for (int j = 0; j < fof; ++j) {
+      EXPECT_TRUE(graph.AddEdge("knows", fs[size_t(i)], person(), {}).ok());
+    }
+  }
+  CypherEngine engine(&graph);
+  engine.EnablePlanCache();
+  return CountExecution(&engine, kTwoHopShape, {{"id", Value(0)}});
+}
+
+// Allocations a 4x larger input may add beyond one per extra output row.
+constexpr long kGrowthBound = 24;
+
+TEST(CypherAllocationTest, TopPostersAllocationsDoNotScaleWithInput) {
+  Counted small = TopPostersAllocations(150, 60);
+  Counted large = TopPostersAllocations(600, 240);
+  std::printf("TopPosters shape: %ld allocations (150 posts, 60 creators), "
+              "%ld (600 posts, 240 creators), %zu rows each\n",
+              small.allocations, large.allocations, large.rows);
+  ASSERT_EQ(small.rows, 20u);
+  ASSERT_EQ(large.rows, 20u);
+  EXPECT_LE(large.allocations - small.allocations, kGrowthBound);
+}
+
+TEST(CypherAllocationTest, TwoHopAllocationsScaleOnlyWithOutputRows) {
+  Counted small = TwoHopAllocations(8, 6);
+  Counted large = TwoHopAllocations(16, 15);
+  std::printf("TwoHop shape: %ld allocations for %zu rows (8 friends), "
+              "%ld for %zu rows (16 friends)\n",
+              small.allocations, small.rows, large.allocations, large.rows);
+  ASSERT_GT(large.rows, small.rows);
+  EXPECT_LE((large.allocations - long(large.rows)) -
+                (small.allocations - long(small.rows)),
+            kGrowthBound);
 }
 
 }  // namespace

@@ -14,6 +14,15 @@ NativeGraphOptions NoCheckpoint() {
   return o;
 }
 
+// The adjacency Neighbors appends for `v`, into a fresh buffer.
+std::vector<Neighbor> Adjacency(const NativeGraph& g, VertexId v,
+                                std::string_view label, Direction dir) {
+  std::vector<Neighbor> out;
+  Status s = g.Neighbors(v, label, dir, &out);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return out;
+}
+
 TEST(NativeGraphTest, AddAndGetVertex) {
   NativeGraph g(NoCheckpoint());
   auto v = g.AddVertex("Person", {{"id", Value(42)}, {"name", Value("Ada")}});
@@ -33,19 +42,15 @@ TEST(NativeGraphTest, EdgesUpdateBothAdjacencyLists) {
   auto e = g.AddEdge("knows", a, b, {{"since", Value(2017)}});
   ASSERT_TRUE(e.ok());
 
-  auto out = g.Neighbors(a, "knows", Direction::kOut);
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->size(), 1u);
-  EXPECT_EQ((*out)[0].vertex, b);
+  std::vector<Neighbor> out = Adjacency(g, a, "knows", Direction::kOut);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].vertex, b);
 
-  auto in = g.Neighbors(b, "knows", Direction::kIn);
-  ASSERT_TRUE(in.ok());
-  ASSERT_EQ(in->size(), 1u);
-  EXPECT_EQ((*in)[0].vertex, a);
+  std::vector<Neighbor> in = Adjacency(g, b, "knows", Direction::kIn);
+  ASSERT_EQ(in.size(), 1u);
+  EXPECT_EQ(in[0].vertex, a);
 
-  auto both = g.Neighbors(b, "knows", Direction::kBoth);
-  ASSERT_TRUE(both.ok());
-  EXPECT_EQ(both->size(), 1u);
+  EXPECT_EQ(Adjacency(g, b, "knows", Direction::kBoth).size(), 1u);
 
   std::string label;
   VertexId src, dst;
@@ -64,10 +69,40 @@ TEST(NativeGraphTest, NeighborsFilterByLabel) {
   VertexId post = *g.AddVertex("Post", {});
   ASSERT_TRUE(g.AddEdge("knows", a, b, {}).ok());
   ASSERT_TRUE(g.AddEdge("likes", a, post, {}).ok());
-  EXPECT_EQ(g.Neighbors(a, "knows", Direction::kOut)->size(), 1u);
-  EXPECT_EQ(g.Neighbors(a, "likes", Direction::kOut)->size(), 1u);
-  EXPECT_EQ(g.Neighbors(a, "", Direction::kOut)->size(), 2u);
-  EXPECT_EQ(g.Neighbors(a, "unseen", Direction::kOut)->size(), 0u);
+  EXPECT_EQ(Adjacency(g, a, "knows", Direction::kOut).size(), 1u);
+  EXPECT_EQ(Adjacency(g, a, "likes", Direction::kOut).size(), 1u);
+  EXPECT_EQ(Adjacency(g, a, "", Direction::kOut).size(), 2u);
+  EXPECT_EQ(Adjacency(g, a, "unseen", Direction::kOut).size(), 0u);
+}
+
+TEST(NativeGraphTest, NeighborsAppendsToTheCallersBuffer) {
+  NativeGraph g(NoCheckpoint());
+  VertexId a = *g.AddVertex("Person", {});
+  VertexId b = *g.AddVertex("Person", {});
+  VertexId c = *g.AddVertex("Person", {});
+  ASSERT_TRUE(g.AddEdge("knows", a, b, {}).ok());
+  ASSERT_TRUE(g.AddEdge("knows", c, a, {}).ok());
+  std::vector<Neighbor> buffer;
+  ASSERT_TRUE(g.Neighbors(a, "knows", Direction::kOut, &buffer).ok());
+  ASSERT_TRUE(g.Neighbors(a, "knows", Direction::kIn, &buffer).ok());
+  ASSERT_EQ(buffer.size(), 2u);
+  EXPECT_EQ(buffer[0].vertex, b);
+  EXPECT_EQ(buffer[1].vertex, c);
+  EXPECT_TRUE(g.Neighbors(99, "knows", Direction::kOut, &buffer).IsNotFound());
+  EXPECT_EQ(buffer.size(), 2u);
+}
+
+TEST(NativeGraphTest, LabelIdsMatchVertexLabels) {
+  NativeGraph g(NoCheckpoint());
+  VertexId a = *g.AddVertex("Person", {});
+  VertexId post = *g.AddVertex("Post", {});
+  const int person = g.LabelId("Person");
+  ASSERT_GE(person, 0);
+  EXPECT_NE(g.LabelId("Post"), person);
+  EXPECT_EQ(g.LabelId("Unseen"), -1);
+  EXPECT_EQ(*g.VertexLabelId(a), uint32_t(person));
+  EXPECT_EQ(*g.VertexLabelId(post), uint32_t(g.LabelId("Post")));
+  EXPECT_TRUE(g.VertexLabelId(99).status().IsNotFound());
 }
 
 TEST(NativeGraphTest, AddEdgeValidatesEndpoints) {
@@ -174,10 +209,9 @@ TEST(NativeGraphTest, SnapshotRestoreRoundTrip) {
   auto name = restored.VertexProperty(a, "firstName");
   ASSERT_TRUE(name.ok());
   EXPECT_EQ(name->as_string(), "Ada");
-  auto nb = restored.Neighbors(a, "knows", Direction::kBoth);
-  ASSERT_TRUE(nb.ok());
-  ASSERT_EQ(nb->size(), 1u);
-  EXPECT_EQ((*nb)[0].vertex, b);
+  std::vector<Neighbor> nb = Adjacency(restored, a, "knows", Direction::kBoth);
+  ASSERT_EQ(nb.size(), 1u);
+  EXPECT_EQ(nb[0].vertex, b);
   // Restored stores can rebuild indexes and find by property.
   ASSERT_TRUE(restored.CreateUniqueIndex("Person", "id").ok());
   auto found = restored.FindVertex("Person", "id", Value(2));

@@ -155,7 +155,7 @@ std::multiset<int64_t> IntColumn(const QueryResult& r, size_t col) {
 void ExpectSameRows(const QueryResult& a, const QueryResult& b) {
   ASSERT_EQ(a.rows.size(), b.rows.size());
   for (size_t r = 0; r < a.rows.size(); ++r) {
-    EXPECT_TRUE(RowEq()(a.rows[r], b.rows[r])) << "row " << r;
+    EXPECT_TRUE(a.rows[r] == b.rows[r]) << "row " << r;
   }
 }
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "graph/shortest_path.h"
@@ -109,6 +111,168 @@ TEST(QueryOpsTest, AggregateSortIsStableOverOutputColumns) {
                                       Columns(rows, {0}), nullptr);
   ASSERT_TRUE(limited.ok());
   EXPECT_EQ(Ints(*limited), (std::vector<int64_t>{20, 30, 10}));
+}
+
+// --- ORDER BY + LIMIT oracle ---------------------------------------------
+// Random solutions (id, a, b, c) whose key columns take few values (c mixes
+// strings and NULLs), so ties come in long runs; random multi-key orders
+// mixing ASC and DESC; limits around the row count. Project, with and
+// without DISTINCT, and Aggregate must each equal a reference that sorts
+// with std::stable_sort and then truncates, row for row.
+
+struct Order {
+  std::vector<query_ops::SortKey> keys;
+  std::vector<int64_t> limits;
+};
+
+Order RandomOrder(Rng& rng, size_t columns, size_t n) {
+  Order o;
+  const size_t count = size_t(rng.UniformRange(1, 3));
+  for (size_t i = 0; i < count; ++i) {
+    o.keys.push_back({size_t(rng.Uniform(columns)), rng.Bernoulli(0.5)});
+  }
+  o.limits = {-1, 0, 1, int64_t(n), int64_t(n) + 5};
+  if (n > 1) o.limits.push_back(rng.UniformRange(1, int64_t(n) - 1));
+  return o;
+}
+
+// std::stable_sort on `keys` (columns of each row), then the first `limit`.
+std::vector<Row> StableSortThenTruncate(
+    std::vector<Row> rows, const std::vector<query_ops::SortKey>& keys,
+    int64_t limit) {
+  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    for (auto [column, desc] : keys) {
+      int c = a[column].Compare(b[column]);
+      if (c != 0) return desc ? c > 0 : c < 0;
+    }
+    return false;
+  });
+  if (limit >= 0 && rows.size() > size_t(limit)) rows.resize(size_t(limit));
+  return rows;
+}
+
+void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << what << " row " << i;
+    for (size_t j = 0; j < got[i].size(); ++j) {
+      ASSERT_EQ(got[i][j].Compare(want[i][j]), 0)
+          << what << " row " << i << " column " << j << ": "
+          << got[i][j].ToString() << " vs " << want[i][j].ToString();
+      ASSERT_EQ(got[i][j].type(), want[i][j].type()) << what;
+    }
+  }
+}
+
+std::vector<Row> RandomSolutions(Rng& rng, size_t n) {
+  static const char* kStrings[] = {"x", "y", "z"};
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    Value c = rng.Bernoulli(0.2) ? Value()
+                                 : Value(kStrings[rng.Uniform(3)]);
+    rows.push_back({Value(int64_t(i)), Value(rng.UniformRange(0, 3)),
+                    Value(rng.UniformRange(-2, 2)), std::move(c)});
+  }
+  return rows;
+}
+
+TEST(QueryOpsTest, TopKEqualsStableSortThenTruncate) {
+  Rng rng(20261020);
+  size_t checked = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const size_t n = size_t(rng.UniformRange(0, 80));
+    const std::vector<Row> rows = RandomSolutions(rng, n);
+
+    // Project: every column; DISTINCT then projects (a, c) only, so it
+    // drops rows. The ORDER BY keys are columns of the solution.
+    for (bool distinct : {false, true}) {
+      const std::vector<size_t> cols = distinct
+                                           ? std::vector<size_t>{1, 3}
+                                           : std::vector<size_t>{0, 1, 2, 3};
+      Order o = RandomOrder(rng, 4, n);
+      std::vector<size_t> key_cols;
+      std::vector<bool> desc;
+      for (auto [column, d] : o.keys) {
+        key_cols.push_back(column);
+        desc.push_back(d);
+      }
+      // Reference input: projected columns then keys, DISTINCT applied
+      // to the projected columns in solution order.
+      std::vector<Row> ref;
+      for (const Row& r : rows) {
+        Row p;
+        for (size_t c : cols) p.push_back(r[c]);
+        auto same = [&p](const Row& seen) {
+          return std::equal(p.begin(), p.end(), seen.begin(),
+                            [](const Value& x, const Value& y) {
+                              return x.Compare(y) == 0;
+                            });
+        };
+        if (distinct && std::any_of(ref.begin(), ref.end(), same)) continue;
+        for (size_t c : key_cols) p.push_back(r[c]);
+        ref.push_back(std::move(p));
+      }
+      std::vector<query_ops::SortKey> ref_keys;
+      for (size_t k = 0; k < key_cols.size(); ++k) {
+        ref_keys.push_back({cols.size() + k, desc[k]});
+      }
+      for (int64_t limit : o.limits) {
+        ProjectSpec spec{distinct, cols.size(), desc, limit};
+        auto got = query_ops::Project(rows.size(), spec, Columns(rows, cols),
+                                      Columns(rows, key_cols));
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        std::vector<Row> want = StableSortThenTruncate(ref, ref_keys, limit);
+        for (Row& w : want) w.resize(cols.size());
+        ExpectSameRows(*got, want,
+                       "project distinct=" + std::to_string(distinct) +
+                           " n=" + std::to_string(n) +
+                           " limit=" + std::to_string(limit));
+        ++checked;
+      }
+    }
+
+    // Aggregate: GROUP BY (a, c) with count(*), sum(b), min(b) and
+    // first(id); ORDER BY any output column.
+    AggregateSpec spec;
+    spec.grouped = true;
+    spec.items = {{Agg::kKey, 0}, {Agg::kKey, 1}, {Agg::kCountStar},
+                  {Agg::kSum},    {Agg::kMin},    {Agg::kFirst}};
+    std::vector<Row> groups;  // reference, in first-seen order
+    for (const Row& r : rows) {
+      Row* g = nullptr;
+      for (Row& candidate : groups) {
+        if (candidate[0].Compare(r[1]) == 0 &&
+            candidate[1].Compare(r[3]) == 0) {
+          g = &candidate;
+        }
+      }
+      if (g == nullptr) {
+        g = &groups.emplace_back(
+            Row{r[1], r[3], Value(int64_t{0}), Value(int64_t{0}), r[2], r[0]});
+      }
+      (*g)[2] = Value((*g)[2].as_int() + 1);
+      (*g)[3] = Value((*g)[3].as_int() + r[2].as_int());
+      if (r[2].Compare((*g)[4]) < 0) (*g)[4] = r[2];
+    }
+    Order o = RandomOrder(rng, spec.items.size(), groups.size());
+    spec.order = o.keys;
+    for (int64_t limit : o.limits) {
+      spec.limit = limit;
+      auto got = query_ops::Aggregate(
+          rows.size(), spec, Columns(rows, {1, 3}),
+          [&](size_t i, size_t item, Value* out) {
+            *out = rows[i][spec.items[item].agg == Agg::kFirst ? 0 : 2];
+            return Status::OK();
+          });
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameRows(*got, StableSortThenTruncate(groups, o.keys, limit),
+                     "aggregate n=" + std::to_string(n) +
+                         " limit=" + std::to_string(limit));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 TEST(QueryOpsTest, GlobalAggregateOverZeroRowsYieldsOneRow) {

@@ -74,6 +74,13 @@ TEST_F(SqlExecutorEdgeTest, SelectWithoutFromEvaluatesConstants) {
   EXPECT_EQ(r->rows[0][0].as_int(), 42);
 }
 
+TEST_F(SqlExecutorEdgeTest, AggregateOutsideSelectItemsRejected) {
+  for (const char* sql : {"SELECT id FROM a WHERE SUM(id) > 3",
+                          "SELECT id FROM a ORDER BY MAX(id)"}) {
+    EXPECT_TRUE(Exec(sql).status().IsInvalidArgument()) << sql;
+  }
+}
+
 TEST_F(SqlExecutorEdgeTest, ParamIndexOutOfRange) {
   EXPECT_FALSE(Exec("SELECT id FROM a WHERE id = ?", {}).ok());
 }
