@@ -98,6 +98,22 @@ class Execution {
     if (slot >= 0) next_[next_.size() - width_ + size_t(slot)] = v;
     ++next_count_;
   }
+  // Keeps, in order, the solutions `keep` accepts.
+  template <typename Keep>
+  Status Retain(Keep&& keep) {
+    size_t kept = 0;
+    for (size_t r = 0; r < count_; ++r) {
+      GB_ASSIGN_OR_RETURN(bool pass, keep(row(r)));
+      if (!pass) continue;
+      if (kept != r) {
+        std::copy_n(row(r), width_, rows_.begin() + kept * width_);
+      }
+      ++kept;
+    }
+    count_ = kept;
+    rows_.resize(kept * width_);
+    return Status::OK();
+  }
   // Makes next_ the solutions.
   void Advance() {
     rows_.swap(next_);
@@ -267,35 +283,45 @@ Status Execution::Match() {
       obs::OpTimer op(op_name);
       BindProps(node);
 
-      if (ni == 0) {
-        // Anchor node: already bound / property lookup / label scan. The
-        // candidates do not depend on the solution, so they are found
-        // once and crossed with every solution.
-        if (!rebound) {
-          std::vector<VertexId> candidates;
-          if (!node.props.empty()) {
-            GB_ASSIGN_OR_RETURN(const Value* v,
-                                Const(*node.props[0].second, params_));
-            auto found =
-                graph_->FindVertex(node.label, node.props[0].first, *v);
-            if (found.ok()) candidates.push_back(*found);
-          } else {
-            candidates = graph_->VerticesByLabel(node.label);
+      if (ni == 0 && rebound) {
+        // Anchor an earlier chain bound: its label and inline properties
+        // check the bound vertex.
+        const int label =
+            node.label.empty() ? -1 : graph_->LabelId(node.label);
+        GB_RETURN_IF_ERROR(Retain([&](const VertexId* b) -> Result<bool> {
+          if (!node.label.empty()) {
+            GB_ASSIGN_OR_RETURN(uint32_t l, graph_->VertexLabelId(b[slot]));
+            if (int(l) != label) return false;
           }
-          // Verify every inline constraint (the lookup used only the
-          // first one).
-          size_t kept = 0;
-          for (VertexId v : candidates) {
-            GB_ASSIGN_OR_RETURN(bool props_ok, PropsMatch(v));
-            if (props_ok) candidates[kept++] = v;
-          }
-          candidates.resize(kept);
-          next_.reserve(count_ * kept * width_);
-          for (size_t r = 0; r < count_; ++r) {
-            for (VertexId v : candidates) Extend(row(r), slot, v);
-          }
-          Advance();
+          return PropsMatch(b[slot]);
+        }));
+      } else if (ni == 0) {
+        // Anchor node: property lookup / label scan. The candidates do not
+        // depend on the solution, so they are found once and crossed with
+        // every solution.
+        std::vector<VertexId> candidates;
+        if (!node.props.empty()) {
+          GB_ASSIGN_OR_RETURN(const Value* v,
+                              Const(*node.props[0].second, params_));
+          auto found =
+              graph_->FindVertex(node.label, node.props[0].first, *v);
+          if (found.ok()) candidates.push_back(*found);
+        } else {
+          candidates = graph_->VerticesByLabel(node.label);
         }
+        // Verify every inline constraint (the lookup used only the
+        // first one).
+        size_t kept = 0;
+        for (VertexId v : candidates) {
+          GB_ASSIGN_OR_RETURN(bool props_ok, PropsMatch(v));
+          if (props_ok) candidates[kept++] = v;
+        }
+        candidates.resize(kept);
+        next_.reserve(count_ * kept * width_);
+        for (size_t r = 0; r < count_; ++r) {
+          for (VertexId v : candidates) Extend(row(r), slot, v);
+        }
+        Advance();
       } else {
         // Expansion step: from nodes[ni-1] across rels[ni-1].
         const cypher::RelPattern& rel = chain.rels[ni - 1];
@@ -335,17 +361,10 @@ Status Execution::Match() {
 Status Execution::Filter() {
   obs::OpTimer op("Filter");
   const int where = Bind(*q_.where);
-  size_t kept = 0;
-  for (size_t r = 0; r < count_; ++r) {
-    GB_ASSIGN_OR_RETURN(Value pass, Eval(where, row(r)));
-    if (!pass.is_bool() || !pass.as_bool()) continue;
-    if (kept != r) {
-      std::copy_n(row(r), width_, rows_.begin() + kept * width_);
-    }
-    ++kept;
-  }
-  count_ = kept;
-  rows_.resize(kept * width_);
+  GB_RETURN_IF_ERROR(Retain([&](const VertexId* b) -> Result<bool> {
+    GB_ASSIGN_OR_RETURN(Value pass, Eval(where, b));
+    return pass.is_bool() && pass.as_bool();
+  }));
   op.AddRows(count_);
   return Status::OK();
 }

@@ -205,7 +205,7 @@ Result<std::vector<RowId>> Database::MatchRows(
     if (index != nullptr) {
       GB_ASSIGN_OR_RETURN(
           Value key, EvalRowExpr(*probe->rhs, table->schema(), {}, params));
-      candidates = index->Lookup(key);
+      index->Lookup(key, &candidates);
       used_index = true;
     }
   }
@@ -480,12 +480,17 @@ Result<int> Database::ShortestPath(std::string_view edge_table,
   const size_t di = size_t(table->schema().ColumnIndex(dst_col));
   // Single-sided BFS, one index probe + full-tuple fetch per edge — the
   // iterated self-join a row engine without transitivity support runs.
+  // The probe and tuple buffers are reused from edge to edge.
+  std::vector<RowId> ids;
+  Row row;
   return BfsDistance<Value, ValueHash>(
       from, to, [&](const Value& v, auto&& emit) -> Status {
         for (auto [index, col] : {std::pair{src_idx, di},
                                   std::pair{dst_idx, si}}) {
-          for (RowId id : index->Lookup(v)) {
-            Row row;  // tuple-at-a-time: materialize the whole edge row
+          ids.clear();
+          index->Lookup(v, &ids);
+          for (RowId id : ids) {
+            // Tuple-at-a-time: materialize the whole edge row.
             Status got = table->Get(id, &row);
             if (got.IsNotFound()) continue;  // deleted after the probe
             GB_RETURN_IF_ERROR(got);

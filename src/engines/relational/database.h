@@ -97,8 +97,6 @@ class Database {
                            const Value& to) const;
 
  private:
-  friend class SqlExecutor;
-
   // Single-table predicate matching for UPDATE/DELETE: RowIds of `table`
   // (named `table_name`) whose row satisfies `where` (all rows when null).
   // Uses an index for a leading indexed equality conjunct, otherwise scans.

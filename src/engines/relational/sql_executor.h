@@ -19,10 +19,22 @@ namespace graphbench {
 ///     column is indexed, falling back to a hash join built over a scan;
 ///   - residual predicates apply as soon as their aliases are bound.
 ///
-/// Column access follows the storage engine: row mode materializes the
-/// whole tuple per access (tuple-at-a-time, the Postgres model); columnar
-/// mode fetches only the referenced column (the Virtuoso model). That
-/// asymmetry — not different plans — is what separates the two SQL SUTs.
+/// One execution binds once: every FROM alias to its slot and table, every
+/// column reference to (slot, column index), every literal and parameter
+/// to its value. An unknown table, alias or column is an InvalidArgument
+/// then, before any row is read. The solutions are one flat RowId vector
+/// with one slot per alias; joins append to a second buffer, filters
+/// compact in place.
+///
+/// Column reads follow the storage engine. Row mode reads every column
+/// value with one whole-tuple Table::Get (tuple-at-a-time, the Postgres
+/// model). Columnar mode fetches only the referenced column (the Virtuoso
+/// model), and an operator that needs one column of every solution it
+/// holds (a filter operand, a join's probe key, a group key) reads it for
+/// the whole batch with one Table::GetColumnBatch call. Projection, ORDER
+/// BY keys and a group's first value are read per solution, on demand.
+/// That asymmetry, not different plans, is what separates the two SQL
+/// SUTs.
 class SqlExecutor {
  public:
   SqlExecutor(Database* db, const sql::SelectStmt& stmt,
@@ -31,48 +43,90 @@ class SqlExecutor {
   Result<QueryResult> Run();
 
  private:
-  struct AliasInfo {
-    std::string alias;
-    Table* table = nullptr;
+  // A column reference bound to its FROM slot and column index.
+  struct ColumnRef {
+    size_t slot = 0;
+    size_t column = 0;
   };
-  // A binding assigns a RowId to each alias (kUnbound before its join).
+  // An expression bound once per execution: operands are indices into
+  // exprs_, constants point at their values.
+  struct BoundExpr {
+    const sql::Expr* ast = nullptr;
+    ColumnRef col;                 // kColumn
+    const Value* value = nullptr;  // kLiteral, kParam
+    int lhs = -1;                  // kBinary; kShortestPath: from
+    int rhs = -1;                  // kBinary; kShortestPath: to
+    size_t ready = 0;              // reads only slots below this
+  };
+  // One FROM entry. For a JOIN: its `join_column` equals `probe`, a
+  // column of an earlier slot; `index` is null when the join hash-builds.
+  struct Source {
+    Table* table = nullptr;
+    size_t join_column = 0;
+    ColumnRef probe;
+    HashIndex* index = nullptr;
+  };
+  // RowId of a slot no join has bound yet.
   static constexpr RowId kUnbound = ~RowId{0};
-  using Binding = std::vector<RowId>;
 
-  int AliasIndex(const std::string& alias) const;
-  // Resolves a column expr to (alias index, column index).
-  Status ResolveColumn(const sql::Expr& e, int* alias_idx,
-                       int* col_idx) const;
-  // True when every column referenced by `e` belongs to a bound alias.
-  bool AllBound(const sql::Expr& e, size_t bound_count) const;
+  // Resolves every name of the statement, once, into sources_, exprs_
+  // and the operator lists below.
+  Status BindStatement();
+  Result<ColumnRef> Resolve(const sql::Expr& e) const;
+  // Binds `e` and its operands; returns its index in exprs_.
+  Result<int> Bind(const sql::Expr& e);
 
-  Result<Value> Eval(const sql::Expr& e, const Binding& binding) const;
-  // The per-binding half of the query_ops tail: appends the values of
-  // `exprs` over the binding at a given position.
-  query_ops::RowFn EvalRow(std::vector<const sql::Expr*> exprs,
-                           const std::vector<Binding>& bindings) const;
-  // Column fetch honouring the storage model (see class comment).
-  Result<Value> FetchColumn(int alias_idx, int col_idx,
-                            const Binding& binding) const;
+  // Solution `i`: width_ consecutive RowIds in rows_.
+  const RowId* row(size_t i) const { return rows_.data() + i * width_; }
+  // Appends solution `b` with `slot` set to `id` to next_.
+  void Extend(const RowId* b, size_t slot, RowId id);
+  // Makes next_ the solutions.
+  void Advance();
 
-  Result<std::vector<Binding>> BuildDrivingSet(
-      std::vector<const sql::Expr*>* conjuncts);
-  Result<std::vector<Binding>> JoinNext(std::vector<Binding> input,
-                                        size_t alias_idx,
-                                        const sql::Expr& on);
-  Status ApplyReadyConjuncts(std::vector<const sql::Expr*>* conjuncts,
-                             size_t bound_count,
-                             std::vector<Binding>* bindings) const;
+  // Reads one column value of solution `b` (row mode: one whole tuple).
+  Result<Value> Fetch(ColumnRef c, const RowId* b);
+  // Reads column `c` of every solution into `*out`: one batched table
+  // call in columnar mode, one whole-tuple Get per solution in row mode.
+  Status FetchAll(ColumnRef c, std::vector<Value>* out);
+  Result<Value> Eval(int e, const RowId* b);
+  // Operand `e` of every solution into `*out`; nothing for a constant.
+  Status EvalAll(int e, std::vector<Value>* out);
 
-  // Grouped/global aggregation over the final binding set, honouring
-  // GROUP BY and ORDER BY on select-item aliases.
-  Result<std::vector<Row>> Aggregate(const std::vector<Binding>& bindings,
-                                     int64_t limit) const;
+  // The driving set: an index lookup or a scan of FROM[0].
+  Status Scan();
+  Status Join(size_t slot);
+  // Applies and drops the conjuncts that read only slots below `bound`.
+  Status Filter(size_t bound);
+  query_ops::RowFn Values(const std::vector<int>& exprs);
+  Result<std::vector<Row>> Aggregate();
 
   Database* db_;
   const sql::SelectStmt& stmt_;
   const std::vector<Value>& params_;
-  std::vector<AliasInfo> aliases_;
+  const bool row_mode_;
+  std::vector<Source> sources_;
+  std::vector<BoundExpr> exprs_;
+  size_t width_ = 0;
+  // WHERE conjuncts not yet applied.
+  std::vector<int> conjuncts_;
+  // Select items; in aggregate mode their arguments (-1: COUNT(*)).
+  std::vector<int> items_;
+  std::vector<int> keys_;       // GROUP BY
+  std::vector<int> sort_keys_;  // ORDER BY, without aggregation
+  bool aggregate_ = false;
+  query_ops::AggregateSpec agg_;
+  query_ops::ProjectSpec project_;
+
+  // The solutions; with no FROM, one empty solution.
+  std::vector<RowId> rows_;
+  size_t count_ = 1;
+  std::vector<RowId> next_;
+  size_t next_count_ = 0;
+  // Scratch reused across operators: probe results, a batch's RowIds,
+  // a whole tuple, and column values.
+  std::vector<RowId> ids_;
+  Row tuple_;
+  std::vector<Value> lhs_, rhs_;
 };
 
 }  // namespace graphbench

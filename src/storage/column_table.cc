@@ -95,6 +95,20 @@ Status ColumnTable::GetColumn(RowId id, size_t column, Value* out) const {
   return Status::OK();
 }
 
+Status ColumnTable::GetColumnBatch(std::span<const RowId> ids, size_t column,
+                                   std::vector<Value>* out) const {
+  std::shared_lock<obs::TimedSharedMutex> lock(mu_);
+  if (column >= columns_.size()) return Status::InvalidArgument("column");
+  out->resize(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] >= live_.size() || !live_[size_t(ids[i])]) {
+      return Status::NotFound("row");
+    }
+    (*out)[i] = ValueAtLocked(column, size_t(ids[i]));
+  }
+  return Status::OK();
+}
+
 Status ColumnTable::Update(RowId id, const Row& row) {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity mismatch");

@@ -34,6 +34,8 @@ class ColumnTable : public Table {
   Result<RowId> Insert(const Row& row) override;
   Status Get(RowId id, Row* row) const override;
   Status GetColumn(RowId id, size_t column, Value* out) const override;
+  Status GetColumnBatch(std::span<const RowId> ids, size_t column,
+                        std::vector<Value>* out) const override;
   Status Update(RowId id, const Row& row) override;
   Status Delete(RowId id) override;
   std::unique_ptr<TableScanIterator> NewScanIterator() const override;

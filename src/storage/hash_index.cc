@@ -31,11 +31,11 @@ Status HashIndex::Remove(const Value& key, RowId id) {
   return Status::OK();
 }
 
-std::vector<RowId> HashIndex::Lookup(const Value& key) const {
+void HashIndex::Lookup(const Value& key, std::vector<RowId>* out) const {
   std::shared_lock<obs::TimedSharedMutex> lock(mu_);
   auto it = map_.find(key);
-  if (it == map_.end()) return {};
-  return it->second;
+  if (it == map_.end()) return;
+  out->insert(out->end(), it->second.begin(), it->second.end());
 }
 
 Result<RowId> HashIndex::LookupUnique(const Value& key) const {

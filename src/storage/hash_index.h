@@ -27,8 +27,9 @@ class HashIndex {
   Status Insert(const Value& key, RowId id);
   Status Remove(const Value& key, RowId id);
 
-  /// All RowIds for `key` (empty when absent).
-  std::vector<RowId> Lookup(const Value& key) const;
+  /// Appends the RowIds for `key` to `*out` (nothing when absent), so a
+  /// caller probing many keys reuses one buffer.
+  void Lookup(const Value& key, std::vector<RowId>* out) const;
 
   /// Unique lookup; NotFound when absent.
   Result<RowId> LookupUnique(const Value& key) const;

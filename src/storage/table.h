@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "storage/table_schema.h"
@@ -46,6 +47,19 @@ class Table {
   /// Fetches a single column of the row at `id`. Column stores satisfy
   /// this touching one vector; row stores must locate the whole tuple.
   virtual Status GetColumn(RowId id, size_t column, Value* out) const = 0;
+
+  /// Fetches column `column` of every row in `ids`, in order, into `*out`
+  /// (resized to ids.size(), its elements reused). NotFound when any of
+  /// the rows is gone. A column store reads the batch under one latch;
+  /// this default calls GetColumn once per row.
+  virtual Status GetColumnBatch(std::span<const RowId> ids, size_t column,
+                                std::vector<Value>* out) const {
+    out->resize(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      GB_RETURN_IF_ERROR(GetColumn(ids[i], column, &(*out)[i]));
+    }
+    return Status::OK();
+  }
 
   /// Overwrites the row at `id`.
   virtual Status Update(RowId id, const Row& row) = 0;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "numbered.h"
 #include "storage/column_table.h"
 
 namespace graphbench {
@@ -16,7 +17,7 @@ TableSchema TwoColSchema() {
 TEST(ColumnMergeTest, DeltaRowsVisibleBeforeMerge) {
   ColumnTable t(TwoColSchema());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(t.Insert({Value(i), Value("n" + std::to_string(i))}).ok());
+    ASSERT_TRUE(t.Insert({Value(i), Value(Numbered("n", i))}).ok());
   }
   EXPECT_EQ(t.merges(), 0u);  // below the merge threshold
   Row row;

@@ -14,6 +14,7 @@
 #include "kv/key_codec.h"
 #include "kv/lsm_kv.h"
 #include "mq/broker.h"
+#include "numbered.h"
 #include "obs/metrics.h"
 #include "snb/datagen.h"
 #include "sut/matrix_sut.h"
@@ -31,7 +32,7 @@ TEST(ConcurrencyTest, LsmConcurrentWritersLoseNothing) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&kv, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        std::string key = "t" + std::to_string(t) + "-" + std::to_string(i);
+        std::string key = Numbered("t", t) + "-" + std::to_string(i);
         ASSERT_TRUE(kv.Put(key, "v").ok());
       }
     });
@@ -180,7 +181,7 @@ TEST(ConcurrencyTest, MqManyProducersOneConsumer) {
     producers.emplace_back([&broker, p] {
       mq::Producer producer(&broker, "t");
       for (int i = 0; i < kEach; ++i) {
-        ASSERT_TRUE(producer.Send("k" + std::to_string(p), "m").ok());
+        ASSERT_TRUE(producer.Send(Numbered("k", p), "m").ok());
       }
     });
   }

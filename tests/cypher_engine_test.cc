@@ -2,32 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
-#include <new>
 
-// Counts every heap allocation made through operator new in this binary,
-// so the executor's allocations per query can be gated exactly.
-static std::atomic<long> g_allocations{0};
-
-void* operator new(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](size_t size) { return operator new(size); }
-// Kept out of line: inlined, GCC sees free() on operator new's pointer
-// and warns (-Wmismatched-new-delete), though new here is malloc.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept {
-  std::free(p);
-}
+#include "allocation_counter.h"
 
 namespace graphbench {
 namespace {
@@ -322,6 +300,25 @@ TEST_F(CypherEngineTest, VariableSharedByTwoChains) {
   EXPECT_EQ(IntRows(*cross), (IntTable{{2, 4}, {2, 5}, {3, 4}, {3, 5}}));
 }
 
+TEST_F(CypherEngineTest, LabelAndInlinePropsOnAnAnchorAlreadyBound) {
+  // Person 1 knows 2 and 3; the second chain's anchor f is bound by the
+  // first, so its label and properties filter those bindings.
+  const std::pair<const char*, IntTable> cases[] = {
+      {"(f:Nope)", {}},
+      {"(f {id: 9})", {}},
+      {"(f {id: 3})", {{3}}},
+      {"(f:Person {id: 2})", {{2}}},
+      {"(f:Person)", {{2}, {3}}},
+  };
+  for (const auto& [anchor, want] : cases) {
+    std::string q = std::string("MATCH (p:Person {id: 1})-[:KNOWS]->(f), ") +
+                    anchor + " RETURN f.id";
+    auto r = engine_.Execute(q, {});
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    EXPECT_EQ(IntRows(*r), want) << q;
+  }
+}
+
 TEST_F(CypherEngineTest, AnonymousNodes) {
   auto degree = engine_.Execute(
       "MATCH (p:Person {id: $id})-[:KNOWS]-() RETURN count(*)",
@@ -460,12 +457,6 @@ TEST_F(CypherEngineTest, ChainThatEmptiesMidway) {
 // allocations (vector doublings) beyond one per output row; an executor
 // that allocates per binding or per group adds hundreds.
 
-long AllocationsOf(const std::function<void()>& fn) {
-  long before = g_allocations.load(std::memory_order_relaxed);
-  fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
-}
-
 struct Counted {
   long allocations = 0;
   size_t rows = 0;
@@ -542,9 +533,6 @@ Counted TwoHopAllocations(int friends, int fof) {
   return CountExecution(&engine, kTwoHopShape, {{"id", Value(0)}});
 }
 
-// Allocations a 4x larger input may add beyond one per extra output row.
-constexpr long kGrowthBound = 24;
-
 TEST(CypherAllocationTest, TopPostersAllocationsDoNotScaleWithInput) {
   Counted small = TopPostersAllocations(150, 60);
   Counted large = TopPostersAllocations(600, 240);
@@ -553,7 +541,7 @@ TEST(CypherAllocationTest, TopPostersAllocationsDoNotScaleWithInput) {
               small.allocations, large.allocations, large.rows);
   ASSERT_EQ(small.rows, 20u);
   ASSERT_EQ(large.rows, 20u);
-  EXPECT_LE(large.allocations - small.allocations, kGrowthBound);
+  EXPECT_LE(large.allocations - small.allocations, kAllocationGrowthBound);
 }
 
 TEST(CypherAllocationTest, TwoHopAllocationsScaleOnlyWithOutputRows) {
@@ -565,7 +553,7 @@ TEST(CypherAllocationTest, TwoHopAllocationsScaleOnlyWithOutputRows) {
   ASSERT_GT(large.rows, small.rows);
   EXPECT_LE((large.allocations - long(large.rows)) -
                 (small.allocations - long(small.rows)),
-            kGrowthBound);
+            kAllocationGrowthBound);
 }
 
 }  // namespace

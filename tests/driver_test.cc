@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "numbered.h"
 #include "snb/datagen.h"
 #include "snb/update_codec.h"
 #include "sut/sut.h"
@@ -51,7 +52,7 @@ TEST(MqTest, LagTracksUnconsumedMessages) {
   EXPECT_EQ(consumer.Lag(), 0u);
   EXPECT_TRUE(consumer.CaughtUp());
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(producer.Send("k" + std::to_string(i), "p").ok());
+    ASSERT_TRUE(producer.Send(Numbered("k", i), "p").ok());
   }
   EXPECT_EQ(consumer.Lag(), 30u);
   EXPECT_FALSE(consumer.CaughtUp());

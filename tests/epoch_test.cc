@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "concurrency/versioned.h"
+#include "numbered.h"
 
 namespace graphbench {
 namespace concurrency {
@@ -204,7 +205,7 @@ TEST(StableVecTest, GrowthKeepsAddressesStable) {
   WriteBatch batch;
   vec.PushBack(mgr, "first");
   const std::string* p = &vec[0];
-  for (int i = 1; i < 100; ++i) vec.PushBack(mgr, "s" + std::to_string(i));
+  for (int i = 1; i < 100; ++i) vec.PushBack(mgr, Numbered("s", i));
   EXPECT_EQ(p, &vec[0]);
   EXPECT_EQ(vec[0], "first");
   EXPECT_EQ(vec[99], "s99");

@@ -12,6 +12,7 @@
 #include "kv/key_codec.h"
 #include "kv/lsm_kv.h"
 #include "kv/paged_btree_kv.h"
+#include "numbered.h"
 #include "pager_oracle.h"
 #include "storage/os_file.h"
 #include "util/random.h"
@@ -75,7 +76,7 @@ TEST_P(KvStoreContractTest, MatchesReferenceMapUnderRandomOps) {
     std::string key = "key" + std::to_string(rng.Uniform(400));
     int op = int(rng.Uniform(3));
     if (op == 0 || op == 1) {
-      std::string value = "v" + std::to_string(rng.Next() % 100000);
+      std::string value = Numbered("v", int64_t(rng.Next() % 100000));
       ASSERT_TRUE(kv->Put(key, value).ok());
       ref[key] = value;
     } else {
@@ -100,8 +101,8 @@ TEST_P(KvStoreContractTest, IteratorIsOrderedAndComplete) {
   Rng rng(5);
   std::map<std::string, std::string> ref;
   for (int i = 0; i < 500; ++i) {
-    std::string key = "k" + std::to_string(rng.Uniform(1000));
-    ref[key] = "v";
+    std::string key = Numbered("k", int64_t(rng.Uniform(1000)));
+    ref.emplace(key, "v");
     ASSERT_TRUE(kv->Put(key, "v").ok());
   }
   auto it = kv->NewIterator();
@@ -189,7 +190,7 @@ TEST(PagedBTreeKvTest, ReopenAfterCheckpointRecoversEverything) {
     Rng rng(13);
     for (int i = 0; i < 800; ++i) {
       std::string key = "key" + std::to_string(rng.Uniform(300));
-      std::string value = "v" + std::to_string(rng.Next() % 100000);
+      std::string value = Numbered("v", int64_t(rng.Next() % 100000));
       ASSERT_TRUE((*kv)->Put(key, value).ok());
       ref[key] = value;
     }
@@ -414,7 +415,7 @@ TEST(LsmKvTest, FlushAndCompactionPreserveData) {
   opts.max_runs = 2;
   LsmKv kv(opts);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(kv.Put("k" + std::to_string(i), std::string(30, 'a')).ok());
+    ASSERT_TRUE(kv.Put(Numbered("k", i), std::string(30, 'a')).ok());
   }
   EXPECT_GT(kv.compactions_run(), 0u);
   std::string v;

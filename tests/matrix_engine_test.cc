@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "engines/matrix/delta_csr.h"
+#include "numbered.h"
 #include "snb/datagen.h"
 
 namespace graphbench {
@@ -166,7 +167,7 @@ TEST(MatrixEngineTest, TwoHopMasksOnlySelf) {
   for (int64_t id = 0; id < 4; ++id) {
     snb::Person p;
     p.id = 100 + id;
-    p.first_name = "P" + std::to_string(id);
+    p.first_name = Numbered("P", id);
     data.persons.push_back(p);
   }
   auto knows = [&data](int64_t a, int64_t b) {

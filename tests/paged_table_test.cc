@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "numbered.h"
 #include "pager_oracle.h"
 #include "storage/os_file.h"
 #include "storage/pager.h"
@@ -78,7 +79,7 @@ TEST(PagedTableTest, AttachAfterMultipleDirectoryPages) {
     ASSERT_TRUE((*table)->Get(id, &row).ok()) << "row " << id;
     ASSERT_EQ(row.size(), 2u);
     EXPECT_EQ(row[0].as_int(), int64_t(id));
-    EXPECT_EQ(row[1].as_string(), "v" + std::to_string(id));
+    EXPECT_EQ(row[1].as_string(), Numbered("v", int64_t(id)));
   }
   Row row;
   EXPECT_TRUE((*table)->Get(3, &row).IsNotFound());
@@ -332,7 +333,7 @@ TEST(PagedTableTest, ReadersOfOneTableBesideWriterOfAnother) {
         RowId id = rng.Uniform(kRows);
         Row row;
         ASSERT_TRUE((*read_table)->Get(id, &row).ok());
-        EXPECT_EQ(row[1].as_string(), "v" + std::to_string(id));
+        EXPECT_EQ(row[1].as_string(), Numbered("v", int64_t(id)));
       }
     });
   }

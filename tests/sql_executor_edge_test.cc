@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "allocation_counter.h"
 #include "engines/relational/database.h"
+#include "numbered.h"
 
 namespace graphbench {
 namespace {
@@ -245,6 +250,167 @@ TEST_F(SqlExecutorEdgeTest, EmptyDrivingSetShortCircuits) {
       "SELECT b.score FROM a JOIN b ON a.id = b.aid WHERE a.id = 999");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->rows.empty());
+}
+
+// --- Binding ----------------------------------------------------------------
+// An unknown alias or column fails when the statement binds, before any
+// row is read: whether or not a row would reach it, on both storage modes.
+
+TEST(SqlBindTest, UnknownNameIsInvalidArgumentWhateverTheData) {
+  for (StorageMode mode : {StorageMode::kRow, StorageMode::kColumnar}) {
+    Database db(mode);
+    ASSERT_TRUE(
+        db.CreateTable(TableSchema("a", {{"id", Value::Type::kInt}})).ok());
+    ASSERT_TRUE(db.CreateTable(TableSchema("b", {{"aid", Value::Type::kInt},
+                                                 {"score", Value::Type::kInt}}))
+                    .ok());
+    ASSERT_TRUE(db.CreateIndex("a", "id", true).ok());
+    for (int i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(db.InsertRow("a", {Value(i)}).ok());
+      ASSERT_TRUE(db.InsertRow("b", {Value(i), Value(i * 10)}).ok());
+    }
+    for (const char* sql : {
+             // No row has id 99, so no row ever reads `nope`.
+             "SELECT nope FROM a WHERE id = 99",
+             "SELECT id FROM a WHERE nope = 1",
+             "SELECT a.id FROM a JOIN b ON b.aid = a.id WHERE b.nope = 3",
+             "SELECT zz.id FROM a WHERE id = 99",
+             "SELECT id FROM a WHERE id = 99 ORDER BY nope",
+             "SELECT id, COUNT(*) AS n FROM a WHERE id = 99 GROUP BY nope",
+             "SELECT a.id FROM a JOIN b ON b.nope = a.id WHERE a.id = 99",
+         }) {
+      Status s = db.Execute(sql).status();
+      EXPECT_TRUE(s.IsInvalidArgument())
+          << int(mode) << " " << sql << ": " << s.ToString();
+    }
+  }
+}
+
+// --- Allocation gate -----------------------------------------------------
+// Heap allocations of one cached-plan execution of the TopPosters and
+// TwoHop statement shapes, on both storage modes, on fixtures scaled by
+// 4x. The executor works over flat solutions and buffers that grow by
+// doubling, so scaling the input may add only a few allocations beyond
+// one per output row.
+
+struct Counted {
+  long allocations = 0;
+  size_t rows = 0;
+};
+
+// Runs `sql` once to fill the plan cache, then counts a second run.
+Counted CountExecution(Database* db, const char* sql,
+                       const std::vector<Value>& params) {
+  auto warm = db->Execute(sql, params);
+  EXPECT_TRUE(warm.ok()) << warm.status().ToString();
+  Counted c;
+  c.allocations = AllocationsOf([&] {
+    auto r = db->Execute(sql, params);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) c.rows = r->rows.size();
+  });
+  return c;
+}
+
+constexpr char kTopPostersShape[] =
+    "SELECT p.creatorId, COUNT(*) AS n FROM post p "
+    "GROUP BY p.creatorId ORDER BY n DESC, creatorId LIMIT ?";
+
+constexpr char kTwoHopShape[] =
+    "SELECT DISTINCT p.id FROM knows k1 "
+    "JOIN knows k2 ON k1.person2Id = k2.person1Id "
+    "JOIN person p ON k2.person2Id = p.id "
+    "WHERE k1.person1Id = ? AND p.id <> ?";
+
+// `posts` posts spread over `creators` creators (creator i * 7 % creators
+// writes post i, so post counts tie in long runs).
+Counted TopPostersAllocations(StorageMode mode, int posts, int creators) {
+  Database db(mode);
+  EXPECT_TRUE(db.CreateTable(TableSchema("post",
+                                         {{"id", Value::Type::kInt},
+                                          {"content", Value::Type::kString},
+                                          {"creatorId", Value::Type::kInt}}))
+                  .ok());
+  for (int i = 0; i < posts; ++i) {
+    EXPECT_TRUE(db.InsertRow("post", {Value(i),
+                                      Value("content of post number " +
+                                            std::to_string(i)),
+                                      Value(1000 + i * 7 % creators)})
+                    .ok());
+  }
+  db.EnablePlanCache();
+  return CountExecution(&db, kTopPostersShape, {Value(20)});
+}
+
+// Person 0 knows `friends` people, each of whom knows `fof` more (and the
+// friend next to it); knows rows run both ways, as the SNB loader stores
+// them.
+Counted TwoHopAllocations(StorageMode mode, int friends, int fof) {
+  Database db(mode);
+  EXPECT_TRUE(db.CreateTable(TableSchema("person",
+                                         {{"id", Value::Type::kInt},
+                                          {"firstName", Value::Type::kString}}))
+                  .ok());
+  EXPECT_TRUE(db.CreateTable(TableSchema("knows",
+                                         {{"person1Id", Value::Type::kInt},
+                                          {"person2Id", Value::Type::kInt}}))
+                  .ok());
+  EXPECT_TRUE(db.CreateIndex("person", "id", true).ok());
+  EXPECT_TRUE(db.CreateIndex("knows", "person1Id", false).ok());
+  EXPECT_TRUE(db.CreateIndex("knows", "person2Id", false).ok());
+  int64_t next_id = 0;
+  auto person = [&] {
+    int64_t id = next_id++;
+    EXPECT_TRUE(
+        db.InsertRow("person", {Value(id), Value(Numbered("P", id))})
+            .ok());
+    return id;
+  };
+  auto knows = [&](int64_t a, int64_t b) {
+    EXPECT_TRUE(db.InsertRow("knows", {Value(a), Value(b)}).ok());
+    EXPECT_TRUE(db.InsertRow("knows", {Value(b), Value(a)}).ok());
+  };
+  int64_t root = person();
+  std::vector<int64_t> fs;
+  for (int i = 0; i < friends; ++i) {
+    fs.push_back(person());
+    knows(root, fs.back());
+  }
+  for (int i = 0; i < friends; ++i) {
+    knows(fs[size_t(i)], fs[size_t((i + 1) % friends)]);
+    for (int j = 0; j < fof; ++j) knows(fs[size_t(i)], person());
+  }
+  db.EnablePlanCache();
+  return CountExecution(&db, kTwoHopShape, {Value(root), Value(root)});
+}
+
+TEST(SqlAllocationTest, TopPostersAllocationsDoNotScaleWithInput) {
+  for (StorageMode mode : {StorageMode::kRow, StorageMode::kColumnar}) {
+    Counted small = TopPostersAllocations(mode, 150, 60);
+    Counted large = TopPostersAllocations(mode, 600, 240);
+    std::printf("TopPosters shape, %s: %ld allocations (150 posts, 60 "
+                "creators), %ld (600 posts, 240 creators), %zu rows each\n",
+                mode == StorageMode::kRow ? "row" : "columnar",
+                small.allocations, large.allocations, large.rows);
+    ASSERT_EQ(small.rows, 20u);
+    ASSERT_EQ(large.rows, 20u);
+    EXPECT_LE(large.allocations - small.allocations, kAllocationGrowthBound);
+  }
+}
+
+TEST(SqlAllocationTest, TwoHopAllocationsScaleOnlyWithOutputRows) {
+  for (StorageMode mode : {StorageMode::kRow, StorageMode::kColumnar}) {
+    Counted small = TwoHopAllocations(mode, 8, 6);
+    Counted large = TwoHopAllocations(mode, 16, 15);
+    std::printf("TwoHop shape, %s: %ld allocations for %zu rows "
+                "(8 friends), %ld for %zu rows (16 friends)\n",
+                mode == StorageMode::kRow ? "row" : "columnar",
+                small.allocations, small.rows, large.allocations, large.rows);
+    ASSERT_GT(large.rows, small.rows);
+    EXPECT_LE((large.allocations - long(large.rows)) -
+                  (small.allocations - long(small.rows)),
+              kAllocationGrowthBound);
+  }
 }
 
 }  // namespace

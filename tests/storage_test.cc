@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "numbered.h"
 #include "storage/column_table.h"
 #include "storage/hash_index.h"
 #include "storage/heap_table.h"
@@ -54,6 +55,29 @@ TEST_P(TableContractTest, GetColumnFetchesSingleValue) {
   ASSERT_TRUE(t->GetColumn(*id, 2, &v).ok());
   EXPECT_EQ(v.as_string(), "Hopper");
   EXPECT_TRUE(t->GetColumn(*id, 7, &v).IsInvalidArgument());
+}
+
+TEST_P(TableContractTest, GetColumnBatchReadsInRequestOrder) {
+  auto t = Make();
+  // Past ColumnTable's delta merge, so a batch spans both of its regions.
+  const int n = int(ColumnTable::kDeltaMergeRows) + 10;
+  std::vector<RowId> ids;
+  for (int i = 0; i < n; ++i) {
+    auto id = t->Insert({Value(i), Value(Numbered("f", i)),
+                         Value("l")});
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  std::vector<RowId> want = {ids[size_t(n - 1)], ids[3], ids[3], ids[0]};
+  std::vector<Value> got(7, Value("stale"));
+  ASSERT_TRUE(t->GetColumnBatch(want, 1, &got).ok());
+  EXPECT_EQ(got, (std::vector<Value>{Value(Numbered("f", n - 1)),
+                                     Value("f3"), Value("f3"), Value("f0")}));
+  ASSERT_TRUE(t->GetColumnBatch({}, 0, &got).ok());
+  EXPECT_TRUE(got.empty());
+  // A deleted row anywhere in the batch fails it.
+  ASSERT_TRUE(t->Delete(ids[3]).ok());
+  EXPECT_TRUE(t->GetColumnBatch(want, 0, &got).IsNotFound());
 }
 
 TEST_P(TableContractTest, UpdateOverwrites) {
@@ -143,8 +167,14 @@ TEST(HashIndexTest, MultiValueLookup) {
   ASSERT_TRUE(idx.Insert(Value(int64_t{7}), 100).ok());
   ASSERT_TRUE(idx.Insert(Value(int64_t{7}), 101).ok());
   ASSERT_TRUE(idx.Insert(Value(int64_t{8}), 102).ok());
-  EXPECT_EQ(idx.Lookup(Value(int64_t{7})).size(), 2u);
-  EXPECT_EQ(idx.Lookup(Value(int64_t{9})).size(), 0u);
+  std::vector<RowId> ids;
+  idx.Lookup(Value(int64_t{7}), &ids);
+  EXPECT_EQ(ids, (std::vector<RowId>{100, 101}));
+  idx.Lookup(Value(int64_t{9}), &ids);
+  EXPECT_EQ(ids.size(), 2u);
+  // Appends to what the caller's buffer already holds.
+  idx.Lookup(Value(int64_t{8}), &ids);
+  EXPECT_EQ(ids, (std::vector<RowId>{100, 101, 102}));
   EXPECT_EQ(idx.entry_count(), 3u);
 }
 

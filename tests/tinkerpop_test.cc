@@ -16,6 +16,7 @@
 #include "engines/titan/titan_graph.h"
 #include "kv/btree_kv.h"
 #include "kv/lsm_kv.h"
+#include "numbered.h"
 #include "obs/profiler.h"
 #include "providers/native_provider.h"
 #include "providers/sqlg_provider.h"
@@ -520,7 +521,7 @@ TEST(GremlinServerTest, ConcurrentClientsGetTheirOwnReplies) {
     ASSERT_TRUE(provider
                     .AddVertex("Person",
                                {{"id", Value(id)},
-                                {"firstName", Value("p" + std::to_string(id))}})
+                                {"firstName", Value(Numbered("p", id))}})
                     .ok());
   }
   GremlinServerOptions server_opts;
@@ -539,7 +540,7 @@ TEST(GremlinServerTest, ConcurrentClientsGetTheirOwnReplies) {
         if (!r.ok()) {
           ++failed;
         } else if (r->size() != 1 ||
-                   (*r)[0].as_string() != "p" + std::to_string(id)) {
+                   (*r)[0].as_string() != Numbered("p", id)) {
           ++wrong;
         }
       }
