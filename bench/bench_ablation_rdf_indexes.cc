@@ -39,11 +39,13 @@ int main(int argc, char** argv) {
     std::vector<Triple> out;
     Stopwatch po_clock;
     for (int i = 0; i < 200; ++i) {
+      out.clear();
       store.Match(kWildcard, rng.Uniform(16), rng.Uniform(50000), &out);
     }
     double po_us = double(po_clock.ElapsedMicros()) / 200.0;
     Stopwatch o_clock;
     for (int i = 0; i < 200; ++i) {
+      out.clear();
       store.Match(kWildcard, kWildcard, rng.Uniform(50000), &out);
     }
     double o_us = double(o_clock.ElapsedMicros()) / 200.0;

@@ -2,13 +2,375 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
+#include <string_view>
 
 #include "graph/shortest_path.h"
 #include "lang/sparql/parser.h"
 #include "obs/profiler.h"
 
 namespace graphbench {
+
+namespace {
+
+// A triple pattern with its constants dictionary-encoded and its
+// variables bound to solution slots. Positions are s, p, o.
+struct BoundPattern {
+  uint64_t term[3] = {kWildcard, kWildcard, kWildcard};  // constants
+  int slot[3] = {-1, -1, -1};                            // variables
+};
+
+// FILTER(?a = ?b) or FILTER(?a != ?b) over two slots.
+struct BoundFilter {
+  int a, b;
+  bool not_equal;
+  bool applied = false;
+};
+
+// A projected column: the term in `slot`, or for shortestPath() the BFS
+// length from `slot` to `to_slot` over `pred` (-1 when the predicate is
+// unknown).
+struct Column {
+  size_t slot;
+  bool is_path = false;
+  size_t to_slot = 0;
+  std::optional<uint64_t> pred = std::nullopt;
+};
+
+// One execution of a parsed query. A solution is `width_` consecutive
+// term ids in `rows_`: one slot per variable, numbered in order of first
+// appearance in the triple patterns. Bind() resolves every name the query
+// uses (FILTER, projection, GROUP BY, ORDER BY) and every constant before
+// a triple is read, so its errors do not depend on the data. Nothing
+// allocates per solution: the buffers grow by doubling and are reused
+// across the join steps.
+class Execution {
+ public:
+  Execution(const RdfEngine& engine, const TermDictionary& dict,
+            const sparql::Query& q)
+      : engine_(engine), dict_(dict), q_(q) {}
+
+  Status Bind(const RdfEngine::Params& params, int64_t limit);
+  void Join();
+  Result<std::vector<Row>> Output();
+
+ private:
+  int Slot(std::string_view var) const {
+    for (size_t i = 0; i < vars_.size(); ++i) {
+      if (vars_[i] == var) return int(i);
+    }
+    return -1;
+  }
+  Result<size_t> Known(std::string_view var) const {
+    int s = Slot(var);
+    if (s < 0) {
+      return Status::InvalidArgument("unknown variable ?" + std::string(var));
+    }
+    return size_t(s);
+  }
+  const uint64_t* row(size_t i) const { return rows_.data() + i * width_; }
+  Status BindPattern(const sparql::TriplePattern& tp,
+                     const RdfEngine::Params& params);
+  Status BindOutput(int64_t limit);
+  // Probes the store once per solution with `bp` and keeps every
+  // extension.
+  void JoinStep(const BoundPattern& bp, const std::vector<char>& bound);
+  // Keeps, in order, the solutions that pass `f`.
+  void Filter(const BoundFilter& f);
+  Value Decode(uint64_t id) const {
+    Term t = dict_.Decode(id);
+    if (t.kind == Term::Kind::kIri) return Value(std::move(t.iri));
+    return std::move(t.literal);
+  }
+  query_ops::RowFn Decoded(const std::vector<size_t>& slots) const {
+    return [this, &slots](size_t i, Row* out) -> Status {
+      for (size_t s : slots) out->push_back(Decode(row(i)[s]));
+      return Status::OK();
+    };
+  }
+
+  const RdfEngine& engine_;
+  const TermDictionary& dict_;
+  const sparql::Query& q_;
+  std::vector<std::string_view> vars_;
+  size_t width_ = 0;
+  std::vector<BoundPattern> patterns_;
+  bool impossible_ = false;  // a constant term is not in the dictionary
+  std::vector<BoundFilter> filters_;
+
+  // The output: a grouped aggregation, or a projection.
+  bool aggregate_ = false;
+  query_ops::AggregateSpec agg_;
+  std::vector<size_t> group_slots_;
+  query_ops::ProjectSpec project_;
+  std::vector<Column> columns_;
+  std::vector<size_t> sort_slots_;
+
+  // The solutions; the join starts from one empty solution.
+  std::vector<uint64_t> rows_;
+  size_t count_ = 0;
+  std::vector<uint64_t> next_;
+  std::vector<Triple> matches_;
+};
+
+Status Execution::BindPattern(const sparql::TriplePattern& tp,
+                              const RdfEngine::Params& params) {
+  BoundPattern bp;
+  const sparql::TermPattern* terms[3] = {&tp.s, &tp.p, &tp.o};
+  for (int k = 0; k < 3; ++k) {
+    const sparql::TermPattern& t = *terms[k];
+    std::optional<uint64_t> found;
+    switch (t.kind) {
+      case sparql::TermPattern::Kind::kVariable:
+        bp.slot[k] = Slot(t.text);
+        if (bp.slot[k] < 0) {
+          bp.slot[k] = int(vars_.size());
+          vars_.push_back(t.text);
+        }
+        continue;
+      case sparql::TermPattern::Kind::kIri:
+        found = dict_.LookupIri(t.text);
+        break;
+      case sparql::TermPattern::Kind::kLiteral:
+        found = dict_.LookupLiteral(t.literal);
+        break;
+      case sparql::TermPattern::Kind::kParam: {
+        // Bind step: parameters resolve to literal terms per call.
+        auto it = params.find(t.text);
+        if (it == params.end()) {
+          return Status::InvalidArgument("missing parameter $" + t.text);
+        }
+        found = dict_.LookupLiteral(it->second);
+        break;
+      }
+    }
+    if (found) bp.term[k] = *found;
+    else impossible_ = true;
+  }
+  patterns_.push_back(bp);
+  return Status::OK();
+}
+
+Status Execution::Bind(const RdfEngine::Params& params, int64_t limit) {
+  // Dictionary-encode the constant terms (the forward half of the RDF
+  // translation cost) and number the variables.
+  obs::OpTimer resolve_op("resolve_terms");
+  patterns_.reserve(q_.patterns.size());
+  for (const auto& tp : q_.patterns) {
+    GB_RETURN_IF_ERROR(BindPattern(tp, params));
+  }
+  width_ = vars_.size();
+  resolve_op.AddRows(patterns_.size());
+  resolve_op.Stop();
+
+  for (const auto& f : q_.filters) {
+    int a = Slot(f.var_a), b = Slot(f.var_b);
+    if (a < 0 || b < 0) {
+      return Status::InvalidArgument("FILTER on unknown variable ?" +
+                                     (a < 0 ? f.var_a : f.var_b));
+    }
+    filters_.push_back({a, b, f.not_equal});
+  }
+  return BindOutput(limit);
+}
+
+Status Execution::BindOutput(int64_t limit) {
+  // Aggregation: any (COUNT(?v) AS ?n) projection groups the solutions by
+  // the GROUP BY variables (SPARQL 1.1 semantics subset).
+  for (const auto& sel : q_.select) aggregate_ |= sel.is_count;
+  if (aggregate_) {
+    agg_.grouped = !q_.group_by.empty();
+    agg_.limit = limit;
+    for (const std::string& g : q_.group_by) {
+      GB_ASSIGN_OR_RETURN(size_t s, Known(g));
+      group_slots_.push_back(s);
+    }
+    for (const auto& sel : q_.select) {
+      if (sel.is_count) {
+        agg_.items.push_back({query_ops::Agg::kCountStar});
+        continue;
+      }
+      if (sel.is_path) {
+        return Status::NotSupported(
+            "shortestPath cannot mix with aggregates");
+      }
+      // Plain variable: must be one of the GROUP BY keys.
+      size_t key = size_t(
+          std::find(q_.group_by.begin(), q_.group_by.end(), sel.var) -
+          q_.group_by.begin());
+      if (key == q_.group_by.size()) {
+        return Status::InvalidArgument(
+            "projected variable ?" + sel.var + " not in GROUP BY");
+      }
+      agg_.items.push_back({query_ops::Agg::kKey, key});
+    }
+    // ORDER BY over aggregated output references projected names.
+    for (const auto& [var, desc] : q_.order_by) {
+      size_t column = 0;
+      while (column < q_.select.size() &&
+             (q_.select[column].is_count ? q_.select[column].as_name
+                                         : q_.select[column].var) != var) {
+        ++column;
+      }
+      if (column == q_.select.size()) {
+        return Status::InvalidArgument("ORDER BY unknown projection ?" +
+                                       var);
+      }
+      agg_.order.push_back({column, desc});
+    }
+    return Status::OK();
+  }
+
+  for (const auto& sel : q_.select) {
+    if (!sel.is_path) {
+      GB_ASSIGN_OR_RETURN(size_t s, Known(sel.var));
+      columns_.push_back({s});
+      continue;
+    }
+    int from = Slot(sel.from_var), to = Slot(sel.to_var);
+    if (from < 0 || to < 0) {
+      return Status::InvalidArgument("shortestPath over unbound vars");
+    }
+    columns_.push_back(
+        {size_t(from), true, size_t(to), dict_.LookupIri(sel.pred_iri)});
+  }
+  project_ = {q_.distinct, q_.select.size(), {}, limit};
+  for (const auto& [var, desc] : q_.order_by) {
+    GB_ASSIGN_OR_RETURN(size_t s, Known(var));
+    sort_slots_.push_back(s);
+    project_.desc.push_back(desc);
+  }
+  return Status::OK();
+}
+
+void Execution::Join() {
+  // A constant term missing from the dictionary means no solutions.
+  rows_.assign(width_, kWildcard);
+  count_ = impossible_ ? 0 : 1;
+  std::vector<char> used(patterns_.size(), 0);
+  std::vector<char> bound(width_, 0);
+  auto bound_or_constant = [&bound](int slot) {
+    return slot < 0 || bound[size_t(slot)];
+  };
+  // Greedy BGP join: repeatedly run the most selective remaining pattern.
+  for (size_t step = 0; step < patterns_.size() && count_ > 0; ++step) {
+    int best = -1, best_score = -1;
+    for (size_t i = 0; i < patterns_.size(); ++i) {
+      if (used[i]) continue;
+      const BoundPattern& bp = patterns_[i];
+      int score = 4 * bound_or_constant(bp.slot[0]) +
+                  2 * bound_or_constant(bp.slot[2]) +
+                  bound_or_constant(bp.slot[1]);
+      if (score > best_score) {
+        best_score = score;
+        best = int(i);
+      }
+    }
+    used[size_t(best)] = 1;
+    const BoundPattern& bp = patterns_[size_t(best)];
+    JoinStep(bp, bound);
+    for (int slot : bp.slot) {
+      if (slot >= 0) bound[size_t(slot)] = 1;
+    }
+    // Each filter runs once, as soon as both its variables are bound.
+    for (BoundFilter& f : filters_) {
+      if (f.applied || !bound[size_t(f.a)] || !bound[size_t(f.b)]) continue;
+      Filter(f);
+      f.applied = true;
+    }
+  }
+}
+
+void Execution::JoinStep(const BoundPattern& bp,
+                         const std::vector<char>& bound) {
+  // One triple-pattern join step: probe the triple indexes once per
+  // current solution and extend it with every match.
+  obs::OpTimer join_op("triple_pattern_join");
+  // Per position: the slot whose bound value probes it, or the slot the
+  // match binds; and the earlier position a repeated unbound variable
+  // must equal.
+  int probe[3] = {-1, -1, -1}, binds[3] = {-1, -1, -1}, same[3] = {-1, -1, -1};
+  for (int k = 0; k < 3; ++k) {
+    int slot = bp.slot[k];
+    if (slot < 0) continue;
+    if (bound[size_t(slot)]) {
+      probe[k] = slot;
+      continue;
+    }
+    binds[k] = slot;
+    for (int j = 0; j < k; ++j) {
+      if (binds[j] == slot) same[k] = j;
+    }
+  }
+  next_.clear();
+  size_t next_count = 0;
+  for (size_t r = 0; r < count_; ++r) {
+    const uint64_t* b = row(r);
+    uint64_t key[3];
+    for (int k = 0; k < 3; ++k) {
+      key[k] = probe[k] >= 0 ? b[probe[k]] : bp.term[k];
+    }
+    matches_.clear();
+    engine_.store().Match(key[0], key[1], key[2], &matches_);
+    for (const Triple& t : matches_) {
+      const uint64_t v[3] = {t.s, t.p, t.o};
+      if ((same[1] >= 0 && v[1] != v[same[1]]) ||
+          (same[2] >= 0 && v[2] != v[same[2]])) {
+        continue;
+      }
+      next_.insert(next_.end(), b, b + width_);
+      uint64_t* extended = next_.data() + next_count * width_;
+      for (int k = 0; k < 3; ++k) {
+        if (binds[k] >= 0) extended[binds[k]] = v[k];
+      }
+      ++next_count;
+    }
+  }
+  rows_.swap(next_);
+  count_ = next_count;
+  join_op.AddRows(count_);
+}
+
+void Execution::Filter(const BoundFilter& f) {
+  obs::OpTimer filter_op("filter");
+  size_t kept = 0;
+  for (size_t r = 0; r < count_; ++r) {
+    const uint64_t* b = row(r);
+    if ((b[f.a] == b[f.b]) == f.not_equal) continue;
+    if (kept != r) std::copy_n(b, width_, rows_.data() + kept * width_);
+    ++kept;
+  }
+  count_ = kept;
+  rows_.resize(kept * width_);
+  filter_op.AddRows(count_);
+}
+
+Result<std::vector<Row>> Execution::Output() {
+  // Decoding ids back to Values is the reverse-dictionary half of the
+  // translation cost.
+  if (aggregate_) {
+    return query_ops::Aggregate(count_, agg_, Decoded(group_slots_), nullptr);
+  }
+  return query_ops::Project(
+      count_, project_,
+      [this](size_t i, Row* out) -> Status {
+        const uint64_t* b = row(i);
+        for (const Column& c : columns_) {
+          if (!c.is_path) {
+            out->push_back(Decode(b[c.slot]));
+          } else if (!c.pred) {
+            out->emplace_back(int64_t{-1});
+          } else {
+            GB_ASSIGN_OR_RETURN(int len, engine_.ShortestPath(
+                                             b[c.slot], b[c.to_slot], *c.pred));
+            out->emplace_back(int64_t{len});
+          }
+        }
+        return Status::OK();
+      },
+      Decoded(sort_slots_));
+}
+
+}  // namespace
 
 RdfEngine::RdfEngine(int num_indexes) : store_(num_indexes) {}
 
@@ -77,274 +439,15 @@ Result<QueryResult> RdfEngine::ExecuteParsed(const sparql::Query& q,
       query_ops::BindLimit(
           q.limit, !q.limit_param.empty(),
           limit_param == params.end() ? nullptr : &limit_param->second));
-
-  // Assign variable slots.
-  std::unordered_map<std::string, int> var_slots;
-  auto slot_of = [&var_slots](const std::string& name) {
-    auto [it, inserted] =
-        var_slots.emplace(name, int(var_slots.size()));
-    return it->second;
-  };
-
-  std::vector<ResolvedPattern> patterns;
-  patterns.reserve(q.patterns.size());
-  bool impossible = false;
-  // Dictionary-encode the constant terms (the forward half of the RDF
-  // translation cost).
-  obs::OpTimer resolve_op("resolve_terms");
-  for (const auto& tp : q.patterns) {
-    ResolvedPattern rp{kWildcard, kWildcard, kWildcard};
-    auto resolve = [&](const sparql::TermPattern& t, uint64_t* id,
-                       int* var) -> Status {
-      std::optional<uint64_t> found;
-      switch (t.kind) {
-        case sparql::TermPattern::Kind::kVariable:
-          *var = slot_of(t.text);
-          return Status::OK();
-        case sparql::TermPattern::Kind::kIri:
-          found = dict_.LookupIri(t.text);
-          break;
-        case sparql::TermPattern::Kind::kLiteral:
-          found = dict_.LookupLiteral(t.literal);
-          break;
-        case sparql::TermPattern::Kind::kParam: {
-          // Bind step: parameters resolve to literal terms per call.
-          auto it = params.find(t.text);
-          if (it == params.end()) {
-            return Status::InvalidArgument("missing parameter $" + t.text);
-          }
-          found = dict_.LookupLiteral(it->second);
-          break;
-        }
-      }
-      if (found) *id = *found;
-      else rp.impossible = true;
-      return Status::OK();
-    };
-    GB_RETURN_IF_ERROR(resolve(tp.s, &rp.s, &rp.s_var));
-    GB_RETURN_IF_ERROR(resolve(tp.p, &rp.p, &rp.p_var));
-    GB_RETURN_IF_ERROR(resolve(tp.o, &rp.o, &rp.o_var));
-    impossible |= rp.impossible;
-    patterns.push_back(rp);
-  }
-  resolve_op.AddRows(patterns.size());
-  resolve_op.Stop();
-  // Variables that only appear in projections (shortestPath args must come
-  // from patterns; plain vars too) are an error caught below.
-
+  Execution ex(*this, dict_, q);
+  GB_RETURN_IF_ERROR(ex.Bind(params, limit));
+  ex.Join();
   QueryResult result;
   for (const auto& sel : q.select) {
     result.columns.push_back(
         sel.is_path || sel.is_count ? sel.as_name : sel.var);
   }
-
-  // Greedy BGP join: repeatedly run the most selective remaining pattern.
-  // A constant term missing from the dictionary means no solutions.
-  std::vector<BindingRow> rows;
-  if (!impossible) rows.emplace_back(var_slots.size(), kWildcard);
-  std::vector<bool> used(patterns.size(), false);
-  std::vector<bool> bound(var_slots.size(), false);
-
-  auto selectivity = [&](const ResolvedPattern& rp) {
-    int score = 0;
-    if (rp.s_var < 0 || bound[size_t(rp.s_var)]) score += 4;
-    if (rp.o_var < 0 || bound[size_t(rp.o_var)]) score += 2;
-    if (rp.p_var < 0 || bound[size_t(rp.p_var)]) score += 1;
-    return score;
-  };
-
-  for (size_t step = 0; step < patterns.size() && !rows.empty(); ++step) {
-    int best = -1, best_score = -1;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      if (used[i]) continue;
-      int s = selectivity(patterns[i]);
-      if (s > best_score) {
-        best_score = s;
-        best = int(i);
-      }
-    }
-    used[size_t(best)] = true;
-    const ResolvedPattern& rp = patterns[size_t(best)];
-
-    // One triple-pattern join step: probe the triple indexes once per
-    // current binding and extend with every match.
-    obs::OpTimer join_op("triple_pattern_join");
-    std::vector<BindingRow> next;
-    std::vector<Triple> matches;
-    for (const BindingRow& row : rows) {
-      uint64_t s = rp.s_var >= 0 && row[size_t(rp.s_var)] != kWildcard
-                       ? row[size_t(rp.s_var)]
-                       : rp.s;
-      uint64_t p = rp.p_var >= 0 && row[size_t(rp.p_var)] != kWildcard
-                       ? row[size_t(rp.p_var)]
-                       : rp.p;
-      uint64_t o = rp.o_var >= 0 && row[size_t(rp.o_var)] != kWildcard
-                       ? row[size_t(rp.o_var)]
-                       : rp.o;
-      store_.Match(s, p, o, &matches);
-      for (const Triple& t : matches) {
-        BindingRow extended = row;
-        if (rp.s_var >= 0) extended[size_t(rp.s_var)] = t.s;
-        if (rp.p_var >= 0) extended[size_t(rp.p_var)] = t.p;
-        if (rp.o_var >= 0) extended[size_t(rp.o_var)] = t.o;
-        next.push_back(std::move(extended));
-      }
-    }
-    if (rp.s_var >= 0) bound[size_t(rp.s_var)] = true;
-    if (rp.p_var >= 0) bound[size_t(rp.p_var)] = true;
-    if (rp.o_var >= 0) bound[size_t(rp.o_var)] = true;
-    rows = std::move(next);
-    join_op.AddRows(rows.size());
-    join_op.Stop();
-
-    // Apply filters whose variables are both bound.
-    if (!q.filters.empty()) {
-      obs::OpTimer filter_op("filter");
-      for (const auto& f : q.filters) {
-        auto a = var_slots.find(f.var_a);
-        auto b = var_slots.find(f.var_b);
-        if (a == var_slots.end() || b == var_slots.end()) {
-          return Status::InvalidArgument("FILTER on unknown variable");
-        }
-        if (!bound[size_t(a->second)] || !bound[size_t(b->second)]) {
-          continue;
-        }
-        std::vector<BindingRow> kept;
-        kept.reserve(rows.size());
-        for (BindingRow& row : rows) {
-          bool eq = row[size_t(a->second)] == row[size_t(b->second)];
-          if (eq != f.not_equal) kept.push_back(std::move(row));
-        }
-        rows = std::move(kept);
-      }
-      filter_op.AddRows(rows.size());
-    }
-  }
-
-  // Project (decoding ids back to Values — the reverse-dictionary half of
-  // the translation cost) plus ORDER BY keys.
-  auto decode = [this](uint64_t id) -> Value {
-    Term t = dict_.Decode(id);
-    if (t.kind == Term::Kind::kIri) return Value(std::move(t.iri));
-    return std::move(t.literal);
-  };
-  auto decode_row = [&](std::vector<size_t> slots) -> query_ops::RowFn {
-    return [&, slots = std::move(slots)](size_t i, Row* out) -> Status {
-      for (size_t s : slots) out->push_back(decode(rows[i][s]));
-      return Status::OK();
-    };
-  };
-  auto slot = [&var_slots](const std::string& name) -> Result<size_t> {
-    auto it = var_slots.find(name);
-    if (it == var_slots.end()) {
-      return Status::InvalidArgument("unknown variable ?" + name);
-    }
-    return size_t(it->second);
-  };
-
-  // Aggregation path: any (COUNT(?v) AS ?n) projection groups the
-  // solutions by the GROUP BY variables (SPARQL 1.1 semantics subset).
-  bool has_count = false;
-  for (const auto& sel : q.select) has_count |= sel.is_count;
-  if (has_count) {
-    query_ops::AggregateSpec spec;
-    spec.grouped = !q.group_by.empty();
-    spec.limit = limit;
-    std::vector<size_t> group_slots;
-    for (const std::string& g : q.group_by) {
-      GB_ASSIGN_OR_RETURN(size_t s, slot(g));
-      group_slots.push_back(s);
-    }
-    for (const auto& sel : q.select) {
-      if (sel.is_count) {
-        spec.items.push_back({query_ops::Agg::kCountStar});
-        continue;
-      }
-      if (sel.is_path) {
-        return Status::NotSupported(
-            "shortestPath cannot mix with aggregates");
-      }
-      // Plain variable: must be one of the GROUP BY keys.
-      size_t key = size_t(
-          std::find(q.group_by.begin(), q.group_by.end(), sel.var) -
-          q.group_by.begin());
-      if (key == q.group_by.size()) {
-        return Status::InvalidArgument(
-            "projected variable ?" + sel.var + " not in GROUP BY");
-      }
-      spec.items.push_back({query_ops::Agg::kKey, key});
-    }
-    // ORDER BY over aggregated output references projected names.
-    for (const auto& [var, desc] : q.order_by) {
-      size_t column = 0;
-      while (column < q.select.size() &&
-             (q.select[column].is_count ? q.select[column].as_name
-                                        : q.select[column].var) != var) {
-        ++column;
-      }
-      if (column == q.select.size()) {
-        return Status::InvalidArgument("ORDER BY unknown projection ?" +
-                                       var);
-      }
-      spec.order.push_back({column, desc});
-    }
-    GB_ASSIGN_OR_RETURN(result.rows,
-                        query_ops::Aggregate(rows.size(), spec,
-                                             decode_row(std::move(group_slots)),
-                                             nullptr));
-    return result;
-  }
-
-  // Each column decodes `slot`, or for shortestPath() runs the BFS from
-  // `slot` to `to_slot` over `pred` (-1 when the predicate is unknown).
-  struct Column {
-    size_t slot;
-    bool is_path = false;
-    size_t to_slot = 0;
-    std::optional<uint64_t> pred = std::nullopt;
-  };
-  std::vector<Column> columns;
-  for (const auto& sel : q.select) {
-    if (!sel.is_path) {
-      GB_ASSIGN_OR_RETURN(size_t s, slot(sel.var));
-      columns.push_back({s});
-      continue;
-    }
-    auto from = var_slots.find(sel.from_var);
-    auto to = var_slots.find(sel.to_var);
-    if (from == var_slots.end() || to == var_slots.end()) {
-      return Status::InvalidArgument("shortestPath over unbound vars");
-    }
-    columns.push_back({size_t(from->second), true, size_t(to->second),
-                       dict_.LookupIri(sel.pred_iri)});
-  }
-  query_ops::ProjectSpec spec{q.distinct, q.select.size(), {}, limit};
-  std::vector<size_t> sort_slots;
-  for (const auto& [var, desc] : q.order_by) {
-    GB_ASSIGN_OR_RETURN(size_t s, slot(var));
-    sort_slots.push_back(s);
-    spec.desc.push_back(desc);
-  }
-  GB_ASSIGN_OR_RETURN(
-      result.rows,
-      query_ops::Project(
-          rows.size(), spec,
-          [&](size_t i, Row* out) -> Status {
-            for (const Column& c : columns) {
-              if (!c.is_path) {
-                out->push_back(decode(rows[i][c.slot]));
-              } else if (!c.pred) {
-                out->emplace_back(int64_t{-1});
-              } else {
-                GB_ASSIGN_OR_RETURN(int len,
-                                    ShortestPath(rows[i][c.slot],
-                                                 rows[i][c.to_slot], *c.pred));
-                out->emplace_back(int64_t{len});
-              }
-            }
-            return Status::OK();
-          },
-          decode_row(std::move(sort_slots))));
+  GB_ASSIGN_OR_RETURN(result.rows, ex.Output());
   return result;
 }
 
@@ -354,10 +457,12 @@ Result<int> RdfEngine::ShortestPath(uint64_t from_id, uint64_t to_id,
   // BFS over the triple indexes, expanding both edge directions.
   std::vector<Triple> matches;
   return BfsDistance(from_id, to_id, [&](uint64_t v, auto&& emit) {
+    matches.clear();
     store_.Match(v, pred_id, kWildcard, &matches);
     for (const Triple& t : matches) {
       if (!emit(t.o)) return Status::OK();
     }
+    matches.clear();
     store_.Match(kWildcard, pred_id, v, &matches);
     for (const Triple& t : matches) {
       if (!emit(t.s)) return Status::OK();

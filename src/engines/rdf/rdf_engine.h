@@ -71,16 +71,6 @@ class RdfEngine {
   const TripleStore& store() const { return store_; }
 
  private:
-  // One BGP solution: TermIds per variable (kWildcard = unbound).
-  using BindingRow = std::vector<uint64_t>;
-
-  struct ResolvedPattern {
-    // kWildcard components hold variable slots in `var_slot`.
-    uint64_t s, p, o;
-    int s_var = -1, p_var = -1, o_var = -1;
-    bool impossible = false;  // constant term not in dictionary
-  };
-
   Result<QueryResult> ExecuteParsed(const sparql::Query& q,
                                     const Params& params);
 

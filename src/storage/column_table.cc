@@ -142,18 +142,6 @@ Status ColumnTable::Delete(RowId id) {
   return Status::OK();
 }
 
-void ColumnTable::ScanColumn(size_t column, std::vector<Value>* values,
-                             std::vector<RowId>* row_ids) const {
-  std::shared_lock<obs::TimedSharedMutex> lock(mu_);
-  values->clear();
-  row_ids->clear();
-  for (size_t i = 0; i < live_.size(); ++i) {
-    if (!live_[i]) continue;
-    values->push_back(ValueAtLocked(column, i));
-    row_ids->push_back(RowId(i));
-  }
-}
-
 class ColumnTable::Iter : public TableScanIterator {
  public:
   explicit Iter(const ColumnTable* table) : table_(table) { Advance(0); }

@@ -42,11 +42,6 @@ class ColumnTable : public Table {
   uint64_t row_count() const override;
   uint64_t ApproximateSizeBytes() const override;
 
-  /// Vectorized read of one full column restricted to live rows (merged
-  /// region and delta); the executor uses this for column scans.
-  void ScanColumn(size_t column, std::vector<Value>* values,
-                  std::vector<RowId>* row_ids) const;
-
   /// Merges of the write-optimized delta so far (observable for tests).
   uint64_t merges() const;
 

@@ -13,14 +13,18 @@
 
 static std::atomic<long> g_allocations{0};
 
-void* operator new(size_t size) {
+// New and delete are kept out of line: once either is inlined, GCC sees
+// a pointer from malloc() reach operator delete, or free() called on one
+// from operator new, and warns (-Wmismatched-new-delete), though both
+// sides here are malloc and free.
+[[gnu::noinline]] void* operator new(size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](size_t size) { return operator new(size); }
-// Kept out of line: inlined, GCC sees free() on operator new's pointer
-// and warns (-Wmismatched-new-delete), though new here is malloc.
+[[gnu::noinline]] void* operator new[](size_t size) {
+  return operator new(size);
+}
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, size_t) noexcept {

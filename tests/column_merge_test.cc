@@ -73,9 +73,14 @@ TEST(ColumnMergeTest, ScanColumnSpansBothRegions) {
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(t.Insert({Value(i), Value("x")}).ok());
   }
-  std::vector<Value> values;
+  // Row ids from the scan iterator, then one batch read across the
+  // merged region and the delta.
   std::vector<RowId> ids;
-  t.ScanColumn(0, &values, &ids);
+  for (auto it = t.NewScanIterator(); it->Valid(); it->Next()) {
+    ids.push_back(it->row_id());
+  }
+  std::vector<Value> values;
+  ASSERT_TRUE(t.GetColumnBatch(ids, 0, &values).ok());
   ASSERT_EQ(values.size(), size_t(n));
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(values[size_t(i)].as_int(), i);
