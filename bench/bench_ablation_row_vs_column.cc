@@ -80,8 +80,10 @@ int main(int argc, char** argv) {
     Stopwatch scan_clock;
     Value v;
     uint64_t sum = 0;
-    for (auto it = t->NewScanIterator(); it->Valid(); it->Next()) {
-      t->GetColumn(it->row_id(), 0, &v);
+    std::vector<RowId> ids;
+    t->LiveRowIds(&ids).ok();
+    for (RowId id : ids) {
+      t->GetColumn(id, 0, &v);
       sum += uint64_t(v.as_int());
     }
     double scan_ms = scan_clock.ElapsedMillis();

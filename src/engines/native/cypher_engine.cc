@@ -1,7 +1,8 @@
 #include "engines/native/cypher_engine.h"
 
-#include <algorithm>
+#include <optional>
 
+#include "engines/frame.h"
 #include "graph/shortest_path.h"
 #include "lang/cypher/parser.h"
 #include "obs/profiler.h"
@@ -13,120 +14,72 @@ using cypher::Expr;
 
 namespace {
 
-// The value of a literal or $parameter, or the error evaluating it gives.
-Result<const Value*> Const(const Expr& e, const CypherEngine::Params& params) {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      return &e.literal;
-    case Expr::Kind::kParam: {
-      auto it = params.find(e.var);
-      if (it == params.end()) {
-        return Status::InvalidArgument("missing parameter $" + e.var);
-      }
-      return &it->second;
-    }
-    default:
-      return Status::NotSupported("expected literal or parameter");
-  }
-}
-
-// An expression with its variables resolved to binding slots and its
-// constants to values. A failed binding (unknown variable, missing
-// parameter) is kept and reported only when a row evaluates it, as an
-// interpreter walking the AST would.
+// An expression bound to frame slots and parameter values. Operands are
+// indices into the execution's bound expressions.
 struct BoundExpr {
   const Expr* ast = nullptr;
-  int slot = -1;   // kProp; kPathLength: the source (-1: unbound)
-  int slot2 = -1;  // kPathLength: the target
-  const Value* value = nullptr;  // kLiteral, kParam (null: failed binding)
-  int lhs = -1;    // kBinary operands: indices into the bound expressions
+  size_t slot = 0;               // kProp; kPathLength: the source
+  size_t slot2 = 0;              // kPathLength: the target
+  const Value* value = nullptr;  // kLiteral, kParam
+  int lhs = -1;                  // kBinary
   int rhs = -1;
 };
 
 // One inline property constraint {key: value} of a node pattern.
 struct PropCheck {
   std::string_view key;
-  const Expr* ast = nullptr;
-  const Value* value = nullptr;  // null: failed binding
+  const Value* value;
 };
 
-// One execution of a parsed query. A solution is `width_` consecutive
-// VertexIds in `rows_`: one slot per named MATCH variable, numbered in
-// order of first appearance. Nothing here allocates per row; the buffers
-// grow by doubling and are reused across the steps of the query.
+// A MATCH node pattern bound to its slot. `rebound`: an earlier pattern
+// bound the slot, so this one checks it. Its inline constraints are
+// checks_[first, last).
+struct BoundNode {
+  const cypher::NodePattern* ast;
+  size_t slot;
+  bool rebound;
+  std::optional<int> label;  // the LabelId a vertex must have, if checked
+  size_t first, last;
+};
+
+// One execution of a parsed query over a Frame of VertexIds.
 class Execution {
  public:
   Execution(NativeGraph* graph, const cypher::Query& q,
             const CypherEngine::Params& params)
-      : graph_(graph), q_(q), params_(params) {
-    for (const auto& chain : q.match) {
-      for (const auto& node : chain.nodes) {
-        if (!node.var.empty() && Slot(node.var) < 0) {
-          vars_.push_back(node.var);
-        }
-      }
-    }
-    width_ = vars_.size();
-    rows_.assign(width_, kInvalidVertexId);
-  }
+      : graph_(graph), q_(q), params_(params) {}
 
+  // Binds every name and constant of the query, before any vertex is read.
+  Status Bind(int64_t limit);
   Status Match();
   Status Filter();
   Result<uint64_t> Create();
-  Result<std::vector<Row>> Return(int64_t limit);
+  Result<std::vector<Row>> Return();
 
  private:
-  int Slot(std::string_view var) const {
-    for (size_t i = 0; i < vars_.size(); ++i) {
-      if (vars_[i] == var) return int(i);
-    }
-    return -1;
+  Result<const Value*> Const(const Expr& e) const;
+  Result<size_t> Known(const std::string& var) const {
+    return frame_.Known(var, "variable ");
   }
-  const VertexId* row(size_t i) const { return rows_.data() + i * width_; }
-
   // Binds `e` and its operands; returns its index in exprs_.
-  int Bind(const Expr& e);
-  // Binds a node pattern's inline properties into checks_.
-  void BindProps(const cypher::NodePattern& node);
-  Result<bool> PropsMatch(VertexId v) const;
-  Result<Value> Eval(int e, const VertexId* b) const;
+  Result<int> BindExpr(const Expr& e);
+  Status BindReturn(int64_t limit);
+  Status BindCreate();
+  Result<PropertyMap> BindProps(
+      const std::vector<std::pair<std::string, std::unique_ptr<Expr>>>& props);
+
+  // Whether `v` has `node`'s checked label and inline properties.
+  Result<bool> Matches(const BoundNode& node, VertexId v) const;
+  Result<Value> Eval(int e, const uint64_t* b) const;
   // Operand `e`: its constant in place, or its value evaluated into `*tmp`.
-  Result<const Value*> Operand(int e, const VertexId* b, Value* tmp) const;
-  // Appends solution `b` with `slot` (when named) set to `v` to next_.
-  void Extend(const VertexId* b, int slot, VertexId v) {
-    next_.insert(next_.end(), b, b + width_);
-    if (slot >= 0) next_[next_.size() - width_ + size_t(slot)] = v;
-    ++next_count_;
-  }
-  // Keeps, in order, the solutions `keep` accepts.
-  template <typename Keep>
-  Status Retain(Keep&& keep) {
-    size_t kept = 0;
-    for (size_t r = 0; r < count_; ++r) {
-      GB_ASSIGN_OR_RETURN(bool pass, keep(row(r)));
-      if (!pass) continue;
-      if (kept != r) {
-        std::copy_n(row(r), width_, rows_.begin() + kept * width_);
-      }
-      ++kept;
-    }
-    count_ = kept;
-    rows_.resize(kept * width_);
-    return Status::OK();
-  }
-  // Makes next_ the solutions.
-  void Advance() {
-    rows_.swap(next_);
-    count_ = next_count_;
-    next_.clear();
-    next_count_ = 0;
-  }
-  // Appends the vertices one hop `rel` reaches from `from` to nbrs_.
+  Result<const Value*> Operand(int e, const uint64_t* b, Value* tmp) const;
+  // The storage access: appends the vertices one hop `rel` reaches from
+  // `from` to nbrs_.
   Status Expand(VertexId from, const cypher::RelPattern& rel);
   query_ops::RowFn Values(const std::vector<int>& exprs) const {
     return [this, &exprs](size_t i, Row* out) -> Status {
       for (int e : exprs) {
-        GB_ASSIGN_OR_RETURN(Value v, Eval(e, row(i)));
+        GB_ASSIGN_OR_RETURN(Value v, Eval(e, frame_.row(i)));
         out->push_back(std::move(v));
       }
       return Status::OK();
@@ -136,82 +89,205 @@ class Execution {
   NativeGraph* graph_;
   const cypher::Query& q_;
   const CypherEngine::Params& params_;
-  std::vector<std::string_view> vars_;
-  size_t width_ = 0;
+  Frame frame_;
   std::vector<BoundExpr> exprs_;
   std::vector<PropCheck> checks_;
+  std::vector<BoundNode> nodes_;  // MATCH node patterns, chain by chain
+  int where_ = -1;
 
-  // The solutions; MATCH starts from one empty solution.
-  std::vector<VertexId> rows_;
-  size_t count_ = 1;
-  std::vector<VertexId> next_;
-  size_t next_count_ = 0;
+  // RETURN: an aggregation when it counts, else a projection.
+  bool aggregate_ = false;
+  query_ops::AggregateSpec agg_;
+  query_ops::ProjectSpec project_;
+  std::vector<int> keys_;
+  std::vector<int> sort_keys_;
+
+  // CREATE: each created node's slot and properties, each relationship's
+  // endpoint slots and properties.
+  std::vector<size_t> created_;
+  std::vector<PropertyMap> node_props_;
+  std::vector<std::pair<size_t, size_t>> ends_;
+  std::vector<PropertyMap> rel_props_;
+
   std::vector<Neighbor> nbrs_;
   std::vector<Neighbor> step_;  // one BFS expansion of a var-length hop
 };
 
-int Execution::Bind(const Expr& e) {
+Result<const Value*> Execution::Const(const Expr& e) const {
+  if (e.kind == Expr::Kind::kLiteral) return &e.literal;
+  if (e.kind != Expr::Kind::kParam) {
+    return Status::NotSupported("expected literal or parameter");
+  }
+  auto it = params_.find(e.var);
+  if (it == params_.end()) {
+    return Status::InvalidArgument("missing parameter $" + e.var);
+  }
+  return &it->second;
+}
+
+Result<int> Execution::BindExpr(const Expr& e) {
   BoundExpr b{&e};
   switch (e.kind) {
-    case Expr::Kind::kProp:
-      b.slot = Slot(e.var);
-      break;
-    case Expr::Kind::kLiteral:
-    case Expr::Kind::kParam: {
-      Result<const Value*> v = Const(e, params_);
-      if (v.ok()) b.value = *v;
+    case Expr::Kind::kProp: {
+      GB_ASSIGN_OR_RETURN(b.slot, Known(e.var));
       break;
     }
-    case Expr::Kind::kBinary:
-      b.lhs = Bind(*e.lhs);
-      b.rhs = Bind(*e.rhs);
+    case Expr::Kind::kLiteral:
+    case Expr::Kind::kParam: {
+      GB_ASSIGN_OR_RETURN(b.value, Const(e));
       break;
-    case Expr::Kind::kPathLength:
-      b.slot = Slot(e.path_from);
-      b.slot2 = Slot(e.path_to);
+    }
+    case Expr::Kind::kBinary: {
+      GB_ASSIGN_OR_RETURN(b.lhs, BindExpr(*e.lhs));
+      GB_ASSIGN_OR_RETURN(b.rhs, BindExpr(*e.rhs));
       break;
+    }
+    case Expr::Kind::kPathLength: {
+      GB_ASSIGN_OR_RETURN(b.slot, Known(e.path_from));
+      GB_ASSIGN_OR_RETURN(b.slot2, Known(e.path_to));
+      break;
+    }
     case Expr::Kind::kCountStar:
-      break;
+      return Status::InvalidArgument("count(*) outside a RETURN item");
   }
   exprs_.push_back(b);
   return int(exprs_.size() - 1);
 }
 
-void Execution::BindProps(const cypher::NodePattern& node) {
-  checks_.clear();
-  for (const auto& [key, expr] : node.props) {
-    Result<const Value*> v = Const(*expr, params_);
-    checks_.push_back(PropCheck{key, expr.get(), v.ok() ? *v : nullptr});
+Result<PropertyMap> Execution::BindProps(
+    const std::vector<std::pair<std::string, std::unique_ptr<Expr>>>& props) {
+  PropertyMap out;
+  for (const auto& [key, expr] : props) {
+    GB_ASSIGN_OR_RETURN(const Value* v, Const(*expr));
+    out.Set(key, *v);
   }
+  return out;
 }
 
-Result<bool> Execution::PropsMatch(VertexId v) const {
-  for (const PropCheck& c : checks_) {
-    if (c.value == nullptr) return Const(*c.ast, params_).status();
-    GB_ASSIGN_OR_RETURN(Value got, graph_->VertexProperty(v, c.key));
-    if (got != *c.value) return false;
+Status Execution::Bind(int64_t limit) {
+  // Every node pattern gets a slot in order of first appearance; an
+  // anonymous one a hidden slot of its own.
+  size_t patterns = 0;
+  for (const auto& chain : q_.match) patterns += chain.nodes.size();
+  nodes_.reserve(patterns);
+  exprs_.reserve(16);  // room for any workload query
+  for (const auto& chain : q_.match) {
+    for (const auto& node : chain.nodes) {
+      const int seen = frame_.Slot(node.var);
+      BoundNode bound{&node, 0, seen >= 0, std::nullopt, checks_.size(), 0};
+      bound.slot = bound.rebound ? size_t(seen) : frame_.AddSlot(node.var);
+      // A fresh anchor's lookup or scan is by label already; every other
+      // labelled pattern checks the label id.
+      if (!node.label.empty() && (bound.rebound || &node != &chain.nodes[0])) {
+        bound.label = graph_->LabelId(node.label);
+      }
+      for (const auto& [key, expr] : node.props) {
+        GB_ASSIGN_OR_RETURN(const Value* v, Const(*expr));
+        checks_.push_back(PropCheck{key, v});
+      }
+      bound.last = checks_.size();
+      nodes_.push_back(bound);
+    }
+  }
+  if (q_.where != nullptr) {
+    GB_ASSIGN_OR_RETURN(where_, BindExpr(*q_.where));
+  }
+  GB_RETURN_IF_ERROR(BindReturn(limit));
+  // Last, so WHERE and RETURN see only the MATCH variables.
+  GB_RETURN_IF_ERROR(BindCreate());
+  frame_.Start();
+  return Status::OK();
+}
+
+Status Execution::BindCreate() {
+  // A created node gets a slot of its own, which Create() binds per
+  // solution; its name must be new.
+  for (const auto& node : q_.create_nodes) {
+    if (frame_.Slot(node.var) >= 0) {
+      return Status::InvalidArgument("variable already bound: " + node.var);
+    }
+    created_.push_back(frame_.AddSlot(node.var));
+    GB_ASSIGN_OR_RETURN(node_props_.emplace_back(), BindProps(node.props));
+  }
+  // A relationship joins two created or matched nodes.
+  for (const auto& cr : q_.create_rels) {
+    GB_ASSIGN_OR_RETURN(size_t from, Known(cr.from_var));
+    GB_ASSIGN_OR_RETURN(size_t to, Known(cr.to_var));
+    ends_.emplace_back(from, to);
+    GB_ASSIGN_OR_RETURN(rel_props_.emplace_back(), BindProps(cr.rel.props));
+  }
+  return Status::OK();
+}
+
+Status Execution::BindReturn(int64_t limit) {
+  // Cypher's implicit aggregation: count(*) groups by the non-aggregate
+  // return items (RETURN f.id, count(*) counts per friend).
+  keys_.reserve(q_.ret.size());
+  for (const auto& item : q_.ret) {
+    if (item.expr->kind == Expr::Kind::kCountStar) {
+      aggregate_ = true;
+      agg_.items.push_back({query_ops::Agg::kCountStar});
+    } else {
+      agg_.items.push_back({query_ops::Agg::kKey, keys_.size()});
+      GB_ASSIGN_OR_RETURN(keys_.emplace_back(), BindExpr(*item.expr));
+    }
+  }
+  if (!aggregate_) {
+    // `keys_` holds every return item.
+    project_ = {q_.distinct, q_.ret.size(), {}, limit};
+    for (const auto& o : q_.order_by) {
+      GB_ASSIGN_OR_RETURN(sort_keys_.emplace_back(), BindExpr(*o.expr));
+      project_.desc.push_back(o.desc);
+    }
+    return Status::OK();
+  }
+  agg_.grouped = !keys_.empty();
+  agg_.limit = limit;
+  // ORDER BY over aggregated output: only aliases of return items.
+  for (const auto& o : q_.order_by) {
+    const Expr& oe = *o.expr;
+    size_t column = 0;
+    for (; column < q_.ret.size(); ++column) {
+      const Expr& re = *q_.ret[column].expr;
+      if (re.kind == oe.kind &&
+          (re.kind == Expr::Kind::kCountStar ||
+           (re.kind == Expr::Kind::kProp && re.var == oe.var &&
+            re.key == oe.key))) {
+        break;
+      }
+    }
+    if (column == q_.ret.size()) {
+      return Status::NotSupported(
+          "aggregated ORDER BY must reference a RETURN item");
+    }
+    agg_.order.push_back({column, o.desc});
+  }
+  return Status::OK();
+}
+
+Result<bool> Execution::Matches(const BoundNode& node, VertexId v) const {
+  if (node.label) {
+    GB_ASSIGN_OR_RETURN(uint32_t l, graph_->VertexLabelId(v));
+    if (int(l) != *node.label) return false;
+  }
+  for (size_t c = node.first; c < node.last; ++c) {
+    GB_ASSIGN_OR_RETURN(Value got, graph_->VertexProperty(v, checks_[c].key));
+    if (got != *checks_[c].value) return false;
   }
   return true;
 }
 
-Result<const Value*> Execution::Operand(int e, const VertexId* b,
+Result<const Value*> Execution::Operand(int e, const uint64_t* b,
                                         Value* tmp) const {
   if (const Value* constant = exprs_[size_t(e)].value) return constant;
   GB_ASSIGN_OR_RETURN(*tmp, Eval(e, b));
   return tmp;
 }
 
-Result<Value> Execution::Eval(int i, const VertexId* b) const {
+Result<Value> Execution::Eval(int i, const uint64_t* b) const {
   const BoundExpr& e = exprs_[size_t(i)];
   switch (e.ast->kind) {
-    case Expr::Kind::kLiteral:
-    case Expr::Kind::kParam:
-      if (e.value == nullptr) return Const(*e.ast, params_).status();
-      return *e.value;
     case Expr::Kind::kProp:
-      if (e.slot < 0 || b[e.slot] == kInvalidVertexId) {
-        return Status::InvalidArgument("unbound variable " + e.ast->var);
-      }
       return graph_->VertexProperty(b[e.slot], e.ast->key);
     case Expr::Kind::kBinary: {
       Value lv, rv;
@@ -225,18 +301,14 @@ Result<Value> Execution::Eval(int i, const VertexId* b) const {
     }
     case Expr::Kind::kPathLength: {
       obs::OpTimer op("ShortestPath");
-      if (e.slot < 0 || e.slot2 < 0) {
-        return Status::InvalidArgument("shortestPath over unbound vars");
-      }
       GB_ASSIGN_OR_RETURN(
           int len, graph_->ShortestPathLength(b[e.slot], b[e.slot2],
                                               e.ast->path_rel_type));
       return Value(int64_t{len});
     }
-    case Expr::Kind::kCountStar:
-      return Status::Internal("count(*) outside aggregation");
+    default:  // kLiteral, kParam
+      return *e.value;
   }
-  return Status::Internal("unhandled expr");
 }
 
 Status Execution::Expand(VertexId from, const cypher::RelPattern& rel) {
@@ -264,95 +336,65 @@ Status Execution::Expand(VertexId from, const cypher::RelPattern& rel) {
 }
 
 Status Execution::Match() {
-  // Slots below `bound` belong to variables an earlier step bound: a node
-  // pattern naming one checks it instead of binding it.
-  int bound = 0;
+  const BoundNode* node = nodes_.data();
   for (const auto& chain : q_.match) {
     // Solve the chain left-to-right against every current solution.
-    for (size_t ni = 0; ni < chain.nodes.size(); ++ni) {
-      const cypher::NodePattern& node = chain.nodes[ni];
-      const int slot = node.var.empty() ? -1 : Slot(node.var);
-      const bool rebound = slot >= 0 && slot < bound;
-      if (slot >= 0 && !rebound) bound = slot + 1;
-
+    for (size_t ni = 0; ni < chain.nodes.size(); ++ni, ++node) {
       const char* op_name =
-          ni == 0 ? (node.props.empty() ? "NodeByLabelScan"
-                                        : "NodeIndexSeek")
+          ni == 0 ? (node->ast->props.empty() ? "NodeByLabelScan"
+                                              : "NodeIndexSeek")
                   : (chain.rels[ni - 1].max_hops == 1 ? "Expand"
                                                       : "VarLengthExpand");
       obs::OpTimer op(op_name);
-      BindProps(node);
-
-      if (ni == 0 && rebound) {
+      const size_t slot = node->slot;
+      if (ni == 0 && node->rebound) {
         // Anchor an earlier chain bound: its label and inline properties
         // check the bound vertex.
-        const int label =
-            node.label.empty() ? -1 : graph_->LabelId(node.label);
-        GB_RETURN_IF_ERROR(Retain([&](const VertexId* b) -> Result<bool> {
-          if (!node.label.empty()) {
-            GB_ASSIGN_OR_RETURN(uint32_t l, graph_->VertexLabelId(b[slot]));
-            if (int(l) != label) return false;
-          }
-          return PropsMatch(b[slot]);
+        GB_RETURN_IF_ERROR(frame_.Retain([&](size_t i) {
+          return Matches(*node, frame_.row(i)[slot]);
         }));
       } else if (ni == 0) {
         // Anchor node: property lookup / label scan. The candidates do not
         // depend on the solution, so they are found once and crossed with
         // every solution.
         std::vector<VertexId> candidates;
-        if (!node.props.empty()) {
-          GB_ASSIGN_OR_RETURN(const Value* v,
-                              Const(*node.props[0].second, params_));
+        const bool seek = node->first < node->last;
+        if (seek) {
+          const PropCheck& first = checks_[node->first];
           auto found =
-              graph_->FindVertex(node.label, node.props[0].first, *v);
+              graph_->FindVertex(node->ast->label, first.key, *first.value);
           if (found.ok()) candidates.push_back(*found);
         } else {
-          candidates = graph_->VerticesByLabel(node.label);
+          candidates = graph_->VerticesByLabel(node->ast->label);
         }
-        // Verify every inline constraint (the lookup used only the
-        // first one).
-        size_t kept = 0;
-        for (VertexId v : candidates) {
-          GB_ASSIGN_OR_RETURN(bool props_ok, PropsMatch(v));
-          if (props_ok) candidates[kept++] = v;
+        for (size_t i = 0; i < frame_.size(); ++i) {
+          frame_.Extend(i, slot, candidates);
         }
-        candidates.resize(kept);
-        next_.reserve(count_ * kept * width_);
-        for (size_t r = 0; r < count_; ++r) {
-          for (VertexId v : candidates) Extend(row(r), slot, v);
+        frame_.Advance();
+        // The seek used only the first inline constraint; check them all.
+        if (seek) {
+          GB_RETURN_IF_ERROR(frame_.Retain(
+              [&](size_t i) { return Matches(*node, frame_.row(i)[slot]); }));
         }
-        Advance();
       } else {
-        // Expansion step: from nodes[ni-1] across rels[ni-1].
+        // Expansion step: from the previous node across rels[ni-1].
         const cypher::RelPattern& rel = chain.rels[ni - 1];
-        const int from = chain.nodes[ni - 1].var.empty()
-                             ? -1
-                             : Slot(chain.nodes[ni - 1].var);
-        if (from < 0) {
-          return Status::NotSupported("chain must expand from a bound node");
-        }
-        const int label =
-            node.label.empty() ? -1 : graph_->LabelId(node.label);
-        for (size_t r = 0; r < count_; ++r) {
-          const VertexId* b = row(r);
+        const size_t from = node[-1].slot;
+        for (size_t i = 0; i < frame_.size(); ++i) {
+          const uint64_t* b = frame_.row(i);
           nbrs_.clear();
           GB_RETURN_IF_ERROR(Expand(b[from], rel));
           for (const Neighbor& n : nbrs_) {
-            // Label / prior-binding / inline property checks.
-            if (!node.label.empty()) {
-              GB_ASSIGN_OR_RETURN(uint32_t l,
-                                  graph_->VertexLabelId(n.vertex));
-              if (int(l) != label) continue;
-            }
-            if (rebound && b[slot] != n.vertex) continue;
-            GB_ASSIGN_OR_RETURN(bool props_ok, PropsMatch(n.vertex));
-            if (props_ok) Extend(b, slot, n.vertex);
+            // Prior-binding / label / inline property checks.
+            if (node->rebound && b[slot] != n.vertex) continue;
+            GB_ASSIGN_OR_RETURN(bool ok, Matches(*node, n.vertex));
+            if (ok) frame_.Extend(i)[slot] = n.vertex;
           }
         }
-        Advance();
+        frame_.Advance();
       }
-      op.AddRows(count_);
-      if (count_ == 0) return Status::OK();
+      op.AddRows(frame_.size());
+      if (frame_.size() == 0) return Status::OK();
     }
   }
   return Status::OK();
@@ -360,125 +402,46 @@ Status Execution::Match() {
 
 Status Execution::Filter() {
   obs::OpTimer op("Filter");
-  const int where = Bind(*q_.where);
-  GB_RETURN_IF_ERROR(Retain([&](const VertexId* b) -> Result<bool> {
-    GB_ASSIGN_OR_RETURN(Value pass, Eval(where, b));
+  GB_RETURN_IF_ERROR(frame_.Retain([&](size_t i) -> Result<bool> {
+    GB_ASSIGN_OR_RETURN(Value pass, Eval(where_, frame_.row(i)));
     return pass.is_bool() && pass.as_bool();
   }));
-  op.AddRows(count_);
+  op.AddRows(frame_.size());
   return Status::OK();
 }
 
 Result<uint64_t> Execution::Create() {
   obs::OpTimer create_op("Create");
-  // A relationship endpoint is the last created node of that name, else
-  // the MATCH variable of that name.
-  struct Endpoint {
-    const std::string* var;
-    int created = -1;
-    int slot = -1;
-  };
-  auto endpoint = [&](const std::string& var) {
-    Endpoint ep{&var};
-    for (size_t j = 0; j < q_.create_nodes.size(); ++j) {
-      if (!var.empty() && q_.create_nodes[j].var == var) ep.created = int(j);
-    }
-    if (ep.created < 0) ep.slot = Slot(var);
-    return ep;
-  };
-  std::vector<std::pair<Endpoint, Endpoint>> ends;
-  for (const auto& cr : q_.create_rels) {
-    ends.emplace_back(endpoint(cr.from_var), endpoint(cr.to_var));
-  }
-  auto props_of = [&](const auto& pattern_props) -> Result<PropertyMap> {
-    PropertyMap props;
-    for (const auto& [key, expr] : pattern_props) {
-      GB_ASSIGN_OR_RETURN(const Value* v, Const(*expr, params_));
-      props.Set(key, *v);
-    }
-    return props;
-  };
-
   uint64_t affected = 0;
-  std::vector<VertexId> created(q_.create_nodes.size(), kInvalidVertexId);
-  for (size_t r = 0; r < count_; ++r) {
-    const VertexId* b = row(r);
-    for (size_t j = 0; j < q_.create_nodes.size(); ++j) {
-      const cypher::NodePattern& node = q_.create_nodes[j];
-      GB_ASSIGN_OR_RETURN(PropertyMap props, props_of(node.props));
-      GB_ASSIGN_OR_RETURN(created[j], graph_->AddVertex(node.label, props));
+  for (size_t i = 0; i < frame_.size(); ++i) {
+    // The solution extended with the nodes it creates.
+    uint64_t* b = frame_.Extend(i);
+    for (size_t j = 0; j < created_.size(); ++j) {
+      GB_ASSIGN_OR_RETURN(b[created_[j]],
+                          graph_->AddVertex(q_.create_nodes[j].label,
+                                            node_props_[j]));
       ++affected;
     }
-    auto resolve = [&](const Endpoint& ep) -> Result<VertexId> {
-      if (ep.created >= 0) return created[size_t(ep.created)];
-      if (ep.slot < 0 || b[ep.slot] == kInvalidVertexId) {
-        return Status::InvalidArgument("CREATE endpoint unbound: " + *ep.var);
-      }
-      return b[ep.slot];
-    };
-    for (size_t k = 0; k < q_.create_rels.size(); ++k) {
-      GB_ASSIGN_OR_RETURN(VertexId from, resolve(ends[k].first));
-      GB_ASSIGN_OR_RETURN(VertexId to, resolve(ends[k].second));
-      GB_ASSIGN_OR_RETURN(PropertyMap props,
-                          props_of(q_.create_rels[k].rel.props));
-      GB_RETURN_IF_ERROR(
-          graph_->AddEdge(q_.create_rels[k].rel.type, from, to, props)
-              .status());
+    for (size_t k = 0; k < ends_.size(); ++k) {
+      auto [from, to] = ends_[k];
+      GB_RETURN_IF_ERROR(graph_
+                             ->AddEdge(q_.create_rels[k].rel.type, b[from],
+                                       b[to], rel_props_[k])
+                             .status());
       ++affected;
     }
   }
+  frame_.Advance();
   create_op.AddRows(affected);
   return affected;
 }
 
-Result<std::vector<Row>> Execution::Return(int64_t limit) {
-  // Cypher's implicit aggregation: count(*) groups by the non-aggregate
-  // return items (RETURN f.id, count(*) counts per friend).
-  query_ops::AggregateSpec agg;
-  std::vector<int> keys;
-  bool has_count = false;
-  for (const auto& item : q_.ret) {
-    if (item.expr->kind == Expr::Kind::kCountStar) {
-      has_count = true;
-      agg.items.push_back({query_ops::Agg::kCountStar});
-    } else {
-      agg.items.push_back({query_ops::Agg::kKey, keys.size()});
-      keys.push_back(Bind(*item.expr));
-    }
+Result<std::vector<Row>> Execution::Return() {
+  if (aggregate_) {
+    return query_ops::Aggregate(frame_.size(), agg_, Values(keys_), nullptr);
   }
-  if (has_count) {
-    agg.grouped = !keys.empty();
-    agg.limit = limit;
-    // ORDER BY over aggregated output: only aliases of return items.
-    for (const auto& o : q_.order_by) {
-      const Expr& oe = *o.expr;
-      size_t column = 0;
-      for (; column < q_.ret.size(); ++column) {
-        const Expr& re = *q_.ret[column].expr;
-        if (re.kind == oe.kind &&
-            (re.kind == Expr::Kind::kCountStar ||
-             (re.kind == Expr::Kind::kProp && re.var == oe.var &&
-              re.key == oe.key))) {
-          break;
-        }
-      }
-      if (column == q_.ret.size()) {
-        return Status::NotSupported(
-            "aggregated ORDER BY must reference a RETURN item");
-      }
-      agg.order.push_back({column, o.desc});
-    }
-    return query_ops::Aggregate(count_, agg, Values(keys), nullptr);
-  }
-
-  // No count(*): `keys` holds every return item.
-  query_ops::ProjectSpec spec{q_.distinct, q_.ret.size(), {}, limit};
-  std::vector<int> sort_keys;
-  for (const auto& o : q_.order_by) {
-    sort_keys.push_back(Bind(*o.expr));
-    spec.desc.push_back(o.desc);
-  }
-  return query_ops::Project(count_, spec, Values(keys), Values(sort_keys));
+  return query_ops::Project(frame_.size(), project_, Values(keys_),
+                            Values(sort_keys_));
 }
 
 }  // namespace
@@ -494,46 +457,32 @@ Result<QueryResult> CypherEngine::Execute(std::string_view query,
   // whole execution; self is whatever the specific operators below do not
   // account for (binding, result assembly).
   obs::OpTimer root_op("ProduceResults");
-  if (plan_cache_ != nullptr) {
-    if (auto cached = plan_cache_->Lookup(query)) {
-      return ExecuteParsed(*cached, params);
-    }
-    obs::OpTimer cached_parse_op("Parse");
-    GB_ASSIGN_OR_RETURN(cypher::Query parsed, cypher::Parse(query));
-    cached_parse_op.Stop();
-    auto shared = std::make_shared<const cypher::Query>(std::move(parsed));
-    plan_cache_->Insert(query, shared);
-    return ExecuteParsed(*shared, params);
-  }
-  obs::OpTimer parse_op("Parse");
-  GB_ASSIGN_OR_RETURN(cypher::Query q, cypher::Parse(query));
-  parse_op.Stop();
-  return ExecuteParsed(q, params);
-}
+  auto parse = [](std::string_view text) {
+    obs::OpTimer parse_op("Parse");
+    return cypher::Parse(text);
+  };
+  return lang::WithPlan(
+      plan_cache_.get(), query, parse,
+      [&](const cypher::Query& q) -> Result<QueryResult> {
+        // LIMIT binds like any other parameter so one cached plan serves
+        // every limit value.
+        GB_ASSIGN_OR_RETURN(
+            int64_t limit,
+            query_ops::BindLimit(q.limit, q.limit_param, params));
+        Execution exec(graph_, q, params);
+        GB_RETURN_IF_ERROR(exec.Bind(limit));
+        GB_RETURN_IF_ERROR(exec.Match());
+        if (q.where != nullptr) GB_RETURN_IF_ERROR(exec.Filter());
 
-Result<QueryResult> CypherEngine::ExecuteParsed(const cypher::Query& q,
-                                                const Params& params) {
-  // LIMIT binds like any other parameter so one cached plan serves every
-  // limit value.
-  auto limit_param = params.find(q.limit_param);
-  GB_ASSIGN_OR_RETURN(
-      int64_t limit,
-      query_ops::BindLimit(
-          q.limit, !q.limit_param.empty(),
-          limit_param == params.end() ? nullptr : &limit_param->second));
-
-  Execution exec(graph_, q, params);
-  GB_RETURN_IF_ERROR(exec.Match());
-  if (q.where != nullptr) GB_RETURN_IF_ERROR(exec.Filter());
-
-  QueryResult result;
-  if (!q.create_nodes.empty() || !q.create_rels.empty()) {
-    GB_ASSIGN_OR_RETURN(result.affected, exec.Create());
-    if (q.ret.empty()) return result;
-  }
-  for (const auto& item : q.ret) result.columns.push_back(item.name);
-  GB_ASSIGN_OR_RETURN(result.rows, exec.Return(limit));
-  return result;
+        QueryResult result;
+        if (!q.create_nodes.empty() || !q.create_rels.empty()) {
+          GB_ASSIGN_OR_RETURN(result.affected, exec.Create());
+          if (q.ret.empty()) return result;
+        }
+        for (const auto& item : q.ret) result.columns.push_back(item.name);
+        GB_ASSIGN_OR_RETURN(result.rows, exec.Return());
+        return result;
+      });
 }
 
 }  // namespace graphbench

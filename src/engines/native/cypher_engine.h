@@ -26,11 +26,13 @@ namespace graphbench {
 /// when one exists), by a label scan, or by already being bound by an
 /// earlier chain. The SNB interactive queries all satisfy this.
 ///
-/// Execution binds once per call: every variable becomes a slot and every
-/// $parameter a value before the MATCH starts. Solutions are flat runs of
-/// VertexIds, one slot each, and expansions read adjacency into one reused
-/// buffer, so a row costs no heap allocation until the RETURN tail
-/// (query_ops) builds the output rows.
+/// Execution binds once per call, before any vertex is read: every node
+/// pattern gets a Frame slot (an anonymous one a hidden slot), every
+/// $parameter a value, and an unknown variable or missing parameter is an
+/// InvalidArgument whatever the data. The frame's solutions are VertexIds;
+/// the storage access is NativeGraph::Neighbors into one reused buffer, so
+/// a row costs no heap allocation until the RETURN tail (query_ops) builds
+/// the output rows.
 class CypherEngine {
  public:
   using Params = std::map<std::string, Value>;
@@ -56,11 +58,6 @@ class CypherEngine {
   NativeGraph* graph() { return graph_; }
 
  private:
-  // Runs an already-parsed query: the shared tail of the cached and
-  // parse-per-call paths of Execute.
-  Result<QueryResult> ExecuteParsed(const cypher::Query& q,
-                                    const Params& params);
-
   NativeGraph* graph_;
   std::unique_ptr<lang::PlanCache<cypher::Query>> plan_cache_;
 };

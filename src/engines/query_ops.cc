@@ -119,6 +119,13 @@ Result<int64_t> BindLimit(int64_t literal, bool parameterized,
   return param->as_int();
 }
 
+Result<int64_t> BindLimit(int64_t literal, const std::string& param,
+                          const std::map<std::string, Value>& params) {
+  auto it = params.find(param);
+  return BindLimit(literal, !param.empty(),
+                   it == params.end() ? nullptr : &it->second);
+}
+
 Result<std::vector<Row>> Project(size_t bindings, const ProjectSpec& spec,
                                  const RowFn& row, const RowFn& sort_key) {
   obs::OpTimer project_op("project");

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,10 @@ bool Satisfies(BinOp op, int cmp) {
 /// an integer. A negative bound means no limit.
 Result<int64_t> BindLimit(int64_t literal, bool parameterized,
                           const Value* param);
+/// BindLimit for a language whose parameters are named (Cypher, SPARQL):
+/// `param` names the LIMIT parameter, empty when the LIMIT is `literal`.
+Result<int64_t> BindLimit(int64_t literal, const std::string& param,
+                          const std::map<std::string, Value>& params);
 
 /// One ORDER BY key over the aggregated output: a column and direction.
 struct SortKey {

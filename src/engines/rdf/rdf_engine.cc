@@ -4,6 +4,7 @@
 #include <optional>
 #include <string_view>
 
+#include "engines/frame.h"
 #include "graph/shortest_path.h"
 #include "lang/sparql/parser.h"
 #include "obs/profiler.h"
@@ -21,7 +22,7 @@ struct BoundPattern {
 
 // FILTER(?a = ?b) or FILTER(?a != ?b) over two slots.
 struct BoundFilter {
-  int a, b;
+  size_t a, b;
   bool not_equal;
   bool applied = false;
 };
@@ -36,13 +37,11 @@ struct Column {
   std::optional<uint64_t> pred = std::nullopt;
 };
 
-// One execution of a parsed query. A solution is `width_` consecutive
-// term ids in `rows_`: one slot per variable, numbered in order of first
-// appearance in the triple patterns. Bind() resolves every name the query
-// uses (FILTER, projection, GROUP BY, ORDER BY) and every constant before
-// a triple is read, so its errors do not depend on the data. Nothing
-// allocates per solution: the buffers grow by doubling and are reused
-// across the join steps.
+// One execution of a parsed query over a Frame of term ids: one slot per
+// variable, numbered in order of first appearance in the triple patterns.
+// Bind() resolves every name the query uses (FILTER, projection, GROUP BY,
+// ORDER BY) and every constant before a triple is read, so its errors do
+// not depend on the data.
 class Execution {
  public:
   Execution(const RdfEngine& engine, const TermDictionary& dict,
@@ -54,28 +53,15 @@ class Execution {
   Result<std::vector<Row>> Output();
 
  private:
-  int Slot(std::string_view var) const {
-    for (size_t i = 0; i < vars_.size(); ++i) {
-      if (vars_[i] == var) return int(i);
-    }
-    return -1;
+  Result<size_t> Known(const std::string& var) const {
+    return frame_.Known(var, "variable ?");
   }
-  Result<size_t> Known(std::string_view var) const {
-    int s = Slot(var);
-    if (s < 0) {
-      return Status::InvalidArgument("unknown variable ?" + std::string(var));
-    }
-    return size_t(s);
-  }
-  const uint64_t* row(size_t i) const { return rows_.data() + i * width_; }
   Status BindPattern(const sparql::TriplePattern& tp,
                      const RdfEngine::Params& params);
   Status BindOutput(int64_t limit);
-  // Probes the store once per solution with `bp` and keeps every
-  // extension.
+  // The storage access: probes the store once per solution with `bp` and
+  // keeps every extension.
   void JoinStep(const BoundPattern& bp, const std::vector<char>& bound);
-  // Keeps, in order, the solutions that pass `f`.
-  void Filter(const BoundFilter& f);
   Value Decode(uint64_t id) const {
     Term t = dict_.Decode(id);
     if (t.kind == Term::Kind::kIri) return Value(std::move(t.iri));
@@ -83,7 +69,7 @@ class Execution {
   }
   query_ops::RowFn Decoded(const std::vector<size_t>& slots) const {
     return [this, &slots](size_t i, Row* out) -> Status {
-      for (size_t s : slots) out->push_back(Decode(row(i)[s]));
+      for (size_t s : slots) out->push_back(Decode(frame_.row(i)[s]));
       return Status::OK();
     };
   }
@@ -91,8 +77,7 @@ class Execution {
   const RdfEngine& engine_;
   const TermDictionary& dict_;
   const sparql::Query& q_;
-  std::vector<std::string_view> vars_;
-  size_t width_ = 0;
+  Frame frame_;
   std::vector<BoundPattern> patterns_;
   bool impossible_ = false;  // a constant term is not in the dictionary
   std::vector<BoundFilter> filters_;
@@ -105,10 +90,6 @@ class Execution {
   std::vector<Column> columns_;
   std::vector<size_t> sort_slots_;
 
-  // The solutions; the join starts from one empty solution.
-  std::vector<uint64_t> rows_;
-  size_t count_ = 0;
-  std::vector<uint64_t> next_;
   std::vector<Triple> matches_;
 };
 
@@ -121,11 +102,8 @@ Status Execution::BindPattern(const sparql::TriplePattern& tp,
     std::optional<uint64_t> found;
     switch (t.kind) {
       case sparql::TermPattern::Kind::kVariable:
-        bp.slot[k] = Slot(t.text);
-        if (bp.slot[k] < 0) {
-          bp.slot[k] = int(vars_.size());
-          vars_.push_back(t.text);
-        }
+        bp.slot[k] = frame_.Slot(t.text);
+        if (bp.slot[k] < 0) bp.slot[k] = int(frame_.AddSlot(t.text));
         continue;
       case sparql::TermPattern::Kind::kIri:
         found = dict_.LookupIri(t.text);
@@ -158,16 +136,12 @@ Status Execution::Bind(const RdfEngine::Params& params, int64_t limit) {
   for (const auto& tp : q_.patterns) {
     GB_RETURN_IF_ERROR(BindPattern(tp, params));
   }
-  width_ = vars_.size();
   resolve_op.AddRows(patterns_.size());
   resolve_op.Stop();
 
   for (const auto& f : q_.filters) {
-    int a = Slot(f.var_a), b = Slot(f.var_b);
-    if (a < 0 || b < 0) {
-      return Status::InvalidArgument("FILTER on unknown variable ?" +
-                                     (a < 0 ? f.var_a : f.var_b));
-    }
+    GB_ASSIGN_OR_RETURN(size_t a, Known(f.var_a));
+    GB_ASSIGN_OR_RETURN(size_t b, Known(f.var_b));
     filters_.push_back({a, b, f.not_equal});
   }
   return BindOutput(limit);
@@ -220,18 +194,16 @@ Status Execution::BindOutput(int64_t limit) {
     return Status::OK();
   }
 
+  columns_.reserve(q_.select.size());
   for (const auto& sel : q_.select) {
     if (!sel.is_path) {
       GB_ASSIGN_OR_RETURN(size_t s, Known(sel.var));
       columns_.push_back({s});
       continue;
     }
-    int from = Slot(sel.from_var), to = Slot(sel.to_var);
-    if (from < 0 || to < 0) {
-      return Status::InvalidArgument("shortestPath over unbound vars");
-    }
-    columns_.push_back(
-        {size_t(from), true, size_t(to), dict_.LookupIri(sel.pred_iri)});
+    GB_ASSIGN_OR_RETURN(size_t from, Known(sel.from_var));
+    GB_ASSIGN_OR_RETURN(size_t to, Known(sel.to_var));
+    columns_.push_back({from, true, to, dict_.LookupIri(sel.pred_iri)});
   }
   project_ = {q_.distinct, q_.select.size(), {}, limit};
   for (const auto& [var, desc] : q_.order_by) {
@@ -243,16 +215,17 @@ Status Execution::BindOutput(int64_t limit) {
 }
 
 void Execution::Join() {
+  frame_.Start();
   // A constant term missing from the dictionary means no solutions.
-  rows_.assign(width_, kWildcard);
-  count_ = impossible_ ? 0 : 1;
+  if (impossible_) frame_.Advance();
   std::vector<char> used(patterns_.size(), 0);
-  std::vector<char> bound(width_, 0);
+  std::vector<char> bound(frame_.width(), 0);
   auto bound_or_constant = [&bound](int slot) {
     return slot < 0 || bound[size_t(slot)];
   };
   // Greedy BGP join: repeatedly run the most selective remaining pattern.
-  for (size_t step = 0; step < patterns_.size() && count_ > 0; ++step) {
+  for (size_t step = 0; step < patterns_.size() && frame_.size() > 0;
+       ++step) {
     int best = -1, best_score = -1;
     for (size_t i = 0; i < patterns_.size(); ++i) {
       if (used[i]) continue;
@@ -273,8 +246,13 @@ void Execution::Join() {
     }
     // Each filter runs once, as soon as both its variables are bound.
     for (BoundFilter& f : filters_) {
-      if (f.applied || !bound[size_t(f.a)] || !bound[size_t(f.b)]) continue;
-      Filter(f);
+      if (f.applied || !bound[f.a] || !bound[f.b]) continue;
+      obs::OpTimer filter_op("filter");
+      (void)frame_.Retain([&](size_t i) {
+        const uint64_t* b = frame_.row(i);
+        return (b[f.a] == b[f.b]) != f.not_equal;
+      });
+      filter_op.AddRows(frame_.size());
       f.applied = true;
     }
   }
@@ -301,10 +279,8 @@ void Execution::JoinStep(const BoundPattern& bp,
       if (binds[j] == slot) same[k] = j;
     }
   }
-  next_.clear();
-  size_t next_count = 0;
-  for (size_t r = 0; r < count_; ++r) {
-    const uint64_t* b = row(r);
+  for (size_t i = 0; i < frame_.size(); ++i) {
+    const uint64_t* b = frame_.row(i);
     uint64_t key[3];
     for (int k = 0; k < 3; ++k) {
       key[k] = probe[k] >= 0 ? b[probe[k]] : bp.term[k];
@@ -317,43 +293,27 @@ void Execution::JoinStep(const BoundPattern& bp,
           (same[2] >= 0 && v[2] != v[same[2]])) {
         continue;
       }
-      next_.insert(next_.end(), b, b + width_);
-      uint64_t* extended = next_.data() + next_count * width_;
+      uint64_t* extended = frame_.Extend(i);
       for (int k = 0; k < 3; ++k) {
         if (binds[k] >= 0) extended[binds[k]] = v[k];
       }
-      ++next_count;
     }
   }
-  rows_.swap(next_);
-  count_ = next_count;
-  join_op.AddRows(count_);
-}
-
-void Execution::Filter(const BoundFilter& f) {
-  obs::OpTimer filter_op("filter");
-  size_t kept = 0;
-  for (size_t r = 0; r < count_; ++r) {
-    const uint64_t* b = row(r);
-    if ((b[f.a] == b[f.b]) == f.not_equal) continue;
-    if (kept != r) std::copy_n(b, width_, rows_.data() + kept * width_);
-    ++kept;
-  }
-  count_ = kept;
-  rows_.resize(kept * width_);
-  filter_op.AddRows(count_);
+  frame_.Advance();
+  join_op.AddRows(frame_.size());
 }
 
 Result<std::vector<Row>> Execution::Output() {
   // Decoding ids back to Values is the reverse-dictionary half of the
   // translation cost.
   if (aggregate_) {
-    return query_ops::Aggregate(count_, agg_, Decoded(group_slots_), nullptr);
+    return query_ops::Aggregate(frame_.size(), agg_, Decoded(group_slots_),
+                                nullptr);
   }
   return query_ops::Project(
-      count_, project_,
+      frame_.size(), project_,
       [this](size_t i, Row* out) -> Status {
-        const uint64_t* b = row(i);
+        const uint64_t* b = frame_.row(i);
         for (const Column& c : columns_) {
           if (!c.is_path) {
             out->push_back(Decode(b[c.slot]));
@@ -412,43 +372,29 @@ Result<QueryResult> RdfEngine::Execute(std::string_view sparql_text,
   // Root phase: cumulative spans the whole query; self is whatever the
   // specific phases below do not account for.
   obs::OpTimer root_op("execute");
-  if (plan_cache_ != nullptr) {
-    if (auto cached = plan_cache_->Lookup(sparql_text)) {
-      return ExecuteParsed(*cached, params);
-    }
-    obs::OpTimer cached_parse_op("parse");
-    GB_ASSIGN_OR_RETURN(sparql::Query parsed, sparql::Parse(sparql_text));
-    cached_parse_op.Stop();
-    auto shared = std::make_shared<const sparql::Query>(std::move(parsed));
-    plan_cache_->Insert(sparql_text, shared);
-    return ExecuteParsed(*shared, params);
-  }
-  obs::OpTimer parse_op("parse");
-  GB_ASSIGN_OR_RETURN(sparql::Query q, sparql::Parse(sparql_text));
-  parse_op.Stop();
-  return ExecuteParsed(q, params);
-}
-
-Result<QueryResult> RdfEngine::ExecuteParsed(const sparql::Query& q,
-                                             const Params& params) {
-  // LIMIT binds like any other parameter so one cached plan serves every
-  // limit value.
-  auto limit_param = params.find(q.limit_param);
-  GB_ASSIGN_OR_RETURN(
-      int64_t limit,
-      query_ops::BindLimit(
-          q.limit, !q.limit_param.empty(),
-          limit_param == params.end() ? nullptr : &limit_param->second));
-  Execution ex(*this, dict_, q);
-  GB_RETURN_IF_ERROR(ex.Bind(params, limit));
-  ex.Join();
-  QueryResult result;
-  for (const auto& sel : q.select) {
-    result.columns.push_back(
-        sel.is_path || sel.is_count ? sel.as_name : sel.var);
-  }
-  GB_ASSIGN_OR_RETURN(result.rows, ex.Output());
-  return result;
+  auto parse = [](std::string_view text) {
+    obs::OpTimer parse_op("parse");
+    return sparql::Parse(text);
+  };
+  return lang::WithPlan(
+      plan_cache_.get(), sparql_text, parse,
+      [&](const sparql::Query& q) -> Result<QueryResult> {
+        // LIMIT binds like any other parameter so one cached plan serves
+        // every limit value.
+        GB_ASSIGN_OR_RETURN(
+            int64_t limit,
+            query_ops::BindLimit(q.limit, q.limit_param, params));
+        Execution ex(*this, dict_, q);
+        GB_RETURN_IF_ERROR(ex.Bind(params, limit));
+        ex.Join();
+        QueryResult result;
+        for (const auto& sel : q.select) {
+          result.columns.push_back(
+              sel.is_path || sel.is_count ? sel.as_name : sel.var);
+        }
+        GB_ASSIGN_OR_RETURN(result.rows, ex.Output());
+        return result;
+      });
 }
 
 Result<int> RdfEngine::ShortestPath(uint64_t from_id, uint64_t to_id,

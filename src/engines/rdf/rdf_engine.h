@@ -71,9 +71,6 @@ class RdfEngine {
   const TripleStore& store() const { return store_; }
 
  private:
-  Result<QueryResult> ExecuteParsed(const sparql::Query& q,
-                                    const Params& params);
-
   TermDictionary dict_;
   TripleStore store_;
   std::unique_ptr<lang::PlanCache<sparql::Query>> plan_cache_;

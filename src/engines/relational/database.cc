@@ -76,13 +76,13 @@ Status Database::CreateIndex(std::string_view table, std::string_view column,
   if (indexes_.count(key)) return Status::OK();  // idempotent
   auto index = std::make_unique<HashIndex>(key, unique);
   // Back-fill existing rows.
-  int ci = it->second->schema().ColumnIndex(column);
-  for (auto scan = it->second->NewScanIterator(); scan->Valid();
-       scan->Next()) {
+  const size_t ci = size_t(it->second->schema().ColumnIndex(column));
+  std::vector<RowId> ids;
+  GB_RETURN_IF_ERROR(it->second->LiveRowIds(&ids));
+  for (RowId id : ids) {
     Value v;
-    GB_RETURN_IF_ERROR(
-        it->second->GetColumn(scan->row_id(), size_t(ci), &v));
-    GB_RETURN_IF_ERROR(index->Insert(v, scan->row_id()));
+    GB_RETURN_IF_ERROR(it->second->GetColumn(id, ci, &v));
+    GB_RETURN_IF_ERROR(index->Insert(v, id));
   }
   indexes_.emplace(std::move(key), std::move(index));
   return Status::OK();
@@ -102,11 +102,12 @@ Status Database::RegisterEdgeTable(std::string_view table,
     int si = it->second->schema().ColumnIndex(src_col);
     int di = it->second->schema().ColumnIndex(dst_col);
     if (si < 0 || di < 0) return Status::NotFound("edge column");
-    for (auto scan = it->second->NewScanIterator(); scan->Valid();
-         scan->Next()) {
+    std::vector<RowId> ids;
+    GB_RETURN_IF_ERROR(it->second->LiveRowIds(&ids));
+    for (RowId id : ids) {
       Value s, d;
-      GB_RETURN_IF_ERROR(it->second->GetColumn(scan->row_id(), size_t(si), &s));
-      GB_RETURN_IF_ERROR(it->second->GetColumn(scan->row_id(), size_t(di), &d));
+      GB_RETURN_IF_ERROR(it->second->GetColumn(id, size_t(si), &s));
+      GB_RETURN_IF_ERROR(it->second->GetColumn(id, size_t(di), &d));
       meta->adjacency[s.as_int()].push_back(d.as_int());
       meta->adjacency[d.as_int()].push_back(s.as_int());
     }
@@ -143,90 +144,6 @@ uint64_t Database::TotalSizeBytes() const {
     for (const auto& [k, v] : meta->adjacency) total += v.size() * 8;
   }
   return total;
-}
-
-namespace {
-
-// Evaluates a single-table expression against one materialized row.
-Result<Value> EvalRowExpr(const sql::Expr& e, const TableSchema& schema,
-                          const Row& row,
-                          const std::vector<Value>& params) {
-  using K = sql::Expr::Kind;
-  switch (e.kind) {
-    case K::kLiteral:
-      return e.literal;
-    case K::kParam:
-      if (e.param_index < 0 || size_t(e.param_index) >= params.size()) {
-        return Status::InvalidArgument("parameter index out of range");
-      }
-      return params[size_t(e.param_index)];
-    case K::kColumn: {
-      int ci = schema.ColumnIndex(e.column);
-      if (ci < 0) {
-        return Status::InvalidArgument("unknown column " + e.column);
-      }
-      return row[size_t(ci)];
-    }
-    case K::kBinary: {
-      GB_ASSIGN_OR_RETURN(Value l,
-                          EvalRowExpr(*e.lhs, schema, row, params));
-      if (e.op == sql::BinOp::kAnd) {
-        if (!l.is_bool() || !l.as_bool()) return Value(false);
-        return EvalRowExpr(*e.rhs, schema, row, params);
-      }
-      GB_ASSIGN_OR_RETURN(Value r,
-                          EvalRowExpr(*e.rhs, schema, row, params));
-      return Value(query_ops::Satisfies(e.op, l.Compare(r)));
-    }
-    default:
-      return Status::NotSupported("expression not allowed in DML WHERE");
-  }
-}
-
-}  // namespace
-
-Result<std::vector<RowId>> Database::MatchRows(
-    std::string_view table_name, Table* table, const sql::Expr* where,
-    const std::vector<Value>& params) {
-  // Leading indexed equality: WHERE col = const [AND ...].
-  const sql::Expr* probe = where;
-  while (probe != nullptr && probe->kind == sql::Expr::Kind::kBinary &&
-         probe->op == sql::BinOp::kAnd) {
-    probe = probe->lhs.get();
-  }
-  std::vector<RowId> candidates;
-  bool used_index = false;
-  if (probe != nullptr && probe->kind == sql::Expr::Kind::kBinary &&
-      probe->op == sql::BinOp::kEq &&
-      probe->lhs->kind == sql::Expr::Kind::kColumn &&
-      (probe->rhs->kind == sql::Expr::Kind::kLiteral ||
-       probe->rhs->kind == sql::Expr::Kind::kParam)) {
-    HashIndex* index = GetIndex(table_name, probe->lhs->column);
-    if (index != nullptr) {
-      GB_ASSIGN_OR_RETURN(
-          Value key, EvalRowExpr(*probe->rhs, table->schema(), {}, params));
-      index->Lookup(key, &candidates);
-      used_index = true;
-    }
-  }
-  if (!used_index) {
-    for (auto it = table->NewScanIterator(); it->Valid(); it->Next()) {
-      candidates.push_back(it->row_id());
-    }
-  }
-  std::vector<RowId> out;
-  for (RowId id : candidates) {
-    if (where == nullptr) {
-      out.push_back(id);
-      continue;
-    }
-    Row row;
-    GB_RETURN_IF_ERROR(table->Get(id, &row));
-    GB_ASSIGN_OR_RETURN(Value pass,
-                        EvalRowExpr(*where, table->schema(), row, params));
-    if (pass.is_bool() && pass.as_bool()) out.push_back(id);
-  }
-  return out;
 }
 
 void Database::UnindexRow(const std::string& table_name, Table* table,
@@ -291,21 +208,25 @@ Result<QueryResult> Database::ExecuteUpdate(
   if (table == nullptr) {
     return Status::InvalidArgument("unknown table " + stmt.table);
   }
+  std::vector<size_t> columns;
+  std::vector<const sql::Expr*> values;
+  for (const auto& [column, expr] : stmt.sets) {
+    int ci = table->schema().ColumnIndex(column);
+    if (ci < 0) return Status::InvalidArgument("unknown column " + column);
+    columns.push_back(size_t(ci));
+    values.push_back(expr.get());
+  }
+  SqlExecutor exec(this, params);
   GB_ASSIGN_OR_RETURN(std::vector<RowId> ids,
-                      MatchRows(stmt.table, table, stmt.where.get(), params));
+                      exec.Find(stmt.table, stmt.where.get(), values));
   QueryResult result;
-  for (RowId id : ids) {
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const RowId id = ids[i];
     Row old_row;
     GB_RETURN_IF_ERROR(table->Get(id, &old_row));
     Row new_row = old_row;
-    for (const auto& [column, expr] : stmt.sets) {
-      int ci = table->schema().ColumnIndex(column);
-      if (ci < 0) {
-        return Status::InvalidArgument("unknown column " + column);
-      }
-      GB_ASSIGN_OR_RETURN(
-          new_row[size_t(ci)],
-          EvalRowExpr(*expr, table->schema(), old_row, params));
+    for (size_t k = 0; k < columns.size(); ++k) {
+      GB_ASSIGN_OR_RETURN(new_row[columns[k]], exec.SetValue(k, i));
     }
     UnindexRow(stmt.table, table, id, old_row);
     Status reindexed = IndexRow(stmt.table, table, id, new_row);
@@ -328,8 +249,9 @@ Result<QueryResult> Database::ExecuteDelete(
   if (table == nullptr) {
     return Status::InvalidArgument("unknown table " + stmt.table);
   }
-  GB_ASSIGN_OR_RETURN(std::vector<RowId> ids,
-                      MatchRows(stmt.table, table, stmt.where.get(), params));
+  GB_ASSIGN_OR_RETURN(
+      std::vector<RowId> ids,
+      SqlExecutor(this, params).Find(stmt.table, stmt.where.get(), {}));
   QueryResult result;
   for (RowId id : ids) {
     Row row;
@@ -352,31 +274,24 @@ Result<QueryResult> Database::Execute(std::string_view sql_text,
   // Root phase: cumulative spans the whole statement; self is the
   // dispatch/assembly work the phases below do not account for.
   obs::OpTimer root_op("execute");
-  if (plan_cache_ != nullptr) {
-    if (auto cached = plan_cache_->Lookup(sql_text)) {
-      return ExecuteStatement(*cached, params);
-    }
-    obs::OpTimer cached_parse_op("parse");
-    GB_ASSIGN_OR_RETURN(sql::Statement parsed, sql::Parse(sql_text));
-    cached_parse_op.Stop();
-    auto shared = std::make_shared<const sql::Statement>(std::move(parsed));
-    plan_cache_->Insert(sql_text, shared);
-    return ExecuteStatement(*shared, params);
-  }
-  obs::OpTimer parse_op("parse");
-  GB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql_text));
-  parse_op.Stop();
-  return ExecuteStatement(stmt, params);
+  auto parse = [](std::string_view text) {
+    obs::OpTimer parse_op("parse");
+    return sql::Parse(text);
+  };
+  return lang::WithPlan(plan_cache_.get(), sql_text, parse,
+                        [&](const sql::Statement& stmt) {
+                          return ExecuteStatement(stmt, params);
+                        });
 }
 
 Result<QueryResult> Database::ExecuteStatement(
     const sql::Statement& stmt, const std::vector<Value>& params) {
   if (stmt.kind == sql::Statement::Kind::kSelect) {
     // Read committed: a SELECT that bound a row a concurrent DELETE then
-    // removed (Aborted, see SqlExecutor::FetchColumn) runs again.
+    // removed (Aborted, see SqlExecutor::Fetch) runs again.
     while (true) {
-      SqlExecutor exec(this, *stmt.select, params);
-      Result<QueryResult> result = exec.Run();
+      Result<QueryResult> result =
+          SqlExecutor(this, params).Select(*stmt.select);
       if (result.ok() || !result.status().IsAborted()) return result;
     }
   }
@@ -404,13 +319,9 @@ Result<QueryResult> Database::ExecuteInsert(const sql::InsertStmt& ins,
     if (ci < 0) {
       return Status::InvalidArgument("unknown column " + ins.columns[i]);
     }
-    const sql::Expr& e = *ins.values[i];
-    if (e.kind != sql::Expr::Kind::kLiteral &&
-        e.kind != sql::Expr::Kind::kParam) {
-      return Status::NotSupported("INSERT values must be literals/params");
-    }
-    GB_ASSIGN_OR_RETURN(row[size_t(ci)],
-                        EvalRowExpr(e, table->schema(), {}, params));
+    GB_ASSIGN_OR_RETURN(const Value* v,
+                        SqlExecutor::Constant(*ins.values[i], params));
+    row[size_t(ci)] = *v;
   }
   GB_RETURN_IF_ERROR(InsertRow(ins.table, row).status());
   QueryResult result;

@@ -97,12 +97,7 @@ class Database {
                            const Value& to) const;
 
  private:
-  // Single-table predicate matching for UPDATE/DELETE: RowIds of `table`
-  // (named `table_name`) whose row satisfies `where` (all rows when null).
-  // Uses an index for a leading indexed equality conjunct, otherwise scans.
-  Result<std::vector<RowId>> MatchRows(std::string_view table_name,
-                                       Table* table, const sql::Expr* where,
-                                       const std::vector<Value>& params);
+  // UPDATE and DELETE find their rows through SqlExecutor::Find.
   Result<QueryResult> ExecuteUpdate(const sql::UpdateStmt& stmt,
                                     const std::vector<Value>& params);
   Result<QueryResult> ExecuteDelete(const sql::DeleteStmt& stmt,

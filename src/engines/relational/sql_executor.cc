@@ -13,17 +13,6 @@ using sql::Expr;
 
 namespace {
 
-// Flattens an AND tree into individual conjuncts.
-void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  if (e == nullptr) return;
-  if (e->kind == Expr::Kind::kBinary && e->op == BinOp::kAnd) {
-    FlattenConjuncts(e->lhs.get(), out);
-    FlattenConjuncts(e->rhs.get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
 // A read of a row a concurrent DELETE removed after the probe or join that
 // bound it: Aborted makes Database::Execute re-run the SELECT.
 Status ReadStatus(Status got) {
@@ -33,33 +22,44 @@ Status ReadStatus(Status got) {
 
 }  // namespace
 
-SqlExecutor::SqlExecutor(Database* db, const sql::SelectStmt& stmt,
-                         const std::vector<Value>& params)
+SqlExecutor::SqlExecutor(Database* db, const std::vector<Value>& params)
     : db_(db),
-      stmt_(stmt),
       params_(params),
       row_mode_(db->mode() == StorageMode::kRow) {}
+
+Result<const Value*> SqlExecutor::Constant(const Expr& e,
+                                           const std::vector<Value>& params) {
+  if (e.kind == Expr::Kind::kLiteral) return &e.literal;
+  if (e.kind != Expr::Kind::kParam) {
+    return Status::NotSupported("expected a literal or parameter");
+  }
+  if (e.param_index < 0 || size_t(e.param_index) >= params.size()) {
+    return Status::InvalidArgument("parameter index out of range");
+  }
+  return &params[size_t(e.param_index)];
+}
 
 Result<SqlExecutor::ColumnRef> SqlExecutor::Resolve(const Expr& e) const {
   // Qualified: the first FROM entry of that alias. Unqualified: the first
   // whose table has the column.
-  const bool qualified = !e.table_alias.empty();
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    if (qualified && stmt_.from[i].alias != e.table_alias) continue;
-    int ci = sources_[i].table->schema().ColumnIndex(e.column);
-    if (ci >= 0) return ColumnRef{i, size_t(ci)};
-    if (qualified) {
+  if (!e.table_alias.empty()) {
+    GB_ASSIGN_OR_RETURN(size_t slot, frame_.Known(e.table_alias, "alias "));
+    int ci = sources_[slot].table->schema().ColumnIndex(e.column);
+    if (ci < 0) {
       return Status::InvalidArgument("unknown column " + e.table_alias +
                                      "." + e.column);
     }
+    return ColumnRef{slot, size_t(ci)};
   }
-  if (qualified) {
-    return Status::InvalidArgument("unknown alias " + e.table_alias);
+  for (size_t i = 0; i < sources_.size(); ++i) {
+    int ci = sources_[i].table->schema().ColumnIndex(e.column);
+    if (ci >= 0) return ColumnRef{i, size_t(ci)};
   }
   return Status::InvalidArgument("unknown column " + e.column);
 }
 
 Result<int> SqlExecutor::Bind(const Expr& e) {
+  if (exprs_.empty()) exprs_.reserve(16);  // room for any workload statement
   BoundExpr b;
   b.ast = &e;
   switch (e.kind) {
@@ -69,14 +69,10 @@ Result<int> SqlExecutor::Bind(const Expr& e) {
       break;
     }
     case Expr::Kind::kLiteral:
-      b.value = &e.literal;
+    case Expr::Kind::kParam: {
+      GB_ASSIGN_OR_RETURN(b.value, Constant(e, params_));
       break;
-    case Expr::Kind::kParam:
-      if (e.param_index < 0 || size_t(e.param_index) >= params_.size()) {
-        return Status::InvalidArgument("parameter index out of range");
-      }
-      b.value = &params_[size_t(e.param_index)];
-      break;
+    }
     case Expr::Kind::kBinary: {
       GB_ASSIGN_OR_RETURN(b.lhs, Bind(*e.lhs));
       GB_ASSIGN_OR_RETURN(b.rhs, Bind(*e.rhs));
@@ -89,7 +85,7 @@ Result<int> SqlExecutor::Bind(const Expr& e) {
     }
     case Expr::Kind::kCountStar:
     case Expr::Kind::kAggregate:
-      // BindStatement binds an aggregate select item's argument; an
+      // BindOutput binds an aggregate select item's argument; an
       // aggregate anywhere else (WHERE, a non-aggregate ORDER BY) has no
       // group.
       return Status::InvalidArgument(
@@ -103,19 +99,21 @@ Result<int> SqlExecutor::Bind(const Expr& e) {
   return int(exprs_.size() - 1);
 }
 
-Status SqlExecutor::BindStatement() {
-  for (const auto& ref : stmt_.from) {
-    Table* t = db_->GetTable(ref.table);
-    if (t == nullptr) {
-      return Status::InvalidArgument("unknown table " + ref.table);
-    }
-    sources_.emplace_back().table = t;
-  }
-  width_ = sources_.size();
+Status SqlExecutor::AddSource(const std::string& table,
+                              const std::string& alias) {
+  Table* t = db_->GetTable(table);
+  if (t == nullptr) return Status::InvalidArgument("unknown table " + table);
+  Source& s = sources_.emplace_back();
+  s.table = t;
+  s.name = &table;
+  frame_.AddSlot(alias);
+  return Status::OK();
+}
 
+Status SqlExecutor::BindJoins(const std::vector<sql::TableRef>& from) {
   // Each JOIN equates a column of its table with one of an earlier table.
   for (size_t i = 1; i < sources_.size(); ++i) {
-    const Expr* on = stmt_.from[i].on.get();
+    const Expr* on = from[i].on.get();
     if (on == nullptr || on->kind != Expr::Kind::kBinary ||
         on->op != BinOp::kEq || on->lhs->kind != Expr::Kind::kColumn ||
         on->rhs->kind != Expr::Kind::kColumn) {
@@ -131,40 +129,46 @@ Status SqlExecutor::BindStatement() {
     Source& s = sources_[i];
     s.join_column = joined.column;
     s.probe = probe;
-    s.index = db_->GetIndex(stmt_.from[i].table,
+    s.index = db_->GetIndex(*s.name,
                             s.table->schema().columns()[joined.column].name);
   }
+  return Status::OK();
+}
 
-  std::vector<const Expr*> where;
-  FlattenConjuncts(stmt_.where.get(), &where);
-  for (const Expr* c : where) {
-    GB_ASSIGN_OR_RETURN(int e, Bind(*c));
-    conjuncts_.push_back(e);
+Status SqlExecutor::BindWhere(const Expr* where) {
+  // An AND tree becomes its conjuncts, in order.
+  if (where == nullptr) return Status::OK();
+  if (where->kind == Expr::Kind::kBinary && where->op == BinOp::kAnd) {
+    GB_RETURN_IF_ERROR(BindWhere(where->lhs.get()));
+    return BindWhere(where->rhs.get());
   }
+  GB_ASSIGN_OR_RETURN(conjuncts_.emplace_back(), Bind(*where));
+  return Status::OK();
+}
 
+Status SqlExecutor::BindOutput(const sql::SelectStmt& stmt) {
   // Aggregation: any aggregate item or an explicit GROUP BY.
-  aggregate_ = !stmt_.group_by.empty();
-  for (const auto& item : stmt_.items) {
+  aggregate_ = !stmt.group_by.empty();
+  items_.reserve(stmt.items.size());
+  for (const auto& item : stmt.items) {
     aggregate_ |= item.expr->kind == Expr::Kind::kCountStar ||
                   item.expr->kind == Expr::Kind::kAggregate;
   }
   if (!aggregate_) {
-    for (const auto& item : stmt_.items) {
-      GB_ASSIGN_OR_RETURN(int e, Bind(*item.expr));
-      items_.push_back(e);
+    for (const auto& item : stmt.items) {
+      GB_ASSIGN_OR_RETURN(items_.emplace_back(), Bind(*item.expr));
     }
     // ORDER BY keys computed alongside the projection.
-    project_ = {stmt_.distinct, stmt_.items.size(), {}, -1};
-    for (const auto& o : stmt_.order_by) {
-      GB_ASSIGN_OR_RETURN(int e, Bind(*o.expr));
-      sort_keys_.push_back(e);
+    project_ = {stmt.distinct, stmt.items.size(), {}, -1};
+    for (const auto& o : stmt.order_by) {
+      GB_ASSIGN_OR_RETURN(sort_keys_.emplace_back(), Bind(*o.expr));
       project_.desc.push_back(o.desc);
     }
     return Status::OK();
   }
 
-  agg_.grouped = !stmt_.group_by.empty();
-  for (const auto& item : stmt_.items) {
+  agg_.grouped = !stmt.group_by.empty();
+  for (const auto& item : stmt.items) {
     using query_ops::Agg;
     const Expr& e = *item.expr;
     if (e.kind == Expr::Kind::kCountStar) {
@@ -174,52 +178,36 @@ Status SqlExecutor::BindStatement() {
     }
     if (e.kind != Expr::Kind::kAggregate) {
       agg_.items.push_back({Agg::kFirst});
-      GB_ASSIGN_OR_RETURN(int arg, Bind(e));
-      items_.push_back(arg);
+      GB_ASSIGN_OR_RETURN(items_.emplace_back(), Bind(e));
       continue;
     }
     // Indexed by sql::AggFn.
     static constexpr Agg kByFn[] = {Agg::kCount, Agg::kSum, Agg::kMin,
                                     Agg::kMax, Agg::kAvg};
     agg_.items.push_back({kByFn[int(e.agg_fn)]});
-    GB_ASSIGN_OR_RETURN(int arg, Bind(*e.lhs));
-    items_.push_back(arg);
+    GB_ASSIGN_OR_RETURN(items_.emplace_back(), Bind(*e.lhs));
   }
-  for (const auto& g : stmt_.group_by) {
-    GB_ASSIGN_OR_RETURN(int e, Bind(*g));
-    keys_.push_back(e);
+  for (const auto& g : stmt.group_by) {
+    GB_ASSIGN_OR_RETURN(keys_.emplace_back(), Bind(*g));
   }
   // ORDER BY in aggregate mode references select-item aliases.
-  for (const auto& o : stmt_.order_by) {
+  for (const auto& o : stmt.order_by) {
     if (o.expr->kind != Expr::Kind::kColumn || !o.expr->table_alias.empty()) {
       return Status::NotSupported(
           "aggregate ORDER BY must name a select alias");
     }
     size_t column = 0;
-    while (column < stmt_.items.size() &&
-           stmt_.items[column].name != o.expr->column) {
+    while (column < stmt.items.size() &&
+           stmt.items[column].name != o.expr->column) {
       ++column;
     }
-    if (column == stmt_.items.size()) {
+    if (column == stmt.items.size()) {
       return Status::InvalidArgument("unknown ORDER BY alias " +
                                      o.expr->column);
     }
     agg_.order.push_back({column, o.desc});
   }
   return Status::OK();
-}
-
-void SqlExecutor::Extend(const RowId* b, size_t slot, RowId id) {
-  next_.insert(next_.end(), b, b + width_);
-  next_[next_.size() - width_ + slot] = id;
-  ++next_count_;
-}
-
-void SqlExecutor::Advance() {
-  rows_.swap(next_);
-  count_ = next_count_;
-  next_.clear();
-  next_count_ = 0;
 }
 
 Result<Value> SqlExecutor::Fetch(ColumnRef c, const RowId* b) {
@@ -238,16 +226,18 @@ Result<Value> SqlExecutor::Fetch(ColumnRef c, const RowId* b) {
 
 Status SqlExecutor::FetchAll(ColumnRef c, std::vector<Value>* out) {
   Table* table = sources_[c.slot].table;
+  const size_t n = frame_.size();
   if (row_mode_) {
-    out->resize(count_);
-    for (size_t i = 0; i < count_; ++i) {
-      GB_RETURN_IF_ERROR(ReadStatus(table->Get(row(i)[c.slot], &tuple_)));
+    out->resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      GB_RETURN_IF_ERROR(
+          ReadStatus(table->Get(frame_.row(i)[c.slot], &tuple_)));
       (*out)[i] = tuple_[c.column];
     }
     return Status::OK();
   }
   ids_.clear();
-  for (size_t i = 0; i < count_; ++i) ids_.push_back(row(i)[c.slot]);
+  for (size_t i = 0; i < n; ++i) ids_.push_back(frame_.row(i)[c.slot]);
   return ReadStatus(table->GetColumnBatch(ids_, c.column, out));
 }
 
@@ -286,15 +276,34 @@ Status SqlExecutor::EvalAll(int i, std::vector<Value>* out) {
   const BoundExpr& e = exprs_[size_t(i)];
   if (e.value != nullptr) return Status::OK();
   if (e.ast->kind == Expr::Kind::kColumn) return FetchAll(e.col, out);
-  out->resize(count_);
-  for (size_t r = 0; r < count_; ++r) {
-    GB_ASSIGN_OR_RETURN((*out)[r], Eval(i, row(r)));
+  out->resize(frame_.size());
+  for (size_t r = 0; r < frame_.size(); ++r) {
+    GB_ASSIGN_OR_RETURN((*out)[r], Eval(i, frame_.row(r)));
+  }
+  return Status::OK();
+}
+
+Status SqlExecutor::Match() {
+  frame_.Start();
+  for (size_t slot = 0; slot < sources_.size(); ++slot) {
+    {
+      obs::OpTimer op(slot == 0 ? "scan" : "join");
+      GB_RETURN_IF_ERROR(slot == 0 ? Scan() : Join(slot));
+      op.AddRows(frame_.size());
+    }
+    obs::OpTimer filter_op("filter");
+    GB_RETURN_IF_ERROR(Filter(slot + 1));
+    filter_op.AddRows(frame_.size());
+  }
+  if (!conjuncts_.empty()) {
+    return Status::NotSupported("unappliable WHERE predicate");
   }
   return Status::OK();
 }
 
 Status SqlExecutor::Scan() {
-  Table* driving = sources_[0].table;
+  const Source& driving = sources_[0];
+  ids_.clear();
   // An indexed equality of a driving-table column and a constant becomes
   // an index lookup.
   for (auto it = conjuncts_.begin(); it != conjuncts_.end(); ++it) {
@@ -310,26 +319,20 @@ Status SqlExecutor::Scan() {
         continue;
       }
       HashIndex* index = db_->GetIndex(
-          stmt_.from[0].table,
-          driving->schema().columns()[column.col.column].name);
+          *driving.name,
+          driving.table->schema().columns()[column.col.column].name);
       if (index == nullptr) continue;
-      ids_.clear();
       index->Lookup(*constant, &ids_);
-      count_ = ids_.size();
-      rows_.assign(count_ * width_, kUnbound);
-      for (size_t r = 0; r < count_; ++r) rows_[r * width_] = ids_[r];
       conjuncts_.erase(it);  // consumed by the index lookup
+      frame_.Extend(0, 0, ids_);
+      frame_.Advance();
       return Status::OK();
     }
   }
-
   // Fall back to a full scan; residual conjuncts filter later.
-  rows_.clear();
-  count_ = 0;
-  for (auto it = driving->NewScanIterator(); it->Valid(); it->Next()) {
-    rows_.resize(rows_.size() + width_, kUnbound);
-    rows_[count_++ * width_] = it->row_id();
-  }
+  GB_RETURN_IF_ERROR(driving.table->LiveRowIds(&ids_));
+  frame_.Extend(0, 0, ids_);
+  frame_.Advance();
   return Status::OK();
 }
 
@@ -339,30 +342,30 @@ Status SqlExecutor::Join(size_t slot) {
   GB_RETURN_IF_ERROR(FetchAll(s.probe, &lhs_));
   if (s.index != nullptr) {
     // Index nested-loop join.
-    for (size_t r = 0; r < count_; ++r) {
+    for (size_t i = 0; i < frame_.size(); ++i) {
       ids_.clear();
-      s.index->Lookup(lhs_[r], &ids_);
-      for (RowId id : ids_) Extend(row(r), slot, id);
+      s.index->Lookup(lhs_[i], &ids_);
+      frame_.Extend(i, slot, ids_);
     }
-    Advance();
+    frame_.Advance();
     return Status::OK();
   }
 
   // Hash join: build on the new table's join column.
   std::unordered_map<Value, std::vector<RowId>, ValueHash> build;
-  for (auto it = s.table->NewScanIterator(); it->Valid(); it->Next()) {
+  GB_RETURN_IF_ERROR(s.table->LiveRowIds(&ids_));
+  for (RowId id : ids_) {
     Value key;
-    Status got = s.table->GetColumn(it->row_id(), s.join_column, &key);
-    if (got.IsNotFound()) continue;  // deleted since the scan reached it
+    Status got = s.table->GetColumn(id, s.join_column, &key);
+    if (got.IsNotFound()) continue;  // deleted since the scan listed it
     GB_RETURN_IF_ERROR(got);
-    build[key].push_back(it->row_id());
+    build[key].push_back(id);
   }
-  for (size_t r = 0; r < count_; ++r) {
-    auto hit = build.find(lhs_[r]);
-    if (hit == build.end()) continue;
-    for (RowId id : hit->second) Extend(row(r), slot, id);
+  for (size_t i = 0; i < frame_.size(); ++i) {
+    auto hit = build.find(lhs_[i]);
+    if (hit != build.end()) frame_.Extend(i, slot, hit->second);
   }
-  Advance();
+  frame_.Advance();
   return Status::OK();
 }
 
@@ -375,35 +378,23 @@ Status SqlExecutor::Filter(size_t bound) {
     }
     // A comparison reads each column operand for every solution at once;
     // any other predicate evaluates per solution.
-    const bool compare =
-        c.ast->kind == Expr::Kind::kBinary && c.ast->op != BinOp::kAnd;
-    const Value* l_const = nullptr;
-    const Value* r_const = nullptr;
-    if (compare) {
+    if (c.ast->kind == Expr::Kind::kBinary && c.ast->op != BinOp::kAnd) {
       GB_RETURN_IF_ERROR(EvalAll(c.lhs, &lhs_));
       GB_RETURN_IF_ERROR(EvalAll(c.rhs, &rhs_));
-      l_const = exprs_[size_t(c.lhs)].value;
-      r_const = exprs_[size_t(c.rhs)].value;
+      const Value* l_const = exprs_[size_t(c.lhs)].value;
+      const Value* r_const = exprs_[size_t(c.rhs)].value;
+      (void)frame_.Retain([&](size_t i) {
+        const Value& l = l_const != nullptr ? *l_const : lhs_[i];
+        const Value& r = r_const != nullptr ? *r_const : rhs_[i];
+        return query_ops::Satisfies(c.ast->op, l.Compare(r));
+      });
+    } else {
+      const int e = *it;
+      GB_RETURN_IF_ERROR(frame_.Retain([&](size_t i) -> Result<bool> {
+        GB_ASSIGN_OR_RETURN(Value v, Eval(e, frame_.row(i)));
+        return v.is_bool() && v.as_bool();
+      }));
     }
-    size_t kept = 0;
-    for (size_t r = 0; r < count_; ++r) {
-      bool pass;
-      if (compare) {
-        const Value& l = l_const != nullptr ? *l_const : lhs_[r];
-        const Value& rv = r_const != nullptr ? *r_const : rhs_[r];
-        pass = query_ops::Satisfies(c.ast->op, l.Compare(rv));
-      } else {
-        GB_ASSIGN_OR_RETURN(Value v, Eval(*it, row(r)));
-        pass = v.is_bool() && v.as_bool();
-      }
-      if (!pass) continue;
-      if (kept != r) {
-        std::copy_n(row(r), width_, rows_.begin() + kept * width_);
-      }
-      ++kept;
-    }
-    count_ = kept;
-    rows_.resize(kept * width_);
     it = conjuncts_.erase(it);
   }
   return Status::OK();
@@ -412,7 +403,7 @@ Status SqlExecutor::Filter(size_t bound) {
 query_ops::RowFn SqlExecutor::Values(const std::vector<int>& exprs) {
   return [this, &exprs](size_t i, Row* out) -> Status {
     for (int e : exprs) {
-      GB_ASSIGN_OR_RETURN(Value v, Eval(e, row(i)));
+      GB_ASSIGN_OR_RETURN(Value v, Eval(e, frame_.row(i)));
       out->push_back(std::move(v));
     }
     return Status::OK();
@@ -441,62 +432,54 @@ Result<std::vector<Row>> SqlExecutor::Aggregate() {
   // An item's argument, per solution: every solution for count..max, a
   // group's first for the other items.
   auto value = [this](size_t i, size_t item, Value* out) -> Status {
-    GB_ASSIGN_OR_RETURN(*out, Eval(items_[item], row(i)));
+    GB_ASSIGN_OR_RETURN(*out, Eval(items_[item], frame_.row(i)));
     return Status::OK();
   };
-  return query_ops::Aggregate(count_, agg_, key, value);
+  return query_ops::Aggregate(frame_.size(), agg_, key, value);
 }
 
-Result<QueryResult> SqlExecutor::Run() {
+Result<QueryResult> SqlExecutor::Select(const sql::SelectStmt& stmt) {
   // Plan phase: every name resolves here, before any row is read.
   obs::OpTimer plan_op("plan");
-  GB_RETURN_IF_ERROR(BindStatement());
+  for (const auto& ref : stmt.from) {
+    GB_RETURN_IF_ERROR(AddSource(ref.table, ref.alias));
+  }
+  GB_RETURN_IF_ERROR(BindJoins(stmt.from));
+  GB_RETURN_IF_ERROR(BindWhere(stmt.where.get()));
+  GB_RETURN_IF_ERROR(BindOutput(stmt));
   plan_op.Stop();
-  const size_t limit_at = size_t(stmt_.limit_param);  // -1: no parameter
+  const size_t limit_at = size_t(stmt.limit_param);  // -1: no parameter
   GB_ASSIGN_OR_RETURN(
       int64_t limit,
       query_ops::BindLimit(
-          stmt_.limit, stmt_.limit_param >= 0,
+          stmt.limit, stmt.limit_param >= 0,
           limit_at < params_.size() ? &params_[limit_at] : nullptr));
 
-  if (width_ > 0) {
-    {
-      obs::OpTimer scan_op("scan");
-      GB_RETURN_IF_ERROR(Scan());
-      scan_op.AddRows(count_);
-    }
-    {
-      obs::OpTimer filter_op("filter");
-      GB_RETURN_IF_ERROR(Filter(1));
-      filter_op.AddRows(count_);
-    }
-    for (size_t i = 1; i < width_; ++i) {
-      {
-        obs::OpTimer join_op("join");
-        GB_RETURN_IF_ERROR(Join(i));
-        join_op.AddRows(count_);
-      }
-      obs::OpTimer filter_op("filter");
-      GB_RETURN_IF_ERROR(Filter(i + 1));
-      filter_op.AddRows(count_);
-    }
-  }
-  if (!conjuncts_.empty()) {
-    return Status::NotSupported("unappliable WHERE predicate");
-  }
-
+  GB_RETURN_IF_ERROR(Match());
   QueryResult result;
-  for (const auto& item : stmt_.items) result.columns.push_back(item.name);
-  if (aggregate_) {
-    agg_.limit = limit;
-    GB_ASSIGN_OR_RETURN(result.rows, Aggregate());
-    return result;
-  }
-  project_.limit = limit;
+  for (const auto& item : stmt.items) result.columns.push_back(item.name);
+  agg_.limit = project_.limit = limit;
   GB_ASSIGN_OR_RETURN(result.rows,
-                      query_ops::Project(count_, project_, Values(items_),
-                                         Values(sort_keys_)));
+                      aggregate_ ? Aggregate()
+                                 : query_ops::Project(frame_.size(), project_,
+                                                      Values(items_),
+                                                      Values(sort_keys_)));
   return result;
+}
+
+Result<std::vector<RowId>> SqlExecutor::Find(
+    const std::string& table, const Expr* where,
+    const std::vector<const Expr*>& values) {
+  obs::OpTimer plan_op("plan");
+  GB_RETURN_IF_ERROR(AddSource(table, table));
+  GB_RETURN_IF_ERROR(BindWhere(where));
+  for (const Expr* v : values) {
+    GB_ASSIGN_OR_RETURN(values_.emplace_back(), Bind(*v));
+  }
+  plan_op.Stop();
+  GB_RETURN_IF_ERROR(Match());
+  // One slot: the solutions are the row ids.
+  return std::vector<RowId>(frame_.row(0), frame_.row(0) + frame_.size());
 }
 
 }  // namespace graphbench

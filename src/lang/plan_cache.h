@@ -151,6 +151,30 @@ class PlanCache {
   std::map<std::string, Entry, std::less<>> map_;
 };
 
+/// The front door every language shares: runs `run` on the plan for
+/// `text`. With a cache (non-null `cache`) the plan is looked up by text;
+/// a miss parses and inserts it, and a text that fails to parse is never
+/// inserted. Without one, GraphBench's default, `text` is parsed on every
+/// call into a plan on the stack, so the call allocates nothing beyond the
+/// parse itself. `parse(text)` returns a Result<PlanT> and records the
+/// language's own parse profile row.
+template <typename PlanT, typename ParseFn, typename RunFn>
+auto WithPlan(PlanCache<PlanT>* cache, std::string_view text,
+              ParseFn&& parse, RunFn&& run)
+    -> decltype(run(std::declval<const PlanT&>())) {
+  if (cache != nullptr) {
+    if (std::shared_ptr<const PlanT> cached = cache->Lookup(text)) {
+      return run(*cached);
+    }
+  }
+  auto parsed = parse(text);
+  if (!parsed.ok()) return parsed.status();
+  if (cache == nullptr) return run(*parsed);
+  auto shared = std::make_shared<const PlanT>(std::move(parsed).value());
+  cache->Insert(text, shared);
+  return run(*shared);
+}
+
 }  // namespace lang
 }  // namespace graphbench
 

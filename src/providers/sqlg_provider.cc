@@ -168,12 +168,12 @@ Result<std::vector<GVertex>> SqlgProvider::AllVertices(
     std::string_view label) {
   std::shared_lock<obs::TimedSharedMutex> lock(mu_);
   std::vector<GVertex> out;
+  std::vector<RowId> ids;
   for (size_t ord = 0; ord < vertex_labels_.size(); ++ord) {
     if (!label.empty() && vertex_labels_[ord].label != label) continue;
     Table* table = db_->GetTable(vertex_labels_[ord].table);
-    for (auto scan = table->NewScanIterator(); scan->Valid(); scan->Next()) {
-      out.push_back(Encode(ord, scan->row_id()));
-    }
+    GB_RETURN_IF_ERROR(table->LiveRowIds(&ids));
+    for (RowId id : ids) out.push_back(Encode(ord, id));
   }
   return out;
 }

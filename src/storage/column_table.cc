@@ -142,38 +142,14 @@ Status ColumnTable::Delete(RowId id) {
   return Status::OK();
 }
 
-class ColumnTable::Iter : public TableScanIterator {
- public:
-  explicit Iter(const ColumnTable* table) : table_(table) { Advance(0); }
-
-  bool Valid() const override { return valid_; }
-  void Next() override { Advance(pos_ + 1); }
-  RowId row_id() const override { return pos_; }
-
-  void GetRow(Row* row) const override {
-    table_->Get(pos_, row).ok();  // NotFound leaves row untouched
+Status ColumnTable::LiveRowIds(std::vector<RowId>* out) const {
+  std::shared_lock<obs::TimedSharedMutex> lock(mu_);
+  out->clear();
+  out->reserve(live_rows_);
+  for (size_t id = 0; id < live_.size(); ++id) {
+    if (live_[id]) out->push_back(RowId(id));
   }
-
- private:
-  void Advance(RowId from) {
-    std::shared_lock<obs::TimedSharedMutex> lock(table_->mu_);
-    for (RowId id = from; id < table_->live_.size(); ++id) {
-      if (table_->live_[size_t(id)]) {
-        pos_ = id;
-        valid_ = true;
-        return;
-      }
-    }
-    valid_ = false;
-  }
-
-  const ColumnTable* table_;
-  RowId pos_ = 0;
-  bool valid_ = false;
-};
-
-std::unique_ptr<TableScanIterator> ColumnTable::NewScanIterator() const {
-  return std::make_unique<Iter>(this);
+  return Status::OK();
 }
 
 uint64_t ColumnTable::row_count() const {

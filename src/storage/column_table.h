@@ -38,7 +38,7 @@ class ColumnTable : public Table {
                         std::vector<Value>* out) const override;
   Status Update(RowId id, const Row& row) override;
   Status Delete(RowId id) override;
-  std::unique_ptr<TableScanIterator> NewScanIterator() const override;
+  Status LiveRowIds(std::vector<RowId>* out) const override;
   uint64_t row_count() const override;
   uint64_t ApproximateSizeBytes() const override;
 
@@ -46,8 +46,6 @@ class ColumnTable : public Table {
   uint64_t merges() const;
 
  private:
-  class Iter;
-
   // Caller holds mu_ exclusively. Appends the delta to the column vectors
   // and recompresses each column's tail segment.
   void MergeDeltaLocked();

@@ -93,50 +93,17 @@ Status HeapTable::Delete(RowId id) {
   return Status::OK();
 }
 
-class HeapTable::Iter : public TableScanIterator {
- public:
-  explicit Iter(const HeapTable* table) : table_(table) {
-    // Snapshot of liveness is not taken: scans run under brief shared
-    // locks per step; RowIds are append-only so positions are stable.
-    Advance(0);
-  }
-
-  bool Valid() const override { return valid_; }
-
-  void Next() override { Advance(pos_ + 1); }
-
-  RowId row_id() const override { return pos_; }
-
-  void GetRow(Row* row) const override {
-    std::shared_lock<obs::TimedSharedMutex> lock(table_->mu_);
-    const Row* r = table_->Locate(pos_);
-    if (r != nullptr) *row = *r;
-  }
-
- private:
-  void Advance(RowId from) {
-    std::shared_lock<obs::TimedSharedMutex> lock(table_->mu_);
-    uint64_t limit = table_->pages_.empty()
-                         ? 0
-                         : (table_->pages_.size() - 1) * kRowsPerPage +
-                               table_->pages_.back()->rows.size();
-    for (RowId id = from; id < limit; ++id) {
-      if (table_->Locate(id) != nullptr) {
-        pos_ = id;
-        valid_ = true;
-        return;
-      }
+Status HeapTable::LiveRowIds(std::vector<RowId>* out) const {
+  std::shared_lock<obs::TimedSharedMutex> lock(mu_);
+  out->clear();
+  out->reserve(live_rows_);
+  for (size_t p = 0; p < pages_.size(); ++p) {
+    const std::vector<bool>& live = pages_[p]->live;
+    for (size_t slot = 0; slot < live.size(); ++slot) {
+      if (live[slot]) out->push_back(RowId(p * kRowsPerPage + slot));
     }
-    valid_ = false;
   }
-
-  const HeapTable* table_;
-  RowId pos_ = 0;
-  bool valid_ = false;
-};
-
-std::unique_ptr<TableScanIterator> HeapTable::NewScanIterator() const {
-  return std::make_unique<Iter>(this);
+  return Status::OK();
 }
 
 uint64_t HeapTable::row_count() const {

@@ -26,7 +26,7 @@ class HeapTable : public Table {
   Status GetColumn(RowId id, size_t column, Value* out) const override;
   Status Update(RowId id, const Row& row) override;
   Status Delete(RowId id) override;
-  std::unique_ptr<TableScanIterator> NewScanIterator() const override;
+  Status LiveRowIds(std::vector<RowId>* out) const override;
   uint64_t row_count() const override;
   uint64_t ApproximateSizeBytes() const override;
 
@@ -35,7 +35,6 @@ class HeapTable : public Table {
     std::vector<Row> rows;        // size() == #slots used
     std::vector<bool> live;       // parallel to rows
   };
-  class Iter;
 
   // Returns the slot or nullptr when id is out of range / deleted.
   const Row* Locate(RowId id) const;

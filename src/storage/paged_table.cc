@@ -509,37 +509,23 @@ uint64_t PagedTable::ApproximateSizeBytes() const {
   return bytes_;
 }
 
-/// Snapshot scan (mirrors the paged B+-tree iterator): rows are
-/// materialized under the shared latch so the scan never sees a
-/// half-committed mutation.
-class PagedTable::Iter : public TableScanIterator {
- public:
-  explicit Iter(std::vector<std::pair<RowId, Row>> rows)
-      : rows_(std::move(rows)) {}
-
-  bool Valid() const override { return pos_ < rows_.size(); }
-  void Next() override { ++pos_; }
-  RowId row_id() const override { return rows_[pos_].first; }
-  void GetRow(Row* row) const override { *row = rows_[pos_].second; }
-
- private:
-  std::vector<std::pair<RowId, Row>> rows_;
-  size_t pos_ = 0;
-};
-
-std::unique_ptr<TableScanIterator> PagedTable::NewScanIterator() const {
-  std::vector<std::pair<RowId, Row>> rows;
-  {
-    std::shared_lock<obs::TimedSharedMutex> lock(mu_);
-    rows.reserve(live_rows_);
-    for (RowId id = 0; id < next_row_; ++id) {
-      Row row;
-      bool live = false;
-      if (!ReadSlot(id, &row, &live).ok() || !live) continue;
-      rows.emplace_back(id, std::move(row));
+Status PagedTable::LiveRowIds(std::vector<RowId>* out) const {
+  std::shared_lock<obs::TimedSharedMutex> lock(mu_);
+  out->clear();
+  out->reserve(live_rows_);
+  // One pin per slot page; a slot's first byte holds its flags.
+  for (size_t p = 0; p < slot_pages_.size(); ++p) {
+    const RowId first = RowId(p) * kSlotsPerPage;
+    if (first >= next_row_) break;
+    GB_ASSIGN_OR_RETURN(PageRef page, pager_->Fetch(slot_pages_[p]));
+    const RowId end = std::min<RowId>(next_row_, first + kSlotsPerPage);
+    for (RowId id = first; id < end; ++id) {
+      if (uint8_t(page.data()[(id - first) * kSlotBytes]) & kSlotLive) {
+        out->push_back(id);
+      }
     }
   }
-  return std::make_unique<Iter>(std::move(rows));
+  return Status::OK();
 }
 
 }  // namespace graphbench

@@ -44,15 +44,13 @@ class PagedTable : public Table {
   Status GetColumn(RowId id, size_t column, Value* out) const override;
   Status Update(RowId id, const Row& row) override;
   Status Delete(RowId id) override;
-  std::unique_ptr<TableScanIterator> NewScanIterator() const override;
+  Status LiveRowIds(std::vector<RowId>* out) const override;
   uint64_t row_count() const override;
   uint64_t ApproximateSizeBytes() const override;
 
   uint64_t meta_page() const { return meta_page_; }
 
  private:
-  class Iter;
-
   PagedTable(storage::Pager* pager, TableSchema schema);
 
   Status InitFresh();

@@ -2,7 +2,6 @@
 #define GRAPHBENCH_STORAGE_TABLE_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -16,17 +15,6 @@ namespace graphbench {
 /// Physical row locator. For heap tables this encodes (page, slot); for
 /// column tables it is the row position. Stable for the row's lifetime.
 using RowId = uint64_t;
-
-/// Forward scan over the live rows of a table.
-class TableScanIterator {
- public:
-  virtual ~TableScanIterator() = default;
-  virtual bool Valid() const = 0;
-  virtual void Next() = 0;
-  virtual RowId row_id() const = 0;
-  /// Materializes the current row into `*row` (all columns).
-  virtual void GetRow(Row* row) const = 0;
-};
 
 /// Storage-engine-agnostic table interface. HeapTable implements the row
 /// store (Postgres analog); ColumnTable the column store (Virtuoso analog).
@@ -67,7 +55,11 @@ class Table {
   /// Removes the row at `id` (tombstoned; RowIds are never reused).
   virtual Status Delete(RowId id) = 0;
 
-  virtual std::unique_ptr<TableScanIterator> NewScanIterator() const = 0;
+  /// Sets `*out` to the ids of the live rows, ascending, collected under
+  /// one hold of the table's latch: the scan a driving table, a hash-join
+  /// build or an index back-fill starts from. A row deleted after the call
+  /// reads NotFound.
+  virtual Status LiveRowIds(std::vector<RowId>* out) const = 0;
 
   virtual uint64_t row_count() const = 0;
   virtual uint64_t ApproximateSizeBytes() const = 0;

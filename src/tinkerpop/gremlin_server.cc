@@ -40,21 +40,17 @@ Result<std::string> Serve(GremlinGraph* graph,
                           lang::PlanCache<Traversal>* plan_cache,
                           const std::string& bytecode, uint64_t dequeued_at) {
   obs::OpTimer decode_op("decodeRequest", dequeued_at);
-  std::shared_ptr<const Traversal> traversal;
-  if (plan_cache != nullptr) traversal = plan_cache->Lookup(bytecode);
-  if (traversal == nullptr) {
-    GB_ASSIGN_OR_RETURN(Traversal decoded,
-                        gremlinio::DecodeTraversal(bytecode));
-    traversal = std::make_shared<const Traversal>(std::move(decoded));
-    if (plan_cache != nullptr) plan_cache->Insert(bytecode, traversal);
-  }
-  decode_op.Stop();
-  GB_ASSIGN_OR_RETURN(std::vector<Value> results,
-                      ExecuteTraversal(graph, *traversal));
-  obs::OpTimer encode_op("encodeResults");
-  std::string frame = gremlinio::EncodeResults(results);
-  encode_op.AddRows(results.size());
-  return frame;
+  return lang::WithPlan(
+      plan_cache, bytecode, gremlinio::DecodeTraversal,
+      [&](const Traversal& traversal) -> Result<std::string> {
+        decode_op.Stop();
+        GB_ASSIGN_OR_RETURN(std::vector<Value> results,
+                            ExecuteTraversal(graph, traversal));
+        obs::OpTimer encode_op("encodeResults");
+        std::string frame = gremlinio::EncodeResults(results);
+        encode_op.AddRows(results.size());
+        return frame;
+      });
 }
 
 }  // namespace

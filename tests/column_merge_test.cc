@@ -73,12 +73,10 @@ TEST(ColumnMergeTest, ScanColumnSpansBothRegions) {
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(t.Insert({Value(i), Value("x")}).ok());
   }
-  // Row ids from the scan iterator, then one batch read across the
-  // merged region and the delta.
+  // The live row ids, then one batch read across the merged region and
+  // the delta.
   std::vector<RowId> ids;
-  for (auto it = t.NewScanIterator(); it->Valid(); it->Next()) {
-    ids.push_back(it->row_id());
-  }
+  ASSERT_TRUE(t.LiveRowIds(&ids).ok());
   std::vector<Value> values;
   ASSERT_TRUE(t.GetColumnBatch(ids, 0, &values).ok());
   ASSERT_EQ(values.size(), size_t(n));
@@ -88,15 +86,15 @@ TEST(ColumnMergeTest, ScanColumnSpansBothRegions) {
   }
 }
 
-TEST(ColumnMergeTest, ScanIteratorSeesDeltaRows) {
+TEST(ColumnMergeTest, LiveRowIdsSeesDeltaRows) {
   ColumnTable t(TwoColSchema());
   const int n = int(ColumnTable::kDeltaMergeRows) + 2;
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(t.Insert({Value(i), Value("x")}).ok());
   }
-  int count = 0;
-  for (auto it = t.NewScanIterator(); it->Valid(); it->Next()) ++count;
-  EXPECT_EQ(count, n);
+  std::vector<RowId> ids;
+  ASSERT_TRUE(t.LiveRowIds(&ids).ok());
+  EXPECT_EQ(ids.size(), size_t(n));
 }
 
 }  // namespace

@@ -473,10 +473,12 @@ void RunTableTrial(const TrialConfig& config) {
   auto table = PagedTable::Attach(pager->get(), meta_page, TableTrialSchema());
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   TableState recovered;
-  for (auto it = (*table)->NewScanIterator(); it->Valid(); it->Next()) {
+  std::vector<RowId> ids;
+  ASSERT_TRUE((*table)->LiveRowIds(&ids).ok());
+  for (RowId id : ids) {
     Row row;
-    it->GetRow(&row);
-    recovered[it->row_id()] = row[1].as_string();
+    ASSERT_TRUE((*table)->Get(id, &row).ok());
+    recovered[id] = row[1].as_string();
   }
 
   TableState candidate;

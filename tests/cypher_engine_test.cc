@@ -330,12 +330,51 @@ TEST_F(CypherEngineTest, AnonymousNodes) {
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   EXPECT_EQ(IntRows(*scan), (IntTable{{5}}));
 
-  // An expansion needs a named source: an anonymous node cannot be
-  // expanded from.
+  // An anonymous node has a hidden slot, so a chain expands from it as
+  // from a named one.
   auto through = engine_.Execute(
       "MATCH (p:Person {id: $id})-[:KNOWS]-()-[:KNOWS]-(ff) RETURN ff.id",
       {{"id", Value(1)}});
-  EXPECT_TRUE(through.status().IsNotSupported());
+  ASSERT_TRUE(through.ok()) << through.status().ToString();
+  auto named = engine_.Execute(
+      "MATCH (p:Person {id: $id})-[:KNOWS]-(f)-[:KNOWS]-(ff) RETURN ff.id",
+      {{"id", Value(1)}});
+  ASSERT_TRUE(named.ok()) << named.status().ToString();
+  EXPECT_EQ(IntRows(*through), IntRows(*named));
+  EXPECT_EQ(through->rows.size(), 5u);
+}
+
+// --- Binding ----------------------------------------------------------------
+// An unknown variable or a missing parameter fails when the query binds,
+// before any vertex is read: whether or not a row would reach it.
+
+class CypherBindTest : public CypherEngineTest {};
+
+TEST_F(CypherBindTest, UnknownNameIsInvalidArgumentWhateverTheData) {
+  for (const char* cypher : {
+           "MATCH (p:Person {id: $id}) RETURN q.id",
+           "MATCH (p:Person {id: $id}) WHERE q.x = 1 RETURN p.id",
+           "MATCH (p:Person {id: $id}) RETURN p.id ORDER BY q.id",
+           "MATCH (p:Person {id: $id}) WHERE p.x = $nope RETURN p.id",
+           "MATCH (p:Person {id: $id})-[:KNOWS]-(f {firstName: $nope}) "
+           "RETURN f.id",
+           "MATCH (p:Person {id: $id}) "
+           "RETURN length(shortestPath((p)-[:KNOWS*]-(q))) AS len",
+           "MATCH (p:Person {id: $id}) CREATE (p)-[:LIKES]->(z)",
+           "MATCH (p:Person {id: $id}) CREATE (p)-[:LIKES {w: $nope}]->(p)",
+       }) {
+    // Person 1 exists and has friends; no person has id 99.
+    for (int id : {1, 99}) {
+      Status s = engine_.Execute(cypher, {{"id", Value(id)}}).status();
+      EXPECT_TRUE(s.IsInvalidArgument())
+          << cypher << " with $id " << id << ": " << s.ToString();
+    }
+  }
+  // Nothing was created on the way.
+  auto likes =
+      engine_.Execute("MATCH (a:Person)-[:LIKES]->(b) RETURN count(*)", {});
+  ASSERT_TRUE(likes.ok()) << likes.status().ToString();
+  EXPECT_EQ(IntRows(*likes), (IntTable{{0}}));
 }
 
 TEST_F(CypherEngineTest, LabelAndInlinePropsOnExpansionTarget) {

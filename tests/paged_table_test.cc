@@ -236,11 +236,12 @@ TEST(PagedTableTest, RecoveredPagesMatchLivePagerAfterEvictingStream) {
       PagedTable::Attach(reopened.get(), meta_page, IdValueSchema());
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();
   std::map<RowId, std::string> rows;
-  auto it = (*attached)->NewScanIterator();
-  for (; it->Valid(); it->Next()) {
+  std::vector<RowId> ids;
+  ASSERT_TRUE((*attached)->LiveRowIds(&ids).ok());
+  for (RowId id : ids) {
     Row row;
-    it->GetRow(&row);
-    rows[it->row_id()] = row[1].as_string();
+    ASSERT_TRUE((*attached)->Get(id, &row).ok());
+    rows[id] = row[1].as_string();
   }
   EXPECT_TRUE(rows == oracle);
   EXPECT_EQ((*attached)->row_count(), oracle.size());

@@ -278,6 +278,8 @@ TEST(SqlBindTest, UnknownNameIsInvalidArgumentWhateverTheData) {
              "SELECT id FROM a WHERE id = 99 ORDER BY nope",
              "SELECT id, COUNT(*) AS n FROM a WHERE id = 99 GROUP BY nope",
              "SELECT a.id FROM a JOIN b ON b.nope = a.id WHERE a.id = 99",
+             "DELETE FROM a WHERE id = 99 AND nope = 1",
+             "UPDATE a SET nope = 1 WHERE id = 99",
          }) {
       Status s = db.Execute(sql).status();
       EXPECT_TRUE(s.IsInvalidArgument())

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "numbered.h"
 #include "storage/column_table.h"
 #include "storage/hash_index.h"
 #include "storage/heap_table.h"
+#include "storage/os_file.h"
+#include "storage/paged_table.h"
+#include "storage/pager.h"
 #include "util/random.h"
 
 namespace graphbench {
@@ -114,15 +121,15 @@ TEST_P(TableContractTest, ScanVisitsExactlyLiveRows) {
   }
   for (int i = 0; i < 300; i += 3) ASSERT_TRUE(t->Delete(ids[size_t(i)]).ok());
 
-  size_t seen = 0;
-  for (auto it = t->NewScanIterator(); it->Valid(); it->Next()) {
+  std::vector<RowId> live;
+  ASSERT_TRUE(t->LiveRowIds(&live).ok());
+  for (RowId id : live) {
     Row row;
-    it->GetRow(&row);
+    ASSERT_TRUE(t->Get(id, &row).ok());
     ASSERT_EQ(row.size(), 3u);
     EXPECT_NE(row[0].as_int() % 3, 0);
-    ++seen;
   }
-  EXPECT_EQ(seen, 200u);
+  EXPECT_EQ(live.size(), 200u);
   EXPECT_EQ(t->row_count(), 200u);
 }
 
@@ -155,18 +162,75 @@ TEST(ColumnTableTest, ScanColumnSkipsDeleted) {
     ASSERT_TRUE(t.Insert({Value(i), Value("f"), Value("l")}).ok());
   }
   ASSERT_TRUE(t.Delete(4).ok());
-  // The executor's column scan: live row ids from the scan iterator,
-  // then one batch read of the column.
+  // The executor's column scan: the live row ids, then one batch read of
+  // the column.
   std::vector<RowId> ids;
-  for (auto it = t.NewScanIterator(); it->Valid(); it->Next()) {
-    ids.push_back(it->row_id());
-  }
+  ASSERT_TRUE(t.LiveRowIds(&ids).ok());
   std::vector<Value> values;
   ASSERT_TRUE(t.GetColumnBatch(ids, 0, &values).ok());
   EXPECT_EQ(values.size(), 9u);
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_NE(ids[i], 4u);
     EXPECT_EQ(values[i].as_int(), int64_t(ids[i]));
+  }
+}
+
+// LiveRowIds beside a writer that inserts and deletes, on all three
+// tables: the ids come from one latch hold, ascending, so each names a row
+// that was live then. Read afterwards, it is live (OK) or was deleted
+// since (NotFound), never anything else.
+TEST(LiveRowIdsTest, EveryIdReadsOkOrNotFoundBesideAWriter) {
+  storage::MemFileSystem fs;
+  storage::PagerOptions options;
+  options.cache_pages = 64;
+  auto pager = storage::Pager::Open(&fs, "t.db", "t.wal", options);
+  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+  auto paged = PagedTable::Create(pager->get(), PersonSchema());
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  std::vector<std::unique_ptr<Table>> tables;
+  tables.push_back(std::make_unique<HeapTable>(PersonSchema()));
+  tables.push_back(std::make_unique<ColumnTable>(PersonSchema()));
+  tables.push_back(std::move(paged).value());
+  for (const auto& t : tables) {
+    std::vector<RowId> live;  // the writer's own, and only its
+    for (int i = 0; i < 100; ++i) {
+      auto id = t->Insert({Value(i), Value("f"), Value("l")});
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      live.push_back(*id);
+    }
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+      Rng rng(7);
+      for (int i = 0; i < 1500; ++i) {
+        auto id = t->Insert({Value(i), Value("f"), Value("l")});
+        EXPECT_TRUE(id.ok()) << id.status().ToString();
+        if (id.ok()) live.push_back(*id);
+        size_t victim = size_t(rng.Uniform(live.size()));
+        EXPECT_TRUE(t->Delete(live[victim]).ok());
+        live[victim] = live.back();
+        live.pop_back();
+      }
+      done.store(true);
+    });
+    std::vector<RowId> ids;
+    Row row;
+    size_t scans = 0;
+    do {
+      // EXPECT, not ASSERT: returning early would leave the writer running.
+      EXPECT_TRUE(t->LiveRowIds(&ids).ok());
+      EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+      for (RowId id : ids) {
+        Status got = t->Get(id, &row);
+        EXPECT_TRUE(got.ok() || got.IsNotFound()) << got.ToString();
+      }
+      ++scans;
+    } while (!done.load());
+    writer.join();
+    EXPECT_GT(scans, 0u);
+    // Quiescent: exactly the writer's live rows.
+    ASSERT_TRUE(t->LiveRowIds(&ids).ok());
+    std::sort(live.begin(), live.end());
+    EXPECT_EQ(ids, live);
   }
 }
 
