@@ -356,6 +356,9 @@ Result<int> Database::ShortestPath(std::string_view edge_table,
                                    const Value& from, const Value& to) const {
   Table* table = GetTable(edge_table);
   if (table == nullptr) return Status::InvalidArgument("unknown edge table");
+  if (!from.is_int() || !to.is_int()) {
+    return Status::InvalidArgument("vertex ids must be integers");
+  }
   if (mode_ == StorageMode::kColumnar) {
     std::shared_lock<obs::TimedSharedMutex> lock(catalog_mu_);
     auto it = edge_tables_.find(std::string(edge_table));
@@ -364,9 +367,6 @@ Result<int> Database::ShortestPath(std::string_view edge_table,
       lock.unlock();
       // Bidirectional BFS over int64 adjacency vectors (Virtuoso's
       // optimized transitivity path).
-      if (!from.is_int() || !to.is_int()) {
-        return Status::InvalidArgument("vertex ids must be integers");
-      }
       std::shared_lock<obs::TimedSharedMutex> adj_lock(meta->adj_mu);
       const auto& adj = meta->adjacency;
       return BidirectionalBfsDistance(
@@ -391,21 +391,24 @@ Result<int> Database::ShortestPath(std::string_view edge_table,
   const size_t di = size_t(table->schema().ColumnIndex(dst_col));
   // Single-sided BFS, one index probe + full-tuple fetch per edge — the
   // iterated self-join a row engine without transitivity support runs.
-  // The probe and tuple buffers are reused from edge to edge.
+  // The probe and tuple buffers are reused from edge to edge. An edge whose
+  // endpoint is not an integer joins no vertex.
   std::vector<RowId> ids;
   Row row;
-  return BfsDistance<Value, ValueHash>(
-      from, to, [&](const Value& v, auto&& emit) -> Status {
+  return BfsDistance(
+      from.as_int(), to.as_int(), [&](int64_t v, auto&& emit) -> Status {
+        const Value key(v);
         for (auto [index, col] : {std::pair{src_idx, di},
                                   std::pair{dst_idx, si}}) {
           ids.clear();
-          index->Lookup(v, &ids);
+          index->Lookup(key, &ids);
           for (RowId id : ids) {
             // Tuple-at-a-time: materialize the whole edge row.
             Status got = table->Get(id, &row);
             if (got.IsNotFound()) continue;  // deleted after the probe
             GB_RETURN_IF_ERROR(got);
-            if (!emit(row[col])) return Status::OK();
+            if (!row[col].is_int()) continue;
+            if (!emit(row[col].as_int())) return Status::OK();
           }
         }
         return Status::OK();

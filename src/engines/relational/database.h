@@ -90,7 +90,8 @@ class Database {
 
   /// Unweighted shortest-path length between application-level vertex ids
   /// over the registered edge table (undirected). -1 if unreachable.
-  /// Public so tests can exercise both code paths directly.
+  /// InvalidArgument unless both ids are integers. Public so tests can
+  /// exercise both code paths directly.
   Result<int> ShortestPath(std::string_view edge_table,
                            std::string_view src_col,
                            std::string_view dst_col, const Value& from,

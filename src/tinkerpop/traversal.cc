@@ -57,10 +57,6 @@ struct Traverser {
   }
 };
 
-struct GVertexHash {
-  size_t operator()(GVertex v) const { return std::hash<uint64_t>()(v.id); }
-};
-
 // repeat(both(label).dedup()).until(has(key, value)) on the shared BFS
 // kernel: the step machine's neighbour expansion is one Adjacent() call per
 // vertex, and each vertex it discovers gets a has() probe.
@@ -68,17 +64,18 @@ Result<int> ShortestPathDepth(GremlinGraph* graph, GVertex start,
                               const GremlinStep& step) {
   GB_ASSIGN_OR_RETURN(Value start_val, graph->Property(start, step.key));
   if (start_val == step.value) return 0;
-  auto expand = [&](GVertex v, auto&& emit) -> Status {
-    GB_ASSIGN_OR_RETURN(std::vector<GVertex> neighbors,
-                        graph->Adjacent(v, step.label, Direction::kBoth));
+  auto expand = [&](uint64_t v, auto&& emit) -> Status {
+    GB_ASSIGN_OR_RETURN(
+        std::vector<GVertex> neighbors,
+        graph->Adjacent(GVertex{v}, step.label, Direction::kBoth));
     for (GVertex n : neighbors) {
-      if (!emit(n)) break;
+      if (!emit(n.id)) break;
     }
     return Status::OK();
   };
   Status probe;  // a failed has() stops the search and is returned
-  auto visit = [&](GVertex v, int) {
-    Result<Value> val = graph->Property(v, step.key);
+  auto visit = [&](uint64_t v, int) {
+    Result<Value> val = graph->Property(GVertex{v}, step.key);
     if (!val.ok()) {
       probe = val.status();
       return false;
@@ -89,8 +86,7 @@ Result<int> ShortestPathDepth(GremlinGraph* graph, GVertex start,
   // unbounded).
   const int max_hops = int(
       std::clamp<int64_t>(step.n, 0, std::numeric_limits<int>::max()));
-  Result<int> depth = Bfs<GVertex, GVertexHash>(start, max_hops, expand,
-                                                visit);
+  Result<int> depth = Bfs(start.id, max_hops, expand, visit);
   GB_RETURN_IF_ERROR(depth.status());
   GB_RETURN_IF_ERROR(probe);
   return *depth;

@@ -520,6 +520,10 @@ constexpr char kTopPostersShape[] =
     "RETURN p.id, count(*) AS n "
     "ORDER BY count(*) DESC, p.id LIMIT $limit";
 
+constexpr char kShortestPathShape[] =
+    "MATCH (a:Person {id: $a}), (b:Person {id: $b}) "
+    "RETURN length(shortestPath((a)-[:knows*]-(b))) AS len";
+
 constexpr char kTwoHopShape[] =
     "MATCH (p:Person {id: $id})-[:knows]-(f)-[:knows]-(ff) "
     "WHERE ff.id <> $id RETURN DISTINCT ff.id";
@@ -570,6 +574,40 @@ Counted TwoHopAllocations(int friends, int fof) {
   CypherEngine engine(&graph);
   engine.EnablePlanCache();
   return CountExecution(&engine, kTwoHopShape, {{"id", Value(0)}});
+}
+
+// A ring of `n` persons; the path from the first to the one halfway round
+// is n / 2 hops long, and the search visits nearly every person on the
+// way.
+Counted ShortestPathAllocations(int n) {
+  NativeGraph graph;
+  EXPECT_TRUE(graph.CreateUniqueIndex("Person", "id").ok());
+  std::vector<VertexId> people;
+  for (int i = 0; i < n; ++i) {
+    people.push_back(*graph.AddVertex("Person", {{"id", Value(i)}}));
+  }
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(graph
+                    .AddEdge("knows", people[size_t(i)],
+                             people[size_t((i + 1) % n)], {})
+                    .ok());
+  }
+  CypherEngine engine(&graph);
+  engine.EnablePlanCache();
+  const CypherEngine::Params params = {{"a", Value(0)}, {"b", Value(n / 2)}};
+  auto len = engine.Execute(kShortestPathShape, params);
+  EXPECT_TRUE(len.ok() && len->rows[0][0] == Value(n / 2));
+  return CountExecution(&engine, kShortestPathShape, params);
+}
+
+TEST(CypherAllocationTest, ShortestPathAllocationsDoNotScaleWithInput) {
+  Counted small = ShortestPathAllocations(100);
+  Counted large = ShortestPathAllocations(400);
+  std::printf("ShortestPath shape: %ld allocations (100-person ring), %ld "
+              "(400-person ring)\n",
+              small.allocations, large.allocations);
+  ASSERT_EQ(large.rows, 1u);
+  EXPECT_LE(large.allocations - small.allocations, kAllocationGrowthBound);
 }
 
 TEST(CypherAllocationTest, TopPostersAllocationsDoNotScaleWithInput) {

@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/shortest_path.h"
@@ -498,6 +503,232 @@ TEST(ShortestPathKernelTest, ExpandErrorsPropagate) {
   // from == to answers without expanding.
   EXPECT_EQ(*BfsDistance(int64_t{3}, int64_t{3}, failing), 0);
   EXPECT_EQ(*BidirectionalBfsDistance(int64_t{3}, int64_t{3}, failing), 0);
+}
+
+// Checks both distance kernels, and a bounded Bfs, from `sources` against
+// ReferenceDistances on `adj` with vertex i renamed to `ids[i]`.
+void ExpectKernelsMatchReference(const Adjacency& adj,
+                                 const std::vector<uint64_t>& ids,
+                                 const std::vector<int64_t>& sources,
+                                 const std::vector<int64_t>& targets) {
+  std::unordered_map<uint64_t, int64_t> index;
+  for (size_t i = 0; i < ids.size(); ++i) index[ids[i]] = int64_t(i);
+  ASSERT_EQ(index.size(), ids.size()) << "ids must be distinct";
+  auto expand = [&](uint64_t v, auto&& emit) {
+    for (int64_t w : adj[size_t(index.at(v))]) {
+      if (!emit(ids[size_t(w)])) break;
+    }
+    return Status::OK();
+  };
+  for (int64_t a : sources) {
+    std::vector<int> want = ReferenceDistances(adj, a);
+    for (int64_t b : targets) {
+      auto single = BfsDistance(ids[size_t(a)], ids[size_t(b)], expand);
+      auto bidir =
+          BidirectionalBfsDistance(ids[size_t(a)], ids[size_t(b)], expand);
+      ASSERT_TRUE(single.ok() && bidir.ok());
+      ASSERT_EQ(*single, want[size_t(b)]) << a << "->" << b;
+      ASSERT_EQ(*bidir, want[size_t(b)]) << a << "->" << b;
+    }
+    std::vector<int> seen(adj.size(), -1);
+    auto r = Bfs(ids[size_t(a)], 3, expand, [&](uint64_t v, int depth) {
+      EXPECT_EQ(seen[size_t(index.at(v))], -1) << "visited twice";
+      seen[size_t(index.at(v))] = depth;
+      return true;
+    });
+    ASSERT_TRUE(r.ok());
+    for (size_t v = 0; v < adj.size(); ++v) {
+      int d = want[v];
+      EXPECT_EQ(seen[v], int64_t(v) != a && d >= 1 && d <= 3 ? d : -1);
+    }
+  }
+}
+
+std::vector<int64_t> AllVertices(const Adjacency& adj) {
+  std::vector<int64_t> all(adj.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = int64_t(i);
+  return all;
+}
+
+TEST(ShortestPathKernelTest, SparseNegativeAndExtremeIds) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const uint64_t kMin = uint64_t(std::numeric_limits<int64_t>::min());
+  // Each renaming of vertex i: multiples of 2^32 (same low bits),
+  // INT64_MIN upwards, UINT64_MAX downwards, signed ids around zero, and
+  // random 64-bit ids.
+  Rng ids_rng(7);
+  const std::vector<std::function<uint64_t(int64_t)>> renamings = {
+      [](int64_t i) { return uint64_t(i) << 32; },
+      [kMin](int64_t i) { return kMin + uint64_t(i); },
+      [](int64_t i) { return kMax - uint64_t(i); },
+      [](int64_t i) { return uint64_t(i % 2 ? -i : i); },
+      [&ids_rng](int64_t) { return ids_rng.Next(); },
+  };
+  Rng rng(20261022);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int64_t n = rng.UniformRange(2, 60);
+    Adjacency adj = RandomGraph(rng, n);
+    for (const auto& rename : renamings) {
+      std::vector<uint64_t> ids;
+      for (int64_t i = 0; i < n; ++i) ids.push_back(rename(i));
+      ExpectKernelsMatchReference(adj, ids, AllVertices(adj),
+                                  AllVertices(adj));
+    }
+  }
+}
+
+TEST(ShortestPathKernelTest, LargeGraphsGrowTheVisitedTable) {
+  // 3,000 and 90,000 vertices: the table starts at 64 slots, so a search
+  // over all of them doubles it 7 and 12 times, and the larger outgrows
+  // what a thread keeps between calls. Small searches after it still
+  // answer correctly.
+  Rng rng(99);
+  for (int64_t n : {int64_t{3000}, int64_t{90000}}) {
+    Adjacency adj(static_cast<size_t>(n));
+    for (int64_t v = 1; v < n; ++v) {  // a random tree plus a few chords
+      int64_t parent = rng.UniformRange(std::max<int64_t>(0, v - 8), v - 1);
+      adj[size_t(v)].push_back(parent);
+      adj[size_t(parent)].push_back(v);
+    }
+    for (int e = 0; e < 20; ++e) {
+      int64_t a = rng.UniformRange(0, n - 1), b = rng.UniformRange(0, n - 1);
+      adj[size_t(a)].push_back(b);
+      adj[size_t(b)].push_back(a);
+    }
+    std::vector<uint64_t> ids;
+    for (int64_t i = 0; i < n; ++i) ids.push_back(uint64_t(i) * 4398046511104);
+    ExpectKernelsMatchReference(adj, ids, {0, n / 2},
+                                {n - 1, n / 3, 1, n / 2});
+    Adjacency small = RandomGraph(rng, 30);
+    ExpectKernelsMatchReference(small, std::vector<uint64_t>(ids.begin(),
+                                                             ids.begin() + 30),
+                                AllVertices(small), AllVertices(small));
+  }
+}
+
+TEST(ShortestPathKernelTest, VisitedTableGrowsAndClears) {
+  bfs_internal::VisitedTable table;
+  for (int round = 0; round < 3; ++round) {
+    table.Clear();
+    for (int32_t i = 0; i < 5000; ++i) {
+      auto [value, inserted] = table.Insert(uint64_t(i) << 40, i);
+      ASSERT_TRUE(inserted) << i;
+      ASSERT_EQ(value, i);
+    }
+    EXPECT_GE(table.capacity(), 10000u);
+    for (int32_t i = 0; i < 5000; ++i) {
+      auto [value, inserted] = table.Insert(uint64_t(i) << 40, -1);
+      ASSERT_FALSE(inserted) << i;
+      ASSERT_EQ(value, i);
+    }
+  }
+}
+
+TEST(ShortestPathKernelTest, AnExpandErrorLeavesTheNextSearchCorrect) {
+  // Two rings of 40, the first with random chords: a search from one to
+  // the other expands a whole ring before it can answer -1.
+  Rng rng(5);
+  Adjacency adj = RandomGraph(rng, 40);
+  adj.resize(80);
+  for (int64_t v = 0; v < 80; ++v) {
+    const int64_t w = v / 40 * 40 + (v + 1) % 40;
+    adj[size_t(v)].push_back(w);
+    adj[size_t(w)].push_back(v);
+  }
+  std::vector<uint64_t> ids;
+  for (int64_t i = 0; i < 80; ++i) ids.push_back(uint64_t(i) * 7919);
+  // Fail after a few expansions, once the scratch holds a partial search.
+  for (int fail_after : {1, 3, 10}) {
+    int calls = 0;
+    auto failing = [&](uint64_t v, auto&& emit) -> Status {
+      if (++calls > fail_after) return Status::Internal("disk");
+      for (int64_t w : adj[size_t(v / 7919)]) {
+        if (!emit(ids[size_t(w)])) break;
+      }
+      return Status::OK();
+    };
+    calls = 0;
+    EXPECT_TRUE(BfsDistance(ids[0], ids[50], failing).status().IsInternal());
+    calls = 0;
+    EXPECT_TRUE(BidirectionalBfsDistance(ids[0], ids[50], failing)
+                    .status()
+                    .IsInternal());
+    ExpectKernelsMatchReference(adj, ids, AllVertices(adj), AllVertices(adj));
+  }
+}
+
+TEST(ShortestPathKernelTest, ASearchInsideAnotherUsesItsOwnScratch) {
+  Rng rng(11);
+  Adjacency outer = RandomGraph(rng, 30);
+  Adjacency inner = RandomGraph(rng, 25);
+  const std::vector<int> inner_want = ReferenceDistances(inner, 0);
+  auto expand_in = [&](uint64_t v, auto&& emit) {
+    for (int64_t w : inner[size_t(v)]) {
+      if (!emit(uint64_t(w))) break;
+    }
+    return Status::OK();
+  };
+  int nested = 0;
+  auto expand_out = [&](uint64_t v, auto&& emit) -> Status {
+    // Every outer expansion runs two complete inner searches first.
+    const uint64_t target = v % inner.size();
+    auto single = BfsDistance(0, target, expand_in);
+    auto bidir = BidirectionalBfsDistance(0, target, expand_in);
+    if (!single.ok() || !bidir.ok()) return Status::Internal("inner");
+    EXPECT_EQ(*single, inner_want[size_t(target)]);
+    EXPECT_EQ(*bidir, inner_want[size_t(target)]);
+    ++nested;
+    for (int64_t w : outer[size_t(v)]) {
+      if (!emit(uint64_t(w))) break;
+    }
+    return Status::OK();
+  };
+  for (int64_t a = 0; a < 30; ++a) {
+    std::vector<int> want = ReferenceDistances(outer, a);
+    for (int64_t b = 0; b < 30; ++b) {
+      auto single = BfsDistance(uint64_t(a), uint64_t(b), expand_out);
+      auto bidir = BidirectionalBfsDistance(uint64_t(a), uint64_t(b),
+                                            expand_out);
+      ASSERT_TRUE(single.ok() && bidir.ok());
+      ASSERT_EQ(*single, want[size_t(b)]) << a << "->" << b;
+      ASSERT_EQ(*bidir, want[size_t(b)]) << a << "->" << b;
+    }
+  }
+  EXPECT_GT(nested, 0);
+}
+
+TEST(ShortestPathKernelTest, ConcurrentCallersEachUseTheirOwnScratch) {
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([t, &failures] {
+      Rng rng(1000 + t);
+      for (int trial = 0; trial < 25; ++trial) {
+        const int64_t n = rng.UniformRange(2, 50);
+        Adjacency adj = RandomGraph(rng, n);
+        auto expand = [&](uint64_t v, auto&& emit) {
+          for (int64_t w : adj[size_t(v)]) {
+            if (!emit(uint64_t(w))) break;
+          }
+          return Status::OK();
+        };
+        for (int64_t a = 0; a < n; ++a) {
+          std::vector<int> want = ReferenceDistances(adj, a);
+          for (int64_t b = 0; b < n; ++b) {
+            auto single = BfsDistance(uint64_t(a), uint64_t(b), expand);
+            auto bidir =
+                BidirectionalBfsDistance(uint64_t(a), uint64_t(b), expand);
+            if (!single.ok() || !bidir.ok() || *single != want[size_t(b)] ||
+                *bidir != want[size_t(b)]) {
+              failures.fetch_add(1);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

@@ -431,6 +431,42 @@ Counted TwoHopAllocations(int friends, int fof) {
                         {{"person_id", Value(root)}});
 }
 
+// A ring of `n` persons; the path from the first to the one halfway round
+// is n / 2 hops long, and the search visits nearly every person on the
+// way. Knows triples run both ways, as the SNB loader stores them.
+Counted ShortestPathAllocations(int n) {
+  RdfEngine engine;
+  auto person = [](int i) { return Term::Iri(Numbered("person:", i)); };
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(
+        engine.AddTriple(person(i), "rdf:type", Term::Iri("snb:Person")).ok());
+    EXPECT_TRUE(
+        engine.AddTriple(person(i), "snb:id", Term::Literal(Value(i))).ok());
+  }
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(
+        engine.AddTriple(person(i), "snb:knows", person((i + 1) % n)).ok());
+    EXPECT_TRUE(
+        engine.AddTriple(person((i + 1) % n), "snb:knows", person(i)).ok());
+  }
+  engine.EnablePlanCache();
+  const RdfEngine::Params params = {{"from_id", Value(0)},
+                                    {"to_id", Value(n / 2)}};
+  auto len = engine.Execute(SparqlText("shortest_path"), params);
+  EXPECT_TRUE(len.ok() && len->rows[0][0] == Value(n / 2));
+  return CountExecution(&engine, SparqlText("shortest_path"), params);
+}
+
+TEST(SparqlAllocationTest, ShortestPathAllocationsDoNotScaleWithInput) {
+  Counted small = ShortestPathAllocations(100);
+  Counted large = ShortestPathAllocations(400);
+  std::printf("ShortestPath: %ld allocations (100-person ring), %ld "
+              "(400-person ring)\n",
+              small.allocations, large.allocations);
+  ASSERT_EQ(large.rows, 1u);
+  EXPECT_LE(large.allocations - small.allocations, kAllocationGrowthBound);
+}
+
 TEST(SparqlAllocationTest, TopPostersAllocationsDoNotScaleWithInput) {
   Counted small = TopPostersAllocations(150, 60);
   Counted large = TopPostersAllocations(600, 240);

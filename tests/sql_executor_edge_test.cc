@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "allocation_counter.h"
 #include "engines/relational/database.h"
@@ -245,6 +247,43 @@ TEST_F(SqlExecutorEdgeTest, DeleteEdgeRowUpdatesColumnarAccelerator) {
   EXPECT_EQ(after->rows[0][0].as_int(), -1);
 }
 
+// SHORTEST_PATH keys its search by the integer edge columns: a
+// non-integer vertex id is InvalidArgument on both storage modes, whether
+// or not the columnar adjacency accelerator serves the table.
+TEST(SqlShortestPathTest, NonIntegerIdsAreInvalidArgument) {
+  for (StorageMode mode : {StorageMode::kRow, StorageMode::kColumnar}) {
+    for (bool accelerated : {false, true}) {
+      Database db(mode);
+      ASSERT_TRUE(db.CreateTable(TableSchema("knows",
+                                             {{"p1", Value::Type::kInt},
+                                              {"p2", Value::Type::kInt}}))
+                      .ok());
+      ASSERT_TRUE(db.CreateIndex("knows", "p1", false).ok());
+      ASSERT_TRUE(db.CreateIndex("knows", "p2", false).ok());
+      if (accelerated) {
+        ASSERT_TRUE(db.RegisterEdgeTable("knows", "p1", "p2").ok());
+      }
+      ASSERT_TRUE(db.Execute("INSERT INTO knows (p1, p2) VALUES (1, 2)").ok());
+      const std::vector<std::pair<Value, Value>> bad = {
+          {Value("1"), Value(2)}, {Value(1), Value("2")},
+          {Value(1.0), Value(2)}, {Value(), Value(2)},
+          {Value("x"), Value("x")}};
+      for (const auto& [from, to] : bad) {
+        auto r = db.Execute(
+            "SELECT SHORTEST_PATH(?, ?) USING knows(p1, p2)", {from, to});
+        EXPECT_TRUE(r.status().IsInvalidArgument())
+            << (mode == StorageMode::kRow ? "row " : "columnar ")
+            << accelerated << " " << from.ToString() << " -> "
+            << to.ToString();
+      }
+      auto ok = db.Execute("SELECT SHORTEST_PATH(?, ?) USING knows(p1, p2)",
+                           {Value(2), Value(1)});
+      ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+      EXPECT_EQ(ok->rows[0][0].as_int(), 1);
+    }
+  }
+}
+
 TEST_F(SqlExecutorEdgeTest, EmptyDrivingSetShortCircuits) {
   auto r = Exec(
       "SELECT b.score FROM a JOIN b ON a.id = b.aid WHERE a.id = 999");
@@ -318,6 +357,9 @@ constexpr char kTopPostersShape[] =
     "SELECT p.creatorId, COUNT(*) AS n FROM post p "
     "GROUP BY p.creatorId ORDER BY n DESC, creatorId LIMIT ?";
 
+constexpr char kShortestPathShape[] =
+    "SELECT SHORTEST_PATH(?, ?) USING knows(person1Id, person2Id)";
+
 constexpr char kTwoHopShape[] =
     "SELECT DISTINCT p.id FROM knows k1 "
     "JOIN knows k2 ON k1.person2Id = k2.person1Id "
@@ -384,6 +426,43 @@ Counted TwoHopAllocations(StorageMode mode, int friends, int fof) {
   }
   db.EnablePlanCache();
   return CountExecution(&db, kTwoHopShape, {Value(root), Value(root)});
+}
+
+// A ring of `n` persons with sparse ids; the path from the first to the
+// one halfway round is n / 2 hops long, and the search visits nearly every
+// person on the way. Knows rows run both ways, as the SNB loader stores
+// them.
+Counted ShortestPathAllocations(StorageMode mode, int n) {
+  Database db(mode);
+  EXPECT_TRUE(db.CreateTable(TableSchema("knows",
+                                         {{"person1Id", Value::Type::kInt},
+                                          {"person2Id", Value::Type::kInt}}))
+                  .ok());
+  EXPECT_TRUE(db.CreateIndex("knows", "person1Id", false).ok());
+  EXPECT_TRUE(db.CreateIndex("knows", "person2Id", false).ok());
+  EXPECT_TRUE(db.RegisterEdgeTable("knows", "person1Id", "person2Id").ok());
+  auto id = [](int i) { return Value(int64_t{i} << 40); };
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(db.InsertRow("knows", {id(i), id((i + 1) % n)}).ok());
+    EXPECT_TRUE(db.InsertRow("knows", {id((i + 1) % n), id(i)}).ok());
+  }
+  db.EnablePlanCache();
+  auto len = db.Execute(kShortestPathShape, {id(0), id(n / 2)});
+  EXPECT_TRUE(len.ok() && len->rows[0][0] == Value(n / 2));
+  return CountExecution(&db, kShortestPathShape, {id(0), id(n / 2)});
+}
+
+TEST(SqlAllocationTest, ShortestPathAllocationsDoNotScaleWithInput) {
+  for (StorageMode mode : {StorageMode::kRow, StorageMode::kColumnar}) {
+    Counted small = ShortestPathAllocations(mode, 100);
+    Counted large = ShortestPathAllocations(mode, 400);
+    std::printf("ShortestPath shape, %s: %ld allocations (100-person "
+                "ring), %ld (400-person ring)\n",
+                mode == StorageMode::kRow ? "row" : "columnar",
+                small.allocations, large.allocations);
+    ASSERT_EQ(large.rows, 1u);
+    EXPECT_LE(large.allocations - small.allocations, kAllocationGrowthBound);
+  }
 }
 
 TEST(SqlAllocationTest, TopPostersAllocationsDoNotScaleWithInput) {
